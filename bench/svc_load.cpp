@@ -73,7 +73,9 @@ std::vector<svc::Request> mixed_workload(int count) {
         req.tasks = "stencil2d:3x4";
         req.topology = "torus:4x4";
         req.strategy = "topolb";
-        req.fail_node = "5";
+        // A temporary, not a literal: gcc 12 misreads the inlined
+        // literal assign at -O3 as an overlapping memcpy (-Wrestrict).
+        req.fail_node = std::string("5");
         break;
       case 3:
         req.kind = svc::RequestKind::kOptimal;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI driver: the full suite in release, then the labeled slices under
-# ASan/UBSan (TOPOMAP_SANITIZE=ON).
+# CI driver: the full suite in release (warnings are errors), then the
+# labeled slices under ASan/UBSan (TOPOMAP_SANITIZE=ON), then the
+# threaded suites under ThreadSanitizer.
 #
 # The sanitizer pass runs label by label — unit, property, fault, hier,
 # chaos, oracle, svc — so a failure names the tier that broke, and the
@@ -14,7 +15,8 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
 echo "=== release: configure + build + full suite ==="
-cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release \
+  -DTOPOMAP_WERROR=ON >/dev/null
 cmake --build build-ci-release -j "$JOBS"
 ctest --test-dir build-ci-release --output-on-failure -j "$JOBS"
 
@@ -159,5 +161,23 @@ cmake -B build-ci-obs-sanitize -S . -DTOPOMAP_SANITIZE=ON \
   -DTOPOMAP_OBS=ON >/dev/null
 cmake --build build-ci-obs-sanitize -j "$JOBS"
 ctest --test-dir build-ci-obs-sanitize --output-on-failure -j "$JOBS" -L svc
+
+echo "=== tsan (-fsanitize=thread): parallel, obs and svc suites ==="
+# ThreadSanitizer over every suite that shares memory across threads: the
+# support::parallel pool and TopoLB's parallel regions (test_parallel maps
+# at 1 and 4 threads, so placed-cost pool rows taken or returned inside a
+# region would race), the obs registry, and topomapd with its telemetry
+# plane (the flight recorder's seqlock under lapping writers).  Any race
+# report fails the run.
+cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+  -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
+TSAN_SUITES="test_parallel test_obs test_svc test_svc_telemetry"
+# shellcheck disable=SC2086  # the suite list is word-split on purpose
+cmake --build build-ci-tsan -j "$JOBS" --target $TSAN_SUITES
+for suite in $TSAN_SUITES; do
+  echo "--- $suite ---"
+  TSAN_OPTIONS="halt_on_error=1 exitcode=66" "build-ci-tsan/tests/$suite"
+done
 
 echo "ci passed"

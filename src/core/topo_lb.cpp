@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -42,8 +43,23 @@ constexpr int kTopK = 16;
 /// detail::CachedDistance or detail::VirtualDistance; both run identical
 /// arithmetic (core/distance_provider.hpp).
 ///
+/// Placed-cost rows: A(t, q) lives in a pool of p-wide rows held only by
+/// *active* tasks — unplaced tasks with at least one placed neighbour.  A
+/// task takes a row the first time step 4 touches it (a recycled row is
+/// reset to zero, a fresh one starts at zero) and returns it to a LIFO
+/// free list when it is placed, so the next task to activate reuses a row
+/// that is still warm in cache.  Every other task (passive, or never
+/// touched in third order) reads one shared zero row.  Memory is
+/// O(p * peak active rows) instead of a dense p x p matrix: a 4096-task 2D
+/// stencil peaks at 136 live rows, while a dense graph approaches one row
+/// per task (927 of 1024 for er:1024:0.05).  Each A(t, q) is still the
+/// same sequence of `+= bytes * d` in placement order, so the values — and
+/// every mapping — are those of a dense matrix.  The holders double as
+/// the active-row list step 1 walks.  The pool is only mutated between
+/// parallel regions.
+///
 /// Lazy rows: until a task gains its first placed neighbour its
-/// assigned_cost row is identically zero, so its f landscape is just
+/// A row is identically zero, so its f landscape is just
 /// U(t) * meandist(q) (second order) or constant zero (first order) — a
 /// scaled copy of one shared vector.  Such rows carry no per-row state;
 /// their minimum lives in one global (meandist, q)-ascending order with a
@@ -60,7 +76,9 @@ struct TopoLBState {
       : g(graph_in), dist(dist_in), order(order_in), n(g.num_vertices()),
         lazy(order_in != EstimationOrder::kThird) {
     const auto un = static_cast<std::size_t>(n);
-    assigned_cost.assign(un * un, 0.0);
+    zero_row.assign(un, 0.0);
+    assigned_row.assign(un, zero_row.data());
+    holder_pos.assign(un, -1);
     unplaced_bytes.resize(un);
     mean_dist.resize(un);
     for (int t = 0; t < n; ++t)
@@ -108,10 +126,41 @@ struct TopoLBState {
     }
   }
 
+  /// Task t's writable A row: the row it already holds, else the most
+  /// recently released one reset to zero, else a fresh zeroed row.
+  double* take_row(int t) {
+    double*& row = assigned_row[static_cast<std::size_t>(t)];
+    if (row != zero_row.data()) return row;
+    holder_pos[static_cast<std::size_t>(t)] = static_cast<int>(holders.size());
+    holders.push_back(t);
+    if (free_rows.empty()) {
+      row_store.push_back(std::make_unique<double[]>(
+          static_cast<std::size_t>(n)));  // value-initialized: zero
+      row = row_store.back().get();
+    } else {
+      row = free_rows.back();
+      free_rows.pop_back();
+      std::fill_n(row, n, 0.0);
+    }
+    return row;
+  }
+
+  /// Task t was placed: its row goes back to the top of the free list.
+  void release_row(int t) {
+    double*& row = assigned_row[static_cast<std::size_t>(t)];
+    if (row == zero_row.data()) return;
+    free_rows.push_back(row);
+    row = zero_row.data();
+    const int pos = holder_pos[static_cast<std::size_t>(t)];
+    holders[static_cast<std::size_t>(pos)] = holders.back();
+    holder_pos[static_cast<std::size_t>(holders.back())] = pos;
+    holders.pop_back();
+  }
+
   /// f_est(t, q, P) for a free processor q under the configured order.
   double f_est(int t, int q) const {
-    const auto row = static_cast<std::size_t>(t) * static_cast<std::size_t>(n);
-    const double assigned = assigned_cost[row + static_cast<std::size_t>(q)];
+    const double assigned =
+        assigned_row[static_cast<std::size_t>(t)][static_cast<std::size_t>(q)];
     switch (order) {
       case EstimationOrder::kFirst:
         return assigned;
@@ -140,9 +189,7 @@ struct TopoLBState {
     const int nf = static_cast<int>(free_procs.size());
     OBS_COUNTER_ADD("topolb/row_rescans", 1);
     OBS_COUNTER_ADD("topolb/f_est_evals", nf);
-    const double* arow =
-        assigned_cost.data() +
-        static_cast<std::size_t>(t) * static_cast<std::size_t>(n);
+    const double* arow = assigned_row[static_cast<std::size_t>(t)];
     const double u = unplaced_bytes[static_cast<std::size_t>(t)];
     std::pair<double, int> heap[kTopK];  // max-heap: largest (f, q) at [0]
     int hs = 0;
@@ -315,29 +362,31 @@ struct TopoLBState {
     })
     mapping[static_cast<std::size_t>(task)] = proc;
     task_placed[static_cast<std::size_t>(task)] = 1;
+    release_row(task);
     unplaced.erase(
         std::lower_bound(unplaced.begin(), unplaced.end(), task));
 
     const bool incremental = order != EstimationOrder::kThird;
-    const int nu = static_cast<int>(unplaced.size());
 
     // 1. Retire `proc` from the incremental row statistics using the *old*
-    //    f values (non-neighbour rows are otherwise unchanged).  Each task
-    //    touches only its own slots — row-parallel.  Passive rows carry no
-    //    per-row state: the shared sum/head update in step 2 covers them.
-    //    Rows whose buffered minimum lived on `proc` land in per-chunk
-    //    stale buckets, concatenated in ascending chunk order for step 5.
+    //    f values (non-neighbour rows are otherwise unchanged).  Only
+    //    active rows carry per-row state, and in the incremental orders
+    //    those are exactly the pool-row holders; passive rows are covered
+    //    by the shared sum/head update in step 2.  Each row touches only
+    //    its own slots — row-parallel.  Rows whose buffered minimum lived
+    //    on `proc` land in per-chunk stale buckets for step 5, which
+    //    treats each row independently, so bucket order is immaterial.
     std::vector<int> stale;
     if (incremental) {
-      const int chunks = support::parallel_chunk_count(nu, kTaskGrain);
+      const int na = static_cast<int>(holders.size());
+      const int chunks = support::parallel_chunk_count(na, kTaskGrain);
       std::vector<std::vector<int>> stale_chunks(
           static_cast<std::size_t>(chunks));
       support::parallel_for_chunks(
-          nu, kTaskGrain, [&](int chunk, int begin, int end) {
+          na, kTaskGrain, [&](int chunk, int begin, int end) {
             auto& bucket = stale_chunks[static_cast<std::size_t>(chunk)];
             for (int i = begin; i < end; ++i) {
-              const int t = unplaced[static_cast<std::size_t>(i)];
-              if (!row_active[static_cast<std::size_t>(t)]) continue;
+              const int t = holders[static_cast<std::size_t>(i)];
               f_sum[static_cast<std::size_t>(t)] -= f_est(t, proc);
               if (f_argmin[static_cast<std::size_t>(t)] == proc)
                 bucket.push_back(t);
@@ -384,7 +433,8 @@ struct TopoLBState {
 
     // 4. Neighbours of the placed task: their unplaced->placed split moved,
     //    so their whole row changes — fold the now-exact distance term into
-    //    assigned_cost (parallel over free processors), then rescan the
+    //    A (parallel over free processors; the row is taken from the pool
+    //    first, outside the parallel region), then rescan the
     //    touched rows (parallel over rows; a rescan reads only its own
     //    row's data, so deferring it past the other rows' updates changes
     //    nothing).  This is the paper's O(p * delta(t_k)) step.
@@ -394,13 +444,11 @@ struct TopoLBState {
     for (const graph::Edge& e : g.edges_of(task)) {
       const int tj = e.neighbor;
       if (task_placed[static_cast<std::size_t>(tj)]) continue;
-      const auto row =
-          static_cast<std::size_t>(tj) * static_cast<std::size_t>(n);
+      double* const arow = take_row(tj);
       support::parallel_for(nfree, kProcGrain, [&](int begin, int end) {
         for (int i = begin; i < end; ++i) {
           const int q = free_procs[static_cast<std::size_t>(i)];
-          assigned_cost[row + static_cast<std::size_t>(q)] +=
-              e.bytes * static_cast<double>(drow[q]);
+          arow[q] += e.bytes * static_cast<double>(drow[q]);
         }
       });
       unplaced_bytes[static_cast<std::size_t>(tj)] -= e.bytes;
@@ -433,7 +481,12 @@ struct TopoLBState {
   const int n;
   const bool lazy;  // passive rows share the global landscape (not 3rd order)
 
-  std::vector<double> assigned_cost;   // A(t, q), row-major n x n
+  std::vector<double*> assigned_row;   // A(t, .): pool row or zero_row
+  std::vector<double> zero_row;        // shared by tasks holding no row
+  std::vector<std::unique_ptr<double[]>> row_store;  // every pool row
+  std::vector<double*> free_rows;      // LIFO: most recently released last
+  std::vector<int> holders;     // tasks holding a pool row, unordered
+  std::vector<int> holder_pos;  // t's index in holders (stale once released)
   std::vector<double> unplaced_bytes;  // U(t)
   std::vector<double> mean_dist;       // meandist_Vp(q)
   std::vector<double> sum_dist_free;   // 3rd order: sum_{free pj} d(q, pj)

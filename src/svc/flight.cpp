@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <ostream>
+#include <thread>
 
 namespace topomap::svc {
 
@@ -35,18 +36,48 @@ void FlightRecorder::record(std::string_view corr, std::string_view kind,
                             std::string_view stage, std::uint64_t t_ns,
                             std::uint64_t dur_ns) {
   const std::uint64_t seq = cursor_.fetch_add(1, std::memory_order_relaxed);
+  FlightEvent ev;
+  ev.seq = seq;
+  ev.t_ns = t_ns;
+  ev.dur_ns = dur_ns;
+  copy_padded(ev.corr, corr);
+  copy_padded(ev.kind, kind);
+  copy_padded(ev.stage, stage);
+  std::uint64_t words[kSlotWords];
+  std::memcpy(words, &ev, sizeof ev);
+
+  // Lap-safe claim: move the slot's version from a stable (even) value of
+  // an *older* sequence to odd 2*seq+1.  A writer one lap behind that is
+  // still mid-write (odd, older) is waited out — its few stores finish
+  // unconditionally — so two writers never interleave on one slot.  A
+  // version at or past our claim means a newer lap already owns the slot:
+  // this event is out of the snapshot window anyway, so it is dropped.
+  // The acquire on success orders an earlier writer's payload stores
+  // before ours.
   Slot& slot = slots_[seq & mask_];
-  // Seqlock write: odd marks the slot in flux, even = 2*seq + 2 marks it
-  // stable *for this sequence number* — a reader can tell an old
-  // generation from a current one by the version value alone.
-  slot.version.store(2 * seq + 1, std::memory_order_release);
-  slot.ev.seq = seq;
-  slot.ev.t_ns = t_ns;
-  slot.ev.dur_ns = dur_ns;
-  copy_padded(slot.ev.corr, corr);
-  copy_padded(slot.ev.kind, kind);
-  copy_padded(slot.ev.stage, stage);
-  slot.version.store(2 * seq + 2, std::memory_order_release);
+  const std::uint64_t claim = 2 * seq + 1;
+  std::uint64_t v = slot.version.load(std::memory_order_relaxed);
+  for (;;) {
+    if (v >= claim) return;
+    if (v & 1) {
+      std::this_thread::yield();
+      v = slot.version.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (slot.version.compare_exchange_weak(v, claim,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed))
+      break;
+  }
+  // Seqlock write: the odd claim, then a release fence so no payload store
+  // becomes visible before it; the payload as relaxed atomic words; then
+  // even = 2*seq + 2, which marks the slot stable *for this sequence
+  // number* — a reader can tell an old generation from a current one by
+  // the version value alone.
+  std::atomic_thread_fence(std::memory_order_release);
+  for (std::size_t i = 0; i < kSlotWords; ++i)
+    slot.words[i].store(words[i], std::memory_order_relaxed);
+  slot.version.store(claim + 1, std::memory_order_release);
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
@@ -57,12 +88,17 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
   out.reserve(static_cast<std::size_t>(end - begin));
   for (std::uint64_t i = begin; i < end; ++i) {
     const Slot& slot = slots_[i & mask_];
-    if (slot.version.load(std::memory_order_acquire) != 2 * i + 2)
+    const std::uint64_t stable = 2 * i + 2;
+    if (slot.version.load(std::memory_order_acquire) != stable)
       continue;  // being written, or already lapped by a newer event
-    FlightEvent ev = slot.ev;
+    std::uint64_t words[kSlotWords];
+    for (std::size_t w = 0; w < kSlotWords; ++w)
+      words[w] = slot.words[w].load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.version.load(std::memory_order_relaxed) != 2 * i + 2)
+    if (slot.version.load(std::memory_order_relaxed) != stable)
       continue;  // overwritten mid-copy: drop the torn read
+    FlightEvent ev;
+    std::memcpy(&ev, words, sizeof ev);
     out.push_back(ev);
   }
   return out;

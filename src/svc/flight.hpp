@@ -5,12 +5,18 @@
 // Unlike the obs:: plane, the recorder is *always on* (it is not behind
 // the TOPOMAP_OBS build gate): a stuck daemon in an uninstrumented build
 // must still be debuggable.  The cost budget that buys is one relaxed
-// fetch_add plus a handful of stores per event — no locks, no allocation,
-// no syscalls — so recording never backpressures the request path.
+// fetch_add, one compare-exchange and a handful of stores per event — no
+// locks, no allocation, no syscalls — so recording never backpressures
+// the request path.
 //
-// Concurrency: a per-slot seqlock.  Writers claim a slot by atomically
-// advancing the cursor, bracket their field stores with an odd/even
-// version (odd = write in progress), and never wait.  snapshot() walks the
+// Concurrency: a per-slot seqlock.  Writers take a sequence number by
+// atomically advancing the cursor, claim its slot by moving the slot's
+// version to odd (write in progress), store the payload as relaxed atomic
+// words, and publish an even version.  The claim is lap-safe: a writer
+// whose slot is still held by a writer one lap behind waits out that
+// writer's few stores, and a writer whose slot a newer lap already owns
+// drops its (already out-of-window) event, so two writers never
+// interleave on one slot.  snapshot() walks the
 // last `capacity` sequence numbers and keeps only slots whose version is
 // stable and matches the expected sequence — an event being overwritten
 // mid-read is skipped, not torn.  The recorder is a diagnostic ring: under
@@ -27,6 +33,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/json.hpp"
@@ -35,8 +42,9 @@ namespace topomap::svc {
 
 namespace json = ::topomap::support::json;
 
-/// One lifecycle event.  Strings are fixed-size NUL-padded arrays so a
-/// slot write is plain stores (no allocation inside the ring).
+/// One lifecycle event.  Strings are fixed-size NUL-padded arrays so the
+/// event is a fixed block of 64-bit words, stored into the ring as relaxed
+/// atomics (no allocation inside the ring).
 struct FlightEvent {
   std::uint64_t seq = 0;     ///< global event number (0-based)
   std::uint64_t t_ns = 0;    ///< obs::now_ns() steady-clock timestamp
@@ -80,9 +88,15 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
  private:
+  static constexpr std::size_t kSlotWords =
+      sizeof(FlightEvent) / sizeof(std::uint64_t);
+  static_assert(sizeof(FlightEvent) % sizeof(std::uint64_t) == 0 &&
+                    std::is_trivially_copyable_v<FlightEvent>,
+                "FlightEvent must copy as whole 64-bit words");
+
   struct Slot {
     std::atomic<std::uint64_t> version{0};  ///< odd while being written
-    FlightEvent ev;
+    std::atomic<std::uint64_t> words[kSlotWords]{};  ///< the FlightEvent
   };
 
   std::vector<Slot> slots_;

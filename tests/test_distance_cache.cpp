@@ -5,13 +5,17 @@
 // TopoCentLB outputs against silent drift.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "core/cache_handle.hpp"
 #include "core/metrics.hpp"
 #include "core/strategy.hpp"
+#include "core/topo_lb.hpp"
 #include "graph/builders.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -19,6 +23,7 @@
 #include "topo/distance_cache.hpp"
 #include "topo/factory.hpp"
 #include "topo/fat_tree.hpp"
+#include "topo/fault_overlay.hpp"
 
 namespace topomap {
 namespace {
@@ -147,6 +152,98 @@ TEST(DistanceCache, GoldenHopBytesOnStencils) {
     EXPECT_EQ(core::hop_bytes(g, *t, m), gold.hop_bytes)
         << gold.strategy << " on " << gold.topo;
   }
+}
+
+// Golden mapping bytes for TopoLB.  The hop-bytes goldens above stop at 36
+// tasks and pin only the objective; these pin whole mappings (FNV-1a over
+// every entry) on low-degree stencils, where few placed-cost rows are live
+// at once, and on dense random graphs, where nearly every row goes live.
+// The production orders run at 1024 / 512 tasks; third order (O(p^3)) and
+// the soft-faulted overlay (a Dijkstra-built plane) run at 256 tasks to
+// keep the suite fast.  Every hash must come out at 1 and 4 threads, and
+// on healthy machines in both distance modes.
+std::uint64_t fnv1a(const Mapping& m) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const int proc : m) {
+    const auto u = static_cast<std::uint32_t>(proc);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(DistanceCache, GoldenTopoLBMappingHashes) {
+  struct Instance {
+    const char* name;
+    TaskGraph graph;
+    const char* topo;
+  };
+  Rng graph_rng(7);
+  const Instance instances[] = {
+      {"stencil1024", graph::stencil_2d(32, 32, 1024.0), "torus:32x32"},
+      {"er512", graph::random_graph(512, 0.05, 1.0, 1024.0, graph_rng),
+       "torus:8x8x8"},
+      {"stencil256", graph::stencil_2d(16, 16, 1024.0), "torus:16x16"},
+      {"er256", graph::random_graph(256, 0.1, 1.0, 1024.0, graph_rng),
+       "torus:16x16"},
+  };
+  struct Case {
+    int instance;
+    bool soft;
+    core::EstimationOrder order;
+    std::uint64_t hash;
+  };
+  using core::EstimationOrder;
+  const Case cases[] = {
+      {0, false, EstimationOrder::kFirst, 0xa107b16a61a56b25ull},
+      {0, false, EstimationOrder::kSecond, 0xa107b16a61a56b25ull},
+      {1, false, EstimationOrder::kFirst, 0x8468c9aea2522229ull},
+      {1, false, EstimationOrder::kSecond, 0x8468c9aea2522229ull},
+      {2, false, EstimationOrder::kThird, 0x55522f920ee53e05ull},
+      {2, true, EstimationOrder::kFirst, 0x51a4fd78e17082e5ull},
+      {2, true, EstimationOrder::kSecond, 0x83ac36d0005435b5ull},
+      {2, true, EstimationOrder::kThird, 0x45d91eff6a0a6c75ull},
+      {3, false, EstimationOrder::kThird, 0xe41a27f4553d00f5ull},
+      {3, true, EstimationOrder::kFirst, 0x96eb6ad3b2224cb5ull},
+      {3, true, EstimationOrder::kSecond, 0x267c4839f1e30dd5ull},
+      {3, true, EstimationOrder::kThird, 0xb3382370013b5315ull},
+  };
+  for (const Case& c : cases) {
+    const Instance& inst = instances[c.instance];
+    const auto base = make_topology(inst.topo);
+    // Soft faults: every 7th processor's first link runs at half health,
+    // so distances are weighted and no longer torus-symmetric.
+    topo::FaultOverlay overlay(base);
+    for (int p = 0; p < overlay.size(); p += 7)
+      overlay.degrade_link(p, overlay.neighbors(p).front(), 0.5);
+    const topo::Topology& machine =
+        c.soft ? static_cast<const topo::Topology&>(overlay) : *base;
+    // The soft overlay's virtual distance is an early-exit Dijkstra per
+    // call, so soft cases pin the cached mode only.
+    const std::vector<std::pair<core::DistanceMode, int>> runs =
+        c.soft ? std::vector<std::pair<core::DistanceMode, int>>{
+                     {core::DistanceMode::kCached, 1},
+                     {core::DistanceMode::kCached, 4}}
+               : std::vector<std::pair<core::DistanceMode, int>>{
+                     {core::DistanceMode::kCached, 1},
+                     {core::DistanceMode::kCached, 4},
+                     {core::DistanceMode::kVirtual, 4}};
+    const auto handle = std::make_shared<core::CacheHandle>();
+    for (const auto& [mode, threads] : runs) {
+      support::set_num_threads(threads);
+      Rng rng(42);
+      const Mapping m =
+          core::TopoLB(c.order, mode, handle).map(inst.graph, machine, rng);
+      EXPECT_EQ(fnv1a(m), c.hash)
+          << std::hex << "0x" << fnv1a(m) << std::dec << ": " << inst.name
+          << (c.soft ? " (soft)" : "") << " order "
+          << static_cast<int>(c.order) << " mode " << static_cast<int>(mode)
+          << " threads " << threads;
+    }
+  }
+  support::set_num_threads(1);
 }
 
 // hop_bytes read through a cache is bit-identical to the virtual overload.

@@ -245,8 +245,9 @@ TEST(Evacuate, ZeroRefineMovesExactlyTheStrandedTasks) {
     EXPECT_TRUE(overlay->is_alive(proc));
     EXPECT_FALSE(used[static_cast<std::size_t>(proc)]);
     used[static_cast<std::size_t>(proc)] = 1;
-    if (overlay->is_alive(previous[task]))
+    if (overlay->is_alive(previous[task])) {
       EXPECT_EQ(proc, previous[task]) << "survivor " << task << " moved";
+    }
   }
   // Deterministic.
   EXPECT_EQ(evacuate(g, *overlay, previous, 0).mapping, r.mapping);

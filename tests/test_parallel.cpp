@@ -1,5 +1,8 @@
 // support::parallel pool tests: exact index coverage, thread-count-
-// independent chunk layout, exception propagation, nested-call inlining.
+// independent chunk layout, exception propagation, nested-call inlining,
+// and the TopoLB kernel's parallel regions (the TSan slice of
+// scripts/ci.sh runs this suite, so a kernel that touched shared state
+// inside a region would be reported there as a race).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,8 +10,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/topo_lb.hpp"
+#include "graph/builders.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
+#include "support/rng.hpp"
+#include "topo/factory.hpp"
 
 namespace topomap::support {
 namespace {
@@ -90,6 +97,33 @@ TEST_F(ParallelTest, SetNumThreadsValidatesAndApplies) {
   EXPECT_EQ(num_threads(), 3);
   set_num_threads(1);
   EXPECT_EQ(num_threads(), 1);
+}
+
+// TopoLB's place() runs its row updates and rescans in parallel regions
+// and takes/returns placed-cost pool rows between them.  On a stencil few
+// rows are live at once and rows recycle constantly; on a dense graph
+// nearly every row goes live.  Every order must map identically at 1 and
+// 4 threads.
+TEST_F(ParallelTest, TopoLBRegionsMapIdenticallyAtAnyThreadCount) {
+  const auto machine = topo::make_topology("torus:16x16");
+  Rng rng(5);
+  const graph::TaskGraph graphs[] = {
+      graph::stencil_2d(16, 16, 64.0),
+      graph::random_graph(256, 0.2, 1.0, 64.0, rng)};
+  for (const graph::TaskGraph& g : graphs) {
+    for (const auto order :
+         {core::EstimationOrder::kFirst, core::EstimationOrder::kSecond,
+          core::EstimationOrder::kThird}) {
+      const core::TopoLB lb(order);
+      set_num_threads(1);
+      Rng rng1(1);
+      const core::Mapping serial = lb.map(g, *machine, rng1);
+      set_num_threads(4);
+      Rng rng4(1);
+      EXPECT_EQ(lb.map(g, *machine, rng4), serial)
+          << lb.name() << " on " << g.label();
+    }
+  }
 }
 
 }  // namespace

@@ -237,6 +237,58 @@ TEST(SvcFlight, RingWrapsAroundKeepingTheMostRecentEvents) {
   EXPECT_EQ(doc.at("recorded").as_number(), 20.0);
 }
 
+// Writers lapping a tiny ring many times over while readers snapshot it:
+// every event a snapshot returns must be one writer's whole event, never a
+// mix of two.  Each writer derives every field from one value k, so a torn
+// slot shows up as fields that disagree.  Under TSan this is also the
+// seqlock's race check.
+TEST(SvcFlight, LappingWritersNeverTearAnEventUnderConcurrentSnapshots) {
+  svc::FlightRecorder ring(8);
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 20000;
+  std::atomic<bool> done{false};
+  auto reader = [&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const auto events = ring.snapshot();
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        const svc::FlightEvent& ev = events[i];
+        if (i > 0) {
+          ASSERT_GT(ev.seq, events[i - 1].seq);
+        }
+        const std::uint64_t k = ev.t_ns;
+        ASSERT_EQ(ev.dur_ns, 3 * k + 1);
+        ASSERT_EQ(std::string(ev.corr), std::to_string(k));
+        ASSERT_EQ(std::string(ev.kind), k % 2 ? "map" : "status");
+        ASSERT_EQ(std::string(ev.stage), std::to_string(k % 97));
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) readers.emplace_back(reader);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w)
+    writers.emplace_back([&ring, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        const auto k = static_cast<std::uint64_t>(w) * kPerWriter +
+                       static_cast<std::uint64_t>(i);
+        ring.record(std::to_string(k), k % 2 ? "map" : "status",
+                    std::to_string(k % 97), k, 3 * k + 1);
+      }
+    });
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(ring.total_recorded(),
+            static_cast<std::uint64_t>(kWriters) * kPerWriter);
+  // Quiescent ring: the last capacity sequence numbers, each whole.
+  const auto tail = ring.snapshot();
+  ASSERT_EQ(tail.size(), ring.capacity());
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].seq, ring.total_recorded() - ring.capacity() + i);
+    EXPECT_EQ(std::string(tail[i].corr), std::to_string(tail[i].t_ns));
+  }
+}
+
 TEST(SvcFlight, CapacityRoundsUpToAPowerOfTwo) {
   EXPECT_EQ(svc::FlightRecorder(1).capacity(), 8u);  // floor
   EXPECT_EQ(svc::FlightRecorder(9).capacity(), 16u);
