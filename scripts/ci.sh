@@ -162,17 +162,18 @@ cmake -B build-ci-obs-sanitize -S . -DTOPOMAP_SANITIZE=ON \
 cmake --build build-ci-obs-sanitize -j "$JOBS"
 ctest --test-dir build-ci-obs-sanitize --output-on-failure -j "$JOBS" -L svc
 
-echo "=== tsan (-fsanitize=thread): parallel, obs and svc suites ==="
+echo "=== tsan (-fsanitize=thread): parallel, plane, chaos, obs and svc suites ==="
 # ThreadSanitizer over every suite that shares memory across threads: the
 # support::parallel pool and TopoLB's parallel regions (test_parallel maps
 # at 1 and 4 threads, so placed-cost pool rows taken or returned inside a
-# region would race), the obs registry, and topomapd with its telemetry
-# plane (the flight recorder's seqlock under lapping writers).  Any race
-# report fails the run.
+# region would race), the parallel distance-plane fill and repairs
+# (test_distance_cache, test_chaos), the obs registry, and topomapd with
+# its telemetry plane (the flight recorder's seqlock under lapping
+# writers).  Any race report fails the run.
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS=-fsanitize=thread \
   -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
-TSAN_SUITES="test_parallel test_obs test_svc test_svc_telemetry"
+TSAN_SUITES="test_parallel test_distance_cache test_chaos test_obs test_svc test_svc_telemetry"
 # shellcheck disable=SC2086  # the suite list is word-split on purpose
 cmake --build build-ci-tsan -j "$JOBS" --target $TSAN_SUITES
 for suite in $TSAN_SUITES; do

@@ -175,64 +175,74 @@ struct TopoLBState {
     TOPOMAP_UNREACHABLE("estimation order is an exhaustive enum");
   }
 
-  /// Recompute F_sum and refill row t's top-K minima buffer by scanning the
-  /// free processors in increasing q.  The buffer holds the K smallest
-  /// (f, q) pairs in ascending lexicographic order, so its head is the
-  /// sequential scan's first-strict-minimum (smallest f; lowest q on ties).
+  /// A row of distances from one processor, as the provider hands it out.
+  using DistRow = decltype(std::declval<const Dist&>().row(0));
+
+  /// Recompute F_sum and refill row t's top-K minima buffer (see sweep_row).
+  void rescan_row(int t) { sweep_row<false>(t, nullptr, 0.0); }
+
+  /// One sweep over the free processors in increasing q.  With kFold it
+  /// first folds a newly placed neighbour's term into A
+  /// (A(t, q) += bytes * d(proc, q), `*drow` being proc's distance row),
+  /// then, for every q, computes f, adds it to F_sum and offers it to the
+  /// top-K buffer.  The buffer holds the K smallest (f, q) pairs in
+  /// ascending lexicographic order, so its head is the sequential scan's
+  /// first-strict-minimum (smallest f; lowest q on ties).
   ///
   /// This is the hottest kernel (every step-4 touched row pays one call),
-  /// so the f expressions are specialized per order outside the loop —
+  /// so the f expression is specialized per order outside the loop —
   /// identical arithmetic to f_est, without its per-element dispatch — and
-  /// the K smallest are kept in a small max-heap whose reject test is one
-  /// predictable comparison per element.
-  void rescan_row(int t) {
+  /// the K smallest are kept in a small max-heap.  q only grows, so a
+  /// candidate beats the heap's largest (f, q) pair exactly when its f is
+  /// below that pair's f: the reject test is one double compare.
+  template <bool kFold>
+  void sweep_row(int t, const DistRow* drow, double bytes) {
     const int nf = static_cast<int>(free_procs.size());
     OBS_COUNTER_ADD("topolb/row_rescans", 1);
     OBS_COUNTER_ADD("topolb/f_est_evals", nf);
-    const double* arow = assigned_row[static_cast<std::size_t>(t)];
+    // Only a pool row is ever folded into; the shared zero row is read-only.
+    double* const arow = assigned_row[static_cast<std::size_t>(t)];
     const double u = unplaced_bytes[static_cast<std::size_t>(t)];
     std::pair<double, int> heap[kTopK];  // max-heap: largest (f, q) at [0]
     int hs = 0;
+    double thr = 0.0;  // heap[0].first once the heap is full
     double sum = 0.0;
-    auto consider = [&](double f, int q) {
-      const std::pair<double, int> cand(f, q);
-      if (hs < top_k) {
-        heap[hs++] = cand;
+    auto sweep = [&](auto f_of) {
+      for (int i = 0; i < nf; ++i) {
+        const int q = free_procs[static_cast<std::size_t>(i)];
+        double a = arow[q];
+        if constexpr (kFold) {
+          a += bytes * static_cast<double>((*drow)[q]);
+          arow[q] = a;
+        }
+        const double f = f_of(a, q);
+        sum += f;
+        if (hs == top_k) {
+          if (!(f < thr)) continue;
+          std::pop_heap(heap, heap + hs);
+          heap[hs - 1] = {f, q};
+        } else {
+          heap[hs++] = {f, q};
+        }
         std::push_heap(heap, heap + hs);
-      } else if (cand < heap[0]) {
-        std::pop_heap(heap, heap + hs);
-        heap[hs - 1] = cand;
-        std::push_heap(heap, heap + hs);
+        if (hs == top_k) thr = heap[0].first;
       }
     };
     switch (order) {
       case EstimationOrder::kFirst:
-        for (int i = 0; i < nf; ++i) {
-          const int q = free_procs[static_cast<std::size_t>(i)];
-          const double f = arow[q];
-          sum += f;
-          consider(f, q);
-        }
+        sweep([](double a, int) { return a; });
         break;
       case EstimationOrder::kSecond: {
         const double* md = mean_dist.data();
-        for (int i = 0; i < nf; ++i) {
-          const int q = free_procs[static_cast<std::size_t>(i)];
-          const double f = arow[q] + u * md[q];
-          sum += f;
-          consider(f, q);
-        }
+        sweep([u, md](double a, int q) { return a + u * md[q]; });
         break;
       }
       case EstimationOrder::kThird: {
         const double* sdf = sum_dist_free.data();
-        const double nfree = static_cast<double>(free_procs.size());
-        for (int i = 0; i < nf; ++i) {
-          const int q = free_procs[static_cast<std::size_t>(i)];
-          const double f = arow[q] + u * sdf[q] / nfree;
-          sum += f;
-          consider(f, q);
-        }
+        const double nfree = static_cast<double>(nf);
+        sweep([u, sdf, nfree](double a, int q) {
+          return a + u * sdf[q] / nfree;
+        });
         break;
       }
     }
@@ -376,15 +386,16 @@ struct TopoLBState {
     //    its own slots — row-parallel.  Rows whose buffered minimum lived
     //    on `proc` land in per-chunk stale buckets for step 5, which
     //    treats each row independently, so bucket order is immaterial.
-    std::vector<int> stale;
+    stale.clear();
     if (incremental) {
       const int na = static_cast<int>(holders.size());
       const int chunks = support::parallel_chunk_count(na, kTaskGrain);
-      std::vector<std::vector<int>> stale_chunks(
-          static_cast<std::size_t>(chunks));
+      if (stale_chunks.size() < static_cast<std::size_t>(chunks))
+        stale_chunks.resize(static_cast<std::size_t>(chunks));
       support::parallel_for_chunks(
           na, kTaskGrain, [&](int chunk, int begin, int end) {
             auto& bucket = stale_chunks[static_cast<std::size_t>(chunk)];
+            bucket.clear();
             for (int i = begin; i < end; ++i) {
               const int t = holders[static_cast<std::size_t>(i)];
               f_sum[static_cast<std::size_t>(t)] -= f_est(t, proc);
@@ -392,20 +403,21 @@ struct TopoLBState {
                 bucket.push_back(t);
             }
           });
-      for (const auto& bucket : stale_chunks)
+      for (int c = 0; c < chunks; ++c) {
+        const auto& bucket = stale_chunks[static_cast<std::size_t>(c)];
         stale.insert(stale.end(), bucket.begin(), bucket.end());
+      }
     }
 
     // 2. Remove the processor from the free set; keep the passive rows'
     //    shared landscape current (head skips consumed processors in
     //    amortized O(1), the free-sum drops by the consumed entry).
     proc_used[static_cast<std::size_t>(proc)] = 1;
-    for (std::size_t i = 0; i < free_procs.size(); ++i) {
-      if (free_procs[i] == proc) {
-        free_procs.erase(free_procs.begin() + static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-    }
+    const auto freed =
+        std::lower_bound(free_procs.begin(), free_procs.end(), proc);
+    TOPOMAP_ASSERT(freed != free_procs.end() && *freed == proc,
+                   "placed processor is not free");
+    free_procs.erase(freed);
     if (lazy) {
       sum_m_free -= order == EstimationOrder::kSecond
                         ? mean_dist[static_cast<std::size_t>(proc)]
@@ -417,9 +429,9 @@ struct TopoLBState {
     }
 
     // 3. Third order: the free-set mean distances all shift.
+    const auto drow = dist.row(proc);
+    const int nfree = static_cast<int>(free_procs.size());
     if (order == EstimationOrder::kThird) {
-      const auto drow = dist.row(proc);
-      const int nfree = static_cast<int>(free_procs.size());
       support::parallel_for(nfree, kProcGrain, [&](int begin, int end) {
         for (int i = begin; i < end; ++i) {
           const int q = free_procs[static_cast<std::size_t>(i)];
@@ -432,34 +444,41 @@ struct TopoLBState {
     if (free_procs.empty()) return;
 
     // 4. Neighbours of the placed task: their unplaced->placed split moved,
-    //    so their whole row changes — fold the now-exact distance term into
-    //    A (parallel over free processors; the row is taken from the pool
-    //    first, outside the parallel region), then rescan the
-    //    touched rows (parallel over rows; a rescan reads only its own
-    //    row's data, so deferring it past the other rows' updates changes
-    //    nothing).  This is the paper's O(p * delta(t_k)) step.
-    const auto drow = dist.row(proc);
-    const int nfree = static_cast<int>(free_procs.size());
-    std::vector<int> touched;
+    //    so their whole row changes.  This is the paper's O(p * delta(t_k))
+    //    step.  U(t) drops for every touched task and each takes its pool
+    //    row first, outside any parallel region.  Edges are merged per
+    //    neighbour, so each row gains exactly one `+= bytes * d` term per
+    //    placement.  In the incremental orders one sweep per touched row
+    //    folds that term into A and rescans the row (parallel over rows; a
+    //    sweep reads and writes only its own row's data).  Third order only
+    //    folds here (parallel over free processors); its rows are all
+    //    rescanned at the start of the next cycle.
+    touched.clear();
     for (const graph::Edge& e : g.edges_of(task)) {
-      const int tj = e.neighbor;
-      if (task_placed[static_cast<std::size_t>(tj)]) continue;
-      double* const arow = take_row(tj);
-      support::parallel_for(nfree, kProcGrain, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-          const int q = free_procs[static_cast<std::size_t>(i)];
-          arow[q] += e.bytes * static_cast<double>(drow[q]);
-        }
-      });
-      unplaced_bytes[static_cast<std::size_t>(tj)] -= e.bytes;
-      touched.push_back(tj);
+      if (task_placed[static_cast<std::size_t>(e.neighbor)]) continue;
+      unplaced_bytes[static_cast<std::size_t>(e.neighbor)] -= e.bytes;
+      take_row(e.neighbor);
+      touched.push_back(e);
     }
     if (incremental) {
       support::parallel_for(
           static_cast<int>(touched.size()), 1, [&](int begin, int end) {
-            for (int i = begin; i < end; ++i)
-              rescan_row(touched[static_cast<std::size_t>(i)]);
+            for (int i = begin; i < end; ++i) {
+              const graph::Edge& e = touched[static_cast<std::size_t>(i)];
+              sweep_row<true>(e.neighbor, &drow, e.bytes);
+            }
           });
+    } else {
+      for (const graph::Edge& e : touched) {
+        double* const arow =
+            assigned_row[static_cast<std::size_t>(e.neighbor)];
+        support::parallel_for(nfree, kProcGrain, [&](int begin, int end) {
+          for (int i = begin; i < end; ++i) {
+            const int q = free_procs[static_cast<std::size_t>(i)];
+            arow[q] += e.bytes * static_cast<double>(drow[q]);
+          }
+        });
+      }
     }
 
     // 5. Rows whose minimum lived on the consumed processor: pop the
@@ -503,6 +522,10 @@ struct TopoLBState {
   std::vector<int> top_head;   // first possibly-live buffer entry per row
   std::vector<int> top_size;   // valid entries per row
   std::vector<char> row_active;  // 0 until the row's first step-4 rescan
+  // Per-placement scratch, kept to spare place() its allocations.
+  std::vector<int> stale;                      // step 1 -> step 5 rows
+  std::vector<std::vector<int>> stale_chunks;  // step 1's per-chunk buckets
+  std::vector<graph::Edge> touched;            // step 4: (task, edge bytes)
   std::vector<std::pair<double, int>> m_order;  // passive landscape, ascending
   int m_head = 0;            // first still-free entry of m_order
   double sum_m_free = 0.0;   // sum of m_order values over free processors

@@ -12,7 +12,14 @@
 // Memory: 2 bytes per pair — 800 MB at the 20000-node cap shared with
 // GraphTopology, 2 MB for a 1024-node BlueGene partition.  Construction is
 // O(p^2) with a small constant (closed-form batch fills for grids and
-// hypercubes, memcpy for GraphTopology).
+// hypercubes, memcpy for GraphTopology) and one pass over the plane: the
+// storage is not zero-filled first (every row fill writes all n entries),
+// a plane of 2 MiB and up is 2 MiB-aligned with MADV_HUGEPAGE advice on
+// Linux (one page fault per 2 MiB instead of per 4 KiB), and each row's
+// stats come from a branch-free uint32 sum / uint16 max over the row while
+// it is still in L1 — exact whenever the row has no unreachable entry,
+// because n <= 20000 keeps the sum below 2^32; rows holding kUnreachable
+// take the entry-by-entry loop.
 //
 // Determinism contract: distance(a, b) returns exactly the virtual
 // Topology::distance(a, b), and mean_distance_from(p) stores *the virtual
@@ -53,7 +60,9 @@
 // degrade/fail sequences under 1 and 4 threads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "topo/topology.hpp"
@@ -61,6 +70,40 @@
 namespace topomap::topo {
 
 class FaultOverlay;
+
+namespace detail {
+
+/// Raw storage for a distance plane: 2 MiB-aligned with huge-page advice
+/// from 2 MiB up (Linux), plain operator new below.
+void* allocate_plane(std::size_t bytes);
+void deallocate_plane(void* p, std::size_t bytes) noexcept;
+
+/// Allocator of the plane vector.  Elements are default-initialized, so
+/// resize() leaves them unwritten: every row fill writes all n entries,
+/// and zero-filling first would only add a pass over the whole plane.
+template <class T>
+struct PlaneAllocator {
+  using value_type = T;
+  PlaneAllocator() = default;
+  template <class U>
+  PlaneAllocator(const PlaneAllocator<U>&) noexcept {}  // rebinding copy
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(allocate_plane(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    deallocate_plane(p, n * sizeof(T));
+  }
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U>
+  bool operator==(const PlaneAllocator<U>&) const noexcept { return true; }
+  template <class U>
+  bool operator!=(const PlaneAllocator<U>&) const noexcept { return false; }
+};
+
+}  // namespace detail
 
 class DistanceCache {
  public:
@@ -162,7 +205,8 @@ class DistanceCache {
   int n_ = 0;
   int scale_ = 1;
   int diameter_ = 0;
-  std::vector<std::uint16_t> dist_;  // row-major n x n
+  // Row-major n x n; entries are unwritten until rebuild_all fills them.
+  std::vector<std::uint16_t, detail::PlaneAllocator<std::uint16_t>> dist_;
   std::vector<double> mean_dist_;    // virtual mean_distance_from values
   // Exact per-row aggregates (finite entries only, self included) letting
   // repairs reproduce the overlay's integer mean arithmetic bit-for-bit.

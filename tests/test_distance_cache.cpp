@@ -5,7 +5,9 @@
 // TopoCentLB outputs against silent drift.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -39,7 +41,12 @@ const char* const kTopoSpecs[] = {
 };
 
 TEST(DistanceCache, MatchesVirtualDistanceExactly) {
-  for (const char* spec : kTopoSpecs) {
+  std::vector<const char*> specs(std::begin(kTopoSpecs), std::end(kTopoSpecs));
+  // A hybrid torus/mesh, and an 8 MiB plane: planes of 2 MiB and up are
+  // allocated 2 MiB-aligned with huge-page advice.
+  specs.push_back("hybrid:6wx5o");
+  specs.push_back("torus:16x16x8");
+  for (const char* spec : specs) {
     const auto t = make_topology(spec);
     const DistanceCache cache(*t);
     ASSERT_EQ(cache.size(), t->size());
@@ -56,6 +63,41 @@ TEST(DistanceCache, MatchesVirtualDistanceExactly) {
     }
     EXPECT_EQ(cache.diameter(), max_seen) << spec;
   }
+}
+
+// Hard faults put FaultOverlay::kUnreachable entries in every row, which
+// sends each row's stats through the slow path.  A fresh build on the
+// faulted overlay must match the incrementally repaired cache in every
+// entry, every mean and the diameter; both run on a 2 MiB plane.
+TEST(DistanceCache, FreshBuildOnHardFaultsMatchesRepairedPlane) {
+  const auto overlay =
+      std::make_shared<topo::FaultOverlay>(make_topology("mesh:32x32"));
+  DistanceCache repaired(*overlay);
+  // Cut the 2x2 corner block {0, 1, 32, 33} off the rest of the mesh, then
+  // kill an interior processor.
+  for (const auto& [a, b] : {std::pair{1, 2}, std::pair{33, 34},
+                             std::pair{32, 64}, std::pair{33, 65}}) {
+    const int prev = overlay->fail_link(a, b);
+    repaired.repair_link_failure(*overlay, a, b, prev);
+  }
+  overlay->fail_node(500);
+  repaired.repair_node_failure(*overlay, 500);
+
+  const DistanceCache fresh(*overlay);
+  const int p = fresh.size();
+  ASSERT_EQ(repaired.size(), p);
+  for (int a = 0; a < p; ++a) {
+    const std::uint16_t* fr = fresh.row(a);
+    const std::uint16_t* rr = repaired.row(a);
+    ASSERT_GT(std::count(fr, fr + p, topo::FaultOverlay::kUnreachable), 0)
+        << "row " << a << " has no unreachable entry";
+    ASSERT_TRUE(std::equal(fr, fr + p, rr)) << "row " << a;
+    ASSERT_EQ(repaired.mean_distance_from(a), fresh.mean_distance_from(a))
+        << "row " << a;
+  }
+  EXPECT_EQ(repaired.diameter(), fresh.diameter());
+  // Corners (31, 0) and (0, 31) of the surviving region stay 62 hops apart.
+  EXPECT_EQ(fresh.diameter(), 62);
 }
 
 TEST(DistanceCache, RejectsOversizedTopology) {
@@ -160,8 +202,10 @@ TEST(DistanceCache, GoldenHopBytesOnStencils) {
 // at once, and on dense random graphs, where nearly every row goes live.
 // The production orders run at 1024 / 512 tasks; third order (O(p^3)) and
 // the soft-faulted overlay (a Dijkstra-built plane) run at 256 tasks to
-// keep the suite fast.  Every hash must come out at 1 and 4 threads, and
-// on healthy machines in both distance modes.
+// keep the suite fast.  A mesh instance has non-integer mean distances, so
+// second-order f values round; the 4096-task stencil on a 3D torus is the
+// flat-4k benchmark op.  Every hash must come out at 1 and 4 threads, and
+// on the healthy machines up to 1024 processors in both distance modes.
 std::uint64_t fnv1a(const Mapping& m) {
   std::uint64_t h = 14695981039346656037ull;
   for (const int proc : m) {
@@ -188,6 +232,9 @@ TEST(DistanceCache, GoldenTopoLBMappingHashes) {
       {"stencil256", graph::stencil_2d(16, 16, 1024.0), "torus:16x16"},
       {"er256", graph::random_graph(256, 0.1, 1.0, 1024.0, graph_rng),
        "torus:16x16"},
+      {"er480", graph::random_graph(480, 0.02, 1.0, 1024.0, graph_rng),
+       "mesh:8x6x10"},
+      {"stencil4096", graph::stencil_2d(64, 64, 1024.0), "torus:16x16x16"},
   };
   struct Case {
     int instance;
@@ -209,6 +256,9 @@ TEST(DistanceCache, GoldenTopoLBMappingHashes) {
       {3, true, EstimationOrder::kFirst, 0x96eb6ad3b2224cb5ull},
       {3, true, EstimationOrder::kSecond, 0x267c4839f1e30dd5ull},
       {3, true, EstimationOrder::kThird, 0xb3382370013b5315ull},
+      {4, false, EstimationOrder::kFirst, 0xd47cc81b273c36f1ull},
+      {4, false, EstimationOrder::kSecond, 0xd4e69a6f63aa2935ull},
+      {5, false, EstimationOrder::kSecond, 0x708a37e7a7352225ull},
   };
   for (const Case& c : cases) {
     const Instance& inst = instances[c.instance];
@@ -221,15 +271,12 @@ TEST(DistanceCache, GoldenTopoLBMappingHashes) {
     const topo::Topology& machine =
         c.soft ? static_cast<const topo::Topology&>(overlay) : *base;
     // The soft overlay's virtual distance is an early-exit Dijkstra per
-    // call, so soft cases pin the cached mode only.
-    const std::vector<std::pair<core::DistanceMode, int>> runs =
-        c.soft ? std::vector<std::pair<core::DistanceMode, int>>{
-                     {core::DistanceMode::kCached, 1},
-                     {core::DistanceMode::kCached, 4}}
-               : std::vector<std::pair<core::DistanceMode, int>>{
-                     {core::DistanceMode::kCached, 1},
-                     {core::DistanceMode::kCached, 4},
-                     {core::DistanceMode::kVirtual, 4}};
+    // call, so soft cases pin the cached mode only, as does the 4096-task
+    // instance (a virtual call per f evaluation there costs seconds).
+    const bool cached_only = c.soft || base->size() > 1024;
+    std::vector<std::pair<core::DistanceMode, int>> runs = {
+        {core::DistanceMode::kCached, 1}, {core::DistanceMode::kCached, 4}};
+    if (!cached_only) runs.emplace_back(core::DistanceMode::kVirtual, 4);
     const auto handle = std::make_shared<core::CacheHandle>();
     for (const auto& [mode, threads] : runs) {
       support::set_num_threads(threads);
