@@ -61,14 +61,14 @@ inline void emit(const Table& table, const std::string& csv_name) {
 
   obs::Report report;
   report.set_meta("bench", csv_name);
-  std::vector<std::vector<obs::json::Value>> rows;
+  std::vector<std::vector<support::json::Value>> rows;
   rows.reserve(table.rows().size());
   for (const auto& row : table.rows()) {
-    std::vector<obs::json::Value> cells;
+    std::vector<support::json::Value> cells;
     cells.reserve(row.size());
     for (const TableCell& cell : row)
       cells.push_back(std::visit(
-          [](const auto& v) { return obs::json::Value(v); }, cell));
+          [](const auto& v) { return support::json::Value(v); }, cell));
     rows.push_back(std::move(cells));
   }
   report.add_table(csv_name, table.columns(), std::move(rows));

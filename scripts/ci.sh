@@ -39,6 +39,12 @@ echo "=== bench regression gate (deterministic tables vs baseline) ==="
 # it.  scripts/bench_gate.sh <dir> --update regenerates.
 scripts/bench_gate.sh build-ci-release
 
+echo "=== smoke (release): CLI end to end, exit codes, CLI == daemon bytes ==="
+# Thread invariance, fault/partition/oracle paths, the exit-code taxonomy
+# (including topomapd/client range checks) and the served == one-shot
+# byte diffs for every mapping kind, on the release build above.
+scripts/smoke_test.sh build-ci-release
+
 echo "=== obs (-DTOPOMAP_OBS=ON): unit slice + artifact validation ==="
 cmake -B build-ci-obs -S . -DCMAKE_BUILD_TYPE=Release -DTOPOMAP_OBS=ON \
   >/dev/null

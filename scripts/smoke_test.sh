@@ -172,6 +172,21 @@ expect_rc 2 "oversized oracle instance" "$CLI" optimal \
   --tasks=stencil2d:4x4 --topology=torus:4x4
 expect_rc 4 "unwritable output" "$CLI" map --tasks=stencil2d:4x4 \
   --topology=torus:4x4 --output=/nonexistent-dir/out.map
+expect_rc 1 "unknown simulate --model" "$CLI" simulate --tasks=stencil2d:4x4 \
+  --topology=torus:4x4 --iterations=2 --model=bogus
+expect_rc 1 "unknown explain --model" "$CLI" explain --tasks=stencil2d:4x4 \
+  --topology=torus:4x4 --iterations=2 --model=bogus
+# Ports and sizes are range-checked, never wrapped through a cast (the
+# timeout turns a daemon that wrongly starts into a failure, not a hang).
+for bad in --tcp-port=65537 --tcp-port=-1 --workers=-1 --queue=-1 --cache=-1 \
+  --flight-capacity=-1 --event-log-max-bytes=-1; do
+  expect_rc 2 "topomapd $bad" timeout 10 "$BUILD_DIR/tools/topomapd" \
+    --socket="$TMP/bad.sock" "$bad"
+done
+expect_rc 2 "client --tcp with a non-numeric port" "$CLI" client \
+  --tcp=127.0.0.1:abc --kind=status
+expect_rc 2 "client --tcp port above 65535" "$CLI" client \
+  --tcp=127.0.0.1:70000 --kind=status
 echo "ok: exit codes         1 usage / 2 precondition / 4 io"
 
 # Self-validation drills: each documented corruption class must be caught
@@ -290,6 +305,26 @@ python3 scripts/check_trace.py --svc "$TMP/flight.json"
 grep -q 'topomapd  served' "$TMP/top.log"
 expect_rc 2 "--prom off the metrics kind" "$CLI" client --socket="$SOCK" \
   --kind=status --prom
+# Served bytes equal one-shot bytes for every mapping kind, including a
+# diffed explain on a soft-faulted machine and a map that quarantines.
+for spec in \
+  "explain --tasks=stencil2d:8x8 --topology=torus:8x8 --baseline=greedy --degrade-link=0:1:0.5" \
+  "evacuate --tasks=stencil2d:7x8 --topology=torus:8x8 --fail-node=3,12" \
+  "optimal --tasks=stencil2d:3x3 --topology=torus:3x3" \
+  "map --tasks=ring:4 --topology=mesh:5 --fail-node=2"
+do
+  read -r kind args <<< "$spec"
+  # shellcheck disable=SC2086
+  "$CLI" "$kind" $args --seed=7 --output="$TMP/oneshot.map" >/dev/null
+  # shellcheck disable=SC2086
+  "$CLI" client --socket="$SOCK" --kind="$kind" $args --seed=7 \
+    --output="$TMP/served.map" >/dev/null
+  if ! diff -q "$TMP/oneshot.map" "$TMP/served.map" >/dev/null; then
+    echo "FAIL: served $kind bytes differ from the one-shot CLI: $spec" >&2
+    diff "$TMP/oneshot.map" "$TMP/served.map" >&2 || true
+    exit 1
+  fi
+done
 kill -USR1 "$DAEMON_PID"
 for _ in $(seq 1 50); do
   grep -q 'flight recorder' "$TMP/daemon.log" && break; sleep 0.05
@@ -318,7 +353,7 @@ assert len(lines) >= 5, f"only {len(lines)} event-log lines"
 assert len(set(corrs)) == len(corrs), f"duplicate correlation ids: {corrs}"
 assert any(not l["ok"] for l in lines), "failed request missing from log"
 PYEOF
-echo "ok: topomapd           serve == one-shot bytes, taxonomy intact, clean stop"
+echo "ok: topomapd           serve == one-shot bytes (all kinds), taxonomy intact, clean stop"
 echo "ok: telemetry          metrics/flight schemas, prom, top, SIGUSR1, event log"
 
 echo "smoke test passed"

@@ -112,8 +112,8 @@ std::string pair_list(const std::vector<LinkContributor>& contributors,
     os << "(" << contributors[static_cast<std::size_t>(i)].a << ","
        << contributors[static_cast<std::size_t>(i)].b << ")";
     if (with_bytes)
-      os << " " << obs::json::format_number(
-                       contributors[static_cast<std::size_t>(i)].bytes)
+      os << " " << support::json::format_number(
+                           contributors[static_cast<std::size_t>(i)].bytes)
          << " B";
   }
   if (static_cast<int>(contributors.size()) > shown)
@@ -224,8 +224,8 @@ ContentionDiff diff_contention(const ContentionReport& a,
   return diff;
 }
 
-obs::json::Value contention_stats_to_json(const ContentionStats& stats) {
-  obs::json::Value v = obs::json::Value::object();
+support::json::Value contention_stats_to_json(const ContentionStats& stats) {
+  support::json::Value v = support::json::Value::object();
   v.set("total_bytes", stats.total_bytes);
   v.set("max_bytes", stats.max_bytes);
   v.set("mean_bytes", stats.mean_bytes);
@@ -238,8 +238,8 @@ obs::json::Value contention_stats_to_json(const ContentionStats& stats) {
 
 namespace {
 
-obs::json::Value contributor_json(const LinkContributor& c) {
-  obs::json::Value v = obs::json::Value::object();
+support::json::Value contributor_json(const LinkContributor& c) {
+  support::json::Value v = support::json::Value::object();
   v.set("a", c.a);
   v.set("b", c.b);
   v.set("bytes", c.bytes);
@@ -248,17 +248,17 @@ obs::json::Value contributor_json(const LinkContributor& c) {
 
 }  // namespace
 
-obs::json::Value contention_links_to_json(const ContentionReport& report,
-                                          int top_k) {
+support::json::Value contention_links_to_json(const ContentionReport& report,
+                                              int top_k) {
   TOPOMAP_REQUIRE(top_k >= 1, "top_k must be >= 1");
-  obs::json::Value links = obs::json::Value::array();
+  support::json::Value links = support::json::Value::array();
   for (const LinkAttribution& link : report.links) {
-    obs::json::Value v = obs::json::Value::object();
+    support::json::Value v = support::json::Value::object();
     v.set("from", link.from);
     v.set("to", link.to);
     v.set("bytes", link.bytes);
     v.set("pairs", static_cast<std::int64_t>(link.contributors.size()));
-    obs::json::Value contributors = obs::json::Value::array();
+    support::json::Value contributors = support::json::Value::array();
     const auto shown = std::min<std::size_t>(
         static_cast<std::size_t>(top_k), link.contributors.size());
     for (std::size_t i = 0; i < shown; ++i)
@@ -269,7 +269,7 @@ obs::json::Value contention_links_to_json(const ContentionReport& report,
       double rest = 0.0;
       for (std::size_t i = shown; i < link.contributors.size(); ++i)
         rest += link.contributors[i].bytes;
-      obs::json::Value other = obs::json::Value::object();
+      support::json::Value other = support::json::Value::object();
       other.set("a", -1);
       other.set("b", -1);
       other.set("bytes", rest);
@@ -281,19 +281,19 @@ obs::json::Value contention_links_to_json(const ContentionReport& report,
   return links;
 }
 
-obs::json::Value contention_diff_to_json(const ContentionDiff& diff,
-                                         int top_k) {
+support::json::Value contention_diff_to_json(const ContentionDiff& diff,
+                                             int top_k) {
   TOPOMAP_REQUIRE(top_k >= 1, "top_k must be >= 1");
-  obs::json::Value links = obs::json::Value::array();
+  support::json::Value links = support::json::Value::array();
   for (const LinkDelta& d : diff.links) {
-    obs::json::Value v = obs::json::Value::object();
+    support::json::Value v = support::json::Value::object();
     v.set("from", d.from);
     v.set("to", d.to);
     v.set("bytes_a", d.bytes_a);
     v.set("bytes_b", d.bytes_b);
     v.set("delta", d.delta);
     auto moved = [&](const std::vector<LinkContributor>& list) {
-      obs::json::Value arr = obs::json::Value::array();
+      support::json::Value arr = support::json::Value::array();
       const auto shown =
           std::min<std::size_t>(static_cast<std::size_t>(top_k), list.size());
       for (std::size_t i = 0; i < shown; ++i)
@@ -311,9 +311,9 @@ std::string render_contention_summary(const ContentionReport& report,
                                       int top_links, int top_k) {
   std::ostringstream os;
   const ContentionStats& s = report.stats;
-  os << "link loads:     max " << obs::json::format_number(s.max_bytes)
-     << " B, mean " << obs::json::format_number(s.mean_bytes) << " B, L2 "
-     << obs::json::format_number(s.l2) << ", gini "
+  os << "link loads:     max " << support::json::format_number(s.max_bytes)
+     << " B, mean " << support::json::format_number(s.mean_bytes) << " B, L2 "
+     << support::json::format_number(s.l2) << ", gini "
      << format_fixed(s.gini, 3) << " over " << s.links_total
      << " directed links (" << s.links_used << " used)\n";
   if (report.links.empty() || s.max_bytes <= 0.0) return os.str();
@@ -358,7 +358,7 @@ std::string render_contention_summary(const ContentionReport& report,
   for (int i = 0; i < shown; ++i) {
     const LinkAttribution& link = report.links[static_cast<std::size_t>(i)];
     os << "  (" << link.from << "," << link.to << ")  "
-       << obs::json::format_number(link.bytes) << " B  pairs: "
+       << support::json::format_number(link.bytes) << " B  pairs: "
        << pair_list(link.contributors, top_k, true) << "\n";
   }
   return os.str();
@@ -368,18 +368,18 @@ std::string render_contention_diff(const ContentionDiff& diff, int top_links,
                                    int top_k) {
   std::ostringstream os;
   os << "mapping diff:   max link "
-     << obs::json::format_number(diff.stats_a.max_bytes) << " -> "
-     << obs::json::format_number(diff.stats_b.max_bytes) << " B, L2 "
-     << obs::json::format_number(diff.stats_a.l2) << " -> "
-     << obs::json::format_number(diff.stats_b.l2) << ", "
+     << support::json::format_number(diff.stats_a.max_bytes) << " -> "
+     << support::json::format_number(diff.stats_b.max_bytes) << " B, L2 "
+     << support::json::format_number(diff.stats_a.l2) << " -> "
+     << support::json::format_number(diff.stats_b.l2) << ", "
      << diff.links.size() << " links changed\n";
   const int shown =
       std::min<int>(top_links, static_cast<int>(diff.links.size()));
   for (int i = 0; i < shown; ++i) {
     const LinkDelta& d = diff.links[static_cast<std::size_t>(i)];
     os << "  link (" << d.from << "," << d.to << "): "
-       << obs::json::format_number(d.bytes_a) << " -> "
-       << obs::json::format_number(d.bytes_b) << " B";
+       << support::json::format_number(d.bytes_a) << " -> "
+       << support::json::format_number(d.bytes_b) << " B";
     if (!d.moved_off.empty())
       os << "; moved off: " << pair_list(d.moved_off, top_k, false);
     if (!d.moved_on.empty())

@@ -28,7 +28,7 @@
 
 #include "core/mapping.hpp"
 #include "graph/task_graph.hpp"
-#include "obs/json.hpp"
+#include "support/json.hpp"
 #include "topo/topology.hpp"
 
 namespace topomap::core {
@@ -116,16 +116,16 @@ ContentionDiff diff_contention(const ContentionReport& a,
 inline constexpr const char* kContentionSchemaName = "topomap.obs.contention";
 inline constexpr int kContentionSchemaVersion = 1;
 
-obs::json::Value contention_stats_to_json(const ContentionStats& stats);
+support::json::Value contention_stats_to_json(const ContentionStats& stats);
 
 /// The report's "links" JSON array: one object per link with its total and
 /// its top `top_k` contributors (plus a `pairs` count of all contributors).
-obs::json::Value contention_links_to_json(const ContentionReport& report,
-                                          int top_k);
+support::json::Value contention_links_to_json(const ContentionReport& report,
+                                              int top_k);
 
 /// The diff's "links" JSON array (top_k bounds moved_off/moved_on lists).
-obs::json::Value contention_diff_to_json(const ContentionDiff& diff,
-                                         int top_k);
+support::json::Value contention_diff_to_json(const ContentionDiff& diff,
+                                             int top_k);
 
 /// Compact terminal rendering: aggregate stats, a heatmap strip of every
 /// directed link's load (ramp " .:-=+*#%@" scaled by the max), and the

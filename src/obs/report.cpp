@@ -9,6 +9,8 @@
 
 namespace topomap::obs {
 
+namespace json = support::json;
+
 namespace {
 
 json::Value dist_json(const Distribution& d) {

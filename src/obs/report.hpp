@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "obs/histogram.hpp"
-#include "obs/json.hpp"
+#include "support/json.hpp"
 #include "support/stats.hpp"
 
 namespace topomap::obs {
@@ -47,7 +47,7 @@ namespace topomap::obs {
 /// The one JSON rendering of a Histogram, shared by obs::Report and the
 /// svc metrics snapshot: summary fields plus the non-empty buckets as
 /// [lo, hi, count] triples (boundaries are deterministic by construction).
-json::Value histogram_to_json(const Histogram& h);
+support::json::Value histogram_to_json(const Histogram& h);
 
 class Report {
  public:
@@ -65,7 +65,7 @@ class Report {
   /// Every row must have columns.size() entries (REQUIREd at to_json()
   /// time).
   void add_table(const std::string& name, std::vector<std::string> columns,
-                 std::vector<std::vector<json::Value>> rows);
+                 std::vector<std::vector<support::json::Value>> rows);
 
   /// Snapshot the process-wide Registry (counters, distributions, series)
   /// and Tracer (span rollups) into this report.  Explicit series added via
@@ -73,7 +73,7 @@ class Report {
   void capture();
 
   /// Serialize to the schema-versioned JSON document.
-  json::Value to_json() const;
+  support::json::Value to_json() const;
 
   /// Pretty-printed JSON + trailing newline.
   void write(std::ostream& os) const;
@@ -82,7 +82,7 @@ class Report {
  private:
   struct Table {
     std::vector<std::string> columns;
-    std::vector<std::vector<json::Value>> rows;
+    std::vector<std::vector<support::json::Value>> rows;
   };
 
   std::map<std::string, std::string> meta_;

@@ -5,10 +5,12 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/json.hpp"
 #include "obs/registry.hpp"
+#include "support/json.hpp"
 
 namespace topomap::obs {
+
+namespace json = support::json;
 
 struct Tracer::Buffer {
   std::mutex mu;

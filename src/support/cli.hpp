@@ -25,6 +25,9 @@ class CliParser {
   /// malformed/unknown option.
   bool parse(int argc, const char* const* argv);
 
+  /// Whether `name` was registered (commands sharing one reader of a flag
+  /// family register different subsets).
+  bool has(const std::string& name) const { return options_.count(name) > 0; }
   bool flag(const std::string& name) const;
   std::string str(const std::string& name) const;
   std::int64_t integer(const std::string& name) const;

@@ -23,6 +23,14 @@ class invariant_error : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
+/// Thrown when a well-formed request does not apply — e.g. a square
+/// strategy asked to map a task count that does not match the machine.
+/// The CLI reports it as a usage mistake (exit code 1).
+class usage_error : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Thrown when an I/O operation on a user-named resource fails (file could
 /// not be opened/read/written).  Neither a usage error nor a topomap bug —
 /// the environment said no — so the CLI maps it to its own exit code.

@@ -5,8 +5,6 @@
 // again (tools/obs_diff, trace-validation tests), and svc:: frames every
 // topomapd request/response as a JSON document.  All of it goes through
 // this one value model so writers and parsers can never drift apart.
-// Historically this lived at obs/json.hpp; that header remains as an alias
-// (`obs::json` = `support::json`) so existing call sites compile unchanged.
 //
 // Scope is deliberately small: UTF-8 in/out, objects preserve insertion
 // order (reports diff cleanly), numbers are doubles printed with round-trip

@@ -5,20 +5,15 @@
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "svc/protocol.hpp"
-#include "topo/factory.hpp"
 
 namespace topomap::svc {
 
 namespace {
 
-MachineEntryPtr build_entry(const std::string& key,
-                            const std::string& topology_spec,
+ops::MachinePtr build_entry(const std::string& topology_spec,
                             const topo::FaultSpec& faults) {
-  auto entry = std::make_shared<MachineEntry>();
-  entry->key = key;
-  entry->base = topo::make_topology(topology_spec);
-  if (!faults.empty())
-    entry->overlay = topo::build_fault_overlay(entry->base, faults);
+  const std::shared_ptr<ops::Machine> entry =
+      ops::make_machine(topology_spec, faults);
   try {
     entry->plane =
         std::make_shared<const topo::DistanceCache>(entry->machine());
@@ -40,7 +35,7 @@ void CachePool::touch_lru(const std::string& key) {
   if (it != lru_.end()) lru_.splice(lru_.begin(), lru_, it);
 }
 
-MachineEntryPtr CachePool::acquire(const std::string& topology_spec,
+ops::MachinePtr CachePool::acquire(const std::string& topology_spec,
                                    const topo::FaultSpec& faults) {
   const std::string key = machine_key(topology_spec, faults);
   std::unique_lock<std::mutex> lock(mu_);
@@ -60,10 +55,10 @@ MachineEntryPtr CachePool::acquire(const std::string& topology_spec,
   slots_[key] = slot;
   lock.unlock();
 
-  MachineEntryPtr entry;
+  ops::MachinePtr entry;
   std::exception_ptr error;
   try {
-    entry = build_entry(key, topology_spec, faults);
+    entry = build_entry(topology_spec, faults);
   } catch (...) {
     error = std::current_exception();
   }

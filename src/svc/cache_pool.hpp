@@ -33,27 +33,10 @@
 #include <mutex>
 #include <string>
 
-#include "topo/distance_cache.hpp"
-#include "topo/fault_overlay.hpp"
+#include "ops/ops.hpp"
 #include "topo/fault_spec.hpp"
-#include "topo/topology.hpp"
 
 namespace topomap::svc {
-
-/// One pooled machine view: the base topology, the optional fault overlay,
-/// and the distance plane over whichever of the two is the machine.
-/// `plane` is null when the machine exceeds the dense-plane cap (huge
-/// hierarchical targets) — kernels then build their own scoped caches.
-struct MachineEntry {
-  std::string key;
-  topo::TopologyPtr base;
-  std::shared_ptr<topo::FaultOverlay> overlay;  // null when no faults
-  std::shared_ptr<const topo::DistanceCache> plane;
-
-  const topo::Topology& machine() const { return overlay ? *overlay : *base; }
-};
-
-using MachineEntryPtr = std::shared_ptr<const MachineEntry>;
 
 struct CachePoolStats {
   std::uint64_t hits = 0;      ///< acquire found the key (incl. coalesced
@@ -70,19 +53,21 @@ class CachePool {
   explicit CachePool(std::size_t capacity = 8);
 
   /// The pooled machine for (topology_spec, faults), building it on first
-  /// use.  Deterministic: the entry an acquire returns is byte-identical
-  /// to a private build of the same specs (build_fault_overlay draws from
-  /// its own seeded Rng).  Throws what the builders throw — unknown
-  /// topology specs, fault rejections, timed restores — without caching
-  /// the failure.
-  MachineEntryPtr acquire(const std::string& topology_spec,
+  /// use: ops::make_machine plus its distance plane (null when the machine
+  /// exceeds the dense-plane cap — kernels then build their own).
+  /// Deterministic: the entry an acquire returns is byte-identical to a
+  /// private build of the same specs (build_fault_overlay draws from its
+  /// own seeded Rng).  Throws what the builders throw — unknown topology
+  /// specs, fault rejections, timed restores — without caching the
+  /// failure.
+  ops::MachinePtr acquire(const std::string& topology_spec,
                           const topo::FaultSpec& faults);
 
   CachePoolStats stats() const;
 
  private:
   struct Slot {
-    MachineEntryPtr entry;              // set once the build finished
+    ops::MachinePtr entry;              // set once the build finished
     bool building = true;
     std::exception_ptr error;           // set when the build failed
     std::condition_variable ready;

@@ -38,6 +38,7 @@ Client Client::connect_unix(const std::string& path) {
 }
 
 Client Client::connect_tcp(const std::string& host, int port) {
+  checked_tcp_port(port, "client");
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;

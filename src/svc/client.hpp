@@ -18,7 +18,8 @@ class Client {
   /// daemon is not there.
   static Client connect_unix(const std::string& path);
 
-  /// Connect to the optional TCP listener (same framing).
+  /// Connect to the optional TCP listener (same framing); throws
+  /// precondition_error on a port outside 1..65535.
   static Client connect_tcp(const std::string& host, int port);
 
   ~Client();

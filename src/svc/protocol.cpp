@@ -1,8 +1,8 @@
 #include "svc/protocol.hpp"
 
 #include <cmath>
-#include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "support/error.hpp"
 
@@ -33,13 +33,6 @@ RequestKind parse_request_kind(const std::string& s) {
       "svc request: unknown kind '" + s +
       "' (want map | explain | evacuate | optimal | status | metrics | "
       "flight)");
-}
-
-topo::FaultSpec Request::fault_spec() const {
-  return topo::parse_fault_spec(fail_link, fail_node, degrade_link,
-                                random_link_faults, random_node_faults,
-                                random_degrades, fault_seed, restore_node,
-                                restore_link);
 }
 
 namespace {
@@ -106,6 +99,33 @@ void check_schema(const json::Value& doc, const char* expected_name) {
                              std::to_string(kSchemaVersion) + ")");
 }
 
+/// Every ops::Params field under its wire name, in wire order: the one
+/// list both to_json and from_json walk.
+template <class P, class F>
+void for_each_param(P& p, F&& f) {
+  f("tasks", p.tasks);
+  f("topology", p.topology);
+  f("strategy", p.strategy);
+  f("seed", p.seed);
+  f("baseline", p.baseline);
+  f("baseline_blind", p.baseline_blind);
+  f("top_k", p.top_k);
+  f("refine_passes", p.refine_passes);
+  f("load_weight", p.load_weight);
+  f("budget", p.budget);
+  f("compare", p.compare);
+  f("no_symmetry", p.no_symmetry);
+  f("fail_link", p.fail_link);
+  f("fail_node", p.fail_node);
+  f("degrade_link", p.degrade_link);
+  f("restore_node", p.restore_node);
+  f("restore_link", p.restore_link);
+  f("random_link_faults", p.random_link_faults);
+  f("random_node_faults", p.random_node_faults);
+  f("random_degrades", p.random_degrades);
+  f("fault_seed", p.fault_seed);
+}
+
 }  // namespace
 
 json::Value Request::to_json() const {
@@ -115,27 +135,9 @@ json::Value Request::to_json() const {
   doc.set("id", id);
   doc.set("kind", to_string(kind));
   json::Value params = json::Value::object();
-  params.set("tasks", tasks);
-  params.set("topology", topology);
-  params.set("strategy", strategy);
-  params.set("seed", seed);
-  params.set("baseline", baseline);
-  params.set("baseline_blind", baseline_blind);
-  params.set("top_k", top_k);
-  params.set("refine_passes", refine_passes);
-  params.set("load_weight", load_weight);
-  params.set("budget", budget);
-  params.set("compare", compare);
-  params.set("no_symmetry", no_symmetry);
-  params.set("fail_link", fail_link);
-  params.set("fail_node", fail_node);
-  params.set("degrade_link", degrade_link);
-  params.set("restore_node", restore_node);
-  params.set("restore_link", restore_link);
-  params.set("random_link_faults", random_link_faults);
-  params.set("random_node_faults", random_node_faults);
-  params.set("random_degrades", random_degrades);
-  params.set("fault_seed", fault_seed);
+  for_each_param(*this, [&params](const char* key, const auto& field) {
+    params.set(key, field);
+  });
   doc.set("params", std::move(params));
   return doc;
 }
@@ -153,37 +155,23 @@ Request Request::from_json(const json::Value& doc) {
   if (!params->is_object())
     throw precondition_error("svc request: 'params' must be an object");
   for (const auto& [key, value] : params->members()) {
-    if (key == "tasks") req.tasks = get_string(value, key);
-    else if (key == "topology") req.topology = get_string(value, key);
-    else if (key == "strategy") req.strategy = get_string(value, key);
-    else if (key == "seed") req.seed = get_unsigned(value, key);
-    else if (key == "baseline") req.baseline = get_string(value, key);
-    else if (key == "baseline_blind")
-      req.baseline_blind = get_bool(value, key);
-    else if (key == "top_k")
-      req.top_k = static_cast<int>(get_integer(value, key));
-    else if (key == "refine_passes")
-      req.refine_passes = static_cast<int>(get_integer(value, key));
-    else if (key == "load_weight") req.load_weight = get_number(value, key);
-    else if (key == "budget") req.budget = get_integer(value, key);
-    else if (key == "compare") req.compare = get_string(value, key);
-    else if (key == "no_symmetry") req.no_symmetry = get_bool(value, key);
-    else if (key == "fail_link") req.fail_link = get_string(value, key);
-    else if (key == "fail_node") req.fail_node = get_string(value, key);
-    else if (key == "degrade_link")
-      req.degrade_link = get_string(value, key);
-    else if (key == "restore_node")
-      req.restore_node = get_string(value, key);
-    else if (key == "restore_link")
-      req.restore_link = get_string(value, key);
-    else if (key == "random_link_faults")
-      req.random_link_faults = get_integer(value, key);
-    else if (key == "random_node_faults")
-      req.random_node_faults = get_integer(value, key);
-    else if (key == "random_degrades")
-      req.random_degrades = get_integer(value, key);
-    else if (key == "fault_seed") req.fault_seed = get_unsigned(value, key);
-    else
+    bool known = false;
+    for_each_param(req, [&](const char* name, auto& field) {
+      if (key != name) return;
+      known = true;
+      using T = std::remove_reference_t<decltype(field)>;
+      if constexpr (std::is_same_v<T, std::string>)
+        field = get_string(value, key);
+      else if constexpr (std::is_same_v<T, bool>)
+        field = get_bool(value, key);
+      else if constexpr (std::is_same_v<T, double>)
+        field = get_number(value, key);
+      else if constexpr (std::is_same_v<T, std::uint64_t>)
+        field = get_unsigned(value, key);
+      else
+        field = static_cast<T>(get_integer(value, key));
+    });
+    if (!known)
       throw precondition_error("svc request: unknown parameter '" + key +
                                "'");
   }
@@ -216,6 +204,13 @@ std::string machine_key(const std::string& topology_spec,
       faults.random_degrades > 0)
     os << "|s:" << faults.seed;
   return os.str();
+}
+
+int checked_tcp_port(std::int64_t port, const std::string& what) {
+  if (port < 1 || port > 65535)
+    throw precondition_error(what + ": port " + std::to_string(port) +
+                             " is outside 1..65535");
+  return static_cast<int>(port);
 }
 
 int exit_code_for(const std::string& category) {

@@ -3,14 +3,14 @@
 // per frame (svc/frame.hpp).
 //
 // A request names a kind — map, explain, evacuate, optimal, status,
-// metrics, flight — plus the same parameter family the topomap CLI takes: workload/topology/
-// strategy specs, a seed, and the fault flag family (verbatim
-// topo::parse_fault_spec inputs, so the client reuses the CLI parser and
-// the server revalidates).  Parsing is strict in both directions: wrong
-// schema/version, missing ids, unknown kinds, unknown parameter keys, and
-// mistyped values all throw topomap::precondition_error naming the field,
-// so malformed requests fail loudly instead of mapping something the
-// caller did not ask for.
+// metrics, flight — plus ops::Params, the parameter struct the topomap CLI
+// fills from its flags: workload/topology/strategy specs, a seed, and the
+// fault flag family (verbatim topo::parse_fault_spec inputs, so the client
+// validates with the CLI's parser and the server revalidates).  Parsing is
+// strict in both directions: wrong schema/version, missing ids, unknown
+// kinds, unknown parameter keys, and mistyped values all throw
+// topomap::precondition_error naming the field, so malformed requests fail
+// loudly instead of mapping something the caller did not ask for.
 //
 // Responses are either {"status":"ok","result":{...}} or
 // {"status":"error","error":{"category","message"}}.  Error categories
@@ -21,9 +21,9 @@
 
 #include <cstdint>
 #include <exception>
-#include <stdexcept>
 #include <string>
 
+#include "ops/ops.hpp"
 #include "support/json.hpp"
 #include "topo/fault_spec.hpp"
 
@@ -34,14 +34,6 @@ namespace json = ::topomap::support::json;
 inline constexpr const char* kRequestSchemaName = "topomap.svc.request";
 inline constexpr const char* kResponseSchemaName = "topomap.svc.response";
 inline constexpr int kSchemaVersion = 1;
-
-/// Request errors the CLI reports as usage mistakes (exit 1): well-formed
-/// protocol, parameters that do not apply — e.g. a square-strategy mapping
-/// request whose task count does not match the machine.
-class usage_error : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 enum class RequestKind {
   kMap,
@@ -62,45 +54,15 @@ const char* to_string(RequestKind kind);
 /// "metrics" | "flight"; throws precondition_error on anything else.
 RequestKind parse_request_kind(const std::string& s);
 
-/// One protocol request.  Defaults match the CLI's, so a request carrying
-/// only {id, kind} is the CLI's default invocation of that subcommand.
-struct Request {
+/// One protocol request: an id and a kind over the ops::Params fields.
+/// The parameter defaults are `topomap map`'s, so {id, kind:"map"} is the
+/// CLI's default map.  `evacuate` and `optimal` have other CLI defaults
+/// (stencil2d:7x8; stencil2d:3x3 on torus:3x3) that a request must spell
+/// out; with the bare defaults evacuate fails for want of a fault and
+/// optimal exceeds the oracle's 12-task cap.
+struct Request : ops::Params {
   std::string id;
   RequestKind kind = RequestKind::kStatus;
-
-  std::string tasks = "stencil2d:8x8";
-  std::string topology = "torus:8x8";
-  std::string strategy = "topolb";
-  std::uint64_t seed = 1;
-
-  // explain
-  std::string baseline;
-  bool baseline_blind = false;
-  int top_k = 3;
-
-  // evacuate
-  int refine_passes = 1;
-  double load_weight = 0.0;
-
-  // optimal
-  std::int64_t budget = 20000000;
-  std::string compare = "topolb";
-  bool no_symmetry = false;
-
-  // Fault flag family, verbatim CLI strings/counts (topo::parse_fault_spec).
-  std::string fail_link;
-  std::string fail_node;
-  std::string degrade_link;
-  std::string restore_node;
-  std::string restore_link;
-  std::int64_t random_link_faults = 0;
-  std::int64_t random_node_faults = 0;
-  std::int64_t random_degrades = 0;
-  std::uint64_t fault_seed = 42;
-
-  /// The parsed fault request; throws precondition_error on malformed
-  /// entries exactly like the CLI flags would.
-  topo::FaultSpec fault_spec() const;
 
   json::Value to_json() const;
 
@@ -120,6 +82,12 @@ struct ErrorInfo {
   std::string category;  // "usage" | "precondition" | "invariant" | "io"
   std::string message;
 };
+
+/// `port` as a TCP port number in [1, 65535]; throws precondition_error
+/// naming `what` otherwise.  The one range check behind topomapd's
+/// --tcp-port, Server::start and the client's --tcp endpoint, so no port
+/// wraps through a narrowing cast.
+int checked_tcp_port(std::int64_t port, const std::string& what);
 
 /// The CLI exit code for an error category (unknown categories map to 1,
 /// like any unclassified CLI failure).

@@ -347,6 +347,9 @@ Server::~Server() {
 
 void Server::start() {
   TOPOMAP_REQUIRE(!impl_->started, "topomapd server already started");
+  // Before any fd exists, so a bad port leaves nothing to clean up.
+  if (impl_->options.tcp_port != 0)
+    checked_tcp_port(impl_->options.tcp_port, "topomapd: tcp_port");
   int pipefd[2];
   if (::pipe(pipefd) < 0)
     throw io_error(std::string("topomapd: pipe() failed: ") +
@@ -358,7 +361,7 @@ void Server::start() {
     return impl->queue.size();
   });
   impl_->unix_fd = listen_unix(impl_->options.socket_path);
-  if (impl_->options.tcp_port > 0)
+  if (impl_->options.tcp_port != 0)
     impl_->tcp_fd = listen_tcp(impl_->options.tcp_port);
   const std::size_t workers = std::max<std::size_t>(impl_->options.workers, 1);
   impl_->worker_threads.reserve(workers);

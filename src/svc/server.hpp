@@ -44,6 +44,7 @@ struct ServerOptions {
   /// Unix-domain socket path; bound fresh (a stale file is replaced).
   std::string socket_path;
   /// TCP listener on 127.0.0.1:<port> speaking the same framing; 0 = off.
+  /// Server::start throws precondition_error outside 0..65535.
   int tcp_port = 0;
   /// Worker threads executing requests.
   std::size_t workers = 4;

@@ -3,57 +3,19 @@
 #include <cctype>
 #include <filesystem>
 #include <iostream>
-#include <sstream>
 #include <utility>
-#include <vector>
 
-#include "core/cache_handle.hpp"
 #include "core/contention.hpp"
-#include "core/fault_aware.hpp"
-#include "core/metrics.hpp"
-#include "core/optimal_lb.hpp"
-#include "graph/factory.hpp"
-#include "graph/quotient.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
-#include "runtime/evacuate.hpp"
-#include "runtime/rank_reorder.hpp"
+#include "ops/ops.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
-#include "support/rng.hpp"
 #include "svc/metrics.hpp"
-#include "topo/components.hpp"
 
 namespace topomap::svc {
 
 namespace {
-
-/// The request's strategy wired to the pooled machine: a fresh CacheHandle
-/// pre-seeded with the pool's distance plane, so every stage of the
-/// composition hits the shared fill instead of rebuilding O(p^2) state.
-core::StrategyPtr make_pooled_strategy(const std::string& spec,
-                                       const MachineEntry& entry) {
-  auto handle = std::make_shared<core::CacheHandle>();
-  const topo::Topology& machine = entry.machine();
-  if (entry.plane && entry.plane->size() == machine.size())
-    handle->seed(machine, entry.plane);
-  return core::make_strategy_with_handle(spec, core::DistanceMode::kCached,
-                                         handle);
-}
-
-/// The CLI's tasks-vs-processors check (exit 1 there, "usage" here).
-void require_square_or_oversub(const graph::TaskGraph& g,
-                               const topo::Topology& topo,
-                               const core::MappingStrategy& strategy) {
-  if (g.num_vertices() != topo.size() &&
-      !(strategy.supports_oversubscription() &&
-        g.num_vertices() > topo.size()))
-    throw usage_error(
-        "workload has " + std::to_string(g.num_vertices()) +
-        " tasks but the machine has " + std::to_string(topo.size()) +
-        " processors; use `topomap pipeline` or strategy `hier` when tasks "
-        "> procs");
-}
 
 json::Value fault_summary(const topo::FaultOverlay& overlay) {
   json::Value v = json::Value::object();
@@ -65,18 +27,113 @@ json::Value fault_summary(const topo::FaultOverlay& overlay) {
   return v;
 }
 
-/// The exact bytes `topomap map --output` writes: full rank mapping, or the
-/// placed tasks only when faults quarantined part of the workload.
-std::string mapping_bytes(const core::Mapping& m,
-                          bool any_quarantined = false) {
-  std::ostringstream os;
-  if (!any_quarantined) {
-    rts::write_rank_mapping(os, m);
-  } else {
-    for (std::size_t t = 0; t < m.size(); ++t)
-      if (m[t] != core::kUnassigned) os << t << ' ' << m[t] << '\n';
+json::Value pool_stats(const CachePoolStats& cs) {
+  json::Value v = json::Value::object();
+  v.set("hits", cs.hits);
+  v.set("misses", cs.misses);
+  v.set("evictions", cs.evictions);
+  v.set("entries", cs.entries);
+  v.set("capacity", cs.capacity);
+  return v;
+}
+
+json::Value to_json(const ops::MapResult& r) {
+  const ops::Machine& machine = *r.machine;
+  json::Value result = json::Value::object();
+  result.set("workload", r.graph.label());
+  result.set("edges", r.graph.num_edges());
+  result.set("comm_bytes", r.graph.total_comm_bytes());
+  result.set("machine", machine.base->name());
+  result.set("strategy", r.strategy);
+  if (machine.overlay) result.set("faults", fault_summary(*machine.overlay));
+  if (!r.partition_note.empty()) {
+    result.set("partition", r.partition_note);
+    json::Value q = json::Value::array();
+    for (int t : r.quarantined) q.push_back(t);
+    result.set("quarantined", std::move(q));
   }
-  return os.str();
+  result.set("hop_bytes", r.metrics.hop_bytes);
+  result.set("hops_per_byte", r.metrics.hops_per_byte);
+  if (const auto& links = r.metrics.link_loads) {
+    json::Value ll = json::Value::object();
+    ll.set("max_bytes", links->max_bytes);
+    ll.set("mean_bytes", links->mean_bytes);
+    ll.set("links_used", links->links_used);
+    ll.set("links_total", links->links_total);
+    result.set("link_loads", std::move(ll));
+  } else {
+    result.set("link_loads", json::Value());  // no processor-level routes
+  }
+  result.set("mapping", ops::mapping_text(r.mapping));
+  return result;
+}
+
+json::Value to_json(const ops::ExplainResult& r, const Request& req) {
+  const ops::Machine& machine = *r.machine;
+  json::Value result = json::Value::object();
+  result.set("workload", r.graph.label());
+  result.set("machine", machine.base->name());
+  result.set("strategy", r.strategy);
+  if (machine.overlay) result.set("faults", fault_summary(*machine.overlay));
+  result.set("hop_bytes", r.hop_bytes);
+  result.set("stats", core::contention_stats_to_json(r.attribution.stats));
+  result.set("links", core::contention_links_to_json(r.attribution, req.top_k));
+  if (const auto& baseline = r.baseline) {
+    json::Value b = json::Value::object();
+    b.set("strategy", req.baseline);
+    b.set("blind", req.baseline_blind);
+    b.set("stats", core::contention_stats_to_json(baseline->attribution.stats));
+    result.set("baseline", std::move(b));
+    result.set("diff",
+               core::contention_diff_to_json(baseline->diff, req.top_k));
+  }
+  result.set("mapping", ops::mapping_text(r.mapping));
+  return result;
+}
+
+json::Value to_json(const ops::EvacuateResult& r) {
+  const rts::EvacuateComparison& cmp = r.comparison;
+  json::Value result = json::Value::object();
+  result.set("workload", r.graph.label());
+  result.set("machine", r.machine->base->name());
+  result.set("strategy", r.strategy);
+  result.set("faults", fault_summary(*r.machine->overlay));
+  result.set("hop_bytes_before", r.hop_bytes_before);
+  json::Value evac = json::Value::object();
+  evac.set("stranded", cmp.evac.stranded);
+  evac.set("migrations", cmp.evac.migrations);
+  evac.set("refine_swaps", cmp.evac.refine_swaps);
+  evac.set("hop_bytes", cmp.evac.hop_bytes);
+  evac.set("load_imbalance", cmp.evac.load_imbalance);
+  result.set("evacuate", std::move(evac));
+  json::Value full = json::Value::object();
+  full.set("migrations", cmp.full_migrations);
+  full.set("hop_bytes", cmp.full_hop_bytes);
+  result.set("full_remap", std::move(full));
+  result.set("hop_bytes_ratio", r.hop_bytes_ratio());
+  result.set("mapping", ops::mapping_text(cmp.evac.mapping));
+  return result;
+}
+
+json::Value to_json(const ops::OptimalResult& r) {
+  const ops::Machine& machine = *r.machine;
+  json::Value result = json::Value::object();
+  result.set("workload", r.graph.label());
+  result.set("machine", machine.machine().name());
+  if (machine.overlay) result.set("faults", fault_summary(*machine.overlay));
+  result.set("hop_bytes", r.search.hop_bytes);
+  result.set("nodes", static_cast<std::int64_t>(r.search.nodes));
+  result.set("pruned", static_cast<std::int64_t>(r.search.pruned));
+  result.set("root_candidates", r.search.root_candidates);
+  if (r.compare) {
+    json::Value cmp = json::Value::object();
+    cmp.set("strategy", r.compare->strategy);
+    cmp.set("hop_bytes", r.compare->hop_bytes);
+    cmp.set("optimality_gap", r.compare->gap);
+    result.set("compare", std::move(cmp));
+  }
+  result.set("mapping", ops::mapping_text(r.search.mapping));
+  return result;
 }
 
 }  // namespace
@@ -138,10 +195,13 @@ Response Service::handle(const Request& req, const RequestContext& ctx) {
 
 json::Value Service::dispatch(const Request& req, Lifecycle& lc) {
   switch (req.kind) {
-    case RequestKind::kMap: return run_map(req, lc);
-    case RequestKind::kExplain: return run_explain(req, lc);
-    case RequestKind::kEvacuate: return run_evacuate(req, lc);
-    case RequestKind::kOptimal: return run_optimal(req, lc);
+    case RequestKind::kMap: return to_json(ops::run_map(req, pooled(lc)));
+    case RequestKind::kExplain:
+      return to_json(ops::run_explain(req, pooled(lc)), req);
+    case RequestKind::kEvacuate:
+      return to_json(ops::run_evacuate(req, pooled(lc)));
+    case RequestKind::kOptimal:
+      return to_json(ops::run_optimal(req, pooled(lc)));
     case RequestKind::kStatus: return run_status();
     case RequestKind::kMetrics: return metrics_snapshot();
     case RequestKind::kFlight: return run_flight();
@@ -149,11 +209,11 @@ json::Value Service::dispatch(const Request& req, Lifecycle& lc) {
   TOPOMAP_UNREACHABLE("unhandled RequestKind");
 }
 
-MachineEntryPtr Service::acquire_timed(const std::string& topology,
+ops::MachinePtr Service::acquire_timed(const std::string& topology,
                                        const topo::FaultSpec& faults,
                                        Lifecycle& lc) {
   const std::uint64_t t0 = obs::now_ns();
-  MachineEntryPtr entry = pool_.acquire(topology, faults);
+  ops::MachinePtr entry = pool_.acquire(topology, faults);
   const std::uint64_t dur = obs::now_ns() - t0;
   lc.acquire_ns += dur;
   flight_.record(lc.corr, lc.kind, "acquire", t0, dur);
@@ -199,265 +259,18 @@ void Service::finish_request(const Request& req, const Lifecycle& lc,
   }
 }
 
-json::Value Service::run_map(const Request& req, Lifecycle& lc) {
-  // Same Rng stream as `topomap map`: graph generation, then mapping.
-  Rng rng(req.seed);
-  const graph::TaskGraph g = graph::make_task_graph(req.tasks, rng);
-  const MachineEntryPtr entry =
-      acquire_timed(req.topology, req.fault_spec(), lc);
-  const topo::Topology& machine = entry->machine();
-  const core::StrategyPtr strategy = make_pooled_strategy(req.strategy, *entry);
-
-  core::Mapping m;
-  std::vector<int> quarantined;
-  std::string partition_note;
-  if (entry->overlay) {
-    const topo::ComponentSplit split =
-        topo::connected_components(*entry->overlay);
-    if (split.partitioned() &&
-        g.num_vertices() > static_cast<int>(split.primary().size())) {
-      core::PartitionedMapResult pr =
-          core::map_on_largest_component(*strategy, g, *entry->overlay, rng);
-      m = std::move(pr.mapping);
-      quarantined = std::move(pr.quarantined);
-      partition_note = topo::describe_partition(*entry->overlay, split);
-    } else {
-      m = core::map_on_alive(*strategy, g, *entry->overlay, rng);
-    }
-  } else {
-    require_square_or_oversub(g, *entry->base, *strategy);
-    m = strategy->map(g, *entry->base, rng);
-  }
-
-  // Metrics over the placed tasks only, like the CLI's report.
-  const graph::TaskGraph* metric_g = &g;
-  core::Mapping metric_m = m;
-  graph::Subgraph placed_view;
-  if (!quarantined.empty()) {
-    std::vector<int> placed_ids;
-    for (int t = 0; t < g.num_vertices(); ++t)
-      if (m[static_cast<std::size_t>(t)] != core::kUnassigned)
-        placed_ids.push_back(t);
-    placed_view = graph::induced_subgraph(g, placed_ids);
-    metric_g = &placed_view.graph;
-    metric_m.clear();
-    for (int t : placed_ids)
-      metric_m.push_back(m[static_cast<std::size_t>(t)]);
-  }
-
-  json::Value result = json::Value::object();
-  result.set("workload", g.label());
-  result.set("edges", g.num_edges());
-  result.set("comm_bytes", g.total_comm_bytes());
-  result.set("machine", entry->base->name());
-  result.set("strategy", strategy->name());
-  if (entry->overlay) result.set("faults", fault_summary(*entry->overlay));
-  if (!partition_note.empty()) {
-    result.set("partition", partition_note);
-    json::Value q = json::Value::array();
-    for (int t : quarantined) q.push_back(t);
-    result.set("quarantined", std::move(q));
-  }
-  result.set("hop_bytes", core::hop_bytes(*metric_g, machine, metric_m));
-  result.set("hops_per_byte",
-             core::hops_per_byte(*metric_g, machine, metric_m));
-  try {
-    const core::LinkLoadStats links =
-        core::link_loads(*metric_g, machine, metric_m);
-    json::Value ll = json::Value::object();
-    ll.set("max_bytes", links.max_bytes);
-    ll.set("mean_bytes", links.mean_bytes);
-    ll.set("links_used", links.links_used);
-    ll.set("links_total", links.links_total);
-    result.set("link_loads", std::move(ll));
-  } catch (const precondition_error&) {
-    result.set("link_loads", json::Value());  // no processor-level routes
-  }
-  result.set("mapping", mapping_bytes(m, !quarantined.empty()));
-  return result;
-}
-
-json::Value Service::run_explain(const Request& req, Lifecycle& lc) {
-  Rng rng(req.seed);
-  const graph::TaskGraph g = graph::make_task_graph(req.tasks, rng);
-  const MachineEntryPtr entry =
-      acquire_timed(req.topology, req.fault_spec(), lc);
-  const topo::Topology& machine = entry->machine();
-  const core::StrategyPtr strategy = make_pooled_strategy(req.strategy, *entry);
-
-  const bool diffed = !req.baseline.empty();
-  if (req.baseline_blind && !diffed)
-    throw usage_error("baseline_blind needs a baseline strategy");
-  if (req.baseline_blind && entry->overlay &&
-      (entry->overlay->num_failed_nodes() > 0 ||
-       entry->overlay->num_failed_links() > 0))
-    throw usage_error(
-        "baseline_blind supports soft faults only (a blind mapping may land "
-        "on failed processors)");
-
-  core::Mapping m;
-  if (entry->overlay) {
-    m = core::map_on_alive(*strategy, g, *entry->overlay, rng);
-  } else {
-    require_square_or_oversub(g, *entry->base, *strategy);
-    m = strategy->map(g, *entry->base, rng);
-  }
-  core::Mapping baseline_m;
-  if (diffed) {
-    const core::StrategyPtr baseline_strategy =
-        make_pooled_strategy(req.baseline, *entry);
-    Rng baseline_rng(req.seed);
-    if (entry->overlay && !req.baseline_blind) {
-      baseline_m =
-          core::map_on_alive(*baseline_strategy, g, *entry->overlay,
-                             baseline_rng);
-    } else {
-      // Blind (or no faults): mapped on the pristine machine, evaluated on
-      // the actual one.
-      topo::FaultOverlay healthy(entry->base);
-      baseline_m =
-          core::map_on_alive(*baseline_strategy, g, healthy, baseline_rng);
-    }
-  }
-
-  core::ContentionReport attr;
-  try {
-    attr = core::attribute_link_loads(g, machine, m);
-  } catch (const precondition_error& e) {
-    // The CLI reports this as a usage mistake (exit 1).
-    throw usage_error(
-        std::string(
-            "this machine has no processor-level routes to attribute (") +
-        e.what() + ")");
-  }
-
-  json::Value result = json::Value::object();
-  result.set("workload", g.label());
-  result.set("machine", entry->base->name());
-  result.set("strategy", strategy->name());
-  if (entry->overlay) result.set("faults", fault_summary(*entry->overlay));
-  result.set("hop_bytes", core::hop_bytes(g, machine, m));
-  result.set("stats", core::contention_stats_to_json(attr.stats));
-  result.set("links", core::contention_links_to_json(attr, req.top_k));
-  if (diffed) {
-    const core::ContentionReport baseline_attr =
-        core::attribute_link_loads(g, machine, baseline_m);
-    const core::ContentionDiff diff =
-        core::diff_contention(baseline_attr, attr);
-    json::Value b = json::Value::object();
-    b.set("strategy", req.baseline);
-    b.set("blind", req.baseline_blind);
-    b.set("stats", core::contention_stats_to_json(baseline_attr.stats));
-    result.set("baseline", std::move(b));
-    result.set("diff", core::contention_diff_to_json(diff, req.top_k));
-  }
-  result.set("mapping", mapping_bytes(m));
-  return result;
-}
-
-json::Value Service::run_evacuate(const Request& req, Lifecycle& lc) {
-  const topo::FaultSpec faults = req.fault_spec();
-  if (faults.empty())
-    throw usage_error(
-        "evacuate needs at least one fault (fail_link/fail_node/"
-        "degrade_link/random_*)");
-  Rng rng(req.seed);
-  const graph::TaskGraph g = graph::make_task_graph(req.tasks, rng);
-  const MachineEntryPtr entry = acquire_timed(req.topology, faults, lc);
-  const core::StrategyPtr strategy = make_pooled_strategy(req.strategy, *entry);
-
-  // Map on the healthy machine first: the faults strike a running job.
-  topo::FaultOverlay healthy(entry->base);
-  rts::EvacuateOptions evac_options;
-  evac_options.refine_passes = req.refine_passes;
-  evac_options.load_weight = req.load_weight;
-
-  const core::Mapping before = core::map_on_alive(*strategy, g, healthy, rng);
-  const double hb_before = core::hop_bytes(g, *entry->base, before);
-  const rts::EvacuateComparison cmp = rts::compare_evacuate_vs_remap(
-      g, *entry->overlay, before, *strategy, rng, evac_options);
-
-  json::Value result = json::Value::object();
-  result.set("workload", g.label());
-  result.set("machine", entry->base->name());
-  result.set("strategy", strategy->name());
-  result.set("faults", fault_summary(*entry->overlay));
-  result.set("hop_bytes_before", hb_before);
-  json::Value evac = json::Value::object();
-  evac.set("stranded", cmp.evac.stranded);
-  evac.set("migrations", cmp.evac.migrations);
-  evac.set("refine_swaps", cmp.evac.refine_swaps);
-  evac.set("hop_bytes", cmp.evac.hop_bytes);
-  evac.set("load_imbalance", cmp.evac.load_imbalance);
-  result.set("evacuate", std::move(evac));
-  json::Value full = json::Value::object();
-  full.set("migrations", cmp.full_migrations);
-  full.set("hop_bytes", cmp.full_hop_bytes);
-  result.set("full_remap", std::move(full));
-  result.set("hop_bytes_ratio",
-             cmp.full_hop_bytes > 0.0 ? cmp.evac.hop_bytes / cmp.full_hop_bytes
-                                      : 1.0);
-  result.set("mapping", mapping_bytes(cmp.evac.mapping));
-  return result;
-}
-
-json::Value Service::run_optimal(const Request& req, Lifecycle& lc) {
-  Rng rng(req.seed);
-  const graph::TaskGraph g = graph::make_task_graph(req.tasks, rng);
-  const MachineEntryPtr entry =
-      acquire_timed(req.topology, req.fault_spec(), lc);
-  const topo::Topology& machine = entry->machine();
-
-  core::OptimalOptions opts;
-  opts.node_budget = req.budget;
-  opts.symmetry = !req.no_symmetry;
-  const core::OptimalResult optimal =
-      core::find_optimal_mapping(g, machine, opts);
-
-  json::Value result = json::Value::object();
-  result.set("workload", g.label());
-  result.set("machine", machine.name());
-  if (entry->overlay) result.set("faults", fault_summary(*entry->overlay));
-  result.set("hop_bytes", optimal.hop_bytes);
-  result.set("nodes", static_cast<std::int64_t>(optimal.nodes));
-  result.set("pruned", static_cast<std::int64_t>(optimal.pruned));
-  result.set("root_candidates", optimal.root_candidates);
-  if (!req.compare.empty()) {
-    const core::StrategyPtr strategy =
-        make_pooled_strategy(req.compare, *entry);
-    Rng crng(req.seed);
-    const core::Mapping cm =
-        entry->overlay
-            ? core::map_on_alive(*strategy, g, *entry->overlay, crng)
-            : strategy->map(g, *entry->base, crng);
-    const double chb = core::hop_bytes(g, machine, cm);
-    json::Value cmp = json::Value::object();
-    cmp.set("strategy", strategy->name());
-    cmp.set("hop_bytes", chb);
-    cmp.set("optimality_gap",
-            optimal.hop_bytes > 0.0 ? chb / optimal.hop_bytes : 1.0);
-    result.set("compare", std::move(cmp));
-  }
-  // `topomap optimal --output` bytes (plain task/processor lines).
-  std::ostringstream os;
-  for (std::size_t t = 0; t < optimal.mapping.size(); ++t)
-    os << t << ' ' << optimal.mapping[t] << '\n';
-  result.set("mapping", os.str());
-  return result;
+ops::MachineSource Service::pooled(Lifecycle& lc) {
+  return [this, &lc](const std::string& topology,
+                     const topo::FaultSpec& faults) {
+    return acquire_timed(topology, faults, lc);
+  };
 }
 
 json::Value Service::run_status() const {
   json::Value result = json::Value::object();
   result.set("requests_served", served_.load());
   result.set("requests_failed", failed_.load());
-  const CachePoolStats cs = pool_.stats();
-  json::Value cache = json::Value::object();
-  cache.set("hits", cs.hits);
-  cache.set("misses", cs.misses);
-  cache.set("evictions", cs.evictions);
-  cache.set("entries", cs.entries);
-  cache.set("capacity", cs.capacity);
-  result.set("cache", std::move(cache));
+  result.set("cache", pool_stats(pool_.stats()));
   return result;
 }
 
@@ -488,14 +301,7 @@ json::Value Service::metrics_snapshot() const {
   doc.set("queue_depth",
           queue_depth_probe_ ? queue_depth_probe_() : std::size_t{0});
 
-  const CachePoolStats cs = pool_.stats();
-  json::Value pool = json::Value::object();
-  pool.set("hits", cs.hits);
-  pool.set("misses", cs.misses);
-  pool.set("evictions", cs.evictions);
-  pool.set("entries", cs.entries);
-  pool.set("capacity", cs.capacity);
-  doc.set("pool", std::move(pool));
+  doc.set("pool", pool_stats(pool_.stats()));
 
   // The bucket layout is a compile-time property of obs::Histogram — a
   // fixed descriptor, not per-run boundary lists, so this section is

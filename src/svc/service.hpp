@@ -1,23 +1,16 @@
 // svc::Service — topomapd's request executor.
 //
 // One Service instance serves every connection: it owns the shared
-// svc::CachePool and turns protocol Requests into Responses by running the
-// same code paths the one-shot CLI runs (core::make_strategy_with_handle,
-// core::map_on_alive, core::attribute_link_loads, rts::evacuate,
-// core::find_optimal_mapping).  Determinism contract: a request's result —
-// including the embedded mapping bytes — is byte-identical to the
-// equivalent `topomap <kind>` invocation, regardless of how many requests
-// are in flight.  Two ingredients make that hold:
-//
-//   * Each request draws from its own Rng(seed) in exactly the CLI's order
-//     (task-graph generation first, then mapping), so sharing a process
-//     shares no RNG state.
-//   * handle() wraps execution in a support::InlineScope — mapping kernels
-//     run their parallel_for regions inline on the serving thread.  The
-//     repo-wide thread-count-invariance contract (every parallel kernel is
-//     byte-identical at any thread count, including 1) turns request-level
-//     concurrency into the only concurrency, so workers never contend for
-//     the deterministic pool's single job slot.
+// svc::CachePool and turns protocol Requests into Responses.  The mapping
+// kinds run the ops:: command core — the functions `topomap map/explain/
+// evacuate/optimal` call — with the pool as the machine source, so served
+// bytes equal one-shot bytes by construction; the service adds only
+// acquire timing, lifecycle telemetry and JSON rendering.  Concurrency
+// keeps that contract: each request draws from its own Rng(seed) inside
+// ops::, and handle() runs mapping kernels' parallel regions inline on the
+// serving thread (support::InlineScope) — every parallel kernel is
+// byte-identical at any thread count, so request-level concurrency is the
+// only concurrency and workers never contend for the pool's job slot.
 //
 // Request-lifecycle telemetry: every request carries a correlation id —
 // minted by the server when the request is accepted off the wire, or by
@@ -25,21 +18,14 @@
 // (queue-wait → cache-pool acquire → kernel → serialize) feed per-kind
 // obs::Histograms ("svc/<kind>/<stage>_us"), the always-on
 // svc::FlightRecorder ring, and the optional JSONL EventLog.  Timing only
-// *observes*: stage clocks never change a mapping result, so served bytes
-// are byte-identical with telemetry on or off.  The obs::Histogram feeds
-// are OBS-macro-gated (zero overhead in TOPOMAP_OBS=OFF builds); the
-// flight recorder and per-kind atomic counters are always on and
+// *observes*, so served bytes are identical with telemetry on or off.  The
+// histogram feeds are OBS-macro-gated (zero overhead in TOPOMAP_OBS=OFF
+// builds); the flight recorder and per-kind counters are always on and
 // allocation-free per event.
 //
-// The expensive shareable state — topology, fault overlay, distance plane —
-// comes from the CachePool; the per-request core::CacheHandle is pre-seeded
-// with the pooled plane so composed strategies reuse one fill per machine.
-//
-// Error mapping: anything a request throws becomes a structured error
-// response carrying the exit-code taxonomy category (svc/protocol.hpp);
-// conditions the CLI reports as "usage" (exit 1) — e.g. a non-square
-// mapping request — are raised as svc::usage_error so the client exits 1
-// just like the CLI would.
+// Errors: anything a request throws becomes a structured error response
+// carrying the exit-code taxonomy category (svc/protocol.hpp), so the
+// client exits with the one-shot command's code.
 #pragma once
 
 #include <atomic>
@@ -121,15 +107,13 @@ class Service {
   };
 
   json::Value dispatch(const Request& req, Lifecycle& lc);
-  json::Value run_map(const Request& req, Lifecycle& lc);
-  json::Value run_explain(const Request& req, Lifecycle& lc);
-  json::Value run_evacuate(const Request& req, Lifecycle& lc);
-  json::Value run_optimal(const Request& req, Lifecycle& lc);
   json::Value run_status() const;
   json::Value run_flight() const;
-  MachineEntryPtr acquire_timed(const std::string& topology,
+  ops::MachinePtr acquire_timed(const std::string& topology,
                                 const topo::FaultSpec& faults,
                                 Lifecycle& lc);
+  /// The pool as an ops::MachineSource, acquire time charged to `lc`.
+  ops::MachineSource pooled(Lifecycle& lc);
   void finish_request(const Request& req, const Lifecycle& lc, bool ok,
                       std::uint64_t t_start_ns, std::uint64_t total_ns);
   void write_report(const Request& req, bool ok) const;

@@ -29,7 +29,7 @@
 #include "graph/builders.hpp"
 #include "graph/factory.hpp"
 #include "netsim/app.hpp"
-#include "obs/json.hpp"
+#include "support/json.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -194,7 +194,7 @@ TEST(ContentionAttribution, ThreadCountNeverChangesTheReport) {
     const Mapping m =
         core::make_strategy("topolb+refine")->map(g, *topo, rng);
     const ContentionReport report = core::attribute_link_loads(g, *topo, m);
-    obs::json::Value doc = obs::json::Value::object();
+    support::json::Value doc = support::json::Value::object();
     doc.set("stats", core::contention_stats_to_json(report.stats));
     doc.set("links", core::contention_links_to_json(report, 3));
     dumps[i++] = doc.dump();
@@ -280,13 +280,13 @@ TEST(ContentionJson, TopKFoldingKeepsSumsExact) {
   const auto g = graph::make_task_graph("er:36:0.2", rng);
   const Mapping m = core::make_strategy("random")->map(g, *topo, rng);
   const ContentionReport report = core::attribute_link_loads(g, *topo, m);
-  const obs::json::Value links = core::contention_links_to_json(report, 2);
-  const obs::json::Value parsed = obs::json::Value::parse(links.dump());
+  const support::json::Value links = core::contention_links_to_json(report, 2);
+  const support::json::Value parsed = support::json::Value::parse(links.dump());
   ASSERT_EQ(parsed.size(), report.links.size());
   for (std::size_t i = 0; i < parsed.size(); ++i) {
-    const obs::json::Value& link = parsed.items()[i];
+    const support::json::Value& link = parsed.items()[i];
     double sum = 0.0;
-    for (const obs::json::Value& c : link.at("contributors").items())
+    for (const support::json::Value& c : link.at("contributors").items())
       sum += c.at("bytes").as_number();
     EXPECT_DOUBLE_EQ(sum, link.at("bytes").as_number());
     EXPECT_LE(link.at("contributors").size(),

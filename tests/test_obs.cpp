@@ -17,7 +17,7 @@
 #include "graph/builders.hpp"
 #include "graph/task_graph.hpp"
 #include "obs/histogram.hpp"
-#include "obs/json.hpp"
+#include "support/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
@@ -32,6 +32,7 @@
 namespace topomap::obs {
 namespace {
 
+namespace json = support::json;
 using json::Value;
 
 // Every test starts and ends with a clean, disabled registry so suites can

@@ -199,7 +199,7 @@ TEST(SvcProtocol, ErrorMappingFollowsExitCodeTaxonomy) {
   auto category_of = [](std::exception_ptr e) {
     return svc::make_error_response("id", e).error.category;
   };
-  EXPECT_EQ(category_of(std::make_exception_ptr(svc::usage_error("u"))),
+  EXPECT_EQ(category_of(std::make_exception_ptr(usage_error("u"))),
             "usage");
   EXPECT_EQ(category_of(std::make_exception_ptr(precondition_error("p"))),
             "precondition");
@@ -302,7 +302,7 @@ TEST(SvcCachePool, ConcurrentAcquiresCoalesceIntoOneBuild) {
   svc::CachePool pool(4);
   const topo::FaultSpec none;
   constexpr int kThreads = 8;
-  std::vector<svc::MachineEntryPtr> got(kThreads);
+  std::vector<ops::MachinePtr> got(kThreads);
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -561,6 +561,24 @@ TEST(SvcServer, MalformedTrafficGetsStructuredErrorsNotHangs) {
   }
   server.stop();
   server.join();
+}
+
+TEST(SvcServer, OutOfRangeTcpPortsAreRejectedNotWrapped) {
+  // 65537 would bind port 1 through a uint16_t cast; it must be refused
+  // before any socket exists.
+  for (const int port : {65537, -1}) {
+    svc::ServerOptions options;
+    options.socket_path = unique_socket_path("badport");
+    options.tcp_port = port;
+    svc::Server server(options);
+    EXPECT_THROW(server.start(), precondition_error) << port;
+    EXPECT_NE(::access(options.socket_path.c_str(), F_OK), 0) << port;
+  }
+  EXPECT_EQ(svc::checked_tcp_port(65535, "p"), 65535);
+  EXPECT_THROW(svc::checked_tcp_port(0, "p"), precondition_error);
+  EXPECT_THROW(svc::checked_tcp_port(70000, "p"), precondition_error);
+  EXPECT_THROW(svc::Client::connect_tcp("127.0.0.1", 70000),
+               precondition_error);
 }
 
 TEST(SvcServer, OptionalTcpListenerSpeaksTheSameFraming) {

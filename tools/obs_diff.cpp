@@ -27,13 +27,13 @@
 #include <sstream>
 #include <string>
 
-#include "obs/json.hpp"
+#include "support/json.hpp"
 #include "obs/report.hpp"
 #include "support/stats.hpp"
 
 namespace {
 
-using topomap::obs::json::Value;
+using topomap::support::json::Value;
 
 Value load_report(const std::string& path) {
   std::ifstream is(path);
@@ -64,7 +64,7 @@ std::map<std::string, Value> section(const Value& doc, const char* name) {
   return out;
 }
 
-std::string fmt(double x) { return topomap::obs::json::format_number(x); }
+std::string fmt(double x) { return topomap::support::json::format_number(x); }
 
 /// Timing-derived histograms (duration buckets) carry wall-clock payloads:
 /// their deltas are inspection output, never exit status — the same rule

@@ -6,13 +6,15 @@
 //   topomap pipeline  --tasks=<spec> --topology=<spec>  (objects > procs)
 //   topomap evacuate  map, inject faults, repair the placement
 //
-// map/simulate/evacuate accept fault injection: --fail-link=a:b[,c:d...],
-// --fail-node=p[,q...], --degrade-link=a:b:health[,...] (soft faults),
-// and/or --random-{link,node}-faults=K / --random-degrades=K drawn with
-// --fault-seed.  Mapping then targets the alive processors (tasks must fit),
-// avoids degraded links via the health-weighted distance plane, and the
-// simulator both routes around failed links and serialises proportionally
-// slower on degraded ones.
+// map/simulate/explain/evacuate/optimal run the ops:: command core — the
+// code topomapd serves — and only parse flags and render results here;
+// simulate and explain's timeline add the netsim runs.  All accept fault
+// injection: --fail-link=a:b[,c:d...], --fail-node=p[,q...],
+// --degrade-link=a:b:health[,...] (soft faults), and/or
+// --random-{link,node}-faults=K / --random-degrades=K drawn with
+// --fault-seed.  Mapping then targets the alive processors, avoids
+// degraded links via the health-weighted distance plane, and the simulator
+// routes around failed links and serialises slower on degraded ones.
 //
 // Workload specs: graph::make_task_graph (stencil2d:16x16, md:8x6x5,
 // er:100:0.05, file:path, ...).  Machine specs: topo::make_topology
@@ -31,35 +33,32 @@
 // and warns that they are empty.
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <thread>
 
 #include "core/contention.hpp"
-#include "core/fault_aware.hpp"
 #include "core/metrics.hpp"
-#include "core/optimal_lb.hpp"
 #include "core/validate.hpp"
 #include "graph/builders.hpp"
 #include "graph/factory.hpp"
-#include "graph/quotient.hpp"
 #include "netsim/app.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
+#include "ops/ops.hpp"
 #include "partition/partition.hpp"
 #include "runtime/chaos.hpp"
 #include "runtime/dynamic_lb.hpp"
-#include "runtime/evacuate.hpp"
 #include "runtime/lb_manager.hpp"
-#include "runtime/rank_reorder.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 #include "svc/client.hpp"
 #include "svc/metrics.hpp"
 #include "svc/protocol.hpp"
-#include "topo/components.hpp"
 #include "topo/distance_cache.hpp"
 #include "topo/factory.hpp"
 #include "topo/fault_spec.hpp"
@@ -84,9 +83,8 @@ struct ObsOutputs {
 
   bool active() const { return !trace_path.empty() || !stats_path.empty(); }
 
-  void init(const CliParser& cli) {
-    trace_path = cli.str("trace");
-    stats_path = cli.str("stats");
+  explicit ObsOutputs(const CliParser& cli)
+      : trace_path(cli.str("trace")), stats_path(cli.str("stats")) {
     if (!active()) return;
 #if defined(TOPOMAP_OBS_ENABLED)
     obs::set_enabled(true);
@@ -97,8 +95,19 @@ struct ObsOutputs {
 #endif
   }
 
+  /// The run's identity; `strategy` is omitted when empty.
+  void describe(const CliParser& cli, const std::string& command,
+                const std::string& workload, const std::string& machine,
+                const std::string& strategy) {
+    report.set_meta("command", command);
+    report.set_meta("workload", workload);
+    report.set_meta("machine", machine);
+    if (!strategy.empty()) report.set_meta("strategy", strategy);
+    report.set_meta("seed", cli.str("seed"));
+  }
+
   void meta(const std::string& key, double value) {
-    report.set_meta(key, obs::json::format_number(value));
+    report.set_meta(key, support::json::format_number(value));
   }
 
   void finish() {
@@ -129,21 +138,77 @@ void add_fault_options(CliParser& cli) {
   cli.add_option("fault-seed", "RNG seed for random fault selection", "42");
 }
 
-topo::FaultSpec parse_fault_options(const CliParser& cli) {
-  return topo::parse_fault_spec(
-      cli.str("fail-link"), cli.str("fail-node"), cli.str("degrade-link"),
-      cli.integer("random-link-faults"), cli.integer("random-node-faults"),
-      cli.integer("random-degrades"),
-      static_cast<std::uint64_t>(cli.integer("fault-seed")),
-      cli.str("restore-node"), cli.str("restore-link"));
+// The per-kind knob groups read_params reads, each registered by its
+// subcommand and by `client`.
+void add_explain_options(CliParser& cli) {
+  cli.add_option("baseline", "baseline strategy to diff against", "");
+  cli.add_flag("baseline-blind",
+               "map the baseline on the pristine machine (ignore soft "
+               "faults) — reproduces health-blind placement");
+  cli.add_option("top-k", "contributing task pairs kept per link", "3");
 }
 
-/// Build the fault overlay described by the fault options, or null when no
-/// fault was requested (topo::parse_fault_spec/build_fault_overlay do the
-/// real work and are unit-tested directly).
-std::shared_ptr<topo::FaultOverlay> make_fault_overlay(
-    const CliParser& cli, const topo::TopologyPtr& base) {
-  return topo::build_fault_overlay(base, parse_fault_options(cli));
+void add_evacuate_options(CliParser& cli) {
+  cli.add_option("refine-passes", "bounded refine sweeps after evacuation",
+                 "1");
+  cli.add_option("load-weight",
+                 "neighbourhood-load term weight in the destination score "
+                 "(0 = pure hop-bytes)",
+                 "0");
+}
+
+void add_optimal_options(CliParser& cli) {
+  cli.add_option("budget", "branch-and-bound node budget", "20000000");
+  cli.add_option("compare",
+                 "strategy spec to gap against the optimum ('' skips)",
+                 "topolb");
+  cli.add_flag("no-symmetry",
+               "explore every root placement (disable automorphism pruning)");
+}
+
+/// The ops::Params a command's registered flags name: workload, machine,
+/// seed and the fault flag family always, the per-kind knobs when the
+/// command takes them.  The CLI's one reader of these flags — the one-shot
+/// commands, chaos and `client` all call it.
+ops::Params read_params(const CliParser& cli) {
+  ops::Params p;
+  p.tasks = cli.str("tasks");
+  p.topology = cli.str("topology");
+  p.seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  if (cli.has("strategy")) p.strategy = cli.str("strategy");
+  if (cli.has("baseline")) {
+    p.baseline = cli.str("baseline");
+    p.baseline_blind = cli.flag("baseline-blind");
+    p.top_k = static_cast<int>(cli.integer("top-k"));
+  }
+  if (cli.has("refine-passes")) {
+    p.refine_passes = static_cast<int>(cli.integer("refine-passes"));
+    p.load_weight = cli.real("load-weight");
+  }
+  if (cli.has("budget")) {
+    p.budget = cli.integer("budget");
+    p.compare = cli.str("compare");
+    p.no_symmetry = cli.flag("no-symmetry");
+  }
+  p.fail_link = cli.str("fail-link");
+  p.fail_node = cli.str("fail-node");
+  p.degrade_link = cli.str("degrade-link");
+  p.restore_node = cli.str("restore-node");
+  p.restore_link = cli.str("restore-link");
+  p.random_link_faults = cli.integer("random-link-faults");
+  p.random_node_faults = cli.integer("random-node-faults");
+  p.random_degrades = cli.integer("random-degrades");
+  p.fault_seed = static_cast<std::uint64_t>(cli.integer("fault-seed"));
+  return p;
+}
+
+/// --model, shared by simulate and explain; unknown values are usage
+/// mistakes (exit 1), like --routing.
+netsim::ServiceModel parse_model(const std::string& model) {
+  if (model == "wormhole") return netsim::ServiceModel::kWormhole;
+  if (model == "storeforward") return netsim::ServiceModel::kStoreForward;
+  throw usage_error("unknown service model " + model +
+                    " (want wormhole | storeforward)");
 }
 
 /// Open `path` for writing; throws io_error (CLI exit code 4) when the
@@ -163,22 +228,42 @@ void print_fault_summary(const topo::FaultOverlay& overlay) {
             << " processors alive)\n";
 }
 
-void print_mapping_report(const graph::TaskGraph& g,
-                          const topo::Topology& topo, const core::Mapping& m,
+void print_workload(const graph::TaskGraph& g, const ops::Machine& machine) {
+  std::cout << "workload:       " << g.label() << " (" << g.num_edges()
+            << " edges, " << g.total_comm_bytes() << " B/iter)\n"
+            << "machine:        " << machine.base->name() << "\n";
+  if (machine.overlay) print_fault_summary(*machine.overlay);
+}
+
+void print_mapping_report(const topo::Topology& machine,
+                          const ops::Metrics& metrics,
                           const std::string& strategy_name) {
   std::cout << "strategy:       " << strategy_name << "\n";
-  std::cout << "hops-per-byte:  " << core::hops_per_byte(g, topo, m)
-            << "  (random expectation " << core::expected_random_hops(topo)
+  std::cout << "hops-per-byte:  " << metrics.hops_per_byte
+            << "  (random expectation " << core::expected_random_hops(machine)
             << ")\n";
-  std::cout << "hop-bytes:      " << core::hop_bytes(g, topo, m) << "\n";
-  try {
-    const auto links = core::link_loads(g, topo, m);
-    std::cout << "link loads:     max " << links.max_bytes << " B, mean "
-              << links.mean_bytes << " B over " << links.links_total
-              << " directed links (" << links.links_used << " used)\n";
-  } catch (const precondition_error&) {
+  std::cout << "hop-bytes:      " << metrics.hop_bytes << "\n";
+  if (const auto& links = metrics.link_loads)
+    std::cout << "link loads:     max " << links->max_bytes << " B, mean "
+              << links->mean_bytes << " B over " << links->links_total
+              << " directed links (" << links->links_used << " used)\n";
+  else
     std::cout << "link loads:     (topology has no processor-level routes)\n";
-  }
+}
+
+/// One ops:: command on a private, plane-less machine, under the
+/// command's root span.
+template <class Command>
+auto run_traced(const char* span, Command command, const ops::Params& p) {
+  obs::ScopedSpan root_span(span);
+  return command(p, ops::make_machine);
+}
+
+void write_mapping(const std::string& path, const core::Mapping& m,
+                   const char* what) {
+  if (path.empty()) return;
+  open_output(path) << ops::mapping_text(m);
+  std::cout << what << " written to " << path << "\n";
 }
 
 int cmd_map(int argc, const char* const* argv, bool simulate) {
@@ -200,131 +285,60 @@ int cmd_map(int argc, const char* const* argv, bool simulate) {
   }
   if (!cli.parse(argc, argv)) return 0;
 
-  ObsOutputs obs_out;
-  obs_out.init(cli);
-
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
-  const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
-  const auto topo = topo::make_topology(cli.str("topology"));
-  const auto overlay = make_fault_overlay(cli, topo);
-  // All metrics/simulation run against the (possibly faulted) machine view.
-  const topo::Topology& machine = overlay ? *overlay : *topo;
-  const auto strategy = core::make_strategy(cli.str("strategy"));
-
-  obs_out.report.set_meta("command", simulate ? "simulate" : "map");
-  obs_out.report.set_meta("workload", g.label());
-  obs_out.report.set_meta("machine", topo->name());
-  obs_out.report.set_meta("strategy", strategy->name());
-  obs_out.report.set_meta("seed", cli.str("seed"));
-
-  core::Mapping m;
-  std::vector<int> quarantined;
-  std::string partition_note;
-  {
-    obs::ScopedSpan root_span(simulate ? "cli/simulate" : "cli/map");
-    if (overlay) {
-      // Maps onto the primary component when the faults split the machine;
-      // on overflow the lightest communicators are quarantined unplaced.
-      const topo::ComponentSplit split = topo::connected_components(*overlay);
-      if (split.partitioned() &&
-          g.num_vertices() > static_cast<int>(split.primary().size())) {
-        TOPOMAP_REQUIRE(!simulate,
-                        "cannot simulate a partitioned machine whose primary "
-                        "component is too small for the workload — " +
-                            topo::describe_partition(*overlay, split));
-        core::PartitionedMapResult pr =
-            core::map_on_largest_component(*strategy, g, *overlay, rng);
-        m = std::move(pr.mapping);
-        quarantined = std::move(pr.quarantined);
-        partition_note = topo::describe_partition(*overlay, split);
-      } else {
-        m = core::map_on_alive(*strategy, g, *overlay, rng);
-      }
-    } else {
-      if (g.num_vertices() != topo->size() &&
-          !(strategy->supports_oversubscription() &&
-            g.num_vertices() > topo->size())) {
-        std::cerr << "error: workload has " << g.num_vertices()
-                  << " tasks but the machine has " << topo->size()
-                  << " processors; use `topomap pipeline` or strategy "
-                     "`hier` when tasks > procs\n";
-        return 1;
-      }
-      m = strategy->map(g, *topo, rng);
-    }
+  ObsOutputs obs_out(cli);
+  netsim::NetworkParams net;
+  netsim::ServiceModel model = netsim::ServiceModel::kWormhole;
+  if (simulate) {
+    const std::string routing = cli.str("routing");
+    if (routing == "adaptive")
+      net.routing = netsim::RoutingPolicy::kMinimalAdaptive;
+    else if (routing != "deterministic")
+      throw usage_error("unknown routing policy " + routing);
+    model = parse_model(cli.str("model"));
   }
-  // Metrics run on the placed tasks (everything, absent quarantine).
-  const graph::TaskGraph* metric_g = &g;
-  core::Mapping metric_m = m;
-  graph::Subgraph placed_view;
-  if (!quarantined.empty()) {
-    std::vector<int> placed_ids;
-    for (int t = 0; t < g.num_vertices(); ++t)
-      if (m[static_cast<std::size_t>(t)] != core::kUnassigned)
-        placed_ids.push_back(t);
-    placed_view = graph::induced_subgraph(g, placed_ids);
-    metric_g = &placed_view.graph;
-    metric_m.clear();
-    for (int t : placed_ids)
-      metric_m.push_back(m[static_cast<std::size_t>(t)]);
-  }
-  obs_out.meta("hop_bytes", core::hop_bytes(*metric_g, machine, metric_m));
-  obs_out.meta("hops_per_byte",
-               core::hops_per_byte(*metric_g, machine, metric_m));
 
-  std::cout << "workload:       " << g.label() << " (" << g.num_edges()
-            << " edges, " << g.total_comm_bytes() << " B/iter)\n"
-            << "machine:        " << topo->name() << "\n";
-  if (overlay) print_fault_summary(*overlay);
-  if (!partition_note.empty())
-    std::cout << "partition:      " << partition_note << "\n"
-              << "quarantined:    " << quarantined.size() << " of "
+  const ops::MapResult r = run_traced(simulate ? "cli/simulate" : "cli/map",
+                                      ops::run_map, read_params(cli));
+  const graph::TaskGraph& g = r.graph;
+  const ops::Machine& machine = *r.machine;
+  TOPOMAP_REQUIRE(!simulate || r.partition_note.empty(),
+                  "cannot simulate a partitioned machine whose primary "
+                  "component is too small for the workload — " +
+                      r.partition_note);
+
+  obs_out.describe(cli, simulate ? "simulate" : "map", g.label(),
+                   machine.base->name(), r.strategy);
+  obs_out.meta("hop_bytes", r.metrics.hop_bytes);
+  obs_out.meta("hops_per_byte", r.metrics.hops_per_byte);
+
+  print_workload(g, machine);
+  if (!r.partition_note.empty())
+    std::cout << "partition:      " << r.partition_note << "\n"
+              << "quarantined:    " << r.quarantined.size() << " of "
               << g.num_vertices()
               << " tasks left unplaced (lightest communicators)\n";
-  print_mapping_report(*metric_g, machine, metric_m, strategy->name());
+  print_mapping_report(machine.machine(), r.metrics, r.strategy);
 
   if (simulate) {
     netsim::AppParams app;
     app.iterations = static_cast<int>(cli.integer("iterations"));
     app.compute_us = cli.real("compute-us");
-    netsim::NetworkParams net;
     net.bandwidth = cli.real("bandwidth");
-    const std::string routing = cli.str("routing");
-    if (routing == "adaptive")
-      net.routing = netsim::RoutingPolicy::kMinimalAdaptive;
-    else if (routing != "deterministic") {
-      std::cerr << "error: unknown routing policy " << routing << "\n";
-      return 1;
-    }
-    const std::string model_str = cli.str("model");
-    const netsim::ServiceModel model =
-        model_str == "storeforward" ? netsim::ServiceModel::kStoreForward
-                                    : netsim::ServiceModel::kWormhole;
-    const auto r = netsim::run_iterative_app(g, machine, m, app, net, model);
-    obs_out.meta("completion_us", r.completion_us);
+    const auto sim = netsim::run_iterative_app(g, machine.machine(), r.mapping,
+                                               app, net, model);
+    obs_out.meta("completion_us", sim.completion_us);
     std::cout << "simulation:     " << app.iterations << " iterations at "
-              << net.bandwidth << " MB/s (" << routing << ", " << model_str
-              << ")\n"
-              << "completion:     " << r.completion_us / 1000.0 << " ms\n"
-              << "msg latency:    avg " << r.avg_message_latency_us
-              << " us, p99 " << r.p99_message_latency_us << " us, max "
-              << r.max_message_latency_us << " us\n"
-              << "busiest link:   " << r.max_link_busy_us / 1000.0
+              << net.bandwidth << " MB/s (" << cli.str("routing") << ", "
+              << cli.str("model") << ")\n"
+              << "completion:     " << sim.completion_us / 1000.0 << " ms\n"
+              << "msg latency:    avg " << sim.avg_message_latency_us
+              << " us, p99 " << sim.p99_message_latency_us << " us, max "
+              << sim.max_message_latency_us << " us\n"
+              << "busiest link:   " << sim.max_link_busy_us / 1000.0
               << " ms busy\n";
   }
 
-  if (const std::string out = cli.str("output"); !out.empty()) {
-    std::ofstream os = open_output(out);
-    if (quarantined.empty()) {
-      rts::write_rank_mapping(os, m);
-    } else {
-      // Placed tasks only; quarantined ids live in the report above.
-      for (int t = 0; t < g.num_vertices(); ++t)
-        if (m[static_cast<std::size_t>(t)] != core::kUnassigned)
-          os << t << ' ' << m[static_cast<std::size_t>(t)] << '\n';
-    }
-    std::cout << "mapping written to " << out << "\n";
-  }
+  write_mapping(cli.str("output"), r.mapping, "mapping");
   obs_out.finish();
   return 0;
 }
@@ -333,11 +347,11 @@ int cmd_map(int argc, const char* const* argv, bool simulate) {
 /// v1): per-link table with top-K contributors, optional busiest-link
 /// timeline, optional baseline stats + mapping diff.
 void write_contention_report(
-    const std::string& path, const obs::json::Value& meta,
+    const std::string& path, const support::json::Value& meta,
     const core::ContentionReport& attr, int top_k,
     const netsim::AppResult* sim, const core::ContentionReport* baseline,
     const std::string& baseline_name, const core::ContentionDiff* diff) {
-  obs::json::Value doc = obs::json::Value::object();
+  support::json::Value doc = support::json::Value::object();
   doc.set("schema", core::kContentionSchemaName);
   doc.set("schema_version", core::kContentionSchemaVersion);
   doc.set("meta", meta);
@@ -345,22 +359,22 @@ void write_contention_report(
   doc.set("links", core::contention_links_to_json(attr, top_k));
   if (sim != nullptr) {
     const netsim::TelemetrySnapshot& snap = sim->telemetry;
-    obs::json::Value timeline = obs::json::Value::object();
+    support::json::Value timeline = support::json::Value::object();
     timeline.set("sample_us", snap.sample_interval_us);
     timeline.set("completion_us", sim->completion_us);
     auto arr = [](const std::vector<double>& xs) {
-      obs::json::Value a = obs::json::Value::array();
+      support::json::Value a = support::json::Value::array();
       for (double x : xs) a.push_back(x);
       return a;
     };
     timeline.set("t_us", arr(snap.t_us));
     timeline.set("util_max", arr(snap.util_max));
     timeline.set("queue_depth", arr(snap.queue_depth));
-    obs::json::Value hot = obs::json::Value::array();
+    support::json::Value hot = support::json::Value::array();
     const std::size_t shown = std::min<std::size_t>(snap.links.size(), 10);
     for (std::size_t i = 0; i < shown; ++i) {
       const netsim::LinkTelemetry& lt = snap.links[i];
-      obs::json::Value v = obs::json::Value::object();
+      support::json::Value v = support::json::Value::object();
       v.set("from", lt.from);
       v.set("to", lt.to);
       v.set("bytes", lt.bytes);
@@ -374,13 +388,13 @@ void write_contention_report(
     doc.set("timeline", std::move(timeline));
   }
   if (baseline != nullptr) {
-    obs::json::Value b = obs::json::Value::object();
+    support::json::Value b = support::json::Value::object();
     b.set("strategy", baseline_name);
     b.set("stats", core::contention_stats_to_json(baseline->stats));
     doc.set("baseline", std::move(b));
   }
   if (diff != nullptr) {
-    obs::json::Value d = obs::json::Value::object();
+    support::json::Value d = support::json::Value::object();
     d.set("links", core::contention_diff_to_json(*diff, top_k));
     doc.set("diff", std::move(d));
   }
@@ -399,12 +413,8 @@ int cmd_explain(int argc, const char* const* argv) {
   cli.add_option("tasks", "workload spec", "stencil2d:8x8");
   cli.add_option("topology", "machine spec", "torus:8x8");
   cli.add_option("strategy", "mapping strategy to explain", "topolb");
-  cli.add_option("baseline", "baseline strategy to diff against", "");
-  cli.add_flag("baseline-blind",
-               "map the baseline on the pristine machine (ignore soft "
-               "faults) — reproduces health-blind placement");
   cli.add_option("seed", "RNG seed", "1");
-  cli.add_option("top-k", "contributing task pairs kept per link", "3");
+  add_explain_options(cli);
   cli.add_option("report", "write the topomap.obs.contention JSON here", "");
   cli.add_option("iterations",
                  "simulated app iterations for the timeline (0 = skip "
@@ -420,86 +430,24 @@ int cmd_explain(int argc, const char* const* argv) {
   add_obs_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  ObsOutputs obs_out;
-  obs_out.init(cli);
+  ObsOutputs obs_out(cli);
+  const ops::Params params = read_params(cli);
+  const int top_k = params.top_k;
+  const netsim::ServiceModel model = parse_model(cli.str("model"));
 
-  const int top_k = static_cast<int>(cli.integer("top-k"));
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
-  const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
-  const auto topo = topo::make_topology(cli.str("topology"));
-  const auto overlay = make_fault_overlay(cli, topo);
-  const topo::Topology& machine = overlay ? *overlay : *topo;
-  const auto strategy = core::make_strategy(cli.str("strategy"));
+  const ops::ExplainResult r =
+      run_traced("cli/explain", ops::run_explain, params);
+  const graph::TaskGraph& g = r.graph;
+  const ops::Machine& machine = *r.machine;
 
-  obs_out.report.set_meta("command", "explain");
-  obs_out.report.set_meta("workload", g.label());
-  obs_out.report.set_meta("machine", topo->name());
-  obs_out.report.set_meta("strategy", strategy->name());
-  obs_out.report.set_meta("seed", cli.str("seed"));
+  obs_out.describe(cli, "explain", g.label(), machine.base->name(),
+                   r.strategy);
 
-  const std::string baseline_spec = cli.str("baseline");
-  const bool baseline_blind = cli.flag("baseline-blind");
-  if (baseline_blind && baseline_spec.empty()) {
-    std::cerr << "error: --baseline-blind needs --baseline=<strategy>\n";
-    return 1;
-  }
-  if (baseline_blind && overlay &&
-      (overlay->num_failed_nodes() > 0 || overlay->num_failed_links() > 0)) {
-    std::cerr << "error: --baseline-blind supports soft faults only (a "
-                 "blind mapping may land on failed processors)\n";
-    return 1;
-  }
+  print_workload(g, machine);
+  std::cout << "strategy:       " << r.strategy << "\n";
 
-  core::Mapping m;
-  core::Mapping baseline_m;
-  {
-    obs::ScopedSpan root_span("cli/explain");
-    if (overlay) {
-      m = core::map_on_alive(*strategy, g, *overlay, rng);
-    } else {
-      if (g.num_vertices() != topo->size() &&
-          !(strategy->supports_oversubscription() &&
-            g.num_vertices() > topo->size())) {
-        std::cerr << "error: workload has " << g.num_vertices()
-                  << " tasks but the machine has " << topo->size()
-                  << " processors; use `topomap pipeline` or strategy "
-                     "`hier` when tasks > procs\n";
-        return 1;
-      }
-      m = strategy->map(g, *topo, rng);
-    }
-    if (!baseline_spec.empty()) {
-      const auto baseline_strategy = core::make_strategy(baseline_spec);
-      Rng baseline_rng(static_cast<std::uint64_t>(cli.integer("seed")));
-      if (overlay && !baseline_blind) {
-        baseline_m =
-            core::map_on_alive(*baseline_strategy, g, *overlay, baseline_rng);
-      } else {
-        // Blind (or no faults): the baseline maps on the pristine machine
-        // but is *evaluated* on the actual (possibly degraded) one.
-        topo::FaultOverlay healthy(topo);
-        baseline_m =
-            core::map_on_alive(*baseline_strategy, g, healthy, baseline_rng);
-      }
-    }
-  }
-
-  std::cout << "workload:       " << g.label() << " (" << g.num_edges()
-            << " edges, " << g.total_comm_bytes() << " B/iter)\n"
-            << "machine:        " << topo->name() << "\n";
-  if (overlay) print_fault_summary(*overlay);
-  std::cout << "strategy:       " << strategy->name() << "\n";
-
-  core::ContentionReport attr;
-  try {
-    attr = core::attribute_link_loads(g, machine, m);
-  } catch (const precondition_error& e) {
-    std::cerr << "error: this machine has no processor-level routes to "
-                 "attribute ("
-              << e.what() << ")\n";
-    return 1;
-  }
-  const double hb = core::hop_bytes(g, machine, m);
+  const core::ContentionReport& attr = r.attribution;
+  const double hb = r.hop_bytes;
   obs_out.meta("hop_bytes", hb);
   std::cout << "hop-bytes:      " << hb;
   if (hb == attr.stats.total_bytes) {
@@ -514,7 +462,6 @@ int cmd_explain(int argc, const char* const* argv) {
 
   // Busiest-link timeline from the simulator's sampling grid.
   netsim::AppResult sim;
-  bool simulated = false;
   const int iterations = static_cast<int>(cli.integer("iterations"));
   if (iterations > 0) {
     netsim::AppParams app;
@@ -524,12 +471,8 @@ int cmd_explain(int argc, const char* const* argv) {
     app.telemetry_spec.sample_interval_us = cli.real("sample-us");
     netsim::NetworkParams net;
     net.bandwidth = cli.real("bandwidth");
-    const std::string model_str = cli.str("model");
-    const netsim::ServiceModel model =
-        model_str == "storeforward" ? netsim::ServiceModel::kStoreForward
-                                    : netsim::ServiceModel::kWormhole;
-    sim = netsim::run_iterative_app(g, machine, m, app, net, model);
-    simulated = true;
+    sim = netsim::run_iterative_app(g, machine.machine(), r.mapping, app, net,
+                                    model);
     obs_out.meta("completion_us", sim.completion_us);
     const netsim::TelemetrySnapshot& snap = sim.telemetry;
     std::cout << "timeline:       " << snap.t_us.size() << " windows of "
@@ -546,43 +489,35 @@ int cmd_explain(int argc, const char* const* argv) {
     }
   }
 
-  // Baseline attribution + diff: baseline is side A, the explained
-  // strategy side B, so "8000 -> 1000" reads as the improvement.
-  core::ContentionReport baseline_attr;
-  core::ContentionDiff diff;
-  const bool diffed = !baseline_spec.empty();
-  if (diffed) {
-    baseline_attr = core::attribute_link_loads(g, machine, baseline_m);
-    diff = core::diff_contention(baseline_attr, attr);
-    std::cout << "baseline:       " << baseline_spec
-              << (baseline_blind ? " (blind: mapped on pristine machine)"
-                                 : "")
-              << ", routed bytes " << baseline_attr.stats.total_bytes << "\n"
-              << core::render_contention_diff(diff, 5, top_k);
-  }
+  // Baseline is side A of the diff, the explained strategy side B, so
+  // "8000 -> 1000" reads as the improvement.
+  if (r.baseline)
+    std::cout << "baseline:       " << params.baseline
+              << (params.baseline_blind ? " (blind: mapped on pristine machine)"
+                                        : "")
+              << ", routed bytes " << r.baseline->attribution.stats.total_bytes
+              << "\n"
+              << core::render_contention_diff(r.baseline->diff, 5, top_k);
 
   if (const std::string report_path = cli.str("report");
       !report_path.empty()) {
-    obs::json::Value meta = obs::json::Value::object();
+    support::json::Value meta = support::json::Value::object();
     meta.set("command", "explain");
     meta.set("workload", g.label());
-    meta.set("machine", topo->name());
-    meta.set("strategy", strategy->name());
+    meta.set("machine", machine.base->name());
+    meta.set("strategy", r.strategy);
     meta.set("seed", cli.str("seed"));
     meta.set("top_k", top_k);
     meta.set("hop_bytes", hb);
-    if (diffed) meta.set("baseline", baseline_spec);
+    if (r.baseline) meta.set("baseline", params.baseline);
     write_contention_report(report_path, meta, attr, top_k,
-                            simulated ? &sim : nullptr,
-                            diffed ? &baseline_attr : nullptr, baseline_spec,
-                            diffed ? &diff : nullptr);
+                            iterations > 0 ? &sim : nullptr,
+                            r.baseline ? &r.baseline->attribution : nullptr,
+                            params.baseline,
+                            r.baseline ? &r.baseline->diff : nullptr);
     std::cout << "report written to " << report_path << "\n";
   }
-  if (const std::string out = cli.str("output"); !out.empty()) {
-    std::ofstream os = open_output(out);
-    rts::write_rank_mapping(os, m);
-    std::cout << "mapping written to " << out << "\n";
-  }
+  write_mapping(cli.str("output"), r.mapping, "mapping");
   obs_out.finish();
   return 0;
 }
@@ -662,62 +597,29 @@ int cmd_evacuate(int argc, const char* const* argv) {
   cli.add_option("topology", "machine spec", "torus:8x8");
   cli.add_option("strategy", "initial/remap strategy", "topolb");
   cli.add_option("seed", "RNG seed", "1");
-  cli.add_option("refine-passes", "bounded refine sweeps after evacuation",
-                 "1");
-  cli.add_option("load-weight",
-                 "neighbourhood-load term weight in the destination score "
-                 "(0 = pure hop-bytes)",
-                 "0");
+  add_evacuate_options(cli);
   cli.add_option("output", "write repaired 'task processor' lines here", "");
   add_fault_options(cli);
   add_obs_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  ObsOutputs obs_out;
-  obs_out.init(cli);
+  ObsOutputs obs_out(cli);
+  const ops::Params params = read_params(cli);
+  const ops::EvacuateResult r =
+      run_traced("cli/evacuate", ops::run_evacuate, params);
+  const rts::EvacuateComparison& cmp = r.comparison;
 
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
-  const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
-  const auto topo = topo::make_topology(cli.str("topology"));
-  auto overlay = make_fault_overlay(cli, topo);
-  if (!overlay) {
-    std::cerr << "error: evacuate needs at least one fault (--fail-link/"
-                 "--fail-node/--degrade-link/--random-*)\n";
-    return 1;
-  }
-
-  obs_out.report.set_meta("command", "evacuate");
-  obs_out.report.set_meta("workload", g.label());
-  obs_out.report.set_meta("machine", topo->name());
-  obs_out.report.set_meta("strategy", cli.str("strategy"));
-  obs_out.report.set_meta("seed", cli.str("seed"));
-
-  // Map on the healthy machine first: the faults strike a running job.
-  topo::FaultOverlay healthy(topo);
-  const auto strategy = core::make_strategy(cli.str("strategy"));
-  rts::EvacuateOptions evac_options;
-  evac_options.refine_passes = static_cast<int>(cli.integer("refine-passes"));
-  evac_options.load_weight = cli.real("load-weight");
-
-  core::Mapping before;
-  double hb_before = 0.0;
-  rts::EvacuateComparison cmp;
-  {
-    obs::ScopedSpan root_span("cli/evacuate");
-    before = core::map_on_alive(*strategy, g, healthy, rng);
-    hb_before = core::hop_bytes(g, *topo, before);
-    cmp = rts::compare_evacuate_vs_remap(g, *overlay, before, *strategy, rng,
-                                         evac_options);
-  }
+  obs_out.describe(cli, "evacuate", r.graph.label(), r.machine->base->name(),
+                   params.strategy);
   obs_out.meta("hop_bytes", cmp.evac.hop_bytes);
   obs_out.meta("load_imbalance", cmp.evac.load_imbalance);
 
-  std::cout << "workload:       " << g.label() << " (" << g.num_vertices()
-            << " tasks)\n"
-            << "machine:        " << topo->name() << "\n";
-  print_fault_summary(*overlay);
-  std::cout << "before faults:  hop-bytes " << hb_before << " ("
-            << strategy->name() << ")\n"
+  std::cout << "workload:       " << r.graph.label() << " ("
+            << r.graph.num_vertices() << " tasks)\n"
+            << "machine:        " << r.machine->base->name() << "\n";
+  print_fault_summary(*r.machine->overlay);
+  std::cout << "before faults:  hop-bytes " << r.hop_bytes_before << " ("
+            << r.strategy << ")\n"
             << "evacuate:       " << cmp.evac.stranded << " stranded, "
             << cmp.evac.migrations << " migrations ("
             << cmp.evac.refine_swaps << " refine swaps), hop-bytes "
@@ -725,16 +627,9 @@ int cmd_evacuate(int argc, const char* const* argv) {
             << cmp.evac.load_imbalance << "\n"
             << "full remap:     " << cmp.full_migrations
             << " migrations, hop-bytes " << cmp.full_hop_bytes << "\n"
-            << "evac/remap:     hop-bytes ratio "
-            << (cmp.full_hop_bytes > 0.0
-                    ? cmp.evac.hop_bytes / cmp.full_hop_bytes
-                    : 1.0)
+            << "evac/remap:     hop-bytes ratio " << r.hop_bytes_ratio()
             << "\n";
-  if (const std::string out = cli.str("output"); !out.empty()) {
-    std::ofstream os = open_output(out);
-    rts::write_rank_mapping(os, cmp.evac.mapping);
-    std::cout << "repaired mapping written to " << out << "\n";
-  }
+  write_mapping(cli.str("output"), cmp.evac.mapping, "repaired mapping");
   obs_out.finish();
   return 0;
 }
@@ -746,70 +641,37 @@ int cmd_optimal(int argc, const char* const* argv) {
   cli.add_option("tasks", "workload spec (<= 12 tasks)", "stencil2d:3x3");
   cli.add_option("topology", "machine spec", "torus:3x3");
   cli.add_option("seed", "RNG seed (workload + compared strategy)", "1");
-  cli.add_option("budget", "branch-and-bound node budget", "20000000");
-  cli.add_option("compare",
-                 "strategy spec to gap against the optimum ('' skips)",
-                 "topolb");
-  cli.add_flag("no-symmetry",
-               "explore every root placement (disable automorphism pruning)");
+  add_optimal_options(cli);
   cli.add_option("output", "write 'task processor' lines here", "");
   add_fault_options(cli);
   add_obs_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  ObsOutputs obs_out;
-  obs_out.init(cli);
+  ObsOutputs obs_out(cli);
+  const ops::OptimalResult r =
+      run_traced("cli/optimal", ops::run_optimal, read_params(cli));
+  const topo::Topology& machine = r.machine->machine();
 
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
-  const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
-  const auto topo = topo::make_topology(cli.str("topology"));
-  const auto overlay = make_fault_overlay(cli, topo);
-  const topo::Topology& machine = overlay ? *overlay : *topo;
-  if (overlay) print_fault_summary(*overlay);
+  obs_out.describe(cli, "optimal", r.graph.label(), machine.name(), "");
 
-  core::OptimalOptions opts;
-  opts.node_budget = cli.integer("budget");
-  opts.symmetry = !cli.flag("no-symmetry");
-
-  obs_out.report.set_meta("command", "optimal");
-  obs_out.report.set_meta("workload", g.label());
-  obs_out.report.set_meta("machine", machine.name());
-  obs_out.report.set_meta("seed", cli.str("seed"));
-
-  core::OptimalResult result;
-  {
-    obs::ScopedSpan root_span("cli/optimal");
-    result = core::find_optimal_mapping(g, machine, opts);
-  }
-  print_mapping_report(g, machine, result.mapping, "OptimalLB (exact)");
-  std::cout << "search:         " << result.nodes << " nodes, "
-            << result.pruned << " pruned subtrees, " << result.root_candidates
-            << " root candidates\n";
-  obs_out.meta("optimal_hop_bytes", result.hop_bytes);
-  obs_out.meta("search_nodes", static_cast<double>(result.nodes));
-
-  if (const std::string spec = cli.str("compare"); !spec.empty()) {
-    const auto strategy = core::make_strategy(spec);
-    Rng crng(static_cast<std::uint64_t>(cli.integer("seed")));
-    const core::Mapping cm =
-        overlay ? core::map_on_alive(*strategy, g, *overlay, crng)
-                : strategy->map(g, *topo, crng);
-    const double chb = core::hop_bytes(g, machine, cm);
-    const double gap =
-        result.hop_bytes > 0.0 ? chb / result.hop_bytes : 1.0;
-    std::cout << "compare:        " << strategy->name() << " hop-bytes "
-              << chb << ", optimality gap " << gap
-              << (gap == 1.0 ? " (provably optimal)" : "") << "\n";
-    obs_out.meta("compare_hop_bytes", chb);
-    obs_out.meta("optimality_gap", gap);
+  if (r.machine->overlay) print_fault_summary(*r.machine->overlay);
+  print_mapping_report(machine,
+                       ops::measure(r.graph, machine, r.search.mapping),
+                       "OptimalLB (exact)");
+  std::cout << "search:         " << r.search.nodes << " nodes, "
+            << r.search.pruned << " pruned subtrees, "
+            << r.search.root_candidates << " root candidates\n";
+  obs_out.meta("optimal_hop_bytes", r.search.hop_bytes);
+  obs_out.meta("search_nodes", static_cast<double>(r.search.nodes));
+  if (r.compare) {
+    std::cout << "compare:        " << r.compare->strategy << " hop-bytes "
+              << r.compare->hop_bytes << ", optimality gap " << r.compare->gap
+              << (r.compare->gap == 1.0 ? " (provably optimal)" : "") << "\n";
+    obs_out.meta("compare_hop_bytes", r.compare->hop_bytes);
+    obs_out.meta("optimality_gap", r.compare->gap);
   }
 
-  if (const std::string out = cli.str("output"); !out.empty()) {
-    std::ofstream os = open_output(out);
-    for (std::size_t t = 0; t < result.mapping.size(); ++t)
-      os << t << ' ' << result.mapping[t] << '\n';
-    std::cout << "mapping written to " << out << "\n";
-  }
+  write_mapping(cli.str("output"), r.search.mapping, "mapping");
   obs_out.finish();
   return 0;
 }
@@ -899,8 +761,7 @@ int cmd_chaos(int argc, const char* const* argv) {
   if (const std::string drill = cli.str("drill"); !drill.empty())
     return run_validation_drill(drill);  // throws: exit 3 (or 2 on bad kind)
 
-  ObsOutputs obs_out;
-  obs_out.init(cli);
+  ObsOutputs obs_out(cli);
 
   Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
   const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
@@ -925,7 +786,7 @@ int cmd_chaos(int argc, const char* const* argv) {
   // Explicit fault flags become strict events (epoch 0 for faults, the
   // given @epoch for restores); the chaos generator supplies the random
   // timeline, so the --random-* counts are rejected here.
-  const topo::FaultSpec spec = parse_fault_options(cli);
+  const topo::FaultSpec spec = read_params(cli).fault_spec();
   TOPOMAP_REQUIRE(spec.random_link_faults == 0 &&
                       spec.random_node_faults == 0 &&
                       spec.random_degrades == 0,
@@ -950,11 +811,8 @@ int cmd_chaos(int argc, const char* const* argv) {
   config.events.insert(config.events.end(), schedule.events.begin(),
                        schedule.events.end());
 
-  obs_out.report.set_meta("command", "chaos");
-  obs_out.report.set_meta("workload", g.label());
-  obs_out.report.set_meta("machine", topo->name());
-  obs_out.report.set_meta("strategy", config.pipeline.mapper->name());
-  obs_out.report.set_meta("seed", cli.str("seed"));
+  obs_out.describe(cli, "chaos", g.label(), topo->name(),
+                   config.pipeline.mapper->name());
   obs_out.report.set_meta("chaos", cli.str("chaos"));
 
   rts::DynamicLBRun run;
@@ -1018,6 +876,22 @@ int cmd_chaos(int argc, const char* const* argv) {
   return 0;
 }
 
+/// Connect to the daemon named by --tcp=host:port, else by --socket.
+svc::Client connect_daemon(const CliParser& cli) {
+  const std::string tcp = cli.str("tcp");
+  if (tcp.empty()) return svc::Client::connect_unix(cli.str("socket"));
+  const std::size_t colon = tcp.rfind(':');
+  std::int64_t port = -1;
+  if (colon != std::string::npos && colon > 0) {
+    const char* const last = tcp.data() + tcp.size();
+    const auto [end, ec] = std::from_chars(tcp.data() + colon + 1, last, port);
+    if (ec != std::errc() || end != last) port = -1;
+  }
+  TOPOMAP_REQUIRE(port >= 0, "--tcp wants host:port, got '" + tcp + "'");
+  return svc::Client::connect_tcp(tcp.substr(0, colon),
+                                  svc::checked_tcp_port(port, "--tcp"));
+}
+
 /// `topomap client`: one request against a running topomapd.  Reuses the
 /// CLI flag family verbatim (including the fault flags and their parser),
 /// prints the response document, and exits with the taxonomy code the
@@ -1040,21 +914,9 @@ int cmd_client(int argc, const char* const* argv) {
   cli.add_option("topology", "machine spec", "torus:8x8");
   cli.add_option("strategy", "mapping strategy", "topolb");
   cli.add_option("seed", "RNG seed", "1");
-  cli.add_option("baseline", "explain: baseline strategy to diff against",
-                 "");
-  cli.add_flag("baseline-blind",
-               "explain: map the baseline on the pristine machine");
-  cli.add_option("top-k", "explain: contributing task pairs kept per link",
-                 "3");
-  cli.add_option("refine-passes", "evacuate: bounded refine sweeps", "1");
-  cli.add_option("load-weight", "evacuate: neighbourhood-load term weight",
-                 "0");
-  cli.add_option("budget", "optimal: branch-and-bound node budget",
-                 "20000000");
-  cli.add_option("compare",
-                 "optimal: strategy to gap against the optimum ('' skips)",
-                 "topolb");
-  cli.add_flag("no-symmetry", "optimal: disable automorphism pruning");
+  add_explain_options(cli);
+  add_evacuate_options(cli);
+  add_optimal_options(cli);
   cli.add_option("output", "write the response's mapping bytes here", "");
   cli.add_flag("prom",
                "metrics: print Prometheus exposition text instead of JSON");
@@ -1062,46 +924,16 @@ int cmd_client(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   svc::Request req;
+  static_cast<ops::Params&>(req) = read_params(cli);
   req.id = cli.str("id");
   req.kind = svc::parse_request_kind(cli.str("kind"));
   TOPOMAP_REQUIRE(!cli.flag("prom") || req.kind == svc::RequestKind::kMetrics,
                   "--prom applies to --kind=metrics only");
-  req.tasks = cli.str("tasks");
-  req.topology = cli.str("topology");
-  req.strategy = cli.str("strategy");
-  req.seed = static_cast<std::uint64_t>(cli.integer("seed"));
-  req.baseline = cli.str("baseline");
-  req.baseline_blind = cli.flag("baseline-blind");
-  req.top_k = static_cast<int>(cli.integer("top-k"));
-  req.refine_passes = static_cast<int>(cli.integer("refine-passes"));
-  req.load_weight = cli.real("load-weight");
-  req.budget = cli.integer("budget");
-  req.compare = cli.str("compare");
-  req.no_symmetry = cli.flag("no-symmetry");
-  req.fail_link = cli.str("fail-link");
-  req.fail_node = cli.str("fail-node");
-  req.degrade_link = cli.str("degrade-link");
-  req.restore_node = cli.str("restore-node");
-  req.restore_link = cli.str("restore-link");
-  req.random_link_faults = cli.integer("random-link-faults");
-  req.random_node_faults = cli.integer("random-node-faults");
-  req.random_degrades = cli.integer("random-degrades");
-  req.fault_seed = static_cast<std::uint64_t>(cli.integer("fault-seed"));
-  // Validate the fault flags client-side with the same parser the one-shot
-  // CLI uses — malformed flags exit 2 without a round-trip (the server
+  // Malformed fault flags exit 2 without a round-trip (the server
   // revalidates anyway).
   (void)req.fault_spec();
 
-  svc::Client client = [&] {
-    if (const std::string tcp = cli.str("tcp"); !tcp.empty()) {
-      const std::size_t colon = tcp.rfind(':');
-      TOPOMAP_REQUIRE(colon != std::string::npos && colon > 0,
-                      "--tcp wants host:port, got '" + tcp + "'");
-      return svc::Client::connect_tcp(
-          tcp.substr(0, colon), std::stoi(tcp.substr(colon + 1)));
-    }
-    return svc::Client::connect_unix(cli.str("socket"));
-  }();
+  svc::Client client = connect_daemon(cli);
   const svc::Response resp = client.call(req);
 
   if (!resp.ok) {
@@ -1124,7 +956,7 @@ int cmd_client(int argc, const char* const* argv) {
   }
   std::cout << resp.to_json().dump(2) << "\n";
   if (const std::string out = cli.str("output"); !out.empty()) {
-    const obs::json::Value* mapping = resp.result.find("mapping");
+    const support::json::Value* mapping = resp.result.find("mapping");
     TOPOMAP_REQUIRE(mapping != nullptr && mapping->is_string(),
                     "response carries no mapping (kind '" + cli.str("kind") +
                         "' has none) — drop --output");
@@ -1156,16 +988,7 @@ int cmd_top(int argc, const char* const* argv) {
   const std::int64_t iterations = cli.integer("iterations");
   const bool tty = ::isatty(STDOUT_FILENO) != 0;
 
-  svc::Client client = [&] {
-    if (const std::string tcp = cli.str("tcp"); !tcp.empty()) {
-      const std::size_t colon = tcp.rfind(':');
-      TOPOMAP_REQUIRE(colon != std::string::npos && colon > 0,
-                      "--tcp wants host:port, got '" + tcp + "'");
-      return svc::Client::connect_tcp(
-          tcp.substr(0, colon), std::stoi(tcp.substr(colon + 1)));
-    }
-    return svc::Client::connect_unix(cli.str("socket"));
-  }();
+  svc::Client client = connect_daemon(cli);
 
   double prev_served = -1.0;
   for (std::int64_t i = 0; iterations == 0 || i < iterations; ++i) {
@@ -1179,8 +1002,8 @@ int cmd_top(int argc, const char* const* argv) {
       return svc::exit_code_for(resp.error.category);
     }
     svc::validate_metrics_snapshot(resp.result);
-    const obs::json::Value& requests = resp.result.at("requests");
-    const obs::json::Value& pool = resp.result.at("pool");
+    const support::json::Value& requests = resp.result.at("requests");
+    const support::json::Value& pool = resp.result.at("pool");
     const double served = requests.at("served").as_number();
     const double failed = requests.at("failed").as_number();
     const double hits = pool.at("hits").as_number();
@@ -1196,13 +1019,13 @@ int cmd_top(int argc, const char* const* argv) {
     if (tty) std::cout << "\x1b[2J\x1b[H";  // repaint in place
     std::cout << "topomapd  served " << static_cast<std::int64_t>(served)
               << "  failed " << static_cast<std::int64_t>(failed)
-              << "  rate " << obs::json::format_number(rate) << "/s"
+              << "  rate " << support::json::format_number(rate) << "/s"
               << "  queue "
               << static_cast<std::int64_t>(
                      resp.result.at("queue_depth").as_number())
               << "  pool-hit "
               << (lookups > 0.0
-                      ? obs::json::format_number(100.0 * hits / lookups)
+                      ? support::json::format_number(100.0 * hits / lookups)
                       : "-")
               << (lookups > 0.0 ? "%" : "") << "\n";
     Table table("per-kind latency (us)",

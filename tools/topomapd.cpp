@@ -86,19 +86,24 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
+    // Sizes and ports are range-checked before any narrowing cast, so a
+    // negative count or an oversized port is rejected instead of wrapping.
+    const auto count = [&cli](const std::string& name) {
+      const std::int64_t v = cli.integer(name);
+      TOPOMAP_REQUIRE(v >= 0, "--" + name + " must be non-negative");
+      return static_cast<std::size_t>(v);
+    };
     svc::ServerOptions options;
     options.socket_path = cli.str("socket");
-    options.tcp_port = static_cast<int>(cli.integer("tcp-port"));
-    options.workers = static_cast<std::size_t>(cli.integer("workers"));
-    options.queue_capacity = static_cast<std::size_t>(cli.integer("queue"));
-    options.service.cache_capacity =
-        static_cast<std::size_t>(cli.integer("cache"));
+    if (const std::int64_t port = cli.integer("tcp-port"); port != 0)
+      options.tcp_port = svc::checked_tcp_port(port, "--tcp-port");
+    options.workers = count("workers");
+    options.queue_capacity = count("queue");
+    options.service.cache_capacity = count("cache");
     options.service.report_dir = cli.str("report-dir");
     options.service.event_log_path = cli.str("event-log");
-    options.service.event_log_max_bytes =
-        static_cast<std::size_t>(cli.integer("event-log-max-bytes"));
-    options.service.flight_capacity =
-        static_cast<std::size_t>(cli.integer("flight-capacity"));
+    options.service.event_log_max_bytes = count("event-log-max-bytes");
+    options.service.flight_capacity = count("flight-capacity");
     const std::string trace_path = cli.str("trace");
     const std::string stats_path = cli.str("stats");
     TOPOMAP_REQUIRE(options.queue_capacity >= 1,
