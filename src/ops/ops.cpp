@@ -7,6 +7,7 @@
 #include "core/fault_aware.hpp"
 #include "graph/factory.hpp"
 #include "graph/quotient.hpp"
+#include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "topo/components.hpp"
@@ -68,8 +69,12 @@ core::StrategyPtr make_pooled_strategy(const std::string& spec,
 Metrics measure(const graph::TaskGraph& g, const topo::Topology& machine,
                 const core::Mapping& m) {
   Metrics metrics;
-  metrics.hop_bytes = core::hop_bytes(g, machine, m);
-  metrics.hops_per_byte = core::hops_per_byte(g, machine, m);
+  {
+    OBS_SPAN("ops/hop_bytes");
+    metrics.hop_bytes = core::hop_bytes(g, machine, m);
+    metrics.hops_per_byte = core::hops_per_byte(g, machine, m);
+  }
+  OBS_SPAN("ops/link_loads");
   try {
     metrics.link_loads = core::link_loads(g, machine, m);
   } catch (const precondition_error&) {
@@ -79,6 +84,7 @@ Metrics measure(const graph::TaskGraph& g, const topo::Topology& machine,
 }
 
 std::string mapping_text(const core::Mapping& m) {
+  OBS_SPAN("ops/mapping_text");
   std::ostringstream os;
   for (std::size_t t = 0; t < m.size(); ++t)
     if (m[t] != core::kUnassigned) os << t << ' ' << m[t] << '\n';
@@ -88,26 +94,35 @@ std::string mapping_text(const core::Mapping& m) {
 MapResult run_map(const Params& p, const MachineSource& source) {
   MapResult r;
   Rng rng(p.seed);
-  r.graph = graph::make_task_graph(p.tasks, rng);
-  r.machine = source(p.topology, p.fault_spec());
+  {
+    OBS_SPAN("ops/make_task_graph");
+    r.graph = graph::make_task_graph(p.tasks, rng);
+  }
+  {
+    OBS_SPAN("ops/acquire_machine");
+    r.machine = source(p.topology, p.fault_spec());
+  }
   const graph::TaskGraph& g = r.graph;
   const Machine& machine = *r.machine;
-  const core::StrategyPtr strategy = make_pooled_strategy(p.strategy, machine);
-  r.strategy = strategy->name();
-
-  const topo::ComponentSplit split =
-      machine.overlay ? topo::connected_components(*machine.overlay)
-                      : topo::ComponentSplit{};
-  if (split.partitioned() &&
-      g.num_vertices() > static_cast<int>(split.primary().size())) {
-    core::PartitionedMapResult pr =
-        core::map_on_largest_component(*strategy, g, *machine.overlay, rng);
-    r.mapping = std::move(pr.mapping);
-    r.quarantined = std::move(pr.quarantined);
-    r.partition_note = topo::describe_partition(*machine.overlay, split);
-  } else {
-    require_fits(g, machine, *strategy);
-    r.mapping = map_onto(*strategy, g, machine, rng);
+  {
+    OBS_SPAN("ops/strategy_map");
+    const core::StrategyPtr strategy =
+        make_pooled_strategy(p.strategy, machine);
+    r.strategy = strategy->name();
+    const topo::ComponentSplit split =
+        machine.overlay ? topo::connected_components(*machine.overlay)
+                        : topo::ComponentSplit{};
+    if (split.partitioned() &&
+        g.num_vertices() > static_cast<int>(split.primary().size())) {
+      core::PartitionedMapResult pr =
+          core::map_on_largest_component(*strategy, g, *machine.overlay, rng);
+      r.mapping = std::move(pr.mapping);
+      r.quarantined = std::move(pr.quarantined);
+      r.partition_note = topo::describe_partition(*machine.overlay, split);
+    } else {
+      require_fits(g, machine, *strategy);
+      r.mapping = map_onto(*strategy, g, machine, rng);
+    }
   }
 
   if (r.quarantined.empty()) {

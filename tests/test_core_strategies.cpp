@@ -2,9 +2,13 @@
 // paper-shape quality checks, refiner monotonicity, factory parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/baseline_lb.hpp"
+#include "core/detail/row_minima.hpp"
 #include "core/fault_aware.hpp"
 #include "core/metrics.hpp"
 #include "core/refine_topo_lb.hpp"
@@ -68,6 +72,68 @@ TEST(TopoLB, DeterministicAcrossCalls) {
   const TorusMesh t = TorusMesh::torus({5, 5});
   Rng r1(1), r2(999);  // rng is unused by TopoLB; results must match anyway
   EXPECT_EQ(TopoLB().map(g, t, r1), TopoLB().map(g, t, r2));
+}
+
+/// Offers row[i] as (row[i], qs[i]) to a depth-k RowMinima and checks the
+/// buffer against the k smallest pairs of a full sort.
+void expect_row_minima(const std::vector<double>& row,
+                       const std::vector<int>& qs, int k) {
+  std::vector<double> f(static_cast<std::size_t>(k), -1.0);
+  std::vector<int> q(static_cast<std::size_t>(k), -1);
+  detail::RowMinima best(f.data(), q.data(), k);
+  std::vector<std::pair<double, int>> sorted;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    best.offer(row[i], qs[i]);
+    sorted.emplace_back(row[i], qs[i]);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  const int want = std::min(k, static_cast<int>(sorted.size()));
+  ASSERT_EQ(best.size(), want) << "nf " << row.size() << " k " << k;
+  for (int i = 0; i < want; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    EXPECT_EQ(f[ui], sorted[ui].first) << "slot " << i;
+    EXPECT_EQ(q[ui], sorted[ui].second) << "slot " << i;
+  }
+}
+
+TEST(RowMinima, MatchesFullSortOnRandomRows) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int nf = static_cast<int>(rng.uniform_int(1, 300));
+    const int k = static_cast<int>(rng.uniform_int(1, 16));
+    // Free processors are a strictly increasing subset of the machine.
+    std::vector<int> qs;
+    for (int q = 0; static_cast<int>(qs.size()) < nf; ++q)
+      if (rng.bernoulli(0.7)) qs.push_back(q);
+    // Few distinct values make heavy ties; many make them rare.
+    const int levels = trial % 2 == 0 ? 4 : 1 << 20;
+    std::vector<double> row(static_cast<std::size_t>(nf));
+    for (double& v : row)
+      v = 0.25 * static_cast<double>(rng.uniform_int(0, levels - 1));
+    expect_row_minima(row, qs, k);
+  }
+}
+
+TEST(RowMinima, EdgeRows) {
+  const std::vector<int> q12 = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  // All-equal: the lowest processor ids win.
+  expect_row_minima(std::vector<double>(12, 3.0), q12, 8);
+  // Fewer free processors than K, and a single one.
+  expect_row_minima({5.0, 1.0, 5.0}, {2, 7, 9}, 8);
+  expect_row_minima({7.5}, {41}, 8);
+  // Descending: every offer lands at the front and shifts the buffer.
+  std::vector<double> desc(q12.size());
+  for (std::size_t i = 0; i < desc.size(); ++i)
+    desc[i] = static_cast<double>(desc.size() - i);
+  expect_row_minima(desc, q12, 8);
+  // Unreachable entries of a hard-faulted plane read 65535 hops, so f
+  // reaches 65535 x bytes beside ordinary small values.
+  const double bytes = 1024.0;
+  expect_row_minima({65535.0 * bytes, 3.0 * bytes, 65535.0 * bytes, 1.0,
+                     65535.0 * bytes, 65535.0 * bytes, 2.0 * bytes, 1.0,
+                     65535.0 * bytes, 65535.0 * bytes, 0.0, 65535.0 * bytes},
+                    q12, 8);
+  expect_row_minima(std::vector<double>(12, 65535.0 * bytes), q12, 1);
 }
 
 TEST(TopoLB, SymmetricTiesBreakDeterministically) {

@@ -235,6 +235,11 @@ TEST(DistanceCache, GoldenTopoLBMappingHashes) {
       {"er480", graph::random_graph(480, 0.02, 1.0, 1024.0, graph_rng),
        "mesh:8x6x10"},
       {"stencil4096", graph::stencil_2d(64, 64, 1024.0), "torus:16x16x16"},
+      // The served map shape of perfbench's served-mix workload.
+      {"stencil256_3d", graph::stencil_2d(16, 16, 1024.0), "torus:8x8x4"},
+      // Dense rows: the row-minima buffer drains most often here.
+      {"er1024", graph::random_graph(1024, 0.05, 1.0, 1024.0, graph_rng),
+       "torus:8x8x16"},
   };
   struct Case {
     int instance;
@@ -259,6 +264,9 @@ TEST(DistanceCache, GoldenTopoLBMappingHashes) {
       {4, false, EstimationOrder::kFirst, 0xd47cc81b273c36f1ull},
       {4, false, EstimationOrder::kSecond, 0xd4e69a6f63aa2935ull},
       {5, false, EstimationOrder::kSecond, 0x708a37e7a7352225ull},
+      {6, false, EstimationOrder::kSecond, 0x83a85a5333b12525ull},
+      {7, false, EstimationOrder::kFirst, 0x0c05b66c4e15a361ull},
+      {7, false, EstimationOrder::kSecond, 0x0c05b66c4e15a361ull},
   };
   for (const Case& c : cases) {
     const Instance& inst = instances[c.instance];

@@ -11,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "core/baseline_lb.hpp"
 #include "core/mapping.hpp"
 #include "core/metrics.hpp"
+#include "core/refine_topo_lb.hpp"
 #include "core/topo_lb.hpp"
 #include "graph/builders.hpp"
 #include "graph/task_graph.hpp"
@@ -434,6 +436,26 @@ TEST_F(ObsTest, TopoLBRecordsCountersAndHopBytesTrajectory) {
   EXPECT_EQ(rollup.count("topolb/map"), 1u);
   ASSERT_EQ(rollup.count("topolb/select_task"), 1u);
   EXPECT_EQ(rollup.at("topolb/select_task").count, 36u);
+}
+
+// refine/delta_evals counts every swap-delta evaluation: each visited pair
+// once (refine/swap_attempts) plus the suffix re-evaluated after each
+// accepted swap.  A random start accepts many swaps, so the two differ.
+TEST_F(ObsTest, RefineCountsEverySwapDeltaEvaluation) {
+  const auto g = graph::stencil_2d(6, 6, 1.0);
+  const auto topo = topo::make_topology("torus:6x6");
+  Rng rng(5);
+  const core::Mapping random = core::RandomLB().map(g, *topo, rng);
+  set_enabled(true);
+  const core::RefineResult r = core::refine_mapping(g, *topo, random, 3);
+
+  Registry& reg = Registry::instance();
+  ASSERT_GT(r.swaps, 0);
+  EXPECT_EQ(reg.counter("refine/swap_accepts"),
+            static_cast<std::uint64_t>(r.swaps));
+  EXPECT_GT(reg.counter("refine/swap_attempts"), 0u);
+  EXPECT_GT(reg.counter("refine/delta_evals"),
+            reg.counter("refine/swap_attempts"));
 }
 
 TEST_F(ObsTest, InstrumentedMappingIsThreadCountInvariant) {
