@@ -2,8 +2,8 @@
 // table/figure).  Each harness prints an aligned table with the same
 // rows/series the paper reports and mirrors it to bench_results/<name>.csv
 // plus a machine-readable obs::Report at bench_results/<name>.json — the
-// JSON carries the table and, in instrumented builds (-DTOPOMAP_OBS=ON)
-// with recording on (TOPOMAP_OBS=1), every counter/span the run recorded.
+// JSON carries the table and, with recording switched on at runtime
+// (TOPOMAP_OBS=1), every counter/span the run recorded.
 #pragma once
 
 #include <chrono>

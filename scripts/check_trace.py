@@ -18,8 +18,8 @@ numeric "ts"/"dur" >= 0) or counter samples ("ph" == "C" with numeric "ts"
 own pid so Perfetto renders counter tracks beside the wall-clock spans.
 --require-counter-track asserts a named counter track exists in the trace.
 A stats file must carry the versioned report schema ("topomap.obs.report",
-version 1) with object-valued counters/distributions/series/spans
-sections.  --require-series additionally asserts the named series exists,
+version 2) with object-valued counters/histograms/series/spans sections,
+every histogram well-formed as in a metrics snapshot (below).  --require-series additionally asserts the named series exists,
 is non-empty, and is monotone non-decreasing (the shape of TopoLB's
 hop-bytes trajectory); --require-counter asserts the named counter exists
 and is a positive integer; --expect-counter pins a counter to an exact
@@ -45,7 +45,7 @@ import json
 import sys
 
 SCHEMA_NAME = "topomap.obs.report"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CONTENTION_SCHEMA_NAME = "topomap.obs.contention"
 CONTENTION_SCHEMA_VERSION = 1
 METRICS_SCHEMA_NAME = "topomap.svc.metrics"
@@ -113,6 +113,38 @@ def check_trace(path: str, require_counter_tracks) -> None:
           f"{len(counter_tracks)} counter tracks)")
 
 
+def check_histogram(path: str, name: str, h) -> None:
+    """One obs::Histogram rendering: summary fields plus ascending,
+    non-empty [lo, hi, count] buckets whose counts sum to the count."""
+    if not isinstance(h, dict):
+        fail(f"{path}: histogram {name} is not an object")
+    for key in ("count", "sum", "min", "max", "mean", "p50", "p90", "p99"):
+        if not isinstance(h.get(key), (int, float)):
+            fail(f"{path}: histogram {name} missing numeric '{key}'")
+    buckets = h.get("buckets")
+    if not isinstance(buckets, list):
+        fail(f"{path}: histogram {name} missing buckets array")
+    total, prev_lo = 0, None
+    for i, triple in enumerate(buckets):
+        if (not isinstance(triple, list) or len(triple) != 3
+                or not all(isinstance(x, (int, float)) for x in triple)):
+            fail(f"{path}: histogram {name} bucket {i} is not a "
+                 f"[lo, hi, count] triple")
+        lo, hi, count = triple
+        if lo >= hi:
+            fail(f"{path}: histogram {name} bucket {i}: lo {lo} >= hi {hi}")
+        if count <= 0:
+            fail(f"{path}: histogram {name} bucket {i} is empty — only "
+                 f"populated buckets are serialized")
+        if prev_lo is not None and lo <= prev_lo:
+            fail(f"{path}: histogram {name} buckets not ascending at {i}")
+        prev_lo = lo
+        total += count
+    if total != h["count"]:
+        fail(f"{path}: histogram {name}: bucket counts sum {total} != "
+             f"count {h['count']}")
+
+
 def check_stats(path: str, require_series, require_any_series,
                 require_counters, expect_counters, require_spans) -> None:
     doc = load(path)
@@ -123,16 +155,14 @@ def check_stats(path: str, require_series, require_any_series,
     if doc.get("schema_version") != SCHEMA_VERSION:
         fail(f"{path}: schema_version={doc.get('schema_version')!r}, "
              f"want {SCHEMA_VERSION}")
-    for section in ("meta", "counters", "distributions", "series", "spans"):
+    for section in ("meta", "counters", "histograms", "series", "spans"):
         if not isinstance(doc.get(section), dict):
             fail(f"{path}: section '{section}' missing or not an object")
     for name, value in doc["counters"].items():
         if not isinstance(value, (int, float)) or value < 0:
             fail(f"{path}: counter {name} has bad value {value!r}")
-    for name, d in doc["distributions"].items():
-        for key in ("count", "sum", "min", "max", "mean"):
-            if not isinstance(d.get(key), (int, float)):
-                fail(f"{path}: distribution {name} missing '{key}'")
+    for name, h in doc["histograms"].items():
+        check_histogram(path, name, h)
     for name in require_series:
         series = doc["series"].get(name)
         if not isinstance(series, list) or not series:
@@ -164,6 +194,7 @@ def check_stats(path: str, require_series, require_any_series,
                  f"(present: {sorted(doc['spans'])})")
         print(f"check_trace: span '{name}': {rollup['count']} closed")
     print(f"check_trace: OK: {path} ({len(doc['counters'])} counters, "
+          f"{len(doc['histograms'])} histograms, "
           f"{len(doc['spans'])} span rollups, {len(doc['series'])} series)")
 
 
@@ -307,36 +338,7 @@ def check_svc_metrics(path: str, doc: dict) -> None:
     if not isinstance(hists, dict):
         fail(f"{path}: missing 'histograms' object")
     for name, h in hists.items():
-        if not isinstance(h, dict):
-            fail(f"{path}: histogram {name} is not an object")
-        for key in ("count", "sum", "min", "max", "mean", "p50", "p90",
-                    "p99"):
-            if not isinstance(h.get(key), (int, float)):
-                fail(f"{path}: histogram {name} missing numeric '{key}'")
-        buckets = h.get("buckets")
-        if not isinstance(buckets, list):
-            fail(f"{path}: histogram {name} missing buckets array")
-        total, prev_lo = 0, None
-        for i, triple in enumerate(buckets):
-            if (not isinstance(triple, list) or len(triple) != 3
-                    or not all(isinstance(x, (int, float)) for x in triple)):
-                fail(f"{path}: histogram {name} bucket {i} is not a "
-                     f"[lo, hi, count] triple")
-            lo, hi, count = triple
-            if lo >= hi:
-                fail(f"{path}: histogram {name} bucket {i}: lo {lo} >= "
-                     f"hi {hi}")
-            if count <= 0:
-                fail(f"{path}: histogram {name} bucket {i} is empty — only "
-                     f"populated buckets are serialized")
-            if prev_lo is not None and lo <= prev_lo:
-                fail(f"{path}: histogram {name} buckets not ascending "
-                     f"at {i}")
-            prev_lo = lo
-            total += count
-        if total != h["count"]:
-            fail(f"{path}: histogram {name}: bucket counts sum {total} != "
-                 f"count {h['count']}")
+        check_histogram(path, name, h)
     print(f"check_trace: OK: {path} (metrics snapshot: {int(served)} "
           f"served, {int(failed)} failed, {len(hists)} histograms)")
 

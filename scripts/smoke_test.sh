@@ -103,8 +103,8 @@ echo "ok: evacuate           --fail-node=3,12"
   --iterations=10 | tee "$TMP/soft.log" >/dev/null
 grep -q '4 degraded' "$TMP/soft.log"
 grep -Eq 'completion: *[0-9]' "$TMP/soft.log"
-"$CLI" map --strategy=topolb --tasks=stencil2d:8x8 --topology=torus:8x8 \
-  --seed=7 --output="$TMP/plain.map" >/dev/null
+TOPOMAP_OBS=0 "$CLI" map --strategy=topolb --tasks=stencil2d:8x8 \
+  --topology=torus:8x8 --seed=7 --output="$TMP/plain.map" >/dev/null
 "$CLI" map --strategy=topolb --tasks=stencil2d:8x8 --topology=torus:8x8 \
   --degrade-link=0:1:1.0 --seed=7 --output="$TMP/healthy.map" >/dev/null
 if ! diff -q "$TMP/plain.map" "$TMP/healthy.map" >/dev/null; then
@@ -213,24 +213,19 @@ grep -Eq 'quarantined: *2 of 4 tasks' "$TMP/part.log"
 grep -q 'split into 2 components' "$TMP/part.log"
 echo "ok: partition map      2 of 4 tasks quarantined on a split mesh:5"
 
-# Observability: an instrumented build (-DTOPOMAP_OBS=ON, CLI target only —
-# the rest of the suite already built above) must emit a schema-valid
-# --stats report whose hop-bytes trajectory is monotone and whose counters
-# fired, a parseable Chrome trace, and a mapping byte-identical to the
-# uninstrumented build's (telemetry only observes).
-OBS_DIR="${BUILD_DIR}-obs"
-cmake -B "$OBS_DIR" -S . -DTOPOMAP_OBS=ON -DTOPOMAP_SANITIZE="$SANITIZE" \
-  >/dev/null
-cmake --build "$OBS_DIR" -j "$(nproc)" --target topomap_cli
-OBS_CLI="$OBS_DIR/tools/topomap"
-"$OBS_CLI" map --strategy=topolb --tasks=stencil2d:8x8 --topology=torus:8x8 \
+# Observability: --stats/--trace switch recording on in the same binary;
+# the run must emit a schema-valid --stats report whose hop-bytes
+# trajectory is monotone and whose counters fired, a parseable Chrome
+# trace, and a mapping byte-identical to the recording-off run's
+# (telemetry only observes).
+"$CLI" map --strategy=topolb --tasks=stencil2d:8x8 --topology=torus:8x8 \
   --seed=7 --output="$TMP/obs.map" --stats="$TMP/stats.json" \
   --trace="$TMP/trace.json" >/dev/null
 python3 scripts/check_trace.py --trace "$TMP/trace.json" \
   --stats "$TMP/stats.json" --require-series topolb/hop_bytes_trajectory \
   --require-counter topolb/placements
 if ! diff -q "$TMP/plain.map" "$TMP/obs.map" >/dev/null; then
-  echo "FAIL: the instrumented build changed the mapping" >&2
+  echo "FAIL: recording telemetry changed the mapping" >&2
   diff "$TMP/plain.map" "$TMP/obs.map" >&2 || true
   exit 1
 fi
@@ -245,8 +240,8 @@ echo "ok: observability      --stats/--trace validate, mapping unchanged"
 python3 scripts/check_trace.py --contention "$TMP/contention.json"
 grep -q 'hottest links:' "$TMP/explain.log"
 grep -Eq 'mapping diff: *max link [0-9]+' "$TMP/explain.log"
-# The instrumented build must put netsim counter tracks in the trace.
-"$OBS_CLI" explain --strategy=topolb --tasks=stencil2d:8x8 \
+# A recording run must put netsim counter tracks in the trace.
+"$CLI" explain --strategy=topolb --tasks=stencil2d:8x8 \
   --topology=torus:8x8 --seed=7 --iterations=20 \
   --report="$TMP/obs_contention.json" --trace="$TMP/explain_trace.json" \
   >/dev/null

@@ -18,9 +18,9 @@
 // accumulation is sequential and keyed by link id, so the report is
 // byte-identical run to run and independent of the worker-pool size.
 //
-// Everything here is ordinary always-compiled code (the obs:: class-API
-// tier, not the OBS_* macro tier): computing an attribution never mutates
-// observability state and is available in -DTOPOMAP_OBS=OFF builds.
+// Everything here is ordinary code (the obs:: class-API tier, not the
+// OBS_* macro tier): computing an attribution never mutates observability
+// state and does not depend on the obs::enabled() runtime switch.
 #pragma once
 
 #include <string>

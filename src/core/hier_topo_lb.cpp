@@ -438,7 +438,7 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
             topo.name());
     node_topo = std::make_unique<NodeTopology>(topo, mh.reps.back(),
                                                std::move(mh.coarsest_adj));
-    OBS_VALUE("hier/machine_nodes", node_topo->size());
+    OBS_HISTOGRAM("hier/machine_nodes", node_topo->size());
   }
   const topo::Topology& plane = contracted ? *node_topo : topo;
   const int p_eff = plane.size();
@@ -463,7 +463,7 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
       if (!part::coarsen_once(*cur, weight_cap, rng, &level)) break;
       tlevels.push_back(std::move(level));
       cur = &tlevels.back().coarse;
-      OBS_VALUE("hier/level_vertices", cur->num_vertices());
+      OBS_HISTOGRAM("hier/level_vertices", cur->num_vertices());
     }
   }
   const TaskGraph& gm = tlevels.empty() ? g : tlevels.back().coarse;

@@ -353,7 +353,7 @@ struct TopoLBState {
     // Trajectory of the objective: edges close when their second endpoint
     // lands, so the running sum of just-closed incident edges equals the
     // final mapping's hop-bytes after the last placement.
-    OBS_ONLY(if (::topomap::obs::enabled()) {
+    if (obs::enabled()) {
       const auto drow_obs = dist.row(proc);
       for (const graph::Edge& e : g.edges_of(task)) {
         if (!task_placed[static_cast<std::size_t>(e.neighbor)]) continue;
@@ -362,7 +362,7 @@ struct TopoLBState {
                           mapping[static_cast<std::size_t>(e.neighbor)])]);
       }
       OBS_SERIES_APPEND("topolb/hop_bytes_trajectory", obs_hop_bytes);
-    })
+    }
     mapping[static_cast<std::size_t>(task)] = proc;
     task_placed[static_cast<std::size_t>(task)] = 1;
     release_row(task);

@@ -274,12 +274,11 @@ void Network::deliver(SimTime time, std::uint64_t id) {
 
 SimTime Network::run_until_idle() {
   OBS_SPAN("netsim/run_until_idle");
-  OBS_ONLY(std::uint64_t obs_events = 0; std::size_t obs_depth_max = 0;)
+  std::uint64_t obs_events = 0;
+  std::size_t obs_depth_max = 0;
   while (!queue_.empty()) {
-    OBS_ONLY(if (::topomap::obs::enabled()) {
-      ++obs_events;
-      obs_depth_max = std::max(obs_depth_max, queue_.size());
-    })
+    ++obs_events;
+    obs_depth_max = std::max(obs_depth_max, queue_.size());
     const Event e = queue_.pop();
     TOPOMAP_ASSERT(e.time + 1e-9 >= now_, "event time went backwards");
     now_ = std::max(now_, e.time);
@@ -304,12 +303,12 @@ SimTime Network::run_until_idle() {
         break;
     }
   }
-  OBS_ONLY(if (obs_events > 0) {
+  if (obs_events > 0) {
     OBS_COUNTER_ADD("netsim/events", obs_events);
-    OBS_VALUE("netsim/queue_depth_max", obs_depth_max);
-    OBS_VALUE("netsim/link_busy_us_max", max_link_busy_us());
-    OBS_VALUE("netsim/link_busy_us_mean", mean_link_busy_us());
-  })
+    OBS_HISTOGRAM("netsim/queue_depth_max", obs_depth_max);
+    OBS_HISTOGRAM("netsim/link_busy_us_max", max_link_busy_us());
+    OBS_HISTOGRAM("netsim/link_busy_us_mean", mean_link_busy_us());
+  }
   if (telemetry_on_ && obs::enabled()) publish_telemetry();
   return now_;
 }
@@ -388,9 +387,9 @@ void Network::publish_telemetry() const {
                           snap.queue_depth[b]);
   }
   for (const LinkTelemetry& lt : snap.links) {
-    reg.record("netsim/link_peak_util", lt.peak_util);
-    reg.record("netsim/link_time_to_peak_us", lt.time_to_peak_us);
-    reg.record("netsim/link_saturated_us", lt.saturated_us);
+    reg.observe("netsim/link_peak_util", lt.peak_util);
+    reg.observe("netsim/link_time_to_peak_us", lt.time_to_peak_us);
+    reg.observe("netsim/link_saturated_us", lt.saturated_us);
   }
 }
 

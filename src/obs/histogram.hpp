@@ -85,6 +85,8 @@ class Histogram {
     base_.merge(other.base_);
   }
 
+  /// The count/sum/min/max summary every histogram carries.
+  const Distribution& summary() const { return base_; }
   std::uint64_t count() const { return base_.count; }
   double sum() const { return base_.sum; }
   double min_or_zero() const { return base_.min_or_zero(); }

@@ -3,38 +3,25 @@
 // Hot-path code includes only this header and records through macros:
 //
 //   OBS_COUNTER_ADD("topolb/f_est_evals", nf);   // monotonic counter
-//   OBS_VALUE("distcache/rows_repaired", rows);  // count/sum/min/max dist
 //   OBS_HISTOGRAM("svc/map/kernel_us", us);      // log-bucketed histogram
 //   OBS_SERIES_APPEND("topolb/hop_bytes_trajectory", hb);  // ordered series
 //   OBS_SPAN("topolb/map");                      // RAII phase span
-//   OBS_ONLY(<statements>);                      // arbitrary obs-only code
 //
-// Build gate: the macros compile to nothing unless the build defines
-// TOPOMAP_OBS_ENABLED (cmake -DTOPOMAP_OBS=ON).  In the default OFF build
-// no argument expression is evaluated and no obs symbol is referenced —
-// the disabled path is zero-overhead by construction, and instrumented
-// translation units are byte-for-byte re-creatable without the subsystem.
-//
-// Runtime gate: when compiled in, every macro first checks obs::enabled()
-// (one relaxed atomic load).  Instrumented builds therefore run cold paths
-// at ~zero cost too until --trace/--stats, bench hooks, or TOPOMAP_OBS=1
-// in the environment switch recording on.
+// One build, runtime switch: the macros are compiled into every build and
+// each first checks obs::enabled() (one relaxed atomic load); no argument
+// expression is evaluated while recording is off.  --trace/--stats, bench
+// hooks, or TOPOMAP_OBS=1 in the environment switch recording on.  Code
+// that needs more than one macro (a running objective, say) wraps itself
+// in a plain `if (obs::enabled())`.
 //
 // Determinism contract: recording only observes.  No instrumented kernel
 // reads registry or tracer state, so mappings, simulations, and
-// support::parallel byte-identity are unchanged whether obs is compiled
-// out, compiled in but disabled, or fully recording — tests/test_obs.cpp
-// and scripts/ci.sh hold the line.
-//
-// The class APIs (obs::Registry, obs::Tracer, obs::Report) exist in every
-// build; only the macro call sites are gated.  Tools and tests may use the
-// classes directly without any #if.
+// support::parallel byte-identity are unchanged whether recording is off
+// or on — tests/test_obs.cpp and scripts/ci.sh hold the line.
 #pragma once
 
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
-
-#if defined(TOPOMAP_OBS_ENABLED)
 
 #define TOPOMAP_OBS_CONCAT_IMPL(a, b) a##b
 #define TOPOMAP_OBS_CONCAT(a, b) TOPOMAP_OBS_CONCAT_IMPL(a, b)
@@ -47,16 +34,9 @@
                                                static_cast<std::uint64_t>(delta)); \
   } while (false)
 
-/// Record one sample into the named value distribution.
-#define OBS_VALUE(name, value)                                     \
-  do {                                                             \
-    if (::topomap::obs::enabled())                                 \
-      ::topomap::obs::Registry::instance().record(                 \
-          (name), static_cast<double>(value));                     \
-  } while (false)
-
 /// Record one sample into the named log-bucketed histogram
-/// (obs/histogram.hpp: fixed boundaries, exact thread-shard merges).
+/// (obs/histogram.hpp: fixed boundaries, exact thread-shard merges, and
+/// count/sum/min/max alongside the buckets).
 #define OBS_HISTOGRAM(name, value)                                  \
   do {                                                              \
     if (::topomap::obs::enabled())                                  \
@@ -76,28 +56,3 @@
 #define OBS_SPAN(name)                                          \
   ::topomap::obs::ScopedSpan TOPOMAP_OBS_CONCAT(obs_span_,      \
                                                 __LINE__)(name)
-
-/// Compile the enclosed statements only in instrumented builds.  Wrap the
-/// body in its own `if (::topomap::obs::enabled())` when it does real work.
-#define OBS_ONLY(...) __VA_ARGS__
-
-#else  // !TOPOMAP_OBS_ENABLED
-
-#define OBS_COUNTER_ADD(name, delta) \
-  do {                               \
-  } while (false)
-#define OBS_VALUE(name, value) \
-  do {                         \
-  } while (false)
-#define OBS_HISTOGRAM(name, value) \
-  do {                             \
-  } while (false)
-#define OBS_SERIES_APPEND(name, value) \
-  do {                                 \
-  } while (false)
-#define OBS_SPAN(name) \
-  do {                 \
-  } while (false)
-#define OBS_ONLY(...)
-
-#endif  // TOPOMAP_OBS_ENABLED

@@ -9,11 +9,6 @@ namespace topomap::obs {
 
 namespace {
 
-std::atomic<bool> g_enabled{[] {
-  const char* env = std::getenv("TOPOMAP_OBS");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}()};
-
 /// Process-local steady epoch, captured on first use.
 std::chrono::steady_clock::time_point epoch() {
   static const auto t0 = std::chrono::steady_clock::now();
@@ -23,14 +18,18 @@ std::chrono::steady_clock::time_point epoch() {
 // Transparent comparator so string_view lookups never allocate on the
 // found path.
 using CounterMap = std::map<std::string, std::uint64_t, std::less<>>;
-using DistMap = std::map<std::string, Distribution, std::less<>>;
 using HistMap = std::map<std::string, Histogram, std::less<>>;
 
 }  // namespace
 
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
+std::atomic<bool> detail::g_enabled{[] {
+  const char* env = std::getenv("TOPOMAP_OBS");
+  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
+}()};
 
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
+void set_enabled(bool on) {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -44,7 +43,6 @@ std::uint64_t now_ns() {
 struct Registry::Shard {
   std::mutex mu;
   CounterMap counters;
-  DistMap dists;
   HistMap hists;
 };
 
@@ -52,7 +50,6 @@ struct Registry::Impl {
   std::mutex mu;  // guards shards list, retired aggregates, and series
   std::vector<Shard*> shards;
   CounterMap retired_counters;
-  DistMap retired_dists;
   HistMap retired_hists;
   std::map<std::string, std::vector<double>, std::less<>> series;
 };
@@ -100,7 +97,6 @@ void Registry::retire_shard(Shard* shard) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     for (const auto& [name, v] : shard->counters)
       im->retired_counters[name] += v;
-    for (const auto& [name, d] : shard->dists) im->retired_dists[name].merge(d);
     for (const auto& [name, h] : shard->hists) im->retired_hists[name].merge(h);
   }
   std::erase(im->shards, shard);
@@ -121,16 +117,6 @@ void Registry::add(std::string_view name, std::uint64_t delta) {
     it->second += delta;
   else
     s.counters.emplace(std::string(name), delta);
-}
-
-void Registry::record(std::string_view name, double value) {
-  Shard& s = local_shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.dists.find(name);
-  if (it != s.dists.end())
-    it->second.add(value);
-  else
-    s.dists.emplace(std::string(name), Distribution{}).first->second.add(value);
 }
 
 void Registry::observe(std::string_view name, double value) {
@@ -165,18 +151,6 @@ std::map<std::string, std::uint64_t> Registry::counters() const {
   return out;
 }
 
-std::map<std::string, Distribution> Registry::distributions() const {
-  Impl* im = const_cast<Registry*>(this)->impl();
-  std::lock_guard<std::mutex> lock(im->mu);
-  std::map<std::string, Distribution> out(im->retired_dists.begin(),
-                                          im->retired_dists.end());
-  for (Shard* shard : im->shards) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    for (const auto& [name, d] : shard->dists) out[name].merge(d);
-  }
-  return out;
-}
-
 std::map<std::string, Histogram> Registry::histograms() const {
   Impl* im = const_cast<Registry*>(this)->impl();
   std::lock_guard<std::mutex> lock(im->mu);
@@ -205,13 +179,11 @@ void Registry::reset() {
   Impl* im = impl();
   std::lock_guard<std::mutex> lock(im->mu);
   im->retired_counters.clear();
-  im->retired_dists.clear();
   im->retired_hists.clear();
   im->series.clear();
   for (Shard* shard : im->shards) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     shard->counters.clear();
-    shard->dists.clear();
     shard->hists.clear();
   }
 }

@@ -26,12 +26,7 @@ json::Value dist_json(const Distribution& d) {
 }  // namespace
 
 json::Value histogram_to_json(const Histogram& h) {
-  json::Value v = json::Value::object();
-  v.set("count", h.count());
-  v.set("sum", h.sum());
-  v.set("min", h.min_or_zero());
-  v.set("max", h.max_or_zero());
-  v.set("mean", h.mean());
+  json::Value v = dist_json(h.summary());
   v.set("p50", h.quantile(0.5));
   v.set("p90", h.quantile(0.9));
   v.set("p99", h.quantile(0.99));
@@ -64,7 +59,6 @@ void Report::add_table(const std::string& name,
 void Report::capture() {
   Registry& reg = Registry::instance();
   counters_ = reg.counters();
-  distributions_ = reg.distributions();
   histograms_ = reg.histograms();
   spans_ = Tracer::instance().rollup();
   // Explicit add_series() entries shadow same-named captured series.
@@ -86,12 +80,6 @@ json::Value Report::to_json() const {
   for (const auto& [name, v] : counters_) counters.set(name, v);
   doc.set("counters", std::move(counters));
 
-  json::Value dists = json::Value::object();
-  for (const auto& [name, d] : distributions_) dists.set(name, dist_json(d));
-  doc.set("distributions", std::move(dists));
-
-  // A new section, not a version bump: consumers tolerate unknown
-  // sections within a schema version.
   json::Value hists = json::Value::object();
   for (const auto& [name, h] : histograms_)
     hists.set(name, histogram_to_json(h));

@@ -4,7 +4,6 @@
 //   * meta          — free-form run metadata (workload, machine, strategy,
 //                     seed, thread count, ...), string → string
 //   * counters      — name → integer, from obs::Registry
-//   * distributions — name → {count,sum,min,max,mean}, from obs::Registry
 //   * histograms    — name → {count,sum,min,max,mean,p50,p90,p99,
 //                     buckets:[[lo,hi,count],...]} log-bucketed latency/
 //                     value histograms (obs/histogram.hpp), non-empty
@@ -18,10 +17,11 @@
 //                     {"columns": [...], "rows": [[...], ...]}
 //
 // The JSON layout is versioned ("schema": "topomap.obs.report",
-// "schema_version": 1); consumers (tools/obs_diff, scripts/check_trace.py,
+// "schema_version": 2); consumers (tools/obs_diff, scripts/check_trace.py,
 // external dashboards) key on those two fields and must tolerate unknown
 // sections within a version.  Bump kSchemaVersion only for breaking layout
-// changes.
+// changes — version 2 dropped version 1's "distributions" section, whose
+// count/sum/min/max summaries every histogram already carries.
 //
 // Typical producer flow (topomap_cli --stats, bench/common.hpp):
 //
@@ -52,7 +52,7 @@ support::json::Value histogram_to_json(const Histogram& h);
 class Report {
  public:
   static constexpr const char* kSchemaName = "topomap.obs.report";
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
 
   /// Attach one run-metadata entry (last write per key wins).
   void set_meta(const std::string& key, const std::string& value);
@@ -67,7 +67,7 @@ class Report {
   void add_table(const std::string& name, std::vector<std::string> columns,
                  std::vector<std::vector<support::json::Value>> rows);
 
-  /// Snapshot the process-wide Registry (counters, distributions, series)
+  /// Snapshot the process-wide Registry (counters, histograms, series)
   /// and Tracer (span rollups) into this report.  Explicit series added via
   /// add_series() shadow captured ones of the same name.
   void capture();
@@ -87,7 +87,6 @@ class Report {
 
   std::map<std::string, std::string> meta_;
   std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Distribution> distributions_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, std::vector<double>> series_;
   std::map<std::string, Distribution> spans_;

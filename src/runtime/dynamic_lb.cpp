@@ -454,7 +454,7 @@ DynamicLBRun run_dynamic_lb_detailed(const graph::TaskGraph& initial,
         prev_placement.empty() ? 0
                                : count_migrations(prev_placement, placement);
     OBS_COUNTER_ADD("dynamic_lb/migrations", stats.migrations);
-    OBS_VALUE("dynamic_lb/epoch_migrations", stats.migrations);
+    OBS_HISTOGRAM("dynamic_lb/epoch_migrations", stats.migrations);
     OBS_SERIES_APPEND("dynamic_lb/hops_per_byte", stats.hops_per_byte);
     prev_placement = std::move(placement);
     run.history.push_back(stats);

@@ -265,7 +265,7 @@ EvacuationResult evacuate(const graph::TaskGraph& g,
   OBS_COUNTER_ADD("evacuate/stranded", result.stranded);
   OBS_COUNTER_ADD("evacuate/migrations", result.migrations);
   OBS_COUNTER_ADD("evacuate/refine_swaps", result.refine_swaps);
-  OBS_VALUE("evacuate/load_imbalance", result.load_imbalance);
+  OBS_HISTOGRAM("evacuate/load_imbalance", result.load_imbalance);
   return result;
 }
 

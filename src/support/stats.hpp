@@ -16,7 +16,7 @@ namespace topomap {
 
 /// The one count/sum/min/max accumulator.  This used to exist as drifting
 /// ad-hoc copies (bench mean loops, RunningStats internals); now
-/// obs::Registry value distributions, RunningStats, and the bench helpers
+/// obs::Histogram summaries, RunningStats, and the bench helpers
 /// all aggregate through this struct, so every layer applies the same
 /// empty-set conventions (mean/min/max of nothing are 0).
 ///

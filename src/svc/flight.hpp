@@ -3,11 +3,11 @@
 // daemon.
 //
 // Unlike the obs:: plane, the recorder is *always on* (it is not behind
-// the TOPOMAP_OBS build gate): a stuck daemon in an uninstrumented build
-// must still be debuggable.  The cost budget that buys is one relaxed
-// fetch_add, one compare-exchange and a handful of stores per event — no
-// locks, no allocation, no syscalls — so recording never backpressures
-// the request path.
+// the obs::enabled() runtime switch): a stuck daemon that was started
+// without telemetry must still be debuggable.  The cost budget that buys
+// is one relaxed fetch_add, one compare-exchange and a handful of stores
+// per event — no locks, no allocation, no syscalls — so recording never
+// backpressures the request path.
 //
 // Concurrency: a per-slot seqlock.  Writers take a sequence number by
 // atomically advancing the cursor, claim its slot by moving the slot's

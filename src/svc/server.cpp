@@ -162,7 +162,7 @@ struct Server::Impl {
                             ctx.enqueue_ns, 0);
     queue.push_back(Job{std::move(conn), std::move(req), std::move(ctx),
                         std::move(affinity)});
-    OBS_VALUE("svc/queue_depth", static_cast<double>(queue.size()));
+    OBS_HISTOGRAM("svc/queue_depth", static_cast<double>(queue.size()));
     queue_pop.notify_one();
   }
 

@@ -229,21 +229,17 @@ void Service::finish_request(const Request& req, const Lifecycle& lc,
   // machine state (serialize happens on the server after handle returns).
   const std::uint64_t kernel_ns =
       total_ns >= lc.acquire_ns ? total_ns - lc.acquire_ns : 0;
-  OBS_ONLY({
-    if (obs::enabled()) {
-      obs::Registry& reg = obs::Registry::instance();
-      const std::string prefix = std::string("svc/") + lc.kind + "/";
-      if (lc.queue_wait_ns > 0)
-        reg.observe(prefix + "queue_wait_us",
-                    static_cast<double>(lc.queue_wait_ns / 1000));
-      reg.observe(prefix + "acquire_us",
-                  static_cast<double>(lc.acquire_ns / 1000));
-      reg.observe(prefix + "kernel_us",
-                  static_cast<double>(kernel_ns / 1000));
-      reg.observe(prefix + "total_us",
-                  static_cast<double>(total_ns / 1000));
-    }
-  });
+  if (obs::enabled()) {
+    obs::Registry& reg = obs::Registry::instance();
+    const std::string prefix = std::string("svc/") + lc.kind + "/";
+    if (lc.queue_wait_ns > 0)
+      reg.observe(prefix + "queue_wait_us",
+                  static_cast<double>(lc.queue_wait_ns / 1000));
+    reg.observe(prefix + "acquire_us",
+                static_cast<double>(lc.acquire_ns / 1000));
+    reg.observe(prefix + "kernel_us", static_cast<double>(kernel_ns / 1000));
+    reg.observe(prefix + "total_us", static_cast<double>(total_ns / 1000));
+  }
   if (event_log_.active()) {
     json::Value line = json::Value::object();
     line.set("corr", lc.corr);

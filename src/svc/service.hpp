@@ -19,9 +19,10 @@
 // obs::Histograms ("svc/<kind>/<stage>_us"), the always-on
 // svc::FlightRecorder ring, and the optional JSONL EventLog.  Timing only
 // *observes*, so served bytes are identical with telemetry on or off.  The
-// histogram feeds are OBS-macro-gated (zero overhead in TOPOMAP_OBS=OFF
-// builds); the flight recorder and per-kind counters are always on and
-// allocation-free per event.
+// histogram feeds are compiled into every build and fed only while
+// obs::enabled() (one relaxed load per request when off); the flight
+// recorder and per-kind counters are always on and allocation-free per
+// event.
 //
 // Errors: anything a request throws becomes a structured error response
 // carrying the exit-code taxonomy category (svc/protocol.hpp), so the

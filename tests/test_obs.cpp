@@ -1,7 +1,7 @@
 // The obs:: subsystem: JSON round-trips, registry merge determinism across
 // worker-pool sizes, span nesting and the Chrome-trace exporter, the
-// schema-versioned Report, and — in instrumented builds — the contract that
-// enabling telemetry never changes a mapping result.
+// schema-versioned Report, the contract that enabling telemetry never
+// changes a mapping result, and exact pins on TopoLB's work counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,6 +24,7 @@
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "obs/tracer.hpp"
+#include "ops/ops.hpp"
 #include "runtime/evacuate.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -38,7 +39,7 @@ namespace json = support::json;
 using json::Value;
 
 // Every test starts and ends with a clean, disabled registry so suites can
-// run in any order (and so the obs-off CI slice sees no stray state).
+// run in any order.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -94,30 +95,31 @@ TEST_F(ObsTest, RegistryCountsRecordsAndResets) {
   Registry& reg = Registry::instance();
   reg.add("x/count", 2);
   reg.add("x/count", 3);
-  reg.record("x/value", 4.0);
-  reg.record("x/value", 8.0);
+  reg.observe("x/value", 4.0);
+  reg.observe("x/value", 8.0);
   reg.append_series("x/series", 1.0);
   reg.append_series("x/series", 2.0);
 
   EXPECT_EQ(reg.counter("x/count"), 5u);
   EXPECT_EQ(reg.counter("never/touched"), 0u);
-  const auto dists = reg.distributions();
-  ASSERT_EQ(dists.count("x/value"), 1u);
-  EXPECT_EQ(dists.at("x/value").count, 2u);
-  EXPECT_EQ(dists.at("x/value").mean(), 6.0);
+  const auto hists = reg.histograms();
+  ASSERT_EQ(hists.count("x/value"), 1u);
+  EXPECT_EQ(hists.at("x/value").count(), 2u);
+  EXPECT_EQ(hists.at("x/value").mean(), 6.0);
+  EXPECT_EQ(hists.at("x/value").min_or_zero(), 4.0);
+  EXPECT_EQ(hists.at("x/value").max_or_zero(), 8.0);
   const auto series = reg.series();
   ASSERT_EQ(series.count("x/series"), 1u);
   EXPECT_EQ(series.at("x/series"), (std::vector<double>{1.0, 2.0}));
 
   reg.reset();
   EXPECT_TRUE(reg.counters().empty());
-  EXPECT_TRUE(reg.distributions().empty());
+  EXPECT_TRUE(reg.histograms().empty());
   EXPECT_TRUE(reg.series().empty());
 }
 
-// The same parallel workload must produce the same merged snapshot no
-// matter how many worker threads recorded it — counters sum exactly, and
-// integral-valued distribution samples keep FP sums order-free.
+// The same parallel workload must produce the same merged counters no
+// matter how many worker threads recorded them (histograms: below).
 TEST_F(ObsTest, RegistryMergeIsDeterministicAcrossThreadCounts) {
   constexpr int kN = 10'000;
   auto run = [&] {
@@ -125,27 +127,19 @@ TEST_F(ObsTest, RegistryMergeIsDeterministicAcrossThreadCounts) {
     support::parallel_for(kN, /*grain=*/64, [](int begin, int end) {
       for (int i = begin; i < end; ++i) {
         Registry::instance().add("merge/count", 1);
-        Registry::instance().record("merge/value",
-                                    static_cast<double>(i % 7));
+        Registry::instance().add("merge/weighted",
+                                 static_cast<std::uint64_t>(i % 7));
       }
     });
-    return std::pair{Registry::instance().counters(),
-                     Registry::instance().distributions()};
+    return Registry::instance().counters();
   };
 
   support::set_num_threads(1);
   const auto base = run();
-  EXPECT_EQ(base.first.at("merge/count"), static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(base.at("merge/count"), static_cast<std::uint64_t>(kN));
   for (int threads : {2, 8}) {
     support::set_num_threads(threads);
-    const auto got = run();
-    EXPECT_EQ(got.first, base.first) << threads << " threads";
-    const Distribution& d = got.second.at("merge/value");
-    const Distribution& b = base.second.at("merge/value");
-    EXPECT_EQ(d.count, b.count) << threads << " threads";
-    EXPECT_EQ(d.sum, b.sum) << threads << " threads";
-    EXPECT_EQ(d.min, b.min) << threads << " threads";
-    EXPECT_EQ(d.max, b.max) << threads << " threads";
+    EXPECT_EQ(run(), base) << threads << " threads";
   }
 }
 
@@ -315,7 +309,7 @@ TEST_F(ObsTest, ChromeTraceExportIsParseableCompleteEvents) {
 TEST_F(ObsTest, ReportCarriesSchemaAndCapturedState) {
   set_enabled(true);
   Registry::instance().add("report/count", 7);
-  Registry::instance().record("report/value", 3.0);
+  Registry::instance().observe("report/value", 3.0);
   Registry::instance().append_series("report/series", 1.0);
   { ScopedSpan span("report/span"); }
 
@@ -330,8 +324,9 @@ TEST_F(ObsTest, ReportCarriesSchemaAndCapturedState) {
             static_cast<double>(Report::kSchemaVersion));
   EXPECT_EQ(doc.at("meta").at("workload").as_string(), "unit-test");
   EXPECT_EQ(doc.at("counters").at("report/count").as_number(), 7.0);
-  EXPECT_EQ(doc.at("distributions").at("report/value").at("mean").as_number(),
+  EXPECT_EQ(doc.at("histograms").at("report/value").at("mean").as_number(),
             3.0);
+  EXPECT_EQ(doc.find("distributions"), nullptr);  // dropped in version 2
   EXPECT_EQ(doc.at("series").at("explicit").items().size(), 3u);
   EXPECT_EQ(doc.at("series").at("report/series").items().size(), 1u);
   EXPECT_GE(doc.at("spans").at("report/span").at("count").as_number(), 1.0);
@@ -390,9 +385,7 @@ TEST_F(ObsTest, ReportTableMixesStringsAndNumbers) {
   EXPECT_EQ(row.items()[1].as_number(), 1.5);
 }
 
-// --- Instrumented kernels (macro sites compiled in) -----------------------
-
-#if defined(TOPOMAP_OBS_ENABLED)
+// --- Instrumented kernels -------------------------------------------------
 
 // Telemetry only observes: the mapping with recording on must be
 // byte-identical to the mapping with recording off.
@@ -479,7 +472,25 @@ TEST_F(ObsTest, InstrumentedMappingIsThreadCountInvariant) {
   }
 }
 
-#endif  // TOPOMAP_OBS_ENABLED
+// TopoLB's work counts do not depend on the host or the worker-pool width,
+// so they are pinned exactly: a change to the row-minima buffer or the row
+// sweep shows up here as a counted work change.
+TEST_F(ObsTest, TopoLBWorkCountersArePinnedAtAnyThreadCount) {
+  ops::Params p;
+  p.tasks = "stencil2d:16x16";
+  p.topology = "torus:16x16";
+  p.strategy = "topolb";
+  p.seed = 7;
+  set_enabled(true);
+  for (int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    Registry::instance().reset();
+    (void)ops::run_map(p, ops::make_machine);
+    Registry& reg = Registry::instance();
+    EXPECT_EQ(reg.counter("topolb/row_rescans"), 480u) << threads;
+    EXPECT_EQ(reg.counter("topolb/f_est_evals"), 67784u) << threads;
+  }
+}
 
 // --- Load-aware evacuation (satellite of this PR) -------------------------
 

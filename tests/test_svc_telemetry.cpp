@@ -1,9 +1,10 @@
 // Service telemetry plane coverage: the topomap.svc.metrics /
 // topomap.svc.flight schemas (round-trip + strict negatives), Prometheus
-// exposition, flight-recorder wraparound, event-log rotation at the size
-// boundary, and the daemon e2e contracts — correlation-id uniqueness under
-// 64 in-flight requests with the event log and concurrent metrics polling
-// active, while served mapping bytes stay byte-identical to a serial run.
+// exposition, per-stage histograms with recording on, flight-recorder
+// wraparound, event-log rotation at the size boundary, and the daemon e2e
+// contracts — correlation-id uniqueness under 64 in-flight requests with
+// the event log and concurrent metrics polling active, while served
+// mapping bytes stay byte-identical to a serial run.
 #include <unistd.h>
 
 #include <atomic>
@@ -132,6 +133,35 @@ TEST(SvcMetrics, QueueDepthComesFromTheInstalledProbe) {
   EXPECT_EQ(service.metrics_snapshot().at("queue_depth").as_number(), 0.0);
   service.set_queue_depth_probe([] { return std::size_t{3}; });
   EXPECT_EQ(service.metrics_snapshot().at("queue_depth").as_number(), 3.0);
+}
+
+// With recording on, every served request feeds its per-stage latency
+// histograms, and the metrics snapshot carries them.
+TEST(SvcMetrics, RecordingOnPopulatesPerStageHistograms) {
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  svc::Service service;
+  for (int seed = 1; seed <= 3; ++seed) {
+    svc::Request req;
+    req.id = "m" + std::to_string(seed);
+    req.kind = svc::RequestKind::kMap;
+    req.tasks = "stencil2d:4x4";
+    req.topology = "torus:4x4";
+    req.seed = static_cast<std::uint64_t>(seed);
+    ASSERT_TRUE(service.handle(req).ok);
+  }
+  const Value snap = service.metrics_snapshot();
+  obs::set_enabled(false);
+  obs::Registry::instance().reset();
+  obs::Tracer::instance().reset();
+  svc::validate_metrics_snapshot(snap);
+  const Value& hists = snap.at("histograms");
+  for (const char* name :
+       {"svc/map/total_us", "svc/map/acquire_us", "svc/map/kernel_us"}) {
+    const Value* h = hists.find(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->at("count").as_number(), 3.0) << name;
+  }
 }
 
 TEST(SvcMetrics, ValidatorRejectsMalformedSnapshots) {

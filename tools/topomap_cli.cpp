@@ -28,9 +28,8 @@
 // JSON of the run's phase spans; load in chrome://tracing or
 // ui.perfetto.dev) and --stats=FILE (a schema-versioned obs::Report with
 // counters, span rollups, and series such as TopoLB's per-iteration
-// hop-bytes trajectory).  Both need a build with -DTOPOMAP_OBS=ON to carry
-// instrumentation data; an OFF build still writes schema-valid artifacts
-// and warns that they are empty.
+// hop-bytes trajectory).  Either flag switches recording on for the run;
+// TOPOMAP_OBS=1 in the environment does the same for any command.
 #include <unistd.h>
 
 #include <charconv>
@@ -85,14 +84,7 @@ struct ObsOutputs {
 
   explicit ObsOutputs(const CliParser& cli)
       : trace_path(cli.str("trace")), stats_path(cli.str("stats")) {
-    if (!active()) return;
-#if defined(TOPOMAP_OBS_ENABLED)
-    obs::set_enabled(true);
-#else
-    std::cerr << "warning: this binary was built without -DTOPOMAP_OBS=ON; "
-                 "--trace/--stats artifacts will carry no instrumentation "
-                 "data\n";
-#endif
+    if (active()) obs::set_enabled(true);
   }
 
   /// The run's identity; `strategy` is omitted when empty.
@@ -1050,7 +1042,7 @@ int cmd_top(int argc, const char* const* argv) {
     if (table.row_count() > 0) table.print(std::cout);
     else
       std::cout << "(no latency histograms yet — run the daemon with "
-                   "TOPOMAP_OBS=1 and a -DTOPOMAP_OBS=ON build)\n";
+                   "--stats=FILE or TOPOMAP_OBS=1)\n";
     std::cout.flush();
   }
   return 0;

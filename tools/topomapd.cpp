@@ -15,7 +15,7 @@
 // SIGUSR1 dumps it to stderr, and the `flight` request kind returns it as
 // JSON.  --event-log=FILE appends one JSONL line per request with
 // size-based rotation (FILE -> FILE.1).  --trace/--stats write the usual
-// obs artifacts at shutdown (needs a -DTOPOMAP_OBS=ON build for content).
+// obs artifacts at shutdown and switch recording on, as TOPOMAP_OBS=1 does.
 //
 // SIGTERM/SIGINT trigger a clean drain: stop accepting, finish every
 // queued request, exit 0.  Exit codes follow the topomap taxonomy:
@@ -111,15 +111,7 @@ int main(int argc, char** argv) {
     TOPOMAP_REQUIRE(options.service.flight_capacity >= 1,
                     "--flight-capacity must be at least 1");
 
-    if (!trace_path.empty() || !stats_path.empty()) {
-#if defined(TOPOMAP_OBS_ENABLED)
-      obs::set_enabled(true);
-#else
-      std::cerr << "warning: this binary was built without -DTOPOMAP_OBS=ON;"
-                   " --trace/--stats artifacts will carry no instrumentation"
-                   " data\n";
-#endif
-    }
+    if (!trace_path.empty() || !stats_path.empty()) obs::set_enabled(true);
 
     // write_frame uses MSG_NOSIGNAL, but ignore SIGPIPE globally anyway so
     // a vanished client can never kill the daemon.
