@@ -54,7 +54,8 @@ echo "=== obs (release): artifact validation, recording on vs off ==="
 # byte-identical to the same binary's run with recording off.  TopoLB's
 # work counts are pinned exactly (they do not depend on host or thread
 # count; tests/test_obs.cpp pins them too), so a change to the row-minima
-# buffer or the row sweep shows up here as a counted work change; the stage
+# buffer, the row sweep or the selection's block skipping shows up here as
+# a counted work change; the stage
 # spans of ops::run_map must all close.
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
@@ -69,6 +70,7 @@ python3 scripts/check_trace.py --trace "$OBS_TMP/trace.json" \
   --require-counter topolb/placements --require-counter distcache/builds \
   --expect-counter topolb/row_rescans=480 \
   --expect-counter topolb/f_est_evals=67784 \
+  --expect-counter topolb/select_evals=13555 \
   --require-span ops/make_task_graph --require-span ops/acquire_machine \
   --require-span ops/strategy_map --require-span ops/hop_bytes \
   --require-span ops/link_loads --require-span ops/mapping_text

@@ -1,13 +1,16 @@
 #include "core/topo_lb.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/cache_handle.hpp"
+#include "core/detail/gain_select.hpp"
 #include "core/detail/row_minima.hpp"
 #include "core/distance_provider.hpp"
 #include "obs/obs.hpp"
@@ -86,10 +89,11 @@ struct TopoLBState {
     zero_row.assign(un, 0.0);
     assigned_row.assign(un, zero_row.data());
     holder_pos.assign(un, -1);
-    unplaced_bytes.resize(un);
     mean_dist.resize(un);
+    comm.resize(un);
     for (int t = 0; t < n; ++t)
-      unplaced_bytes[static_cast<std::size_t>(t)] = g.comm_bytes(t);
+      comm[static_cast<std::size_t>(t)] = g.comm_bytes(t);
+    unplaced_bytes = comm;
     for (int q = 0; q < n; ++q)
       mean_dist[static_cast<std::size_t>(q)] = dist.mean_distance_from(q);
     if (order == EstimationOrder::kThird) {
@@ -102,8 +106,17 @@ struct TopoLBState {
     proc_used.assign(un, 0);
     free_procs.reserve(un);
     for (int q = 0; q < n; ++q) free_procs.push_back(q);
-    unplaced.reserve(un);
-    for (int t = 0; t < n; ++t) unplaced.push_back(t);
+    // Every task starts unplaced; third order's rows are all active from
+    // the initial rescan below.
+    blocks.resize(static_cast<std::size_t>((n + detail::kGainBlock - 1) /
+                                           detail::kGainBlock));
+    for (int t = 0; t < n; ++t) {
+      SelectBlock& b = blocks[static_cast<std::size_t>(t / detail::kGainBlock)];
+      b.unplaced |= std::uint64_t{1} << (t % detail::kGainBlock);
+      if (!lazy) b.active = b.unplaced;
+    }
+    for (int blk = 0; blk < static_cast<int>(blocks.size()); ++blk)
+      tighten(blk);
     f_sum.assign(un, 0.0);
     f_min.assign(un, 0.0);
     f_argmin.assign(un, -1);
@@ -284,10 +297,16 @@ struct TopoLBState {
   /// own f_sum/f_min/f_argmin slots), so this is the main parallel kernel of
   /// the initial scan and of third order's per-cycle refresh.
   void rescan_all_rows() {
+    rows.clear();
+    for (int blk = 0; blk < static_cast<int>(blocks.size()); ++blk) {
+      const SelectBlock& b = blocks[static_cast<std::size_t>(blk)];
+      for (std::uint64_t m = b.unplaced; m != 0; m &= m - 1)
+        rows.push_back(blk * detail::kGainBlock + std::countr_zero(m));
+    }
     support::parallel_for(
-        static_cast<int>(unplaced.size()), kRowGrain, [&](int begin, int end) {
+        static_cast<int>(rows.size()), kRowGrain, [&](int begin, int end) {
           for (int i = begin; i < end; ++i)
-            rescan_row(unplaced[static_cast<std::size_t>(i)]);
+            rescan_row(rows[static_cast<std::size_t>(i)]);
         });
   }
 
@@ -301,39 +320,97 @@ struct TopoLBState {
   /// on optimization level (FMA contraction, vectorized sum order).  Gains
   /// within the tolerance are treated as tied and fall through to the
   /// comm-bytes / lowest-id rule, which no longer depends on FP noise.
-  int select_task() const {
+  ///
+  /// The fold runs over blocks of kGainBlock task ids in ascending order
+  /// and skips every block that provably cannot change its state
+  /// (detail::GainFold::skips), so most tasks are never folded one by one.
+  /// A block's gain bound is the larger of two parts.  Its active rows
+  /// (every unplaced row in third order) have their gains computed once,
+  /// bounded, and reused if the block is scanned.  Its passive rows share
+  /// one landscape, so their gains are bounded from the block's U range
+  /// (detail::passive_gain_bound).  That range and the block's comm-bytes
+  /// maximum only loosen as tasks leave; a loose block is re-tightened when
+  /// it fails the skip test, so blocks that stay skipped never pay for it.
+  int select_task() {
     const double nfree = static_cast<double>(free_procs.size());
     const double m_min_free = lazy ? m_order[static_cast<std::size_t>(m_head)].first : 0.0;
-    int best = -1;
-    double best_gain = 0.0;
-    for (const int t : unplaced) {  // ascending, as the tie-break requires
-      double fsum, fmin;
-      if (row_active[static_cast<std::size_t>(t)]) {
-        fsum = f_sum[static_cast<std::size_t>(t)];
-        fmin = f_min[static_cast<std::size_t>(t)];
-      } else {
-        const double u = unplaced_bytes[static_cast<std::size_t>(t)];
-        fsum = u * sum_m_free;
-        fmin = u * m_min_free;
+    detail::GainFold fold;
+    std::uint64_t evals = 0;
+    double gains[detail::kGainBlock];
+    for (int blk = 0; blk < static_cast<int>(blocks.size()); ++blk) {
+      SelectBlock& b = blocks[static_cast<std::size_t>(blk)];
+      if (b.unplaced == 0) continue;
+      const int first = blk * detail::kGainBlock;
+      detail::GainBound act{-std::numeric_limits<double>::infinity(), 0.0};
+      for (std::uint64_t m = b.active; m != 0; m &= m - 1) {
+        const int i = std::countr_zero(m);
+        const auto ut = static_cast<std::size_t>(first + i);
+        const double gain = detail::row_gain(f_sum[ut], f_min[ut], nfree);
+        gains[i] = gain;
+        act.hi = std::max(act.hi, gain);
+        act.abs_hi = std::max(act.abs_hi, std::abs(gain));
       }
-      const double gain = fsum / nfree - fmin;
-      if (best < 0) {
-        best = t;
-        best_gain = gain;
-        continue;
+      const auto skips = [&] {
+        detail::GainBound bound = act;
+        if (b.unplaced & ~b.active) {
+          const detail::GainBound p = detail::passive_gain_bound(
+              b.u_lo, b.u_hi, sum_m_free, nfree, m_min_free);
+          bound.hi = std::max(bound.hi, p.hi);
+          bound.abs_hi = std::max(bound.abs_hi, p.abs_hi);
+        }
+        return fold.skips(bound, b.comm_hi);
+      };
+      if (skips()) continue;
+      if (b.loose) {
+        tighten(blk);
+        if (skips()) continue;
       }
-      const double tol =
-          1e-9 * std::max(1.0, std::max(std::abs(gain), std::abs(best_gain)));
-      if (gain > best_gain + tol) {
-        best = t;
-        best_gain = gain;
-      } else if (gain > best_gain - tol &&
-                 g.comm_bytes(t) > g.comm_bytes(best)) {
-        best = t;
-        best_gain = std::max(best_gain, gain);
+      // Ascending, as the tie-break requires.
+      for (std::uint64_t m = b.unplaced; m != 0; m &= m - 1) {
+        const int i = std::countr_zero(m);
+        const auto ut = static_cast<std::size_t>(first + i);
+        const double gain =
+            (b.active >> i) & 1
+                ? gains[i]
+                : detail::passive_gain(unplaced_bytes[ut], sum_m_free, nfree,
+                                       m_min_free);
+        fold.offer(first + i, gain, comm[ut]);
+        ++evals;
       }
     }
-    return best;
+    OBS_COUNTER_ADD("topolb/select_evals", evals);
+    return fold.best();
+  }
+
+  /// Shrink block blk's U range and comm-bytes maximum to its current
+  /// passive and unplaced tasks.
+  void tighten(int blk) {
+    SelectBlock& b = blocks[static_cast<std::size_t>(blk)];
+    const int first = blk * detail::kGainBlock;
+    b.u_lo = std::numeric_limits<double>::infinity();
+    b.u_hi = b.comm_hi = -b.u_lo;
+    for (std::uint64_t m = b.unplaced; m != 0; m &= m - 1) {
+      const auto ut = static_cast<std::size_t>(first + std::countr_zero(m));
+      b.comm_hi = std::max(b.comm_hi, comm[ut]);
+    }
+    for (std::uint64_t m = b.unplaced & ~b.active; m != 0; m &= m - 1) {
+      const auto ut = static_cast<std::size_t>(first + std::countr_zero(m));
+      b.u_lo = std::min(b.u_lo, unplaced_bytes[ut]);
+      b.u_hi = std::max(b.u_hi, unplaced_bytes[ut]);
+    }
+    b.loose = false;
+  }
+
+  /// Task t was placed, or (`placed` false) a neighbour of it was: update
+  /// its block's masks.  The block's U range and comm-bytes maximum still
+  /// cover the tasks left, only more loosely.
+  void update_masks(int t, bool placed) {
+    SelectBlock& b = blocks[static_cast<std::size_t>(t / detail::kGainBlock)];
+    const std::uint64_t bit = std::uint64_t{1} << (t % detail::kGainBlock);
+    if (!placed && (b.active & bit)) return;  // no set changed
+    b.active = placed ? b.active & ~bit : b.active | bit;
+    if (placed) b.unplaced &= ~bit;
+    b.loose = true;
   }
 
   /// The free processor minimizing f_est(t, .): the row buffer's head for
@@ -365,9 +442,8 @@ struct TopoLBState {
     }
     mapping[static_cast<std::size_t>(task)] = proc;
     task_placed[static_cast<std::size_t>(task)] = 1;
+    update_masks(task, true);
     release_row(task);
-    unplaced.erase(
-        std::lower_bound(unplaced.begin(), unplaced.end(), task));
 
     const bool incremental = order != EstimationOrder::kThird;
 
@@ -451,6 +527,7 @@ struct TopoLBState {
       if (task_placed[static_cast<std::size_t>(e.neighbor)]) continue;
       unplaced_bytes[static_cast<std::size_t>(e.neighbor)] -= e.bytes;
       take_row(e.neighbor);
+      update_masks(e.neighbor, false);
       touched.push_back(e);
     }
     if (incremental) {
@@ -505,7 +582,6 @@ struct TopoLBState {
   std::vector<char> task_placed;
   std::vector<char> proc_used;
   std::vector<int> free_procs;  // ascending order is maintained
-  std::vector<int> unplaced;    // ascending order is maintained
   std::vector<double> f_sum;
   std::vector<double> f_min;
   std::vector<int> f_argmin;
@@ -515,7 +591,9 @@ struct TopoLBState {
   std::vector<int> top_head;   // first possibly-live buffer entry per row
   std::vector<int> top_size;   // valid entries per row
   std::vector<char> row_active;  // 0 until the row's first step-4 rescan
-  // Per-placement scratch, kept to spare place() its allocations.
+  // Per-placement scratch, kept to spare place() and third order's
+  // per-cycle rescan their allocations.
+  std::vector<int> rows;                       // rescan_all_rows' row list
   std::vector<int> stale;                      // step 1 -> step 5 rows
   std::vector<std::vector<int>> stale_chunks;  // step 1's per-chunk buckets
   std::vector<graph::Edge> touched;            // step 4: (task, edge bytes)
@@ -523,6 +601,19 @@ struct TopoLBState {
   int m_head = 0;            // first still-free entry of m_order
   double sum_m_free = 0.0;   // sum of m_order values over free processors
   double obs_hop_bytes = 0.0;  // instrumentation-only running objective
+  // Selection blocks of detail::kGainBlock task ids (see select_task).
+  // The masks are exact; the U range and comm-bytes maximum only bound
+  // their tasks, since tasks only ever leave the passive and unplaced sets.
+  struct SelectBlock {
+    std::uint64_t unplaced = 0;  // bit i: task first + i is unplaced
+    std::uint64_t active = 0;    // ... and holds an active row
+    double u_lo = 0.0;           // covers U of the passive (unplaced &
+    double u_hi = 0.0;           //   ~active) tasks
+    double comm_hi = 0.0;        // covers comm bytes of unplaced tasks
+    bool loose = false;          // a task left since the last tighten()
+  };
+  std::vector<SelectBlock> blocks;
+  std::vector<double> comm;  // total comm bytes per task, for the tie rule
   Mapping mapping;
 };
 

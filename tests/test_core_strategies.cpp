@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/baseline_lb.hpp"
+#include "core/detail/gain_select.hpp"
 #include "core/detail/row_minima.hpp"
 #include "core/fault_aware.hpp"
 #include "core/metrics.hpp"
@@ -134,6 +137,285 @@ TEST(RowMinima, EdgeRows) {
                      65535.0 * bytes, 65535.0 * bytes, 0.0, 65535.0 * bytes},
                     q12, 8);
   expect_row_minima(std::vector<double>(12, 65535.0 * bytes), q12, 1);
+}
+
+/// One unplaced task as the selection sees it: an active row with its
+/// cached gain, or a passive row with its U (the shared landscape gives the
+/// gain); ids ascend, with gaps where tasks are already placed.
+struct SelTask {
+  int id;
+  bool passive;
+  double gain_or_u;
+  double comm;
+};
+
+/// The shared passive landscape: F_sum = U * sum, F_min = U * min.
+struct Landscape {
+  double sum = 0.0;
+  double nfree = 1.0;
+  double min = 0.0;
+};
+
+/// The selection fold every unplaced task went through before block
+/// skipping, kept verbatim as the reference.
+int linear_pick(const std::vector<SelTask>& tasks, const Landscape& l) {
+  int best = -1;
+  double best_gain = 0.0;
+  double best_comm = 0.0;
+  for (const SelTask& s : tasks) {
+    const double gain =
+        s.passive ? s.gain_or_u * l.sum / l.nfree - s.gain_or_u * l.min
+                  : s.gain_or_u;
+    if (best < 0) {
+      best = s.id;
+      best_gain = gain;
+      best_comm = s.comm;
+      continue;
+    }
+    const double tol =
+        1e-9 * std::max(1.0, std::max(std::abs(gain), std::abs(best_gain)));
+    if (gain > best_gain + tol) {
+      best = s.id;
+      best_gain = gain;
+      best_comm = s.comm;
+    } else if (gain > best_gain - tol && s.comm > best_comm) {
+      best = s.id;
+      best_gain = std::max(best_gain, gain);
+      best_comm = s.comm;
+    }
+  }
+  return best;
+}
+
+/// TopoLB's selection: blocks of detail::kGainBlock ids in ascending order,
+/// each bounded by its active gains and its passive U range and skipped
+/// when GainFold::skips clears the bound.  `folded` counts the tasks folded
+/// one by one.
+int blocked_pick(const std::vector<SelTask>& tasks, const Landscape& l,
+                 int* folded) {
+  detail::GainFold fold;
+  *folded = 0;
+  for (std::size_t lo = 0; lo < tasks.size();) {
+    const int blk = tasks[lo].id / detail::kGainBlock;
+    std::size_t hi = lo;
+    while (hi < tasks.size() && tasks[hi].id / detail::kGainBlock == blk) ++hi;
+    detail::GainBound bound{-std::numeric_limits<double>::infinity(), 0.0};
+    double u_lo = std::numeric_limits<double>::infinity(), u_hi = -u_lo;
+    double comm_hi = -u_lo;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const SelTask& s = tasks[i];
+      comm_hi = std::max(comm_hi, s.comm);
+      if (s.passive) {
+        u_lo = std::min(u_lo, s.gain_or_u);
+        u_hi = std::max(u_hi, s.gain_or_u);
+      } else {
+        bound.hi = std::max(bound.hi, s.gain_or_u);
+        bound.abs_hi = std::max(bound.abs_hi, std::abs(s.gain_or_u));
+      }
+    }
+    if (u_lo <= u_hi) {
+      const detail::GainBound p =
+          detail::passive_gain_bound(u_lo, u_hi, l.sum, l.nfree, l.min);
+      bound.hi = std::max(bound.hi, p.hi);
+      bound.abs_hi = std::max(bound.abs_hi, p.abs_hi);
+    }
+    if (!fold.skips(bound, comm_hi)) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const SelTask& s = tasks[i];
+        fold.offer(s.id,
+                   s.passive ? detail::passive_gain(s.gain_or_u, l.sum,
+                                                    l.nfree, l.min)
+                             : s.gain_or_u,
+                   s.comm);
+        ++*folded;
+      }
+    }
+    lo = hi;
+  }
+  return fold.best();
+}
+
+/// Both picks agree; returns how many tasks the blocked fold folded.
+int expect_same_pick(const std::vector<SelTask>& tasks, const Landscape& l) {
+  int folded = 0;
+  EXPECT_EQ(blocked_pick(tasks, l, &folded), linear_pick(tasks, l))
+      << tasks.size() << " tasks, landscape sum " << l.sum << " nfree "
+      << l.nfree << " min " << l.min;
+  return folded;
+}
+
+/// Dense ids 0..n-1, all active, with the given gains and comm bytes.
+std::vector<SelTask> active_tasks(const std::vector<double>& gains,
+                                  const std::vector<double>& comms) {
+  std::vector<SelTask> tasks;
+  for (std::size_t i = 0; i < gains.size(); ++i)
+    tasks.push_back({static_cast<int>(i), false, gains[i], comms[i]});
+  return tasks;
+}
+
+TEST(GainSelect, PassiveBoundCoversEveryU) {
+  Rng rng(77);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double nfree = static_cast<double>(rng.uniform_int(1, 4096));
+    const double min = rng.uniform_double(0.0, 8.0);
+    // Drifted sums straddle nfree * min, so the slope takes either sign.
+    const double rel = trial % 2 == 0 ? rng.uniform_double(-1e-14, 1e-14)
+                                      : rng.uniform_double(-0.5, 0.5);
+    const double sum = nfree * min * (1.0 + rel);
+    const double u_lo = trial % 3 == 0 ? 0.0 : rng.uniform_double(0.0, 1e6);
+    const double u_hi = u_lo + rng.uniform_double(0.0, 1e6);
+    const detail::GainBound b =
+        detail::passive_gain_bound(u_lo, u_hi, sum, nfree, min);
+    for (int k = 0; k < 64; ++k) {
+      const double u = k == 0 ? u_lo : k == 1 ? u_hi
+                                              : rng.uniform_double(u_lo, u_hi);
+      const double gain = detail::passive_gain(u, sum, nfree, min);
+      ASSERT_LE(gain, b.hi) << u;
+      ASSERT_LE(std::abs(gain), b.abs_hi) << u;
+    }
+  }
+}
+
+TEST(GainSelect, MatchesLinearFoldOnRandomTasks) {
+  Rng rng(4242);
+  long offered = 0, folded = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 600));
+    Landscape l;
+    l.nfree = static_cast<double>(rng.uniform_int(1, 1024));
+    l.min = rng.uniform_double(0.0, 6.0);
+    l.sum = l.nfree * l.min * (1.0 + rng.uniform_double(-1e-15, 0.3));
+    // Few distinct gain and comm levels make heavy ties; many make them rare.
+    const int levels = trial % 3 == 0 ? 3 : 1 << 20;
+    const double passive_share = (trial % 4) / 3.0;
+    std::vector<SelTask> tasks;
+    for (int id = 0; static_cast<int>(tasks.size()) < n; ++id) {
+      if (rng.bernoulli(0.3)) continue;  // already placed
+      const double comm =
+          trial % 5 == 0 ? 0.0
+                         : 64.0 * static_cast<double>(
+                                      rng.uniform_int(0, levels - 1));
+      if (rng.bernoulli(passive_share)) {
+        tasks.push_back({id, true, comm, comm});  // a passive U is its comm
+      } else {
+        const double gain =
+            1e4 * static_cast<double>(rng.uniform_int(0, levels - 1)) /
+                static_cast<double>(levels) -
+            (trial % 7 == 0 ? 5e3 : 0.0);
+        tasks.push_back({id, false, gain, comm});
+      }
+    }
+    offered += n;
+    folded += expect_same_pick(tasks, l);
+  }
+  // The skip path must have been taken, or the comparison shows nothing.
+  EXPECT_LT(folded, offered / 2);
+}
+
+TEST(GainSelect, ToleranceChainsAreNotTransitive) {
+  // Neighbouring gains sit 0.9e-9 (relative) apart: each is tied with the
+  // next, but not with one two steps away, so the pick depends on fold
+  // order and on when the best gain is raised.
+  for (const double dir : {1.0, -1.0}) {
+    for (const int comm_step : {1, -1, 0}) {
+      std::vector<double> gains, comms;
+      for (int i = 0; i < 300; ++i) {
+        gains.push_back(1e3 * (1.0 + dir * 0.9e-9 * i));
+        comms.push_back(1e4 + comm_step * ((i * 37) % 11 + i));
+      }
+      expect_same_pick(active_tasks(gains, comms), Landscape{});
+    }
+  }
+  // A chain in the absolute-tolerance regime around zero.
+  std::vector<double> gains, comms;
+  for (int i = 0; i < 300; ++i) {
+    gains.push_back(-1.5e-7 + 0.9e-9 * i * ((i % 3) ? 1.0 : -0.5));
+    comms.push_back(static_cast<double>(i % 17));
+  }
+  expect_same_pick(active_tasks(gains, comms), Landscape{});
+}
+
+TEST(GainSelect, TieBelowANegativeBestNeedsTheMagnitudeBound) {
+  // The task's gain sits exactly one best-gain tolerance below the best,
+  // so the best's own tolerance calls it no tie, but the task's larger
+  // magnitude widens the fold's tolerance just enough to make it one: it
+  // wins on comm bytes.  Only abs_hi keeps the block bound from skipping it.
+  const double best = -227122.0;
+  const double gain = best - 1e-9 * 227122.0;
+  const std::vector<SelTask> tasks = {{0, false, best, 1.0},
+                                      {64, false, gain, 2.0}};
+  EXPECT_EQ(linear_pick(tasks, Landscape{}), 64);
+  EXPECT_EQ(expect_same_pick(tasks, Landscape{}), 2);
+}
+
+TEST(GainSelect, EqualGainsGoToLargerCommThenLowerId) {
+  std::vector<double> rising, falling, flat;
+  for (int i = 0; i < 200; ++i) {
+    rising.push_back(static_cast<double>(i));
+    falling.push_back(static_cast<double>(200 - i));
+    flat.push_back(7.0);
+  }
+  const std::vector<double> gains(200, 5.0);
+  // Rising comm: every block may still raise the pick, so none is skipped.
+  EXPECT_EQ(expect_same_pick(active_tasks(gains, rising), Landscape{}), 200);
+  EXPECT_EQ(linear_pick(active_tasks(gains, rising), Landscape{}), 199);
+  // Falling or flat comm: task 0 wins, every later block is skipped.
+  EXPECT_EQ(expect_same_pick(active_tasks(gains, falling), Landscape{}),
+            detail::kGainBlock);
+  EXPECT_EQ(expect_same_pick(active_tasks(gains, flat), Landscape{}),
+            detail::kGainBlock);
+  EXPECT_EQ(linear_pick(active_tasks(gains, flat), Landscape{}), 0);
+}
+
+TEST(GainSelect, DriftedPassiveSlopesAndZeroU) {
+  // A vertex-transitive machine: sum == nfree * min up to drift, so every
+  // passive gain is a tiny multiple of U of either sign, all tied in the
+  // absolute tolerance, and comm bytes decide.
+  for (const double drift : {-3e-16, 0.0, 3e-16}) {
+    Landscape l;
+    l.nfree = 777.0;
+    l.min = 3.25;
+    l.sum = l.nfree * l.min * (1.0 + drift);
+    std::vector<SelTask> tasks;
+    for (int id = 0; id < 400; ++id) {
+      const double u = id % 9 == 0 ? 0.0 : 1e6 * (1.0 + (id * 7919) % 101);
+      tasks.push_back({id, true, u, u});
+    }
+    expect_same_pick(tasks, l);
+    // Active rows with gains just below zero join the tie.
+    for (int id = 3; id < 400; id += 50) tasks[id] = {id, false, -2e-10, 5e8};
+    expect_same_pick(tasks, l);
+  }
+  // Only zero-U tasks: every gain is zero and every comm zero, so the
+  // lowest id wins and blocks after the first are skipped.
+  std::vector<SelTask> zeros;
+  for (int id = 5; id < 300; ++id) zeros.push_back({id, true, 0.0, 0.0});
+  Landscape l;
+  l.nfree = 300.0;
+  l.min = 2.0;
+  l.sum = 700.0;
+  EXPECT_EQ(linear_pick(zeros, l), 5);
+  EXPECT_EQ(expect_same_pick(zeros, l), detail::kGainBlock - 5);
+}
+
+TEST(GainSelect, SingleTaskAndFullySkippedBlocks) {
+  Landscape l;
+  l.nfree = 10.0;
+  l.min = 1.0;
+  l.sum = 25.0;
+  EXPECT_EQ(expect_same_pick({{17, false, -4.0, 0.0}}, l), 1);
+  EXPECT_EQ(expect_same_pick({{130, true, 3.0, 3.0}}, l), 1);
+  // Task 0 dominates by gain and comm, so every later block — active or
+  // passive, with gains far below or within the tolerance — is skipped.
+  std::vector<SelTask> tasks = {{0, false, 1e6, 1e9}};
+  for (int id = 64; id < 640; ++id) {
+    if (id % 2 == 0)
+      tasks.push_back({id, false, 1e6 * (1.0 - 0.5e-9 * (id % 3)), 1e8});
+    else
+      tasks.push_back({id, true, 1e3, 1e3});
+  }
+  EXPECT_EQ(linear_pick(tasks, l), 0);
+  EXPECT_EQ(expect_same_pick(tasks, l), 1);
 }
 
 TEST(TopoLB, SymmetricTiesBreakDeterministically) {

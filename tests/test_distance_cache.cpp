@@ -240,6 +240,19 @@ TEST(DistanceCache, GoldenTopoLBMappingHashes) {
       // Dense rows: the row-minima buffer drains most often here.
       {"er1024", graph::random_graph(1024, 0.05, 1.0, 1024.0, graph_rng),
        "torus:8x8x16"},
+      // Shapes whose passive gains U(t) * (sum/nfree - min) differ from task
+      // to task, so whole blocks of the selection fold get skipped or
+      // scanned on the strength of the passive gain bound: mean distances
+      // vary across a mesh, a sparse graph leaves zero-communication
+      // isolated tasks, and weights spread over six decades on a
+      // vertex-transitive cube, whose drifted slope can dip below zero.
+      {"stencil1024_mesh", graph::stencil_2d(32, 32, 1024.0), "mesh:32x32"},
+      {"er256_isolated",
+       graph::random_graph(256, 0.01, 1.0, 1024.0, graph_rng,
+                           /*require_connected=*/false),
+       "mesh:16x16"},
+      {"er512_spread", graph::random_graph(512, 0.01, 1.0, 1e6, graph_rng),
+       "hypercube:9"},
   };
   struct Case {
     int instance;
@@ -267,7 +280,19 @@ TEST(DistanceCache, GoldenTopoLBMappingHashes) {
       {6, false, EstimationOrder::kSecond, 0x83a85a5333b12525ull},
       {7, false, EstimationOrder::kFirst, 0x0c05b66c4e15a361ull},
       {7, false, EstimationOrder::kSecond, 0x0c05b66c4e15a361ull},
+      {8, false, EstimationOrder::kSecond, 0xd2b7a6833041c3b1ull},
+      {9, false, EstimationOrder::kFirst, 0x0f0afc8287d37975ull},
+      {9, false, EstimationOrder::kSecond, 0x8f4d631b9b506905ull},
+      {9, false, EstimationOrder::kThird, 0x21d6e4c362ff6165ull},
+      {10, false, EstimationOrder::kFirst, 0x005b727bc3bd37b5ull},
+      {10, false, EstimationOrder::kSecond, 0x005b727bc3bd37b5ull},
   };
+  // The isolated-task instance must really carry zero-communication tasks.
+  const TaskGraph& sparse = instances[9].graph;
+  int isolated = 0;
+  for (int t = 0; t < sparse.num_vertices(); ++t)
+    isolated += sparse.comm_bytes(t) == 0.0 ? 1 : 0;
+  ASSERT_GT(isolated, 0);
   for (const Case& c : cases) {
     const Instance& inst = instances[c.instance];
     const auto base = make_topology(inst.topo);

@@ -473,8 +473,9 @@ TEST_F(ObsTest, InstrumentedMappingIsThreadCountInvariant) {
 }
 
 // TopoLB's work counts do not depend on the host or the worker-pool width,
-// so they are pinned exactly: a change to the row-minima buffer or the row
-// sweep shows up here as a counted work change.
+// so they are pinned exactly: a change to the row-minima buffer, the row
+// sweep or the selection's block skipping shows up here as a counted work
+// change.
 TEST_F(ObsTest, TopoLBWorkCountersArePinnedAtAnyThreadCount) {
   ops::Params p;
   p.tasks = "stencil2d:16x16";
@@ -489,6 +490,9 @@ TEST_F(ObsTest, TopoLBWorkCountersArePinnedAtAnyThreadCount) {
     Registry& reg = Registry::instance();
     EXPECT_EQ(reg.counter("topolb/row_rescans"), 480u) << threads;
     EXPECT_EQ(reg.counter("topolb/f_est_evals"), 67784u) << threads;
+    // Gains the selection folded one by one; a fold of every unplaced
+    // task each cycle would count 256 * 257 / 2 = 32896.
+    EXPECT_EQ(reg.counter("topolb/select_evals"), 13555u) << threads;
   }
 }
 
