@@ -77,6 +77,20 @@ python3 scripts/check_trace.py --trace "$OBS_TMP/trace.json" \
 TOPOMAP_OBS=0 "$CLI" map --strategy=topolb --tasks=stencil2d:16x16 \
   --topology=torus:16x16 --seed=7 --output="$OBS_TMP/plain.map" >/dev/null
 diff "$OBS_TMP/plain.map" "$OBS_TMP/obs.map"
+# RefineTopoLB on the served map shape: one sweep visits every pair, and
+# the swap bound skips all but the pairs one link apart, so a change to the
+# bound or the sweep shows up as a counted work change.
+"$CLI" map --strategy=topolb+refine --tasks=stencil2d:16x16 \
+  --topology=torus:8x8x4 --output="$OBS_TMP/refine_obs.map" \
+  --stats="$OBS_TMP/refine_stats.json" >/dev/null
+python3 scripts/check_trace.py --stats "$OBS_TMP/refine_stats.json" \
+  --expect-counter refine/swap_attempts=32640 \
+  --expect-counter refine/delta_evals=768 \
+  --expect-counter refine/pairs_skipped=31872 \
+  --require-span refine/run
+TOPOMAP_OBS=0 "$CLI" map --strategy=topolb+refine --tasks=stencil2d:16x16 \
+  --topology=torus:8x8x4 --output="$OBS_TMP/refine_plain.map" >/dev/null
+diff "$OBS_TMP/refine_plain.map" "$OBS_TMP/refine_obs.map"
 # Contention explainability: the explain artifact must carry the versioned
 # schema with exact attribution sums, a diff, and netsim counter tracks in
 # the trace (virtual-time telemetry next to the wall-clock spans).
@@ -169,14 +183,16 @@ echo "=== tsan (-fsanitize=thread): parallel, plane, chaos, obs and svc suites =
 # support::parallel pool and TopoLB's parallel regions (test_parallel maps
 # at 1 and 4 threads, so placed-cost pool rows taken or returned inside a
 # region would race), the parallel distance-plane fill and repairs
-# (test_distance_cache, test_chaos), the obs registry and the recording
-# kernels (test_obs maps with recording on at 1 to 8 threads), and
+# (test_distance_cache, test_chaos), RefineTopoLB's speculative pair
+# evaluation (test_refine refines at 1 and 4 threads), the obs registry and
+# the recording kernels (test_obs maps with recording on at 1 to 8
+# threads), and
 # topomapd with its telemetry plane (the flight recorder's seqlock under
 # lapping writers).  Any race report fails the run.
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS=-fsanitize=thread \
   -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
-TSAN_SUITES="test_parallel test_distance_cache test_chaos test_obs test_svc test_svc_telemetry"
+TSAN_SUITES="test_parallel test_distance_cache test_chaos test_refine test_obs test_svc test_svc_telemetry"
 # shellcheck disable=SC2086  # the suite list is word-split on purpose
 cmake --build build-ci-tsan -j "$JOBS" --target $TSAN_SUITES
 for suite in $TSAN_SUITES; do

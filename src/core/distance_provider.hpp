@@ -19,6 +19,9 @@
 namespace topomap::core::detail {
 
 struct VirtualDistance {
+  /// No distance exceeds this.
+  static constexpr double kMaxDistance = 2147483647.0;  // INT_MAX
+
   const topo::Topology& topo;
 
   struct Row {
@@ -33,6 +36,9 @@ struct VirtualDistance {
 };
 
 struct CachedDistance {
+  /// No plane entry exceeds this.
+  static constexpr double kMaxDistance = 65535.0;  // UINT16_MAX
+
   const topo::DistanceCache& cache;
 
   int operator()(int a, int b) const { return cache.distance(a, b); }

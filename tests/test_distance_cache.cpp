@@ -19,6 +19,7 @@
 #include "core/strategy.hpp"
 #include "core/topo_lb.hpp"
 #include "graph/builders.hpp"
+#include "ops/ops.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -321,6 +322,50 @@ TEST(DistanceCache, GoldenTopoLBMappingHashes) {
           << (c.soft ? " (soft)" : "") << " order "
           << static_cast<int>(c.order) << " mode " << static_cast<int>(mode)
           << " threads " << threads;
+    }
+  }
+  support::set_num_threads(1);
+}
+
+// Golden mapping bytes for RefineTopoLB's sweep, through the same
+// ops::run_map path as `topomap map --output`: the served map shape, a
+// swap-dense random start on a hypercube with non-unit weights, the served
+// shape on a soft-degraded (weighted-plane) torus, and hier+refine at 32k
+// tasks, whose coarse solve and final polish both run the sweep.  The
+// hashes were recorded on the all-pairs sweep, before the swap bound let
+// it skip pairs; every one must come out at 1 and 4 threads.
+TEST(DistanceCache, GoldenRefineMappingHashes) {
+  struct Case {
+    const char* strategy;
+    const char* tasks;
+    const char* topology;
+    const char* degrade;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"topolb+refine", "stencil2d:16x16", "torus:8x8x4", "",
+       0x83a85a5333b12525ull},
+      {"random+refine", "er:512:0.1", "hypercube:9", "",
+       0x1122a614d161d9a5ull},
+      {"topolb+refine", "stencil2d:16x16", "torus:8x8x4",
+       "0:1:0.5,9:10:0.25,37:45:0.5,100:101:0.125,200:208:0.5",
+       0x17ca753bc2e1c7a5ull},
+      {"hier+refine", "stencil3d:32x32x32", "torus:16x16x16", "",
+       0xe6a2a735c279da42ull},
+  };
+  for (const Case& c : cases) {
+    for (const int threads : {1, 4}) {
+      support::set_num_threads(threads);
+      ops::Params p;
+      p.strategy = c.strategy;
+      p.tasks = c.tasks;
+      p.topology = c.topology;
+      p.degrade_link = c.degrade;
+      const ops::MapResult r = ops::run_map(p, ops::make_machine);
+      EXPECT_EQ(fnv1a(r.mapping), c.hash)
+          << std::hex << "0x" << fnv1a(r.mapping) << std::dec << ": "
+          << c.strategy << ' ' << c.tasks << " -> " << c.topology
+          << (*c.degrade ? " (soft)" : "") << " threads " << threads;
     }
   }
   support::set_num_threads(1);

@@ -431,9 +431,12 @@ TEST_F(ObsTest, TopoLBRecordsCountersAndHopBytesTrajectory) {
   EXPECT_EQ(rollup.at("topolb/select_task").count, 36u);
 }
 
-// refine/delta_evals counts every swap-delta evaluation: each visited pair
-// once (refine/swap_attempts) plus the suffix re-evaluated after each
-// accepted swap.  A random start accepts many swaps, so the two differ.
+// Every pair the sweep visits is either skipped by the swap bound
+// (refine/pairs_skipped) or has its delta computed (refine/delta_evals):
+// each visited pair once (refine/swap_attempts) plus the suffix re-checked
+// after each accepted swap.  A random start accepts many swaps, so the sum
+// exceeds the attempts; it is the 2494 evaluations the all-pairs sweep
+// made here before the bound existed.
 TEST_F(ObsTest, RefineCountsEverySwapDeltaEvaluation) {
   const auto g = graph::stencil_2d(6, 6, 1.0);
   const auto topo = topo::make_topology("torus:6x6");
@@ -447,8 +450,10 @@ TEST_F(ObsTest, RefineCountsEverySwapDeltaEvaluation) {
   EXPECT_EQ(reg.counter("refine/swap_accepts"),
             static_cast<std::uint64_t>(r.swaps));
   EXPECT_GT(reg.counter("refine/swap_attempts"), 0u);
-  EXPECT_GT(reg.counter("refine/delta_evals"),
-            reg.counter("refine/swap_attempts"));
+  const std::uint64_t visited = reg.counter("refine/delta_evals") +
+                                reg.counter("refine/pairs_skipped");
+  EXPECT_GT(visited, reg.counter("refine/swap_attempts"));
+  EXPECT_EQ(visited, 2494u);
 }
 
 TEST_F(ObsTest, InstrumentedMappingIsThreadCountInvariant) {
@@ -493,6 +498,27 @@ TEST_F(ObsTest, TopoLBWorkCountersArePinnedAtAnyThreadCount) {
     // Gains the selection folded one by one; a fold of every unplaced
     // task each cycle would count 256 * 257 / 2 = 32896.
     EXPECT_EQ(reg.counter("topolb/select_evals"), 13555u) << threads;
+  }
+}
+
+// RefineTopoLB's work counts on the served map shape (perfbench
+// served-mix), pinned like TopoLB's.  TopoLB's mapping there is already
+// swap-optimal, so one sweep visits all 256 * 255 / 2 pairs; the swap
+// bound skips all but the 768 pairs one link apart.
+TEST_F(ObsTest, RefineWorkCountersArePinnedAtAnyThreadCount) {
+  ops::Params p;
+  p.tasks = "stencil2d:16x16";
+  p.topology = "torus:8x8x4";
+  p.strategy = "topolb+refine";
+  set_enabled(true);
+  for (int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    Registry::instance().reset();
+    (void)ops::run_map(p, ops::make_machine);
+    Registry& reg = Registry::instance();
+    EXPECT_EQ(reg.counter("refine/swap_attempts"), 32640u) << threads;
+    EXPECT_EQ(reg.counter("refine/delta_evals"), 768u) << threads;
+    EXPECT_EQ(reg.counter("refine/pairs_skipped"), 31872u) << threads;
   }
 }
 
