@@ -28,6 +28,7 @@
 #include "netsim/app.hpp"
 #include "topo/factory.hpp"
 #include "topo/fault_overlay.hpp"
+#include "topo/link_index.hpp"
 
 using namespace topomap;
 
@@ -38,14 +39,16 @@ namespace {
 double degraded_link_bytes(const graph::TaskGraph& g,
                            const topo::FaultOverlay& overlay,
                            const core::Mapping& m) {
+  const topo::LinkIndex links(overlay);
   double sick = 0.0;
   for (const auto& e : g.edges()) {
     const int pu = m[static_cast<std::size_t>(e.a)];
     const int pv = m[static_cast<std::size_t>(e.b)];
     if (pu == pv) continue;
-    const std::vector<int> path = overlay.route(pu, pv);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i)
-      if (overlay.link_health(path[i], path[i + 1]) < 1.0) sick += e.bytes;
+    links.walk(pu, pv, [&](int link) {
+      if (overlay.link_health(links.from(link), links.to(link)) < 1.0)
+        sick += e.bytes;
+    });
   }
   return sick;
 }

@@ -55,7 +55,8 @@ echo "=== obs (release): artifact validation, recording on vs off ==="
 # work counts are pinned exactly (they do not depend on host or thread
 # count; tests/test_obs.cpp pins them too), so a change to the row-minima
 # buffer, the row sweep or the selection's block skipping shows up here as
-# a counted work change; the stage
+# a counted work change, and so does a change to the link-load route walk
+# (links/route_hops); the stage
 # spans of ops::run_map must all close.
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
@@ -71,6 +72,7 @@ python3 scripts/check_trace.py --trace "$OBS_TMP/trace.json" \
   --expect-counter topolb/row_rescans=480 \
   --expect-counter topolb/f_est_evals=67784 \
   --expect-counter topolb/select_evals=13555 \
+  --expect-counter links/route_hops=960 \
   --require-span ops/make_task_graph --require-span ops/acquire_machine \
   --require-span ops/strategy_map --require-span ops/hop_bytes \
   --require-span ops/link_loads --require-span ops/mapping_text
@@ -99,10 +101,15 @@ diff "$OBS_TMP/refine_plain.map" "$OBS_TMP/refine_obs.map"
   --report="$OBS_TMP/contention.json" --trace="$OBS_TMP/explain_trace.json" \
   --stats="$OBS_TMP/explain_stats.json" >/dev/null
 python3 scripts/check_trace.py --contention "$OBS_TMP/contention.json"
+# The report bytes are pinned whole: every attribution, timeline and diff
+# cell of this instance.
+echo "743267c91b305000d01856ef1f6829db1df0ff20b60fe9000c674ed49dc615f4  $OBS_TMP/contention.json" \
+  | sha256sum -c --quiet
 python3 scripts/check_trace.py --trace "$OBS_TMP/explain_trace.json" \
   --require-counter-track netsim/util_max \
   --require-counter-track netsim/queue_depth \
   --stats "$OBS_TMP/explain_stats.json" \
+  --expect-counter links/route_hops=1110 \
   --require-any-series netsim/util_max \
   --require-any-series netsim/queue_depth
 echo "obs slice ok: artifacts validate, mapping identical with recording off"

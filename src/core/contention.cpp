@@ -5,53 +5,21 @@
 #include <cstdint>
 #include <map>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
+#include "core/detail/route_loads.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
+#include "topo/link_index.hpp"
 
 namespace topomap::core {
 
 namespace {
 
-/// Per-link accumulator: pair key (a * n + b) -> bytes.
-using PairLoads = std::unordered_map<std::uint64_t, double>;
-
-/// Walk every task-graph edge's routes (both directions, bytes/2 each — the
-/// core::link_loads convention) and hand (link key, pair key, bytes) to
-/// `sink`.  Sequential and in edge-list order: deterministic by
-/// construction.
-template <typename Sink>
-void for_each_link_crossing(const graph::TaskGraph& g,
-                            const topo::Topology& topo, const Mapping& m,
-                            Sink&& sink) {
-  TOPOMAP_REQUIRE(static_cast<int>(m.size()) == g.num_vertices(),
-                  "mapping size does not match task graph");
-  TOPOMAP_REQUIRE(is_complete(m, topo), "mapping is incomplete");
-  const auto p = static_cast<std::uint64_t>(topo.size());
-  const auto n = static_cast<std::uint64_t>(g.num_vertices());
-  for (const graph::UndirectedEdge& e : g.edges()) {
-    const int pa = m[static_cast<std::size_t>(e.a)];
-    const int pb = m[static_cast<std::size_t>(e.b)];
-    if (pa == pb) continue;
-    const std::uint64_t pair_key =
-        static_cast<std::uint64_t>(e.a) * n + static_cast<std::uint64_t>(e.b);
-    const double half = e.bytes / 2.0;
-    for (const auto& [src, dst] : {std::pair{pa, pb}, std::pair{pb, pa}}) {
-      const std::vector<int> path = topo.route(src, dst);
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const auto link_key = static_cast<std::uint64_t>(path[i]) * p +
-                              static_cast<std::uint64_t>(path[i + 1]);
-        sink(link_key, pair_key, half);
-      }
-    }
-  }
-}
-
-ContentionStats stats_from_loads(std::vector<double> loads, int links_total) {
+/// Aggregate statistics over `loads`, one entry per directed link.
+ContentionStats stats_from_loads(std::vector<double> loads) {
   ContentionStats stats;
-  stats.links_total = links_total;
+  stats.links_total = static_cast<int>(loads.size());
   std::sort(loads.begin(), loads.end());
   double sum_sq = 0.0;
   // Ascending-sorted accumulation: deterministic, and exact for the
@@ -63,43 +31,19 @@ ContentionStats stats_from_loads(std::vector<double> loads, int links_total) {
   }
   stats.max_bytes = loads.empty() ? 0.0 : loads.back();
   stats.mean_bytes =
-      links_total > 0 ? stats.total_bytes / links_total : 0.0;
+      stats.links_total > 0 ? stats.total_bytes / stats.links_total : 0.0;
   stats.l2 = std::sqrt(sum_sq);
   // Gini over *all* directed links (unused links are zero-load samples):
   // G = sum_i (2i - n + 1) x_(i) / (n * total) with x ascending.
-  if (stats.total_bytes > 0.0 && links_total > 0) {
-    const auto used = static_cast<std::int64_t>(loads.size());
-    const auto n = static_cast<std::int64_t>(links_total);
-    const std::int64_t pad = n - used;  // implicit leading zeros
+  if (stats.total_bytes > 0.0) {
+    const auto n = static_cast<std::int64_t>(loads.size());
     double weighted = 0.0;
-    for (std::int64_t i = 0; i < used; ++i)
-      weighted +=
-          static_cast<double>(2 * (pad + i) - n + 1) * loads[static_cast<std::size_t>(i)];
+    for (std::int64_t i = 0; i < n; ++i)
+      weighted += static_cast<double>(2 * i - n + 1) *
+                  loads[static_cast<std::size_t>(i)];
     stats.gini = weighted / (static_cast<double>(n) * stats.total_bytes);
   }
   return stats;
-}
-
-struct PairKeyed {
-  std::uint64_t key;
-  double bytes;
-};
-
-std::vector<LinkContributor> sorted_contributors(const PairLoads& pairs,
-                                                 std::uint64_t n) {
-  std::vector<PairKeyed> flat;
-  flat.reserve(pairs.size());
-  for (const auto& [key, bytes] : pairs) flat.push_back({key, bytes});
-  std::sort(flat.begin(), flat.end(), [](const PairKeyed& x, const PairKeyed& y) {
-    if (x.bytes != y.bytes) return x.bytes > y.bytes;
-    return x.key < y.key;
-  });
-  std::vector<LinkContributor> out;
-  out.reserve(flat.size());
-  for (const PairKeyed& f : flat)
-    out.push_back({static_cast<int>(f.key / n), static_cast<int>(f.key % n),
-                   f.bytes});
-  return out;
 }
 
 std::string pair_list(const std::vector<LinkContributor>& contributors,
@@ -127,28 +71,41 @@ std::string pair_list(const std::vector<LinkContributor>& contributors,
 ContentionReport attribute_link_loads(const graph::TaskGraph& g,
                                       const topo::Topology& topo,
                                       const Mapping& m) {
-  const auto p = static_cast<std::uint64_t>(topo.size());
-  const auto n = static_cast<std::uint64_t>(g.num_vertices());
-  std::unordered_map<std::uint64_t, PairLoads> per_link;
-  for_each_link_crossing(
-      g, topo, m,
-      [&](std::uint64_t link_key, std::uint64_t pair_key, double bytes) {
-        per_link[link_key][pair_key] += bytes;
-      });
+  const topo::LinkIndex links(topo);
+  const std::vector<graph::UndirectedEdge>& edges = g.edges();
+  // One edge's hops over a link arrive together (its two route walks run
+  // back to back), so a pair sums into the link's last contributor.
+  std::vector<std::vector<LinkContributor>> per_link(
+      static_cast<std::size_t>(links.size()));
+  detail::route_edges(g, links, m, [&](int edge, int link, double bytes) {
+    const graph::UndirectedEdge& e = edges[static_cast<std::size_t>(edge)];
+    auto& contributors = per_link[static_cast<std::size_t>(link)];
+    if (!contributors.empty() && contributors.back().a == e.a &&
+        contributors.back().b == e.b)
+      contributors.back().bytes += bytes;
+    else
+      contributors.push_back({e.a, e.b, bytes});
+  });
 
   ContentionReport report;
-  report.links.reserve(per_link.size());
-  std::vector<double> loads;
-  loads.reserve(per_link.size());
-  for (const auto& [link_key, pairs] : per_link) {
+  std::vector<double> loads(per_link.size(), 0.0);
+  for (int l = 0; l < links.size(); ++l) {
+    auto& contributors = per_link[static_cast<std::size_t>(l)];
+    if (contributors.empty()) continue;
+    std::sort(contributors.begin(), contributors.end(),
+              [](const LinkContributor& x, const LinkContributor& y) {
+                if (x.bytes != y.bytes) return x.bytes > y.bytes;
+                if (x.a != y.a) return x.a < y.a;
+                return x.b < y.b;
+              });
     LinkAttribution link;
-    link.from = static_cast<int>(link_key / p);
-    link.to = static_cast<int>(link_key % p);
-    link.contributors = sorted_contributors(pairs, n);
+    link.from = links.from(l);
+    link.to = links.to(l);
     // The link total is *defined* as the sum of its contributors, in their
     // sorted order, so the sum-of-contributors invariant holds bit-exactly.
-    for (const LinkContributor& c : link.contributors) link.bytes += c.bytes;
-    loads.push_back(link.bytes);
+    for (const LinkContributor& c : contributors) link.bytes += c.bytes;
+    link.contributors = std::move(contributors);
+    loads[static_cast<std::size_t>(l)] = link.bytes;
     report.links.push_back(std::move(link));
   }
   std::sort(report.links.begin(), report.links.end(),
@@ -157,21 +114,15 @@ ContentionReport attribute_link_loads(const graph::TaskGraph& g,
               if (x.from != y.from) return x.from < y.from;
               return x.to < y.to;
             });
-  report.stats = stats_from_loads(std::move(loads), topo.directed_link_count());
+  report.stats = stats_from_loads(std::move(loads));
   return report;
 }
 
 ContentionStats contention_stats(const graph::TaskGraph& g,
                                  const topo::Topology& topo,
                                  const Mapping& m) {
-  std::unordered_map<std::uint64_t, double> load;
-  for_each_link_crossing(g, topo, m,
-                         [&](std::uint64_t link_key, std::uint64_t,
-                             double bytes) { load[link_key] += bytes; });
-  std::vector<double> loads;
-  loads.reserve(load.size());
-  for (const auto& [key, bytes] : load) loads.push_back(bytes);
-  return stats_from_loads(std::move(loads), topo.directed_link_count());
+  const topo::LinkIndex links(topo);
+  return stats_from_loads(detail::routed_link_loads(g, links, m));
 }
 
 ContentionDiff diff_contention(const ContentionReport& a,

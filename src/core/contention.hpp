@@ -11,12 +11,13 @@
 // machine ("link (3,4) dropped 8000 -> 1000 B; pairs (12,13),(12,17) moved
 // off").
 //
-// Conventions match core::link_loads exactly: every task-graph edge routes
-// both directions along Topology::route() with bytes/2 each way, so the sum
-// of per-link totals equals the mapping's hop-bytes (exactly so for
-// integral byte weights, where every addend is exactly representable).  All
-// accumulation is sequential and keyed by link id, so the report is
-// byte-identical run to run and independent of the worker-pool size.
+// The routes come from the one walk core::link_loads also uses: every
+// task-graph edge routes both directions along Topology::route() with
+// bytes/2 each way, sequentially and in edge-list order, over the dense
+// link ids of topo::LinkIndex.  So the sum of per-link totals equals the
+// mapping's hop-bytes (exactly so for integral byte weights, where every
+// addend is exactly representable), and the report is byte-identical run
+// to run and independent of the worker-pool size.
 //
 // Everything here is ordinary code (the obs:: class-API tier, not the
 // OBS_* macro tier): computing an attribution never mutates observability
@@ -95,10 +96,10 @@ struct ContentionDiff {
   std::vector<LinkDelta> links;
 };
 
-/// Route every task-graph edge over the machine (as core::link_loads does)
-/// and attribute each directed link's bytes to the task pairs crossing it.
-/// Requires a topology with route() support; throws precondition_error on
-/// distance-model-only machines (FatTree).
+/// Route every task-graph edge over the machine (the walk core::link_loads
+/// shares) and attribute each directed link's bytes to the task pairs
+/// crossing it.  Requires a topology with processor-level links; throws
+/// precondition_error on distance-model-only machines (FatTree).
 ContentionReport attribute_link_loads(const graph::TaskGraph& g,
                                       const topo::Topology& topo,
                                       const Mapping& m);

@@ -1,8 +1,11 @@
 #include "core/link_refine.hpp"
 
-#include <unordered_map>
+#include <algorithm>
+#include <vector>
 
+#include "core/detail/route_loads.hpp"
 #include "support/error.hpp"
+#include "topo/link_index.hpp"
 
 namespace topomap::core {
 
@@ -11,15 +14,11 @@ namespace {
 /// Per-link byte loads with an incrementally-maintained L2 norm.
 class LinkLoadState {
  public:
-  LinkLoadState(const graph::TaskGraph& g, const topo::Topology& topo,
+  LinkLoadState(const graph::TaskGraph& g, const topo::LinkIndex& links,
                 const Mapping& m)
-      : topo_(topo), p_(static_cast<std::uint64_t>(topo.size())) {
-    for (const graph::UndirectedEdge& e : g.edges()) {
-      const int pa = m[static_cast<std::size_t>(e.a)];
-      const int pb = m[static_cast<std::size_t>(e.b)];
-      add_route(pa, pb, e.bytes / 2.0);
-      add_route(pb, pa, e.bytes / 2.0);
-    }
+      : links_(links), load_(static_cast<std::size_t>(links.size()), 0.0) {
+    detail::route_edges(g, links, m,
+                        [&](int, int link, double bytes) { add(link, bytes); });
   }
 
   /// Move one endpoint of every incident edge of `task` (except the edge
@@ -40,28 +39,24 @@ class LinkLoadState {
 
   double max_load() const {
     double mx = 0.0;
-    for (const auto& [key, bytes] : load_)
-      if (bytes > mx) mx = bytes;
+    for (const double bytes : load_) mx = std::max(mx, bytes);
     return mx;
   }
 
  private:
-  void add_route(int from, int to, double bytes) {
-    if (from == to) return;
-    const std::vector<int> path = topo_.route(from, to);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const auto key = static_cast<std::uint64_t>(path[i]) * p_ +
-                       static_cast<std::uint64_t>(path[i + 1]);
-      double& slot = load_[key];
-      const double old = slot;
-      slot += bytes;
-      l2_ += slot * slot - old * old;
-    }
+  void add(int link, double bytes) {
+    double& slot = load_[static_cast<std::size_t>(link)];
+    const double old = slot;
+    slot += bytes;
+    l2_ += slot * slot - old * old;
   }
 
-  const topo::Topology& topo_;
-  std::uint64_t p_;
-  std::unordered_map<std::uint64_t, double> load_;
+  void add_route(int from, int to, double bytes) {
+    links_.walk(from, to, [&](int link) { add(link, bytes); });
+  }
+
+  const topo::LinkIndex& links_;
+  std::vector<double> load_;
   double l2_ = 0.0;
 };
 
@@ -78,7 +73,8 @@ LinkRefineResult refine_link_load(const graph::TaskGraph& g,
 
   LinkRefineResult result;
   result.mapping = m;
-  LinkLoadState state(g, topo, result.mapping);
+  const topo::LinkIndex links(topo);
+  LinkLoadState state(g, links, result.mapping);
   result.l2_before = state.l2();
   result.max_before = state.max_load();
   const int n = g.num_vertices();
@@ -111,7 +107,7 @@ LinkRefineResult refine_link_load(const graph::TaskGraph& g,
   }
   // Recompute the final norm from scratch: the accept/revert cycles above
   // leave tiny floating-point drift in the incremental accumulator.
-  const LinkLoadState final_state(g, topo, result.mapping);
+  const LinkLoadState final_state(g, links, result.mapping);
   result.l2_after = final_state.l2();
   result.max_after = final_state.max_load();
   TOPOMAP_ASSERT(result.l2_after <=

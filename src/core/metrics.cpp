@@ -1,19 +1,13 @@
 #include "core/metrics.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
+#include "core/detail/route_loads.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
+#include "topo/link_index.hpp"
 
 namespace topomap::core {
-
-namespace {
-
-constexpr int kEdgeGrain = 64;  // routed task-graph edges per chunk
-
-}  // namespace
 
 double hop_bytes(const graph::TaskGraph& g, const topo::Topology& topo,
                  const Mapping& m) {
@@ -64,48 +58,11 @@ double expected_random_hops(const topo::Topology& topo) {
 
 LinkLoadStats link_loads(const graph::TaskGraph& g, const topo::Topology& topo,
                          const Mapping& m) {
-  TOPOMAP_REQUIRE(static_cast<int>(m.size()) == g.num_vertices(),
-                  "mapping size does not match task graph");
-  TOPOMAP_REQUIRE(is_complete(m, topo), "mapping is incomplete");
-  const auto p = static_cast<std::uint64_t>(topo.size());
-  const std::vector<graph::UndirectedEdge>& edges = g.edges();
-  const int num_edges = static_cast<int>(edges.size());
-
-  // Route edges in parallel: each chunk accumulates into its own map, then
-  // the chunk maps are merged in ascending chunk order.  Which links carry
-  // traffic (and the integer routing itself) is exact; only the FP addition
-  // grouping can differ from sequential, at the ulp level.
-  const int chunks = support::parallel_chunk_count(num_edges, kEdgeGrain);
-  std::vector<std::unordered_map<std::uint64_t, double>> chunk_load(
-      static_cast<std::size_t>(chunks));
-  support::parallel_for_chunks(
-      num_edges, kEdgeGrain, [&](int chunk, int begin, int end) {
-        auto& load = chunk_load[static_cast<std::size_t>(chunk)];
-        auto add_route = [&](int from, int to, double bytes) {
-          const std::vector<int> path = topo.route(from, to);
-          for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-            const auto key = static_cast<std::uint64_t>(path[i]) * p +
-                             static_cast<std::uint64_t>(path[i + 1]);
-            load[key] += bytes;
-          }
-        };
-        for (int i = begin; i < end; ++i) {
-          const graph::UndirectedEdge& e = edges[static_cast<std::size_t>(i)];
-          const int pa = m[static_cast<std::size_t>(e.a)];
-          const int pb = m[static_cast<std::size_t>(e.b)];
-          if (pa == pb) continue;
-          add_route(pa, pb, e.bytes / 2.0);
-          add_route(pb, pa, e.bytes / 2.0);
-        }
-      });
-  std::unordered_map<std::uint64_t, double> load;
-  for (int c = 0; c < chunks; ++c)
-    for (const auto& [key, bytes] : chunk_load[static_cast<std::size_t>(c)])
-      load[key] += bytes;
-
+  const topo::LinkIndex links(topo);
   LinkLoadStats stats;
-  stats.links_total = topo.directed_link_count();
-  for (const auto& [key, bytes] : load) {
+  stats.links_total = links.size();
+  for (const double bytes : detail::routed_link_loads(g, links, m)) {
+    if (bytes == 0.0) continue;
     stats.total_bytes += bytes;
     stats.max_bytes = std::max(stats.max_bytes, bytes);
     ++stats.links_used;

@@ -39,7 +39,7 @@ double expected_random_hops(const topo::Topology& topo);
 
 /// Per-link byte loads when every message follows Topology::route().
 struct LinkLoadStats {
-  double total_bytes = 0.0;   ///< sum over directed links (== hop-bytes)
+  double total_bytes = 0.0;   ///< sum in link-id order (== hop-bytes)
   double max_bytes = 0.0;     ///< most loaded directed link
   double mean_bytes = 0.0;    ///< average over all directed links
   int links_used = 0;         ///< directed links carrying any traffic
@@ -48,12 +48,10 @@ struct LinkLoadStats {
 
 /// Route every task-graph edge (both directions, bytes each way = edge
 /// bytes / 2 so totals match hop-bytes) and accumulate per-link loads.
-/// Requires a topology with route() support (grids, hypercube, graphs).
-/// Edge routing runs on the support::parallel pool (per-chunk load maps,
-/// merged in ascending chunk order); the result is deterministic for any
-/// thread count, though the FP sums may differ from a strictly sequential
-/// accumulation at the ulp level (this is a read-only statistic — no
-/// mapping decision consumes it).
+/// Requires a topology with processor-level links (grids, hypercube,
+/// graphs); throws precondition_error on FatTree.  Walks the same routes
+/// in the same order as the contention attribution, so per-link loads and
+/// the maximum agree with it exactly.
 LinkLoadStats link_loads(const graph::TaskGraph& g, const topo::Topology& topo,
                          const Mapping& m);
 

@@ -10,81 +10,38 @@ namespace topomap::netsim {
 
 Network::Network(const topo::Topology& topo, NetworkParams params,
                  ServiceModel model, SimulationClient* client)
-    : topo_(topo), params_(params), model_(model), client_(client) {
+    : topo_(topo), params_(params), model_(model), client_(client),
+      links_(topo) {
   TOPOMAP_REQUIRE(params_.bandwidth > 0.0, "bandwidth must be positive");
   TOPOMAP_REQUIRE(params_.per_hop_latency_us >= 0.0, "negative hop latency");
   TOPOMAP_REQUIRE(params_.injection_overhead_us >= 0.0,
                   "negative injection overhead");
   TOPOMAP_REQUIRE(params_.packet_bytes > 0.0, "packet size must be positive");
 
-  const int n = topo_.size();
-  link_offset_.resize(static_cast<std::size_t>(n) + 1, 0);
-  nbr_sorted_.resize(static_cast<std::size_t>(n));
-  nbr_slot_.resize(static_cast<std::size_t>(n));
-  for (int u = 0; u < n; ++u) {
-    const std::vector<int> nbrs = topo_.neighbors(u);
-    link_offset_[static_cast<std::size_t>(u) + 1] =
-        link_offset_[static_cast<std::size_t>(u)] +
-        static_cast<int>(nbrs.size());
-    // Sorted copy with original slot numbers for O(log deg) lookup.
-    std::vector<std::pair<int, int>> order;
-    order.reserve(nbrs.size());
-    for (std::size_t slot = 0; slot < nbrs.size(); ++slot)
-      order.emplace_back(nbrs[slot], static_cast<int>(slot));
-    std::sort(order.begin(), order.end());
-    for (const auto& [nbr, slot] : order) {
-      nbr_sorted_[static_cast<std::size_t>(u)].push_back(nbr);
-      nbr_slot_[static_cast<std::size_t>(u)].push_back(slot);
-    }
-  }
-  // Link id = link_offset_[u] + original neighbour slot.
-  neighbor_of_link_.assign(
-      static_cast<std::size_t>(link_offset_[static_cast<std::size_t>(n)]), -1);
-  node_of_link_.assign(neighbor_of_link_.size(), -1);
-  for (int u = 0; u < n; ++u) {
-    const auto& sorted = nbr_sorted_[static_cast<std::size_t>(u)];
-    const auto& slots = nbr_slot_[static_cast<std::size_t>(u)];
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      const auto link = static_cast<std::size_t>(
-          link_offset_[static_cast<std::size_t>(u)] + slots[i]);
-      neighbor_of_link_[link] = sorted[i];
-      node_of_link_[link] = u;
-    }
-  }
-  link_free_.assign(neighbor_of_link_.size(), 0.0);
-  link_busy_.assign(neighbor_of_link_.size(), 0.0);
-  link_bytes_.assign(neighbor_of_link_.size(), 0.0);
-  link_slowdown_.assign(neighbor_of_link_.size(), 1.0);
+  const auto num_links = static_cast<std::size_t>(links_.size());
+  link_free_.assign(num_links, 0.0);
+  link_busy_.assign(num_links, 0.0);
+  link_bytes_.assign(num_links, 0.0);
+  link_slowdown_.assign(num_links, 1.0);
   // Service rates come from the topology's own link health: a machine
   // described by a soft-faulted topo::FaultOverlay serialises messages
   // proportionally slower on its degraded links, with no separate
   // degrade_link() bookkeeping to keep in sync with the mapping distances.
   // Links in neighbors() are alive by construction, so health is in (0, 1].
-  for (int u = 0; u < n; ++u) {
-    for (int v : topo_.neighbors(u)) {
-      const double health = topo_.link_health(u, v);
-      TOPOMAP_ASSERT(health > 0.0 && health <= 1.0,
-                     "alive link reports health outside (0, 1]");
-      if (health < 1.0)
-        link_slowdown_[static_cast<std::size_t>(link_id(u, v))] = 1.0 / health;
-    }
+  for (int l = 0; l < links_.size(); ++l) {
+    const double health = topo_.link_health(links_.from(l), links_.to(l));
+    TOPOMAP_ASSERT(health > 0.0 && health <= 1.0,
+                   "alive link reports health outside (0, 1]");
+    if (health < 1.0) link_slowdown_[static_cast<std::size_t>(l)] = 1.0 / health;
   }
 }
 
 void Network::degrade_link(int from, int to, double factor) {
   TOPOMAP_REQUIRE(factor > 0.0 && factor <= 1.0,
                   "degradation factor must be in (0, 1]");
-  link_slowdown_[static_cast<std::size_t>(link_id(from, to))] = 1.0 / factor;
-}
-
-int Network::link_id(int from, int to) const {
-  const auto& sorted = nbr_sorted_[static_cast<std::size_t>(from)];
-  const auto it = std::lower_bound(sorted.begin(), sorted.end(), to);
-  TOPOMAP_ASSERT(it != sorted.end() && *it == to,
-                 "route step is not a physical link");
-  const auto idx = static_cast<std::size_t>(it - sorted.begin());
-  return link_offset_[static_cast<std::size_t>(from)] +
-         nbr_slot_[static_cast<std::size_t>(from)][idx];
+  const int link = links_.id(from, to);
+  TOPOMAP_REQUIRE(link >= 0, "degrade_link: not a physical link");
+  link_slowdown_[static_cast<std::size_t>(link)] = 1.0 / factor;
 }
 
 void Network::inject(SimTime now, int src_node, int dst_node, double bytes,
@@ -96,12 +53,9 @@ void Network::inject(SimTime now, int src_node, int dst_node, double bytes,
   state.msg = Message{src_node, dst_node, bytes, tag, now, 0.0};
   state.route_hops = topo_.distance(src_node, dst_node);
   const bool adaptive = params_.routing == RoutingPolicy::kMinimalAdaptive;
-  if (src_node != dst_node && !adaptive) {
-    const std::vector<int> path = topo_.route(src_node, dst_node);
-    state.links.reserve(path.size() - 1);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i)
-      state.links.push_back(link_id(path[i], path[i + 1]));
-  }
+  if (src_node != dst_node && !adaptive)
+    links_.walk(src_node, dst_node,
+                [&](int link) { state.links.push_back(link); });
   if (model_ == ServiceModel::kStoreForward && state.route_hops > 0) {
     state.packets = static_cast<std::uint32_t>(
         std::ceil(bytes / params_.packet_bytes));
@@ -184,18 +138,15 @@ SimTime Network::reserve(int link, SimTime earliest, SimTime duration,
 
 int Network::pick_adaptive_link(int cur, int dst) const {
   const int cur_dist = topo_.distance(cur, dst);
-  const auto& sorted = nbr_sorted_[static_cast<std::size_t>(cur)];
-  const auto& slots = nbr_slot_[static_cast<std::size_t>(cur)];
   int best_link = -1;
   SimTime best_free = 0.0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
+  for (const int link : links_.links_by_target(cur)) {
     // A neighbour is on a minimal path iff crossing its link pays for the
     // full distance reduction — cost 1 on hop metrics, the health-weighted
     // fixed-point cost on a degraded overlay.
-    if (topo_.distance(sorted[i], dst) !=
-        cur_dist - topo_.link_cost(cur, sorted[i]))
+    const int next = links_.to(link);
+    if (topo_.distance(next, dst) != cur_dist - topo_.link_cost(cur, next))
       continue;
-    const int link = link_offset_[static_cast<std::size_t>(cur)] + slots[i];
     const SimTime free = link_free_[static_cast<std::size_t>(link)];
     if (best_link < 0 || free < best_free) {  // ties: lowest neighbour id
       best_link = link;
@@ -221,7 +172,7 @@ void Network::handle_hop(const Event& e) {
         model_ == ServiceModel::kStoreForward ? e.sub : 0;
     const int cur = state.packet_node[pos_idx];
     link = pick_adaptive_link(cur, state.msg.dst_node);
-    next_node = neighbor_of_link_[static_cast<std::size_t>(link)];
+    next_node = links_.to(link);
     state.packet_node[pos_idx] = next_node;
     last_hop = (next_node == state.msg.dst_node);
   } else {
@@ -337,8 +288,8 @@ TelemetrySnapshot Network::telemetry_snapshot() const {
   for (std::size_t l = 0; l < link_bytes_.size(); ++l) {
     if (link_bytes_[l] <= 0.0) continue;
     LinkTelemetry lt;
-    lt.from = node_of_link_[l];
-    lt.to = neighbor_of_link_[l];
+    lt.from = links_.from(static_cast<int>(l));
+    lt.to = links_.to(static_cast<int>(l));
     lt.bytes = link_bytes_[l];
     lt.busy_us = link_busy_[l];
     const auto& bins = bin_busy_us_[l];
@@ -363,15 +314,12 @@ TelemetrySnapshot Network::telemetry_snapshot() const {
 
 std::vector<LinkFlow> Network::link_flows() const {
   std::vector<LinkFlow> flows;
-  for (std::size_t l = 0; l < link_bytes_.size(); ++l)
-    if (link_bytes_[l] > 0.0)
-      flows.push_back(LinkFlow{node_of_link_[l], neighbor_of_link_[l],
-                               link_bytes_[l], link_busy_[l]});
-  std::sort(flows.begin(), flows.end(),
-            [](const LinkFlow& x, const LinkFlow& y) {
-              if (x.from != y.from) return x.from < y.from;
-              return x.to < y.to;
-            });
+  for (int u = 0; u < topo_.size(); ++u)
+    for (const int l : links_.links_by_target(u))
+      if (link_bytes_[static_cast<std::size_t>(l)] > 0.0)
+        flows.push_back(LinkFlow{u, links_.to(l),
+                                 link_bytes_[static_cast<std::size_t>(l)],
+                                 link_busy_[static_cast<std::size_t>(l)]});
   return flows;
 }
 

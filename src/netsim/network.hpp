@@ -30,6 +30,7 @@
 
 #include "netsim/event_queue.hpp"
 #include "support/stats.hpp"
+#include "topo/link_index.hpp"
 #include "topo/topology.hpp"
 
 namespace topomap::netsim {
@@ -126,8 +127,8 @@ class SimulationClient {
 
 class Network {
  public:
-  /// @param topo    routed topology (must support route()); kept alive by
-  ///                the caller for the simulator's lifetime
+  /// @param topo    topology with processor-level links (not FatTree);
+  ///                kept alive by the caller for the simulator's lifetime
   /// @param client  may be null when only aggregate stats are wanted
   Network(const topo::Topology& topo, NetworkParams params,
           ServiceModel model, SimulationClient* client);
@@ -188,7 +189,6 @@ class Network {
   double max_link_busy_us() const;
   /// Mean link utilisation over [0, run_until_idle() time].
   double mean_link_busy_us() const;
-  int link_count() const { return static_cast<int>(link_free_.size()); }
 
   const NetworkParams& params() const { return params_; }
 
@@ -202,7 +202,6 @@ class Network {
     std::uint32_t packets_arrived = 0;
   };
 
-  int link_id(int from, int to) const;
   void handle_hop(const Event& e);
   void deliver(SimTime time, std::uint64_t id);
   /// Reserve `link` for `duration` starting no earlier than `earliest`;
@@ -226,16 +225,12 @@ class Network {
   EventQueue queue_;
   SimTime now_ = 0.0;
 
-  // Link bookkeeping: links are indexed per (node, neighbor-slot).
-  std::vector<int> link_offset_;            // per node, into link arrays
-  std::vector<int> neighbor_of_link_;       // link id -> destination node
-  std::vector<std::vector<int>> nbr_sorted_;// per node: sorted neighbors
-  std::vector<std::vector<int>> nbr_slot_;  // matching link slot per entry
-  std::vector<SimTime> link_free_;          // next time each link is free
-  std::vector<double> link_busy_;           // accumulated busy time
-  std::vector<double> link_bytes_;          // accumulated payload bytes
-  std::vector<double> link_slowdown_;       // serialisation multiplier (>= 1)
-  std::vector<int> node_of_link_;           // link id -> source node
+  // Per-link state, indexed by topo::LinkIndex id.
+  topo::LinkIndex links_;
+  std::vector<SimTime> link_free_;     // next time each link is free
+  std::vector<double> link_busy_;      // accumulated busy time
+  std::vector<double> link_bytes_;     // accumulated payload bytes
+  std::vector<double> link_slowdown_;  // serialisation multiplier (>= 1)
 
   // Time-resolved telemetry (inert unless set_telemetry() was called).
   bool telemetry_on_ = false;

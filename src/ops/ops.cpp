@@ -72,7 +72,8 @@ Metrics measure(const graph::TaskGraph& g, const topo::Topology& machine,
   {
     OBS_SPAN("ops/hop_bytes");
     metrics.hop_bytes = core::hop_bytes(g, machine, m);
-    metrics.hops_per_byte = core::hops_per_byte(g, machine, m);
+    const double bytes = g.total_comm_bytes();
+    metrics.hops_per_byte = bytes > 0.0 ? metrics.hop_bytes / bytes : 0.0;
   }
   OBS_SPAN("ops/link_loads");
   try {

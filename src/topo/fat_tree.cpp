@@ -64,7 +64,7 @@ double FatTree::mean_pairwise_distance() const {
   return 2.0 * (static_cast<double>(levels_) - e_lcp);
 }
 
-std::vector<int> FatTree::route(int, int) const {
+void FatTree::route(int, int, std::vector<int>&) const {
   throw precondition_error(
       "FatTree::route: fat-tree paths traverse switches, which are not "
       "processors; use a grid topology for link-level experiments");

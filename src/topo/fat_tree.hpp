@@ -33,7 +33,7 @@ class FatTree final : public Topology {
   /// the same-edge-switch leaves, which left the adjacency graph
   /// disconnected while distance() reported finite cross-subtree values —
   /// GraphTopology::from_topology then failed with a misleading
-  /// "disconnected" error and directed_link_count() undercounted.  Like
+  /// "disconnected" error and the directed-link count came out short.  Like
   /// route(), this now throws precondition_error up front.
   std::vector<int> neighbors(int p) const override;
 
@@ -49,7 +49,8 @@ class FatTree final : public Topology {
 
   /// Unsupported — fat-tree routes traverse switches, not processors.
   /// Throws precondition_error.
-  std::vector<int> route(int a, int b) const override;
+  using Topology::route;
+  void route(int a, int b, std::vector<int>& path) const override;
 
   int arity() const { return arity_; }
   int levels() const { return levels_; }

@@ -340,67 +340,53 @@ bool FaultOverlay::route_intact(const std::vector<int>& path) const {
   return true;
 }
 
-std::vector<int> FaultOverlay::route(int a, int b) const {
+void FaultOverlay::route(int a, int b, std::vector<int>& path) const {
   TOPOMAP_REQUIRE(is_alive(a),
                   "route: processor " + std::to_string(a) + " has failed");
   TOPOMAP_REQUIRE(is_alive(b),
                   "route: processor " + std::to_string(b) + " has failed");
-  if (!has_faults()) return base_->route(a, b);
   // Keep the base's deterministic (e.g. dimension-ordered) route whenever
   // the faults do not touch it, so fault-free pairs see unchanged paths.
-  {
-    std::vector<int> path = base_->route(a, b);
-    if (route_intact(path)) return path;
-  }
-  if (a == b) return {a};
+  base_->route(a, b, path);
+  if (!has_faults() || route_intact(path)) return;
+  std::vector<int> parent(static_cast<std::size_t>(size_), -1);
+  bool found = false;
   if (!degraded_.empty()) {
     // Cheapest route by Dijkstra with a deterministic parent tree.
     std::vector<std::uint16_t> dist(static_cast<std::size_t>(size_));
-    std::vector<int> parent(static_cast<std::size_t>(size_), -1);
     dijkstra_row(a, dist.data(), &parent);
-    TOPOMAP_REQUIRE(dist[static_cast<std::size_t>(b)] != kUnreachable,
-                    "route: processors " + std::to_string(a) + " and " +
-                        std::to_string(b) +
-                        " are disconnected by faults in " + name());
-    std::vector<int> path;
-    for (int v = b; v != a; v = parent[static_cast<std::size_t>(v)])
-      path.push_back(v);
-    path.push_back(a);
-    std::reverse(path.begin(), path.end());
-    return path;
-  }
-  // BFS with parent tracking over the alive subgraph.
-  std::vector<int> parent(static_cast<std::size_t>(size_), -1);
-  std::vector<int> frontier{a}, next;
-  parent[static_cast<std::size_t>(a)] = a;
-  bool found = false;
-  while (!frontier.empty() && !found) {
-    next.clear();
-    for (int u : frontier) {
-      for (int v : base_->neighbors(u)) {
-        if (dead_[static_cast<std::size_t>(v)]) continue;
-        if (parent[static_cast<std::size_t>(v)] != -1) continue;
-        if (link_failed(u, v)) continue;
-        parent[static_cast<std::size_t>(v)] = u;
-        if (v == b) {
-          found = true;
-          break;
+    found = dist[static_cast<std::size_t>(b)] != kUnreachable;
+  } else {
+    // BFS with parent tracking over the alive subgraph.
+    std::vector<int> frontier{a}, next;
+    parent[static_cast<std::size_t>(a)] = a;
+    while (!frontier.empty() && !found) {
+      next.clear();
+      for (int u : frontier) {
+        for (int v : base_->neighbors(u)) {
+          if (dead_[static_cast<std::size_t>(v)]) continue;
+          if (parent[static_cast<std::size_t>(v)] != -1) continue;
+          if (link_failed(u, v)) continue;
+          parent[static_cast<std::size_t>(v)] = u;
+          if (v == b) {
+            found = true;
+            break;
+          }
+          next.push_back(v);
         }
-        next.push_back(v);
+        if (found) break;
       }
-      if (found) break;
+      frontier.swap(next);
     }
-    frontier.swap(next);
   }
   TOPOMAP_REQUIRE(found, "route: processors " + std::to_string(a) + " and " +
                              std::to_string(b) +
                              " are disconnected by faults in " + name());
-  std::vector<int> path;
+  path.clear();
   for (int v = b; v != a; v = parent[static_cast<std::size_t>(v)])
     path.push_back(v);
   path.push_back(a);
   std::reverse(path.begin(), path.end());
-  return path;
 }
 
 void FaultOverlay::write_distance_row(int p, std::uint16_t* out) const {

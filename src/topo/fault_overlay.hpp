@@ -171,7 +171,8 @@ class FaultOverlay final : public Topology {
   /// links at at least the healthy cost.  Otherwise reroutes by BFS
   /// (hard faults only) or Dijkstra (weighted mode).  Throws
   /// precondition_error on dead endpoints or disconnection.
-  std::vector<int> route(int a, int b) const override;
+  using Topology::route;
+  void route(int a, int b, std::vector<int>& path) const override;
   void write_distance_row(int p, std::uint16_t* out) const override;
 
  private:

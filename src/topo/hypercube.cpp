@@ -49,10 +49,10 @@ void Hypercube::write_distance_row(int p, std::uint16_t* out) const {
         std::popcount(static_cast<unsigned>(p ^ q)));
 }
 
-std::vector<int> Hypercube::route(int a, int b) const {
+void Hypercube::route(int a, int b, std::vector<int>& path) const {
   check_node(a);
   check_node(b);
-  std::vector<int> path{a};
+  path.assign(1, a);
   int cur = a;
   for (int d = 0; d < dim_; ++d) {
     const int bit = 1 << d;
@@ -61,7 +61,6 @@ std::vector<int> Hypercube::route(int a, int b) const {
       path.push_back(cur);
     }
   }
-  return path;
 }
 
 }  // namespace topomap::topo

@@ -25,7 +25,8 @@ class Hypercube final : public Topology {
   int diameter() const override { return dim_; }
 
   /// E-cube route: corrects differing bits from least to most significant.
-  std::vector<int> route(int a, int b) const override;
+  using Topology::route;
+  void route(int a, int b, std::vector<int>& path) const override;
 
   /// Batch row fill for DistanceCache: one popcount per entry.
   void write_distance_row(int p, std::uint16_t* out) const override;

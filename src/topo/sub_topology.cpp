@@ -80,23 +80,20 @@ int SubTopology::diameter() const {
   return best;
 }
 
-std::vector<int> SubTopology::route(int a, int b) const {
+void SubTopology::route(int a, int b, std::vector<int>& path) const {
   // Expressible only when the base route stays inside the subset — true by
   // construction when the base is a FaultOverlay over the alive processors
   // (routes never visit dead nodes).  Excluded intermediate hops mean the
   // compact ids cannot describe the path; callers then need route_in_base().
-  const std::vector<int> base_path = route_in_base(a, b);
-  std::vector<int> out;
-  out.reserve(base_path.size());
-  for (int hop : base_path) {
+  base_->route(node_of(a), node_of(b), path);
+  for (int& hop : path) {
     const int c = compact_of_[static_cast<std::size_t>(hop)];
     TOPOMAP_REQUIRE(c >= 0,
                     "SubTopology::route: base route passes through excluded "
                     "processor " + std::to_string(hop) +
                         "; use route_in_base()");
-    out.push_back(c);
+    hop = c;
   }
-  return out;
 }
 
 std::vector<int> SubTopology::route_in_base(int a, int b) const {

@@ -50,7 +50,8 @@ class SubTopology final : public Topology {
   /// route stays inside the subset (always true over a FaultOverlay's alive
   /// set); throws precondition_error if an intermediate hop is excluded —
   /// use route_in_base() for the physical path in that case.
-  std::vector<int> route(int a, int b) const override;
+  using Topology::route;
+  void route(int a, int b, std::vector<int>& path) const override;
   void write_distance_row(int p, std::uint16_t* out) const override;
 
   /// The base's route between compact processors a and b, in base ids.

@@ -34,12 +34,17 @@ int Topology::diameter() const {
   return best;
 }
 
-std::vector<int> Topology::route(int a, int b) const { return bfs_route(a, b); }
+std::vector<int> Topology::route(int a, int b) const {
+  std::vector<int> path;
+  route(a, b, path);
+  return path;
+}
 
-std::vector<int> Topology::bfs_route(int a, int b) const {
+void Topology::route(int a, int b, std::vector<int>& path) const {
   check_node(a);
   check_node(b);
-  if (a == b) return {a};
+  path.assign(1, b);
+  if (a == b) return;
   std::vector<int> parent(static_cast<std::size_t>(size()), -1);
   std::deque<int> frontier{a};
   parent[static_cast<std::size_t>(a)] = a;
@@ -50,13 +55,12 @@ std::vector<int> Topology::bfs_route(int a, int b) const {
       if (parent[static_cast<std::size_t>(v)] != -1) continue;
       parent[static_cast<std::size_t>(v)] = u;
       if (v == b) {
-        std::vector<int> path{b};
         for (int cur = b; cur != a;) {
           cur = parent[static_cast<std::size_t>(cur)];
           path.push_back(cur);
         }
         std::reverse(path.begin(), path.end());
-        return path;
+        return;
       }
       frontier.push_back(v);
     }
@@ -69,13 +73,6 @@ void Topology::write_distance_row(int p, std::uint16_t* out) const {
   const int n = size();
   for (int q = 0; q < n; ++q)
     out[q] = static_cast<std::uint16_t>(distance(p, q));
-}
-
-int Topology::directed_link_count() const {
-  int count = 0;
-  for (int p = 0; p < size(); ++p)
-    count += static_cast<int>(neighbors(p).size());
-  return count;
 }
 
 }  // namespace topomap::topo

@@ -73,14 +73,14 @@ class Topology {
   /// Maximum distance between any pair of processors.
   virtual int diameter() const;
 
-  /// The route a message from a to b takes, as the node sequence
-  /// [a, ..., b] (length distance(a,b)+1).  Deterministic; grid topologies
-  /// use dimension-ordered routing.  Used for per-link load accounting and
-  /// by the network simulator.
-  virtual std::vector<int> route(int a, int b) const;
+  /// The route a message from a to b takes, written into `path` (which is
+  /// overwritten, so many walks reuse one buffer) as the nodes [a, ..., b].
+  /// Deterministic; grids route dimension-ordered, the default is a BFS
+  /// shortest path.  Link consumers walk routes through topo::LinkIndex.
+  virtual void route(int a, int b, std::vector<int>& path) const;
 
-  /// Number of directed links (each undirected link counts twice).
-  int directed_link_count() const;
+  /// The same route as a fresh vector.
+  std::vector<int> route(int a, int b) const;
 
   /// Fill out[q] = distance(p, q) for every processor q — one row of the
   /// dense distance matrix.  The default loops over the virtual distance();
@@ -91,8 +91,6 @@ class Topology {
   virtual void write_distance_row(int p, std::uint16_t* out) const;
 
  protected:
-  /// BFS shortest path from a to b over neighbors(); default route() impl.
-  std::vector<int> bfs_route(int a, int b) const;
   void check_node(int p) const;
 };
 

@@ -208,23 +208,28 @@ void TorusMesh::write_distance_row(int p, std::uint16_t* out) const {
   }
 }
 
-std::vector<int> TorusMesh::route(int a, int b) const {
+void TorusMesh::route(int a, int b, std::vector<int>& path) const {
   check_node(a);
   check_node(b);
-  std::vector<int> path{a};
-  std::vector<int> cur = coords(a);
-  const std::vector<int> dst = coords(b);
+  path.assign(1, a);
+  // Stride arithmetic: correcting dimension d moves only d's coordinate,
+  // so the shortest-way step chosen at the start holds for every hop.
+  int cur = a;
   for (std::size_t d = 0; d < dims_.size(); ++d) {
     const int s = dims_[d];
-    while (cur[d] != dst[d]) {
-      const int step = dim_step(static_cast<int>(d), cur[d], dst[d]);
-      cur[d] = ((cur[d] + step) % s + s) % s;
-      path.push_back(index(cur));
+    const int stride = stride_[d];
+    int x = (a / stride) % s;
+    const int y = (b / stride) % s;
+    const int step = dim_step(static_cast<int>(d), x, y);
+    while (x != y) {
+      const int next = x + step < 0 ? s - 1 : x + step == s ? 0 : x + step;
+      cur += (next - x) * stride;
+      x = next;
+      path.push_back(cur);
     }
   }
   TOPOMAP_ASSERT(static_cast<int>(path.size()) == distance(a, b) + 1,
                  "dimension-ordered route is not shortest");
-  return path;
 }
 
 }  // namespace topomap::topo

@@ -34,7 +34,8 @@ class TorusMesh final : public Topology {
 
   /// Dimension-ordered route: correct dimension 0 first (taking the short
   /// way around on wrapped dimensions, lower direction on ties), then 1, ...
-  std::vector<int> route(int a, int b) const override;
+  using Topology::route;
+  void route(int a, int b, std::vector<int>& path) const override;
 
   /// Batch row fill for DistanceCache: per-dimension distance tables plus a
   /// mixed-radix odometer make it O(1) per entry, no division.

@@ -3,13 +3,15 @@
 // The attribution layer's claims are all exactness claims, so the tests
 // cross-check three independent implementations of "bytes per link":
 //
-//  * attribute_link_loads — sequential routed attribution (the explainer),
-//  * core::link_loads     — the parallel aggregate accounting,
+//  * attribute_link_loads — routed attribution (the explainer),
+//  * core::link_loads     — the aggregate accounting,
 //  * netsim::Network      — what a store-and-forward simulation actually
 //    pushes over every link under deterministic routing.
 //
-// All three must agree per link and in aggregate, on every routed topology
-// family, at any mapping thread count.  On top of that: contributor sums
+// The first two share one route walk (topo::LinkIndex), so their per-link
+// loads agree by construction, at any weights; all three must agree per
+// link and in aggregate, on every routed topology family, at any mapping
+// thread count.  On top of that: contributor sums
 // equal link totals (also through the JSON top-K folding), diffs are
 // antisymmetric, and the soft-fault ablation's 8000 -> 1000 B hot-link
 // shift is reproduced end to end.
@@ -68,8 +70,8 @@ TEST(ContentionAttribution, AgreesWithLinkLoadsAggregates) {
 
     const ContentionReport report = core::attribute_link_loads(g, *topo, m);
     const core::LinkLoadStats agg = core::link_loads(g, *topo, m);
-    EXPECT_DOUBLE_EQ(report.stats.total_bytes, agg.total_bytes) << topo_spec;
-    EXPECT_DOUBLE_EQ(report.stats.max_bytes, agg.max_bytes) << topo_spec;
+    EXPECT_EQ(report.stats.total_bytes, agg.total_bytes) << topo_spec;
+    EXPECT_EQ(report.stats.max_bytes, agg.max_bytes) << topo_spec;
     EXPECT_EQ(report.stats.links_used, agg.links_used) << topo_spec;
     EXPECT_EQ(report.stats.links_total, agg.links_total) << topo_spec;
     // The headline exactness claim: per-link totals sum to hop-bytes.
@@ -80,6 +82,28 @@ TEST(ContentionAttribution, AgreesWithLinkLoadsAggregates) {
     EXPECT_DOUBLE_EQ(stats.total_bytes, report.stats.total_bytes);
     EXPECT_DOUBLE_EQ(stats.l2, report.stats.l2);
     EXPECT_DOUBLE_EQ(stats.gini, report.stats.gini);
+  }
+  // Fractional md byte weights make sums order-sensitive.  Both
+  // accountings sum each link over the same walk in the same order, so
+  // per-link maxima and counts still agree exactly; the grand totals sum
+  // the same loads in different orders (link id vs ascending).
+  for (const std::string& topo_spec :
+       {std::string("torus:4x4x4"), std::string("mesh:4x5"),
+        std::string("hypercube:5")}) {
+    const auto topo = topo::make_topology(topo_spec);
+    Rng rng(5);
+    const auto g = graph::make_task_graph("md:3x3x3", rng);
+    core::Mapping m(static_cast<std::size_t>(g.num_vertices()));
+    for (int t = 0; t < g.num_vertices(); ++t)
+      m[static_cast<std::size_t>(t)] = (t * 37) % topo->size();
+    const core::LinkLoadStats agg = core::link_loads(g, *topo, m);
+    const core::ContentionStats stats = core::contention_stats(g, *topo, m);
+    EXPECT_EQ(agg.max_bytes, stats.max_bytes) << topo_spec;
+    EXPECT_EQ(agg.links_used, stats.links_used) << topo_spec;
+    EXPECT_EQ(agg.links_total, stats.links_total) << topo_spec;
+    EXPECT_NEAR(agg.total_bytes, stats.total_bytes,
+                1e-12 * stats.total_bytes)
+        << topo_spec;
   }
 }
 

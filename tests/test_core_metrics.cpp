@@ -7,6 +7,7 @@
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "topo/factory.hpp"
+#include "topo/link_index.hpp"
 #include "topo/torus_mesh.hpp"
 
 namespace topomap::core {
@@ -90,7 +91,7 @@ TEST(Metrics, LinkLoadTotalsEqualHopBytes) {
   const LinkLoadStats stats = link_loads(g, t, m);
   EXPECT_NEAR(stats.total_bytes, hop_bytes(g, t, m), 1e-6);
   EXPECT_GE(stats.max_bytes, stats.mean_bytes);
-  EXPECT_EQ(stats.links_total, t.directed_link_count());
+  EXPECT_EQ(stats.links_total, topo::LinkIndex(t).size());
   EXPECT_LE(stats.links_used, stats.links_total);
 }
 

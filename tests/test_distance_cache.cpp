@@ -388,7 +388,7 @@ TEST(DistanceCache, HopBytesOverloadsAgree) {
 // FatTree is a distance model with no processor-level adjacency; the
 // regression here is that it used to *return* a disconnected sibling
 // adjacency, which made GraphTopology::from_topology fail with a misleading
-// "disconnected" diagnosis and undercounted directed_link_count.
+// "disconnected" diagnosis and undercounted the directed links.
 TEST(FatTreeAdjacency, NeighborsRejectsUpFront) {
   const topo::FatTree f(2, 3);
   EXPECT_THROW(f.neighbors(0), precondition_error);

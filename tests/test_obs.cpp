@@ -498,6 +498,27 @@ TEST_F(ObsTest, TopoLBWorkCountersArePinnedAtAnyThreadCount) {
     // Gains the selection folded one by one; a fold of every unplaced
     // task each cycle would count 256 * 257 / 2 = 32896.
     EXPECT_EQ(reg.counter("topolb/select_evals"), 13555u) << threads;
+    // ops::measure routes each of the 512 stencil edges both ways once.
+    EXPECT_EQ(reg.counter("links/route_hops"), 960u) << threads;
+  }
+}
+
+// The explain run of scripts/ci.sh attributes the TopoLB mapping (224 hops)
+// and the greedy baseline (886 hops) over one route walk each.
+TEST_F(ObsTest, ExplainRouteHopsArePinnedAtAnyThreadCount) {
+  ops::Params p;
+  p.tasks = "stencil2d:8x8";
+  p.topology = "torus:8x8";
+  p.strategy = "topolb";
+  p.baseline = "greedy";
+  p.seed = 7;
+  set_enabled(true);
+  for (int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    Registry::instance().reset();
+    (void)ops::run_explain(p, ops::make_machine);
+    EXPECT_EQ(Registry::instance().counter("links/route_hops"), 1110u)
+        << threads;
   }
 }
 
