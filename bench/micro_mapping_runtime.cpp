@@ -6,8 +6,8 @@
 //   * RefineTopoLB sweeps are O(p^2) per pass;
 //   * the multilevel partitioner handles the MD-scale object graphs fast;
 //   * the distance-plane engine: DistanceCache rows vs virtual dispatch
-//     (the cached/virtual suffix pairs), and thread scaling of the
-//     parallel kernels (the /threads:N variants).
+//     (the cached/virtual suffix pairs), and thread scaling of the pooled
+//     layers (the _Threads series).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -114,41 +114,26 @@ void BM_DistanceCacheBuild(benchmark::State& state) {
 BENCHMARK(BM_DistanceCacheBuild)->Arg(16)->Arg(32)->Arg(64)->Complexity(
     benchmark::oNSquared);
 
-// --- thread scaling of the parallel kernels (cached mode) -----------------
+// --- thread scaling of the pooled layers (cached mode) --------------------
 // Args are (side, workers).  Results are byte-identical across the series;
-// only wall time may change.
+// only wall time may change.  Second-order TopoLB, TopoCentLB and
+// RefineTopoLB run on the calling thread at any width, so only the plane
+// fill, third order's row rescan and HierTopoLB have a series here.
+
+void BM_DistanceCacheBuild_Threads(benchmark::State& state) {
+  support::set_num_threads(static_cast<int>(state.range(1)));
+  BM_DistanceCacheBuild(state);
+  support::set_num_threads(1);
+}
+BENCHMARK(BM_DistanceCacheBuild_Threads)
+    ->Args({64, 1})
+    ->Args({64, 2})
+    ->Args({64, 4});
 
 void BM_TopoLB_ThirdOrder_Threads(benchmark::State& state) {
   map_stencil_threads(state, "topolb3");
 }
 BENCHMARK(BM_TopoLB_ThirdOrder_Threads)
-    ->Args({24, 1})
-    ->Args({24, 2})
-    ->Args({24, 4})
-    ->Args({24, 8});
-
-void BM_TopoLB_SecondOrder_Threads(benchmark::State& state) {
-  map_stencil_threads(state, "topolb");
-}
-BENCHMARK(BM_TopoLB_SecondOrder_Threads)
-    ->Args({32, 1})
-    ->Args({32, 2})
-    ->Args({32, 4});
-
-void BM_Refine_Threads(benchmark::State& state) {
-  support::set_num_threads(static_cast<int>(state.range(1)));
-  const int side = static_cast<int>(state.range(0));
-  const auto g = graph::stencil_2d(side, side, 1.0);
-  const topo::TorusMesh torus = topo::TorusMesh::torus({side, side});
-  Rng rng(2);
-  const core::Mapping random = rng.permutation(side * side);
-  for (auto _ : state) {
-    auto r = core::refine_mapping(g, torus, random, /*max_passes=*/1);
-    benchmark::DoNotOptimize(r.swaps);
-  }
-  support::set_num_threads(1);
-}
-BENCHMARK(BM_Refine_Threads)
     ->Args({24, 1})
     ->Args({24, 2})
     ->Args({24, 4})

@@ -93,6 +93,21 @@ python3 scripts/check_trace.py --stats "$OBS_TMP/refine_stats.json" \
 TOPOMAP_OBS=0 "$CLI" map --strategy=topolb+refine --tasks=stencil2d:16x16 \
   --topology=torus:8x8x4 --output="$OBS_TMP/refine_plain.map" >/dev/null
 diff "$OBS_TMP/refine_plain.map" "$OBS_TMP/refine_obs.map"
+# A swap-dense random start: 278 accepted swaps over eight passes.  Every
+# visited pair is skipped or evaluated exactly once, so the counts pin the
+# sequential first-improvement sweep, and the mapping must not depend on
+# the pool width.
+TOPOMAP_THREADS=1 "$CLI" map --strategy=random+refine --tasks=er:128:0.1 \
+  --topology=hypercube:7 --seed=5 --output="$OBS_TMP/swaps_w1.map" \
+  --stats="$OBS_TMP/swaps_stats.json" >/dev/null
+python3 scripts/check_trace.py --stats "$OBS_TMP/swaps_stats.json" \
+  --expect-counter refine/swap_attempts=65024 \
+  --expect-counter refine/delta_evals=54141 \
+  --expect-counter refine/pairs_skipped=10883 \
+  --expect-counter refine/swap_accepts=278
+TOPOMAP_THREADS=4 "$CLI" map --strategy=random+refine --tasks=er:128:0.1 \
+  --topology=hypercube:7 --seed=5 --output="$OBS_TMP/swaps_w4.map" >/dev/null
+diff "$OBS_TMP/swaps_w1.map" "$OBS_TMP/swaps_w4.map"
 # Contention explainability: the explain artifact must carry the versioned
 # schema with exact attribution sums, a diff, and netsim counter tracks in
 # the trace (virtual-time telemetry next to the wall-clock spans).
@@ -187,15 +202,13 @@ echo "sanitized chaos soak ok"
 
 echo "=== tsan (-fsanitize=thread): parallel, plane, chaos, obs and svc suites ==="
 # ThreadSanitizer over every suite that shares memory across threads: the
-# support::parallel pool and TopoLB's parallel regions (test_parallel maps
-# at 1 and 4 threads, so placed-cost pool rows taken or returned inside a
-# region would race), the parallel distance-plane fill and repairs
-# (test_distance_cache, test_chaos), RefineTopoLB's speculative pair
-# evaluation (test_refine refines at 1 and 4 threads), the obs registry and
-# the recording kernels (test_obs maps with recording on at 1 to 8
-# threads), and
-# topomapd with its telemetry plane (the flight recorder's seqlock under
-# lapping writers).  Any race report fails the run.
+# support::parallel pool and third-order TopoLB's pooled row rescan
+# (test_parallel maps at 1 and 4 threads), the parallel distance-plane fill
+# and repairs (test_distance_cache, test_chaos, and test_refine, which
+# refines on pooled planes at 1 and 4 threads), the obs registry and the
+# recording kernels (test_obs maps with recording on at 1 to 8 threads),
+# and topomapd with its telemetry plane (the flight recorder's seqlock
+# under lapping writers).  Any race report fails the run.
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS=-fsanitize=thread \
   -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null

@@ -1,9 +1,8 @@
 #include "core/refine_topo_lb.hpp"
 
-#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "core/cache_handle.hpp"
 #include "core/detail/swap_bound.hpp"
@@ -12,118 +11,49 @@
 #include "core/swap_kernel.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 #include "topo/distance_cache.hpp"
 
 namespace topomap::core {
 
 namespace {
 
-constexpr int kPairGrain = 256;    // swap-delta evaluations per chunk
-constexpr int kMaxBlockRows = 64;  // speculation window cap (see sweep below)
-
-struct PairAB {
-  int a, b;
-};
-
-/// Tests the pairs (r, b) of rows [r0, hi), b > r, in visit order, starting
-/// at b = b0 on row r0, and appends those the bound cannot skip to `pairs`.
-/// Returns how many pairs it tested.
-template <class Dist>
-std::uint64_t collect(const Dist& dist, const Mapping& m,
-                      const detail::SwapBound& bound, int r0, int b0, int hi,
-                      std::vector<PairAB>& pairs) {
-  const int n = static_cast<int>(m.size());
-  const std::size_t before = pairs.size();
-  std::uint64_t tested = 0;
-  for (int r = r0; r < hi; ++r) {
-    const auto row = dist.row(m[static_cast<std::size_t>(r)]);
-    const detail::SwapBound::Task& tr = bound[r];
-    const int first = r == r0 ? b0 : r + 1;
-    tested += static_cast<std::uint64_t>(n - first);
-    for (int b = first; b < n; ++b)
-      if (!bound.skips(tr, bound[b], row[m[static_cast<std::size_t>(b)]]))
-        pairs.push_back({r, b});
-  }
-  OBS_COUNTER_ADD("refine/pairs_skipped", tested - (pairs.size() - before));
-  return tested;
-}
-
-/// One first-improvement sweep over all pairs (a, b), a < b, exactly
-/// reproducing the sequential visit order and accept decisions.
+/// One first-improvement sweep over all pairs (a, b), a < b, in row-major
+/// order: the first pair whose swap lowers hop-bytes by more than 1e-12 is
+/// swapped, and the sweep goes on from the next pair under the new mapping.
 ///
-/// A pair that detail::SwapBound skips has a computed delta >= 0, so the
-/// sequential sweep would reject it too; only the pairs the bound cannot
-/// skip are collected and evaluated.  The test costs one plane load and a
-/// few scalar loads against a hoisted row.
-///
-/// The evaluation is parallelised *speculatively*: deltas for the
-/// collected pairs of a block of rows are evaluated concurrently against
-/// the current mapping (each pair writes only its own slot), then the
-/// pairs are walked in sequential order.  An accepted swap invalidates
-/// every not-yet-visited delta and bound test conservatively, so the
-/// remaining suffix of the block is re-collected and re-evaluated before
-/// the walk continues — every delta and every skip that is *acted on* was
-/// therefore computed against the exact mapping the sequential algorithm
-/// would see, and the arithmetic inside swap_delta_dist is a fixed
-/// sequential loop, so accept decisions (and the final mapping) are
-/// byte-identical to the sequential sweep for any thread count.
-///
-/// The block height adapts to the swap rate: it starts at one row, doubles
-/// after every swap-free block (capped at kMaxBlockRows) and resets to one
-/// row when a block accepts a swap.  Late passes — where swaps are rare and
-/// the sweep is pure evaluation — run at full width; early swap-dense
-/// passes pay at most one wasted evaluation per accepted swap.  The
-/// schedule depends only on accept decisions, never on thread count.
+/// A pair that detail::SwapBound skips has a computed delta >= 0, so it
+/// would be rejected anyway; only the pairs the bound cannot skip pay for
+/// swap_delta_dist.  The test costs one plane load and a few scalar loads
+/// against a's hoisted distance row, which a swap moves and so re-hoists.
 template <class Dist>
 bool sweep_once(const graph::TaskGraph& g, const Dist& dist, Mapping& m,
                 detail::SwapBound& bound, int* swaps) {
   const int n = static_cast<int>(m.size());
-  std::vector<PairAB> pairs;
-  std::vector<double> deltas;
-
-  // Deltas of the collected pairs from index lo on; refine/delta_evals
-  // counts every swap_delta_dist call, the re-collected suffixes included.
-  const auto evaluate = [&](std::size_t lo) {
-    const int count = static_cast<int>(pairs.size() - lo);
-    OBS_COUNTER_ADD("refine/delta_evals", count);
-    deltas.resize(pairs.size());
-    support::parallel_for(count, kPairGrain, [&](int begin, int end) {
-      for (int i = begin; i < end; ++i) {
-        const PairAB& pr = pairs[lo + static_cast<std::size_t>(i)];
-        deltas[lo + static_cast<std::size_t>(i)] =
-            detail::swap_delta_dist(g, dist, m, pr.a, pr.b);
-      }
-    });
-  };
-
   bool improved = false;
-  int block = 1;
-  int a = 0;
-  while (a < n) {
-    const int hi = std::min(a + block, n);
-    pairs.clear();
-    const std::uint64_t attempts = collect(dist, m, bound, a, a + 1, hi, pairs);
-    OBS_COUNTER_ADD("refine/swap_attempts", attempts);
-    evaluate(0);
-
-    bool block_swapped = false;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (!(deltas[i] < -1e-12)) continue;
-      const PairAB pr = pairs[i];
-      std::swap(m[static_cast<std::size_t>(pr.a)],
-                m[static_cast<std::size_t>(pr.b)]);
-      bound.swapped(g, dist, m, pr.a, pr.b);
+  for (int a = 0; a < n; ++a) {
+    std::uint64_t evals = 0;
+    int b = a + 1;
+    while (b < n) {  // once per run of pairs between accepted swaps
+      const auto row = dist.row(m[static_cast<std::size_t>(a)]);
+      const detail::SwapBound::Task& ta = bound[a];
+      for (; b < n; ++b) {
+        if (bound.skips(ta, bound[b], row[m[static_cast<std::size_t>(b)]]))
+          continue;
+        ++evals;
+        if (detail::swap_delta_dist(g, dist, m, a, b) < -1e-12) break;
+      }
+      if (b == n) break;
+      std::swap(m[static_cast<std::size_t>(a)], m[static_cast<std::size_t>(b)]);
+      bound.swapped(g, dist, m, a, b);
       ++*swaps;
       OBS_COUNTER_ADD("refine/swap_accepts", 1);
       improved = true;
-      block_swapped = true;
-      pairs.resize(i + 1);
-      collect(dist, m, bound, pr.a, pr.b + 1, hi, pairs);
-      evaluate(i + 1);
+      ++b;
     }
-    a = hi;
-    block = block_swapped ? 1 : std::min(block * 2, kMaxBlockRows);
+    const auto visited = static_cast<std::uint64_t>(n - 1 - a);
+    OBS_COUNTER_ADD("refine/swap_attempts", visited);
+    OBS_COUNTER_ADD("refine/delta_evals", evals);
+    OBS_COUNTER_ADD("refine/pairs_skipped", visited - evals);
   }
   return improved;
 }

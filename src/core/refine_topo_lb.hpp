@@ -25,12 +25,10 @@ struct RefineResult {
 
 /// Refine `m` in place-semantics (returns the improved copy).  The result's
 /// hop-bytes are monotonically non-increasing in the number of sweeps.
-/// The O(p^2) pair sweep skips the pairs a metric lower bound proves
-/// cannot improve (core/detail/swap_bound.hpp) and evaluates the rest
-/// speculatively in parallel (see the implementation note in
-/// refine_topo_lb.cpp); results are byte-identical
-/// to the sequential first-improvement sweep for any thread count and for
-/// either distance mode.
+/// Each sweep is the sequential first-improvement pass over the O(p^2)
+/// pairs, on the calling thread; it skips the pairs a metric lower bound
+/// proves cannot improve (core/detail/swap_bound.hpp).  Results are
+/// byte-identical for either distance mode.
 /// `cache` (optional) is a prebuilt distance matrix for `topo`; when given
 /// with kCached mode the sweep reuses it instead of building its own.
 RefineResult refine_mapping(const graph::TaskGraph& g,

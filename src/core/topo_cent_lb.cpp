@@ -8,14 +8,11 @@
 #include "core/distance_provider.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 #include "topo/distance_cache.hpp"
 
 namespace topomap::core {
 
 namespace {
-
-constexpr int kProcGrain = 2048;  // free-processor cost scan
 
 template <class Dist>
 Mapping run_topocent(const graph::TaskGraph& g, const Dist& dist) {
@@ -66,48 +63,25 @@ Mapping run_topocent(const graph::TaskGraph& g, const Dist& dist) {
     TOPOMAP_ASSERT(best_task >= 0, "no task selected");
 
     // --- processor selection: minimise first-order hop-byte cost ---
-    // The scan over free processors is the dominant O(p) x |placed edges|
-    // work, and each candidate's cost is independent — parallelise over
-    // static chunks of q.  Each chunk records its own first-strict-minimum;
-    // combining the chunk results in ascending chunk order with strict `<`
-    // reproduces the sequential lowest-id tie-break exactly.  Per-candidate
-    // cost accumulation stays in CSR edge order, so every term and its
-    // summation order match the sequential (and virtual-dispatch) path.
+    // The dominant O(p) x |placed edges| work.  Ascending q with strict `<`
+    // keeps the lowest-id processor on ties; each candidate's cost sums in
+    // CSR edge order, so cached and virtual distances agree term for term.
     placed_edges.clear();
     for (const graph::Edge& e : g.edges_of(best_task))
       if (task_placed[static_cast<std::size_t>(e.neighbor)])
         placed_edges.emplace_back(e.bytes,
                                   m[static_cast<std::size_t>(e.neighbor)]);
 
-    const int chunks = support::parallel_chunk_count(n, kProcGrain);
-    std::vector<double> chunk_cost(
-        static_cast<std::size_t>(chunks),
-        std::numeric_limits<double>::infinity());
-    std::vector<int> chunk_proc(static_cast<std::size_t>(chunks), -1);
-    support::parallel_for_chunks(
-        n, kProcGrain, [&](int chunk, int begin, int end) {
-          double best_cost = std::numeric_limits<double>::infinity();
-          int best_proc = -1;
-          for (int q = begin; q < end; ++q) {
-            if (proc_used[static_cast<std::size_t>(q)]) continue;
-            const auto row = dist.row(q);
-            double cost = 0.0;
-            for (const auto& [bytes, pe] : placed_edges)
-              cost += bytes * row[pe];
-            if (cost < best_cost) {
-              best_cost = cost;
-              best_proc = q;
-            }
-          }
-          chunk_cost[static_cast<std::size_t>(chunk)] = best_cost;
-          chunk_proc[static_cast<std::size_t>(chunk)] = best_proc;
-        });
     int best_proc = -1;
     double best_cost = std::numeric_limits<double>::infinity();
-    for (int c = 0; c < chunks; ++c) {
-      if (chunk_cost[static_cast<std::size_t>(c)] < best_cost) {
-        best_cost = chunk_cost[static_cast<std::size_t>(c)];
-        best_proc = chunk_proc[static_cast<std::size_t>(c)];
+    for (int q = 0; q < n; ++q) {
+      if (proc_used[static_cast<std::size_t>(q)]) continue;
+      const auto row = dist.row(q);
+      double cost = 0.0;
+      for (const auto& [bytes, pe] : placed_edges) cost += bytes * row[pe];
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_proc = q;
       }
     }
     TOPOMAP_ASSERT(best_proc >= 0, "no free processor");

@@ -22,13 +22,12 @@ namespace topomap::core {
 
 namespace {
 
-// Static-chunk grains for the row-independent kernels.  Chunk boundaries
-// depend only on loop size and grain (never thread count), and each chunk
-// touches only its own rows/slots, so results are byte-identical for any
-// thread count — see support/parallel.hpp.
-constexpr int kRowGrain = 8;      // full row rescans (O(p) work per row)
-constexpr int kTaskGrain = 512;   // scalar per-task updates
-constexpr int kProcGrain = 2048;  // per-free-processor updates
+// Third order's per-cycle refresh rescans every unplaced row at O(p) work
+// each, the one TopoLB loop large enough to pay for the worker pool.  A
+// chunk of rows touches only those rows' slots, so the result is
+// byte-identical for any thread count — see support/parallel.hpp.  Every
+// other step runs on the calling thread.
+constexpr int kRowGrain = 8;
 
 /// Row-minimum buffer depth.  Each row keeps its kTopK smallest (f, q)
 /// pairs; when a row's argmin processor is consumed the next minimum is the
@@ -65,8 +64,7 @@ constexpr int kTopK = 8;
 /// per task (927 of 1024 for er:1024:0.05).  Each A(t, q) is still the
 /// same sequence of `+= bytes * d` in placement order, so the values — and
 /// every mapping — are those of a dense matrix.  The holders double as
-/// the active-row list step 1 walks.  The pool is only mutated between
-/// parallel regions.
+/// the active-row list step 1 walks.
 ///
 /// Lazy rows: until a task gains its first placed neighbour its
 /// A row is identically zero, so its f landscape is just
@@ -293,9 +291,9 @@ struct TopoLBState {
         top_q[base + static_cast<std::size_t>(h)];
   }
 
-  /// Rescan every unplaced row.  Rows are independent (each writes only its
-  /// own f_sum/f_min/f_argmin slots), so this is the main parallel kernel of
-  /// the initial scan and of third order's per-cycle refresh.
+  /// Rescan every unplaced row: third order's initial scan and per-cycle
+  /// refresh.  Rows are independent (each writes only its own
+  /// f_sum/f_min/f_argmin slots), so they run in parallel.
   void rescan_all_rows() {
     rows.clear();
     for (int blk = 0; blk < static_cast<int>(blocks.size()); ++blk) {
@@ -451,30 +449,13 @@ struct TopoLBState {
     //    f values (non-neighbour rows are otherwise unchanged).  Only
     //    active rows carry per-row state, and in the incremental orders
     //    those are exactly the pool-row holders; passive rows are covered
-    //    by the shared sum/head update in step 2.  Each row touches only
-    //    its own slots — row-parallel.  Rows whose buffered minimum lived
-    //    on `proc` land in per-chunk stale buckets for step 5, which
-    //    treats each row independently, so bucket order is immaterial.
+    //    by the shared sum/head update in step 2.  Rows whose buffered
+    //    minimum lived on `proc` are collected for step 5.
     stale.clear();
     if (incremental) {
-      const int na = static_cast<int>(holders.size());
-      const int chunks = support::parallel_chunk_count(na, kTaskGrain);
-      if (stale_chunks.size() < static_cast<std::size_t>(chunks))
-        stale_chunks.resize(static_cast<std::size_t>(chunks));
-      support::parallel_for_chunks(
-          na, kTaskGrain, [&](int chunk, int begin, int end) {
-            auto& bucket = stale_chunks[static_cast<std::size_t>(chunk)];
-            bucket.clear();
-            for (int i = begin; i < end; ++i) {
-              const int t = holders[static_cast<std::size_t>(i)];
-              f_sum[static_cast<std::size_t>(t)] -= f_est(t, proc);
-              if (f_argmin[static_cast<std::size_t>(t)] == proc)
-                bucket.push_back(t);
-            }
-          });
-      for (int c = 0; c < chunks; ++c) {
-        const auto& bucket = stale_chunks[static_cast<std::size_t>(c)];
-        stale.insert(stale.end(), bucket.begin(), bucket.end());
+      for (const int t : holders) {
+        f_sum[static_cast<std::size_t>(t)] -= f_est(t, proc);
+        if (f_argmin[static_cast<std::size_t>(t)] == proc) stale.push_back(t);
       }
     }
 
@@ -499,55 +480,31 @@ struct TopoLBState {
 
     // 3. Third order: the free-set mean distances all shift.
     const auto drow = dist.row(proc);
-    const int nfree = static_cast<int>(free_procs.size());
     if (order == EstimationOrder::kThird) {
-      support::parallel_for(nfree, kProcGrain, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-          const int q = free_procs[static_cast<std::size_t>(i)];
-          sum_dist_free[static_cast<std::size_t>(q)] -=
-              static_cast<double>(drow[q]);
-        }
-      });
+      for (const int q : free_procs)
+        sum_dist_free[static_cast<std::size_t>(q)] -=
+            static_cast<double>(drow[q]);
     }
 
     if (free_procs.empty()) return;
 
     // 4. Neighbours of the placed task: their unplaced->placed split moved,
     //    so their whole row changes.  This is the paper's O(p * delta(t_k))
-    //    step.  U(t) drops for every touched task and each takes its pool
-    //    row first, outside any parallel region.  Edges are merged per
-    //    neighbour, so each row gains exactly one `+= bytes * d` term per
-    //    placement.  In the incremental orders one sweep per touched row
-    //    folds that term into A and rescans the row (parallel over rows; a
-    //    sweep reads and writes only its own row's data).  Third order only
-    //    folds here (parallel over free processors); its rows are all
+    //    step.  Edges are merged per neighbour, so each touched row gains
+    //    exactly one `+= bytes * d` term per placement.  In the incremental
+    //    orders one sweep per touched row folds that term into A and
+    //    rescans the row.  Third order only folds here; its rows are all
     //    rescanned at the start of the next cycle.
-    touched.clear();
     for (const graph::Edge& e : g.edges_of(task)) {
       if (task_placed[static_cast<std::size_t>(e.neighbor)]) continue;
       unplaced_bytes[static_cast<std::size_t>(e.neighbor)] -= e.bytes;
-      take_row(e.neighbor);
+      double* const arow = take_row(e.neighbor);
       update_masks(e.neighbor, false);
-      touched.push_back(e);
-    }
-    if (incremental) {
-      support::parallel_for(
-          static_cast<int>(touched.size()), 1, [&](int begin, int end) {
-            for (int i = begin; i < end; ++i) {
-              const graph::Edge& e = touched[static_cast<std::size_t>(i)];
-              sweep_row<true>(e.neighbor, &drow, e.bytes);
-            }
-          });
-    } else {
-      for (const graph::Edge& e : touched) {
-        double* const arow =
-            assigned_row[static_cast<std::size_t>(e.neighbor)];
-        support::parallel_for(nfree, kProcGrain, [&](int begin, int end) {
-          for (int i = begin; i < end; ++i) {
-            const int q = free_procs[static_cast<std::size_t>(i)];
-            arow[q] += e.bytes * static_cast<double>(drow[q]);
-          }
-        });
+      if (incremental) {
+        sweep_row<true>(e.neighbor, &drow, e.bytes);
+      } else {
+        for (const int q : free_procs)
+          arow[q] += e.bytes * static_cast<double>(drow[q]);
       }
     }
 
@@ -555,13 +512,7 @@ struct TopoLBState {
     //    buffered next-best (amortized O(1); full rescan only on a drained
     //    buffer).  A stale row that step 4 just rescanned advances to its
     //    fresh head — a no-op.
-    if (incremental) {
-      support::parallel_for(
-          static_cast<int>(stale.size()), kTaskGrain, [&](int begin, int end) {
-            for (int i = begin; i < end; ++i)
-              advance_row_min(stale[static_cast<std::size_t>(i)]);
-          });
-    }
+    for (const int t : stale) advance_row_min(t);
   }
 
   const graph::TaskGraph& g;
@@ -593,10 +544,8 @@ struct TopoLBState {
   std::vector<char> row_active;  // 0 until the row's first step-4 rescan
   // Per-placement scratch, kept to spare place() and third order's
   // per-cycle rescan their allocations.
-  std::vector<int> rows;                       // rescan_all_rows' row list
-  std::vector<int> stale;                      // step 1 -> step 5 rows
-  std::vector<std::vector<int>> stale_chunks;  // step 1's per-chunk buckets
-  std::vector<graph::Edge> touched;            // step 4: (task, edge bytes)
+  std::vector<int> rows;   // rescan_all_rows' row list
+  std::vector<int> stale;  // step 1 -> step 5 rows
   std::vector<std::pair<double, int>> m_order;  // passive landscape, ascending
   int m_head = 0;            // first still-free entry of m_order
   double sum_m_free = 0.0;   // sum of m_order values over free processors

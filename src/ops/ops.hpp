@@ -113,7 +113,8 @@ struct Metrics {
   std::optional<core::LinkLoadStats> link_loads;
 };
 
-Metrics measure(const graph::TaskGraph& g, const topo::Topology& machine,
+/// Hop-bytes are read from the machine's plane when it carries one.
+Metrics measure(const graph::TaskGraph& g, const Machine& machine,
                 const core::Mapping& m);
 
 /// The `--output` bytes of a mapping: one "task processor" line per placed

@@ -1,4 +1,4 @@
-// Deterministic shared-memory parallelism for the mapping hot loops.
+// Deterministic shared-memory parallelism for the few loops that pay for it.
 //
 // A single process-wide worker pool executes `parallel_for` loops with
 // *static chunking*: the iteration space [0, n) is split into fixed chunks
@@ -7,8 +7,16 @@
 // atomic counter, but every chunk writes only to its own slice (or its own
 // per-chunk accumulator slot, reduced by the caller in ascending chunk
 // order), so results are byte-identical for any thread count, including 1.
-// This is the determinism contract every parallel kernel in src/core relies
-// on; see DESIGN.md §"Distance-plane engine".
+// See DESIGN.md §"Distance-plane engine".
+//
+// The pooled layers are those whose regions carry milliseconds of
+// independent work: the distance-plane fill and its fault repairs
+// (topo/distance_cache.cpp), HierTopoLB's machine split, edge-swap
+// filter and hop-byte sums, OptimalLB's root split, and third-order
+// TopoLB's per-cycle rescan of every row.  The greedy and swap kernels of
+// the paper (TopoLB's placement steps, TopoCentLB, RefineTopoLB) are
+// sequential: one placement or one swap at a time, microseconds each, so a
+// pool dispatch per step costs more than it saves.
 //
 // The pool size comes from TOPOMAP_THREADS (env) or hardware concurrency,
 // and can be changed at runtime with set_num_threads().  With one thread —
@@ -57,10 +65,9 @@ class InlineScope {
 namespace detail {
 
 /// True when loops must run inline on the calling thread: a single-worker
-/// pool, or a nested call from inside a pool chunk.  The hot mapping loops
-/// issue tens of thousands of tiny parallel_for calls, so the inline path
-/// must not pay a std::function allocation — the templates below check
-/// this first and only type-erase on the pooled path.
+/// pool, or a nested call from inside a pool chunk.  The templates below
+/// check this first, so the inline path pays no std::function allocation;
+/// only the pooled path type-erases the body.
 bool use_inline();
 
 /// Pooled execution of body(chunk, begin, end); n > 0, grain >= 1.

@@ -17,6 +17,7 @@
 #include "core/cache_handle.hpp"
 #include "core/metrics.hpp"
 #include "core/strategy.hpp"
+#include "core/topo_cent_lb.hpp"
 #include "core/topo_lb.hpp"
 #include "graph/builders.hpp"
 #include "ops/ops.hpp"
@@ -321,6 +322,40 @@ TEST(DistanceCache, GoldenTopoLBMappingHashes) {
           << std::hex << "0x" << fnv1a(m) << std::dec << ": " << inst.name
           << (c.soft ? " (soft)" : "") << " order "
           << static_cast<int>(c.order) << " mode " << static_cast<int>(mode)
+          << " threads " << threads;
+    }
+  }
+  support::set_num_threads(1);
+}
+
+// Golden mapping bytes for TopoCentLB.  The hop-bytes goldens above stop at
+// 36 tasks; these pin whole mappings on machines above 2048 processors,
+// where the free-processor argmin spans thousands of candidates and its
+// lowest-id tie-break decides between far-apart equal-cost processors:
+// the flat-4k shape, and a sparse random graph on a 3D mesh.
+TEST(DistanceCache, GoldenTopoCentLBMappingHashes) {
+  Rng graph_rng(11);
+  const struct {
+    const char* name;
+    TaskGraph graph;
+    const char* topo;
+    std::uint64_t hash;
+  } cases[] = {
+      {"stencil4096", graph::stencil_2d(64, 64, 1024.0), "torus:16x16x16",
+       0xe4f770daf756f0e1ull},
+      {"er3072", graph::random_graph(3072, 0.003, 1.0, 1024.0, graph_rng),
+       "mesh:12x16x16", 0xfc77d1932e996b3dull},
+  };
+  for (const auto& c : cases) {
+    const auto machine = make_topology(c.topo);
+    const auto handle = std::make_shared<core::CacheHandle>();
+    for (const int threads : {1, 4}) {
+      support::set_num_threads(threads);
+      Rng rng(42);
+      const Mapping m = core::TopoCentLB(core::DistanceMode::kCached, handle)
+                            .map(c.graph, *machine, rng);
+      EXPECT_EQ(fnv1a(m), c.hash)
+          << std::hex << "0x" << fnv1a(m) << std::dec << ": " << c.name
           << " threads " << threads;
     }
   }

@@ -71,18 +71,26 @@ TEST(OpsMap, PartitionedMachineQuarantinesAndMeasuresPlacedTasksOnly) {
                 std::to_string(placed_mapping[1]) + '\n');
 }
 
+// A soft-degraded link, and a failed node, where the strategy maps onto the
+// alive processors; the pooled machine's hop-bytes come from its plane.
 TEST(OpsMap, PooledPlaneGivesTheSameBytesAsAPrivateMachine) {
-  ops::Params p;
-  p.tasks = "stencil2d:4x4";
-  p.topology = "torus:4x4";
-  p.strategy = "topolb+refine";
-  p.degrade_link = "0:1:0.5";
-  p.seed = 3;
-  const ops::MapResult one_shot = ops::run_map(p, ops::make_machine);
-  const ops::MapResult pooled = ops::run_map(p, planed_machine);
-  EXPECT_EQ(ops::mapping_text(one_shot.mapping),
-            ops::mapping_text(pooled.mapping));
-  EXPECT_EQ(one_shot.metrics.hop_bytes, pooled.metrics.hop_bytes);
+  ops::Params soft;
+  soft.tasks = "stencil2d:4x4";
+  soft.degrade_link = "0:1:0.5";
+  ops::Params node;
+  node.tasks = "stencil2d:5x3";
+  node.fail_node = "5";
+  for (ops::Params p : {soft, node}) {
+    p.topology = "torus:4x4";
+    p.strategy = "topolb+refine";
+    p.seed = 3;
+    const ops::MapResult one_shot = ops::run_map(p, ops::make_machine);
+    const ops::MapResult pooled = ops::run_map(p, planed_machine);
+    EXPECT_EQ(ops::mapping_text(one_shot.mapping),
+              ops::mapping_text(pooled.mapping))
+        << p.tasks;
+    EXPECT_EQ(one_shot.metrics.hop_bytes, pooled.metrics.hop_bytes) << p.tasks;
+  }
 }
 
 TEST(OpsMap, NullPlaneStrategyEqualsMakeStrategy) {

@@ -99,11 +99,11 @@ TEST_F(ParallelTest, SetNumThreadsValidatesAndApplies) {
   EXPECT_EQ(num_threads(), 1);
 }
 
-// TopoLB's place() runs its row updates and rescans in parallel regions
-// and takes/returns placed-cost pool rows between them.  On a stencil few
-// rows are live at once and rows recycle constantly; on a dense graph
-// nearly every row goes live.  Every order must map identically at 1 and
-// 4 threads.
+// TopoLB maps on a pooled distance plane, and third order rescans every
+// row in a pooled region while placed-cost pool rows are taken and
+// returned between cycles.  On a stencil few rows are live at once and
+// rows recycle constantly; on a dense graph nearly every row goes live.
+// Every order must map identically at 1 and 4 threads.
 TEST_F(ParallelTest, TopoLBRegionsMapIdenticallyAtAnyThreadCount) {
   const auto machine = topo::make_topology("torus:16x16");
   Rng rng(5);

@@ -648,7 +648,7 @@ int cmd_optimal(int argc, const char* const* argv) {
 
   if (r.machine->overlay) print_fault_summary(*r.machine->overlay);
   print_mapping_report(machine,
-                       ops::measure(r.graph, machine, r.search.mapping),
+                       ops::measure(r.graph, *r.machine, r.search.mapping),
                        "OptimalLB (exact)");
   std::cout << "search:         " << r.search.nodes << " nodes, "
             << r.search.pruned << " pruned subtrees, "
