@@ -22,6 +22,8 @@
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "topo/distance_cache.hpp"
+#include "topo/fault_overlay.hpp"
+#include "topo/sub_topology.hpp"
 #include "topo/torus_mesh.hpp"
 
 namespace {
@@ -129,6 +131,31 @@ BENCHMARK(BM_DistanceCacheBuild_Threads)
     ->Args({64, 1})
     ->Args({64, 2})
     ->Args({64, 4});
+
+// A node-faulted torus:16x16x16: the overlay's plane (one BFS per alive
+// row) and the plane of its alive SubTopology, either cut out of the
+// overlay's plane as a pooled machine does (first arg 1) or searched again
+// as a one-shot map does (0).  Args are (gather, workers).
+void BM_DistanceCacheBuild_Faulted(benchmark::State& state) {
+  support::set_num_threads(static_cast<int>(state.range(1)));
+  auto overlay = std::make_shared<topo::FaultOverlay>(
+      std::make_shared<topo::TorusMesh>(topo::TorusMesh::torus({16, 16, 16})));
+  for (const int p : {5, 1000, 2047, 3001, 4090}) overlay->fail_node(p);
+  const topo::SubTopology sub(overlay, overlay->alive_procs());
+  const bool gather = state.range(0) != 0;
+  for (auto _ : state) {
+    const topo::DistanceCache plane(*overlay);
+    const topo::DistanceCache sub_plane =
+        gather ? topo::DistanceCache(sub, plane) : topo::DistanceCache(sub);
+    benchmark::DoNotOptimize(sub_plane.row(0));
+  }
+  support::set_num_threads(1);
+}
+BENCHMARK(BM_DistanceCacheBuild_Faulted)
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({1, 4})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TopoLB_ThirdOrder_Threads(benchmark::State& state) {
   map_stencil_threads(state, "topolb3");

@@ -93,6 +93,21 @@ python3 scripts/check_trace.py --stats "$OBS_TMP/refine_stats.json" \
 TOPOMAP_OBS=0 "$CLI" map --strategy=topolb+refine --tasks=stencil2d:16x16 \
   --topology=torus:8x8x4 --output="$OBS_TMP/refine_plain.map" >/dev/null
 diff "$OBS_TMP/refine_plain.map" "$OBS_TMP/refine_obs.map"
+# The cold served shape with 4 dead processors: one BFS per alive row of
+# the SubTopology's plane plus one row proving it connected (253), and the
+# 252 alive rows the "random expectation" line averages over.  A second
+# search per row for its mean, or a connectivity check per member, shows
+# up here (the count was 1008 with both).
+"$CLI" map --strategy=topolb+refine --tasks=stencil2d:15x16 \
+  --topology=torus:8x8x4 --random-node-faults=4 --fault-seed=7 \
+  --output="$OBS_TMP/cold_obs.map" --stats="$OBS_TMP/cold_stats.json" >/dev/null
+python3 scripts/check_trace.py --stats "$OBS_TMP/cold_stats.json" \
+  --expect-counter faultoverlay/row_searches=505 \
+  --expect-counter distcache/rows_built=252
+TOPOMAP_OBS=0 "$CLI" map --strategy=topolb+refine --tasks=stencil2d:15x16 \
+  --topology=torus:8x8x4 --random-node-faults=4 --fault-seed=7 \
+  --output="$OBS_TMP/cold_plain.map" >/dev/null
+diff "$OBS_TMP/cold_plain.map" "$OBS_TMP/cold_obs.map"
 # A swap-dense random start: 278 accepted swaps over eight passes.  Every
 # visited pair is skipped or evaluated exactly once, so the counts pin the
 # sequential first-improvement sweep, and the mapping must not depend on
@@ -205,14 +220,16 @@ echo "=== tsan (-fsanitize=thread): parallel, plane, chaos, obs and svc suites =
 # support::parallel pool and third-order TopoLB's pooled row rescan
 # (test_parallel maps at 1 and 4 threads), the parallel distance-plane fill
 # and repairs (test_distance_cache, test_chaos, and test_refine, which
-# refines on pooled planes at 1 and 4 threads), the obs registry and the
+# refines on pooled planes at 1 and 4 threads), faulted-overlay planes,
+# whose row searches keep per-thread scratch (test_fault_overlay and
+# test_soft_faults fill them at 4 threads), the obs registry and the
 # recording kernels (test_obs maps with recording on at 1 to 8 threads),
 # and topomapd with its telemetry plane (the flight recorder's seqlock
 # under lapping writers).  Any race report fails the run.
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS=-fsanitize=thread \
   -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
-TSAN_SUITES="test_parallel test_distance_cache test_chaos test_refine test_obs test_svc test_svc_telemetry"
+TSAN_SUITES="test_parallel test_distance_cache test_chaos test_refine test_fault_overlay test_soft_faults test_obs test_svc test_svc_telemetry"
 # shellcheck disable=SC2086  # the suite list is word-split on purpose
 cmake --build build-ci-tsan -j "$JOBS" --target $TSAN_SUITES
 for suite in $TSAN_SUITES; do

@@ -12,6 +12,12 @@
 // calls invalidates the entry and the next get() rebuilds on the faulted
 // metric.  get() hands out shared_ptrs, so a rebuild never invalidates a
 // cache an in-flight kernel still holds.
+//
+// A seeded plane (a served machine's pooled one) also serves the alive
+// sub-machine a faulted map runs on: when get() is asked for a
+// topo::SubTopology over the seeded topology, still under the seeded name,
+// it cuts the sub-machine's plane out of the seeded rows instead of
+// searching every row again.
 #pragma once
 
 #include <memory>
@@ -21,6 +27,7 @@
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "topo/distance_cache.hpp"
+#include "topo/sub_topology.hpp"
 #include "topo/topology.hpp"
 
 namespace topomap::core {
@@ -28,7 +35,8 @@ namespace topomap::core {
 class CacheHandle {
  public:
   /// The cache for `topo`, built on first use and whenever the keyed
-  /// (address, name) pair changes.
+  /// (address, name) pair changes.  A SubTopology over the seeded topology
+  /// gets its plane gathered from the seeded one.
   std::shared_ptr<const topo::DistanceCache> get(const topo::Topology& topo) {
     std::lock_guard<std::mutex> lock(mu_);
     std::string name = topo.name();
@@ -37,7 +45,12 @@ class CacheHandle {
       return cache_;
     }
     OBS_COUNTER_ADD("distcache/handle_misses", 1);
-    cache_ = std::make_shared<const topo::DistanceCache>(topo);
+    const auto* sub = dynamic_cast<const topo::SubTopology*>(&topo);
+    if (sub && seed_ && &sub->base() == seed_key_ &&
+        sub->base().name() == seed_name_)
+      cache_ = std::make_shared<const topo::DistanceCache>(*sub, *seed_);
+    else
+      cache_ = std::make_shared<const topo::DistanceCache>(topo);
     key_ = &topo;
     key_name_ = std::move(name);
     return cache_;
@@ -47,15 +60,17 @@ class CacheHandle {
   /// (svc::CachePool shares one DistanceCache across requests on the same
   /// machine).  The next get(topo) hits as long as the identity+name key
   /// still matches; a fault injected in between changes name() and falls
-  /// back to a rebuild as usual.  Requires cache->size() == topo.size().
+  /// back to a rebuild as usual.  The seed also stays the source of every
+  /// later SubTopology-over-`topo` plane.  Requires
+  /// cache->size() == topo.size().
   void seed(const topo::Topology& topo,
             std::shared_ptr<const topo::DistanceCache> cache) {
     TOPOMAP_REQUIRE(cache && cache->size() == topo.size(),
                     "seeded cache does not match the topology");
     std::lock_guard<std::mutex> lock(mu_);
-    key_ = &topo;
-    key_name_ = topo.name();
-    cache_ = std::move(cache);
+    key_ = seed_key_ = &topo;
+    key_name_ = seed_name_ = topo.name();
+    cache_ = seed_ = std::move(cache);
   }
 
  private:
@@ -63,6 +78,11 @@ class CacheHandle {
   const topo::Topology* key_ = nullptr;
   std::string key_name_;
   std::shared_ptr<const topo::DistanceCache> cache_;
+  // The seeded plane and its key, kept when cache_ moves on to a
+  // sub-machine.
+  const topo::Topology* seed_key_ = nullptr;
+  std::string seed_name_;
+  std::shared_ptr<const topo::DistanceCache> seed_;
 };
 
 using CacheHandlePtr = std::shared_ptr<CacheHandle>;

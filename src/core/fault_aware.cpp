@@ -14,8 +14,9 @@ namespace topomap::core {
 
 namespace {
 
-/// Map g (padded with zero-weight tasks up to the view size) onto the
-/// given alive processors of `overlay`, translating back to original ids.
+/// Map g (padded with zero-weight tasks up to the view size when it has
+/// fewer tasks) onto the given alive processors of `overlay`, translating
+/// back to original ids.
 Mapping map_on_procs(const MappingStrategy& strategy, const graph::TaskGraph& g,
                      const topo::FaultOverlay& overlay,
                      const std::vector<int>& procs, Rng& rng) {
@@ -53,8 +54,9 @@ Mapping map_on_alive(const MappingStrategy& strategy,
                      const topo::FaultOverlay& overlay, Rng& rng) {
   const int n = g.num_vertices();
   const int alive = overlay.num_alive();
+  const bool oversubscribe = strategy.supports_oversubscription();
   TOPOMAP_REQUIRE(n >= 1, "map_on_alive: empty task graph");
-  TOPOMAP_REQUIRE(n <= alive,
+  TOPOMAP_REQUIRE(n <= alive || (oversubscribe && alive >= 1),
                   "map_on_alive: " + std::to_string(n) + " tasks exceed " +
                       std::to_string(alive) + " alive processors on " +
                       overlay.name());
@@ -65,7 +67,7 @@ Mapping map_on_alive(const MappingStrategy& strategy,
   // A split machine still serves requests that fit its primary component;
   // only genuine overflow is an error, and it names the partition.
   TOPOMAP_REQUIRE(
-      n <= static_cast<int>(split.primary().size()),
+      n <= static_cast<int>(split.primary().size()) || oversubscribe,
       "map_on_alive: " + std::to_string(n) + " tasks exceed the " +
           std::to_string(split.primary().size()) +
           "-processor primary component — " +
@@ -89,7 +91,7 @@ PartitionedMapResult map_on_largest_component(const MappingStrategy& strategy,
   PartitionedMapResult out;
   out.components = split.count();
   out.primary_size = static_cast<int>(split.primary().size());
-  if (n <= out.primary_size) {
+  if (n <= out.primary_size || strategy.supports_oversubscription()) {
     out.mapping = map_on_procs(strategy, g, overlay, split.primary(), rng);
     return out;
   }

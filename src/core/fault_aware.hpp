@@ -9,7 +9,8 @@
 // strategy, and translates the result back to original processor ids.
 // Padding preserves strategy determinism: dummy tasks communicate nothing,
 // so they absorb the left-over processors without perturbing real
-// placements' cost structure.
+// placements' cost structure.  A strategy that supports oversubscription
+// (hier) also takes more tasks than alive processors, unpadded.
 //
 // Partition tolerance: when faults split the alive set into several
 // components, mapping proceeds on the *primary* component (the largest;
@@ -34,7 +35,8 @@ namespace topomap::core {
 /// Map g onto the alive processors of `overlay` with `strategy`.  Requires
 /// 1 <= g.num_vertices() <= overlay.num_alive(); when faults split the
 /// alive set the tasks must fit on the largest component
-/// (precondition_error naming the partition otherwise).  The returned
+/// (precondition_error naming the partition otherwise).  Neither bound
+/// applies when strategy.supports_oversubscription().  The returned
 /// mapping uses the overlay's original processor ids; every assignment is
 /// an alive processor and no processor is used twice.
 Mapping map_on_alive(const MappingStrategy& strategy,
@@ -54,8 +56,9 @@ struct PartitionedMapResult {
   int primary_size = 0;
 };
 
-/// Map as much of g as fits onto the primary alive component of `overlay`.
-/// When the component is smaller than the task count, the heaviest
+/// Map as much of g as fits onto the primary alive component of `overlay`;
+/// an oversubscribing strategy places all of it there.  Otherwise, when the
+/// component is smaller than the task count, the heaviest
 /// communicators (total incident bytes, ties to the lower task id) keep
 /// their places and the rest are quarantined — deterministic, so every
 /// thread count and every retry strands the same tasks.  Requires >= 1

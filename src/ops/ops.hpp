@@ -133,8 +133,9 @@ struct MapResult : Run {
   /// Per-task processor; quarantined tasks hold kUnassigned.
   core::Mapping mapping;
   /// Tasks left unplaced (ascending) when faults split the machine and
-  /// the primary component is too small; partition_note describes the
-  /// split.  Both empty otherwise.
+  /// the primary component is too small for a strategy that cannot
+  /// oversubscribe; partition_note describes the split whenever the tasks
+  /// outnumber the primary component.  Both empty otherwise.
   std::vector<int> quarantined;
   std::string partition_note;
   /// Over the placed tasks only.

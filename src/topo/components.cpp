@@ -29,13 +29,13 @@ ComponentSplit connected_components(const FaultOverlay& overlay) {
     frontier.assign(1, seed);
     while (!frontier.empty()) {
       next.clear();
-      for (int u : frontier) {
-        for (int v : overlay.neighbors(u)) {
-          if (seen[static_cast<std::size_t>(v)]) continue;
+      for (const int u : frontier) {
+        overlay.for_each_alive_link(u, [&](int v, int) {
+          if (seen[static_cast<std::size_t>(v)]) return;
           seen[static_cast<std::size_t>(v)] = 1;
           members.push_back(v);
           next.push_back(v);
-        }
+        });
       }
       frontier.swap(next);
     }

@@ -10,6 +10,7 @@
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "topo/fault_overlay.hpp"
+#include "topo/sub_topology.hpp"
 
 namespace topomap::topo {
 
@@ -41,24 +42,45 @@ void deallocate_plane(void* p, std::size_t bytes) noexcept {
 
 }  // namespace detail
 
-DistanceCache::DistanceCache(const Topology& topo) : n_(topo.size()) {
-  TOPOMAP_REQUIRE(n_ >= 1, "distance cache needs >= 1 processor");
-  TOPOMAP_REQUIRE(n_ <= 20000,
+DistanceCache::DistanceCache(const Topology& topo) {
+  allocate(topo.size());
+  rebuild_all(topo);
+}
+
+DistanceCache::DistanceCache(const SubTopology& sub,
+                             const DistanceCache& base_plane) {
+  TOPOMAP_REQUIRE(base_plane.size() == sub.base().size() &&
+                      base_plane.scale() == sub.distance_scale(),
+                  "gathered plane: base plane does not match " + sub.name());
+  allocate(sub.size());
+  OBS_SPAN("distcache/gather");
+  OBS_COUNTER_ADD("distcache/rows_gathered", n_);
+  const std::vector<int>& nodes = sub.nodes();
+  fill_rows(sub, [&](int p, std::uint16_t* out) {
+    const std::uint16_t* src =
+        base_plane.row(nodes[static_cast<std::size_t>(p)]);
+    for (int q = 0; q < n_; ++q)
+      out[q] = src[nodes[static_cast<std::size_t>(q)]];
+  });
+}
+
+void DistanceCache::allocate(int n) {
+  TOPOMAP_REQUIRE(n >= 1, "distance cache needs >= 1 processor");
+  TOPOMAP_REQUIRE(n <= 20000,
                   "topology too large for a dense distance matrix");
+  n_ = n;
   const auto un = static_cast<std::size_t>(n_);
   dist_.resize(un * un);
   mean_dist_.resize(un);
   row_sum_.resize(un);
   row_reach_.resize(un);
   row_max_.resize(un);
-  rebuild_all(topo);
 }
 
-void DistanceCache::rebuild_all(const Topology& topo) {
-  OBS_SPAN("distcache/rebuild_all");
-  OBS_COUNTER_ADD("distcache/builds", 1);
-  OBS_COUNTER_ADD("distcache/rows_built", n_);
+template <typename FillRow>
+void DistanceCache::fill_rows(const Topology& topo, FillRow&& fill_row) {
   scale_ = topo.distance_scale();
+  const bool row_average_means = topo.mean_is_row_average();
   const auto un = static_cast<std::size_t>(n_);
   // Rows are independent: fill in parallel, reduce per-chunk diameters in
   // ascending chunk order (max is order-free; kept ordered for form).
@@ -68,10 +90,10 @@ void DistanceCache::rebuild_all(const Topology& topo) {
   support::parallel_for_chunks(n_, grain, [&](int chunk, int begin, int end) {
     int mx = 0;
     for (int p = begin; p < end; ++p) {
-      std::uint16_t* row = dist_.data() + static_cast<std::size_t>(p) * un;
-      topo.write_distance_row(p, row);
-      mean_dist_[static_cast<std::size_t>(p)] = topo.mean_distance_from(p);
+      fill_row(p, dist_.data() + static_cast<std::size_t>(p) * un);
       recompute_row_stats(p);
+      mean_dist_[static_cast<std::size_t>(p)] =
+          row_average_means ? row_average(p) : topo.mean_distance_from(p);
       mx = std::max(mx, row_max_[static_cast<std::size_t>(p)]);
     }
     chunk_max[static_cast<std::size_t>(chunk)] = mx;
@@ -79,6 +101,15 @@ void DistanceCache::rebuild_all(const Topology& topo) {
   diameter_ = 0;
   for (int c = 0; c < chunks; ++c)
     diameter_ = std::max(diameter_, chunk_max[static_cast<std::size_t>(c)]);
+}
+
+void DistanceCache::rebuild_all(const Topology& topo) {
+  OBS_SPAN("distcache/rebuild_all");
+  OBS_COUNTER_ADD("distcache/builds", 1);
+  OBS_COUNTER_ADD("distcache/rows_built", n_);
+  fill_rows(topo, [&topo](int p, std::uint16_t* out) {
+    topo.write_distance_row(p, out);
+  });
 }
 
 bool DistanceCache::rescale_if_needed(const FaultOverlay& overlay) {
@@ -142,6 +173,13 @@ void DistanceCache::recompute_row_stats(int p) {
   row_max_[up] = mx;
 }
 
+double DistanceCache::row_average(int p) const {
+  const auto up = static_cast<std::size_t>(p);
+  return row_reach_[up] > 0 ? static_cast<double>(row_sum_[up]) /
+                                  static_cast<double>(row_reach_[up])
+                            : 0.0;
+}
+
 void DistanceCache::refresh_means_and_diameter() {
   // A fresh build on the faulted overlay stores
   // FaultOverlay::mean_distance_from = row_sum / row_reach (one integer sum,
@@ -149,13 +187,8 @@ void DistanceCache::refresh_means_and_diameter() {
   // the repaired cache bit-identical to that rebuild — including rows whose
   // matrix entries did not change but whose stored mean predates the first
   // fault (closed-form base means).
-  for (int p = 0; p < n_; ++p) {
-    const auto up = static_cast<std::size_t>(p);
-    mean_dist_[up] = row_reach_[up] > 0
-                         ? static_cast<double>(row_sum_[up]) /
-                               static_cast<double>(row_reach_[up])
-                         : 0.0;
-  }
+  for (int p = 0; p < n_; ++p)
+    mean_dist_[static_cast<std::size_t>(p)] = row_average(p);
   diameter_ = 0;
   for (int p = 0; p < n_; ++p)
     diameter_ = std::max(diameter_, row_max_[static_cast<std::size_t>(p)]);

@@ -23,9 +23,18 @@
 //
 // Determinism contract: distance(a, b) returns exactly the virtual
 // Topology::distance(a, b), and mean_distance_from(p) stores *the virtual
-// method's value* (not a matrix-derived re-computation), so kernels running
-// on the cache produce results byte-identical to virtual dispatch — the
-// property tests assert this for every strategy.
+// method's value*, so kernels running on the cache produce results
+// byte-identical to virtual dispatch — the property tests assert this for
+// every strategy.  Where that value is by definition the row's integer sum
+// over its reachable count (Topology::mean_is_row_average: a faulted
+// FaultOverlay, a SubTopology) the cache divides the sums it already keeps
+// for the row, so each row costs one fill, not a second search.
+//
+// Sub-machine planes: a SubTopology's rows are its base's rows restricted
+// to the subset, so DistanceCache(sub, base_plane) cuts them out of a plane
+// already built for the base (the pooled plane of a served machine)
+// instead of searching again; core::CacheHandle does this when it holds
+// that plane.  The result is byte-identical to DistanceCache(sub).
 //
 // Weighted plane: the cache is metric-agnostic — it stores whatever
 // write_distance_row produces, in the topology's distance_scale() units.
@@ -70,6 +79,7 @@
 namespace topomap::topo {
 
 class FaultOverlay;
+class SubTopology;
 
 namespace detail {
 
@@ -110,6 +120,11 @@ class DistanceCache {
   /// Build the dense matrix for `topo`.  Requires size() <= 20000 (the
   /// dense-matrix cap); throws precondition_error beyond it.
   explicit DistanceCache(const Topology& topo);
+
+  /// The plane of `sub`, gathered from `base_plane`, a current plane of
+  /// sub.base() (same size and units): no row is searched.  Byte-identical
+  /// to DistanceCache(sub) — matrix, means and diameter.
+  DistanceCache(const SubTopology& sub, const DistanceCache& base_plane);
 
   int size() const { return n_; }
 
@@ -192,6 +207,13 @@ class DistanceCache {
   void rebuild(const Topology& topo);
 
  private:
+  /// Size the storage for n processors (n <= 20000).
+  void allocate(int n);
+  /// Fill every row with fill_row(p, row) in parallel, then its aggregates
+  /// and mean (the virtual's, or the row average it stands for), and the
+  /// diameter.
+  template <typename FillRow>
+  void fill_rows(const Topology& topo, FillRow&& fill_row);
   void rebuild_all(const Topology& topo);
   /// All-rows rebuild when the overlay's distance_scale() no longer matches
   /// the plane's units.  Returns true when it rebuilt (repair is done).
@@ -200,6 +222,9 @@ class DistanceCache {
   void recompute_rows(const FaultOverlay& overlay,
                       const std::vector<int>& rows);
   void recompute_row_stats(int p);
+  /// row_sum / row_reach, divided once (0.0 for a row with nothing
+  /// reachable): FaultOverlay's and SubTopology's mean arithmetic.
+  double row_average(int p) const;
   void refresh_means_and_diameter();
 
   int n_ = 0;

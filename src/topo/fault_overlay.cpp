@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <queue>
 #include <sstream>
 
 #include "obs/obs.hpp"
@@ -17,6 +16,58 @@ std::pair<int, int> norm_link(int a, int b) {
   return a < b ? std::pair<int, int>{a, b} : std::pair<int, int>{b, a};
 }
 
+/// One thread's search buffers.  The overlay is queried concurrently from
+/// the pool's workers, so each thread keeps its own and every search
+/// reuses them.  An early-exit query marks the nodes it reaches with the
+/// current epoch instead of clearing an O(p) array first.
+struct SearchScratch {
+  using Item = std::pair<std::uint32_t, int>;  // (cost, node)
+  std::vector<int> frontier, next;
+  std::vector<Item> heap;  // min-heap on (cost, node): deterministic order
+  std::vector<int> parent;
+  std::vector<std::uint16_t> row;
+  std::vector<std::uint32_t> mark;  // mark[v] == epoch: v reached
+  std::vector<std::uint16_t> dist;  // valid where marked
+  std::uint32_t epoch = 0;
+
+  /// Start a marked search over n nodes: no node is reached yet.
+  void begin_marks(int n) {
+    if (mark.size() < static_cast<std::size_t>(n)) {
+      mark.resize(static_cast<std::size_t>(n), 0);
+      dist.resize(static_cast<std::size_t>(n));
+    }
+    if (++epoch == 0) {
+      std::fill(mark.begin(), mark.end(), 0);
+      epoch = 1;
+    }
+  }
+  bool reached(int v) const {
+    return mark[static_cast<std::size_t>(v)] == epoch;
+  }
+  void reach(int v, std::uint32_t d) {
+    mark[static_cast<std::size_t>(v)] = epoch;
+    dist[static_cast<std::size_t>(v)] = static_cast<std::uint16_t>(d);
+  }
+
+  // The std::priority_queue<Item, vector, greater> operations, on a
+  // buffer that outlives the search.
+  void push(Item item) {
+    heap.push_back(item);
+    std::push_heap(heap.begin(), heap.end(), std::greater<Item>{});
+  }
+  Item pop() {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<Item>{});
+    const Item top = heap.back();
+    heap.pop_back();
+    return top;
+  }
+};
+
+SearchScratch& scratch() {
+  thread_local SearchScratch s;
+  return s;
+}
+
 }  // namespace
 
 FaultOverlay::FaultOverlay(TopologyPtr base)
@@ -24,6 +75,19 @@ FaultOverlay::FaultOverlay(TopologyPtr base)
   TOPOMAP_REQUIRE(base_ != nullptr, "FaultOverlay: base topology is null");
   size_ = base_->size();
   dead_.assign(static_cast<std::size_t>(size_), 0);
+  if (base_->has_adjacency()) {
+    links_.emplace(*base_);
+    link_cost_.assign(static_cast<std::size_t>(links_->size()),
+                      kHealthCostOne);
+  }
+}
+
+void FaultOverlay::set_link_cost(int a, int b, int cost) {
+  const int ab = links_->id(a, b);
+  const int ba = links_->id(b, a);
+  TOPOMAP_ASSERT(ab >= 0 && ba >= 0, "base link is not undirected");
+  link_cost_[static_cast<std::size_t>(ab)] = static_cast<std::uint16_t>(cost);
+  link_cost_[static_cast<std::size_t>(ba)] = static_cast<std::uint16_t>(cost);
 }
 
 int FaultOverlay::fail_link(int a, int b) {
@@ -34,10 +98,10 @@ int FaultOverlay::fail_link(int a, int b) {
                   "fail_link: " + base_->name() +
                       " is a distance model without processor-level links; "
                       "only processor failures are supported on it");
-  const auto nb = base_->neighbors(a);
-  TOPOMAP_REQUIRE(std::find(nb.begin(), nb.end(), b) != nb.end(),
+  TOPOMAP_REQUIRE(links_->id(a, b) >= 0,
                   "fail_link: no link " + std::to_string(a) + "-" +
                       std::to_string(b) + " in " + base_->name());
+  set_link_cost(a, b, 0);
   const auto key = norm_link(a, b);
   // Cost the link carried while alive, in pre-mutation plane units.
   const int pre_scale = distance_scale();
@@ -74,8 +138,7 @@ int FaultOverlay::degrade_link(int a, int b, double health) {
                   "degrade_link: " + base_->name() +
                       " is a distance model without processor-level links; "
                       "link health is undefined on it");
-  const auto nb = base_->neighbors(a);
-  TOPOMAP_REQUIRE(std::find(nb.begin(), nb.end(), b) != nb.end(),
+  TOPOMAP_REQUIRE(links_->id(a, b) >= 0,
                   "degrade_link: no link " + std::to_string(a) + "-" +
                       std::to_string(b) + " in " + base_->name());
   TOPOMAP_REQUIRE(!link_failed(a, b),
@@ -97,6 +160,7 @@ int FaultOverlay::degrade_link(int a, int b, double health) {
                   "degrade_link: health " + std::to_string(health) +
                       " is too low to represent; use fail_link");
   const int cost = std::max(kHealthCostOne, static_cast<int>(cost_ll));
+  set_link_cost(a, b, cost);
 
   const auto key = norm_link(a, b);
   const int pre_scale = distance_scale();
@@ -140,11 +204,12 @@ int FaultOverlay::restore_link(int a, int b) {
   TOPOMAP_REQUIRE(base_->has_adjacency(),
                   "restore_link: " + base_->name() +
                       " is a distance model without processor-level links");
-  const auto nb = base_->neighbors(a);
-  TOPOMAP_REQUIRE(std::find(nb.begin(), nb.end(), b) != nb.end(),
+  TOPOMAP_REQUIRE(links_->id(a, b) >= 0,
                   "restore_link: no link " + std::to_string(a) + "-" +
                       std::to_string(b) + " in " + base_->name());
   if (failed_links_.erase(norm_link(a, b)) != 0) {
+    // The hard fault had superseded any degrade: back at full health.
+    set_link_cost(a, b, kHealthCostOne);
     ++version_;
     OBS_COUNTER_ADD("faultoverlay/link_restores", 1);
   }
@@ -175,11 +240,6 @@ int FaultOverlay::link_cost(int a, int b) const {
   return it != degraded_.end() ? it->second : kHealthCostOne;
 }
 
-int FaultOverlay::weighted_cost(int u, int v) const {
-  const auto it = degraded_.find(norm_link(u, v));
-  return it != degraded_.end() ? it->second : kHealthCostOne;
-}
-
 bool FaultOverlay::is_alive(int p) const {
   check_node(p);
   return dead_[static_cast<std::size_t>(p)] == 0;
@@ -200,57 +260,49 @@ int FaultOverlay::distance(int a, int b) const {
                                    " has failed");
   if (!has_faults() || !base_->has_adjacency()) return base_->distance(a, b);
   if (a == b) return 0;
+  SearchScratch& s = scratch();
+  s.begin_marks(size_);
+  s.reach(a, 0);
   if (!degraded_.empty()) {
     // Weighted mode: early-exit Dijkstra (settle b, return its cost).
-    using Item = std::pair<std::uint32_t, int>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
-    std::vector<std::uint16_t> dist(static_cast<std::size_t>(size_),
-                                    kUnreachable);
-    dist[static_cast<std::size_t>(a)] = 0;
-    pq.push({0, a});
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
-      if (d != dist[static_cast<std::size_t>(u)]) continue;
+    s.heap.clear();
+    s.push({0, a});
+    while (!s.heap.empty()) {
+      const auto [d, u] = s.pop();
+      if (d != s.dist[static_cast<std::size_t>(u)]) continue;
       if (u == b) return static_cast<int>(d);
-      for (int v : base_->neighbors(u)) {
-        if (dead_[static_cast<std::size_t>(v)]) continue;
-        if (link_failed(u, v)) continue;
-        const std::uint32_t nd = d + static_cast<std::uint32_t>(
-                                         weighted_cost(u, v));
+      for_each_alive_link(u, [&](int v, int cost) {
+        const std::uint32_t nd = d + static_cast<std::uint32_t>(cost);
         TOPOMAP_REQUIRE(nd <= kMaxFiniteDistance,
                         "distance: weighted path cost overflows the "
                         "fixed-point uint16 plane on " + name());
-        if (nd < dist[static_cast<std::size_t>(v)]) {
-          dist[static_cast<std::size_t>(v)] = static_cast<std::uint16_t>(nd);
-          pq.push({nd, v});
+        if (!s.reached(v) || nd < s.dist[static_cast<std::size_t>(v)]) {
+          s.reach(v, nd);
+          s.push({nd, v});
         }
-      }
+      });
     }
     TOPOMAP_REQUIRE(false, "distance: processors " + std::to_string(a) +
                                " and " + std::to_string(b) +
                                " are disconnected by faults in " + name());
   }
-  // Early-exit BFS from a; stateless so concurrent use is safe.
-  std::vector<std::uint16_t> dist(static_cast<std::size_t>(size_),
-                                  kUnreachable);
-  std::vector<int> frontier{a}, next;
-  dist[static_cast<std::size_t>(a)] = 0;
+  // Early-exit BFS from a.
+  s.frontier.assign(1, a);
   int depth = 0;
-  while (!frontier.empty()) {
+  bool found = false;
+  while (!s.frontier.empty()) {
     ++depth;
-    next.clear();
-    for (int u : frontier) {
-      for (int v : base_->neighbors(u)) {
-        if (dead_[static_cast<std::size_t>(v)]) continue;
-        if (dist[static_cast<std::size_t>(v)] != kUnreachable) continue;
-        if (link_failed(u, v)) continue;
-        if (v == b) return depth;
-        dist[static_cast<std::size_t>(v)] = static_cast<std::uint16_t>(depth);
-        next.push_back(v);
-      }
+    s.next.clear();
+    for (const int u : s.frontier) {
+      for_each_alive_link(u, [&](int v, int) {
+        if (s.reached(v)) return;
+        if (v == b) found = true;
+        s.reach(v, static_cast<std::uint32_t>(depth));
+        s.next.push_back(v);
+      });
+      if (found) return depth;
     }
-    frontier.swap(next);
+    s.frontier.swap(s.next);
   }
   TOPOMAP_REQUIRE(false, "distance: processors " + std::to_string(a) + " and " +
                              std::to_string(b) +
@@ -261,14 +313,9 @@ int FaultOverlay::distance(int a, int b) const {
 std::vector<int> FaultOverlay::neighbors(int p) const {
   check_node(p);
   if (dead_[static_cast<std::size_t>(p)]) return {};
-  std::vector<int> out = base_->neighbors(p);
-  if (dead_count_ == 0 && failed_links_.empty()) return out;
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [&](int q) {
-                             return dead_[static_cast<std::size_t>(q)] != 0 ||
-                                    link_failed(p, q);
-                           }),
-            out.end());
+  if (!links_) return base_->neighbors(p);  // distance model: throws
+  std::vector<int> out;
+  for_each_alive_link(p, [&](int q, int) { out.push_back(q); });
   return out;
 }
 
@@ -329,12 +376,14 @@ int FaultOverlay::diameter() const {
 bool FaultOverlay::route_intact(const std::vector<int>& path) const {
   for (std::size_t i = 0; i < path.size(); ++i) {
     if (dead_[static_cast<std::size_t>(path[i])]) return false;
-    if (i > 0 && link_failed(path[i - 1], path[i])) return false;
+    if (i == 0) continue;
+    // A failed link costs 0 and a degraded one more than a healthy hop.
     // In weighted mode a route touching a degraded link may no longer be
     // cheapest; a degrade-free min-hop route always is (every alternative
     // crosses at least as many links, each at least the healthy cost).
-    if (i > 0 && !degraded_.empty() &&
-        degraded_.count(norm_link(path[i - 1], path[i])) != 0)
+    const int link = links_->id(path[i - 1], path[i]);
+    TOPOMAP_ASSERT(link >= 0, "base route step is not a physical link");
+    if (link_cost_[static_cast<std::size_t>(link)] != kHealthCostOne)
       return false;
   }
   return true;
@@ -349,41 +398,37 @@ void FaultOverlay::route(int a, int b, std::vector<int>& path) const {
   // the faults do not touch it, so fault-free pairs see unchanged paths.
   base_->route(a, b, path);
   if (!has_faults() || route_intact(path)) return;
-  std::vector<int> parent(static_cast<std::size_t>(size_), -1);
+  SearchScratch& s = scratch();
+  s.parent.assign(static_cast<std::size_t>(size_), -1);
   bool found = false;
   if (!degraded_.empty()) {
     // Cheapest route by Dijkstra with a deterministic parent tree.
-    std::vector<std::uint16_t> dist(static_cast<std::size_t>(size_));
-    dijkstra_row(a, dist.data(), &parent);
-    found = dist[static_cast<std::size_t>(b)] != kUnreachable;
+    s.row.resize(static_cast<std::size_t>(size_));
+    dijkstra_row(a, s.row.data(), &s.parent);
+    found = s.row[static_cast<std::size_t>(b)] != kUnreachable;
   } else {
     // BFS with parent tracking over the alive subgraph.
-    std::vector<int> frontier{a}, next;
-    parent[static_cast<std::size_t>(a)] = a;
-    while (!frontier.empty() && !found) {
-      next.clear();
-      for (int u : frontier) {
-        for (int v : base_->neighbors(u)) {
-          if (dead_[static_cast<std::size_t>(v)]) continue;
-          if (parent[static_cast<std::size_t>(v)] != -1) continue;
-          if (link_failed(u, v)) continue;
-          parent[static_cast<std::size_t>(v)] = u;
-          if (v == b) {
-            found = true;
-            break;
-          }
-          next.push_back(v);
-        }
+    s.frontier.assign(1, a);
+    s.parent[static_cast<std::size_t>(a)] = a;
+    while (!s.frontier.empty() && !found) {
+      s.next.clear();
+      for (const int u : s.frontier) {
+        for_each_alive_link(u, [&](int v, int) {
+          if (found || s.parent[static_cast<std::size_t>(v)] != -1) return;
+          s.parent[static_cast<std::size_t>(v)] = u;
+          if (v == b) found = true;
+          s.next.push_back(v);
+        });
         if (found) break;
       }
-      frontier.swap(next);
+      s.frontier.swap(s.next);
     }
   }
   TOPOMAP_REQUIRE(found, "route: processors " + std::to_string(a) + " and " +
                              std::to_string(b) +
                              " are disconnected by faults in " + name());
   path.clear();
-  for (int v = b; v != a; v = parent[static_cast<std::size_t>(v)])
+  for (int v = b; v != a; v = s.parent[static_cast<std::size_t>(v)])
     path.push_back(v);
   path.push_back(a);
   std::reverse(path.begin(), path.end());
@@ -407,6 +452,7 @@ void FaultOverlay::write_distance_row(int p, std::uint16_t* out) const {
       if (dead_[static_cast<std::size_t>(q)]) out[q] = kUnreachable;
     return;
   }
+  OBS_COUNTER_ADD("faultoverlay/row_searches", 1);
   if (!degraded_.empty()) {
     dijkstra_row(p, out, nullptr);
     return;
@@ -416,22 +462,21 @@ void FaultOverlay::write_distance_row(int p, std::uint16_t* out) const {
 
 void FaultOverlay::bfs_row(int src, std::uint16_t* out) const {
   std::fill(out, out + size_, kUnreachable);
-  std::vector<int> frontier{src}, next;
+  SearchScratch& s = scratch();
+  s.frontier.assign(1, src);
   out[src] = 0;
   std::uint16_t depth = 0;
-  while (!frontier.empty()) {
+  while (!s.frontier.empty()) {
     ++depth;
-    next.clear();
-    for (int u : frontier) {
-      for (int v : base_->neighbors(u)) {
-        if (dead_[static_cast<std::size_t>(v)]) continue;
-        if (out[v] != kUnreachable) continue;
-        if (link_failed(u, v)) continue;
+    s.next.clear();
+    for (const int u : s.frontier) {
+      for_each_alive_link(u, [&](int v, int) {
+        if (out[v] != kUnreachable) return;
         out[v] = depth;
-        next.push_back(v);
-      }
+        s.next.push_back(v);
+      });
     }
-    frontier.swap(next);
+    s.frontier.swap(s.next);
   }
 }
 
@@ -440,29 +485,25 @@ void FaultOverlay::dijkstra_row(int src, std::uint16_t* out,
   std::fill(out, out + size_, kUnreachable);
   if (parent != nullptr)
     std::fill(parent->begin(), parent->end(), -1);
-  using Item = std::pair<std::uint32_t, int>;  // (cost, node): deterministic
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
+  SearchScratch& s = scratch();
+  s.heap.clear();
   out[src] = 0;
   if (parent != nullptr) (*parent)[static_cast<std::size_t>(src)] = src;
-  pq.push({0, src});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
+  s.push({0, src});
+  while (!s.heap.empty()) {
+    const auto [d, u] = s.pop();
     if (d != out[u]) continue;  // stale heap entry
-    for (int v : base_->neighbors(u)) {
-      if (dead_[static_cast<std::size_t>(v)]) continue;
-      if (link_failed(u, v)) continue;
-      const std::uint32_t nd =
-          d + static_cast<std::uint32_t>(weighted_cost(u, v));
+    for_each_alive_link(u, [&](int v, int cost) {
+      const std::uint32_t nd = d + static_cast<std::uint32_t>(cost);
       TOPOMAP_REQUIRE(nd <= kMaxFiniteDistance,
                       "weighted path cost overflows the fixed-point uint16 "
                       "plane on " + name());
       if (nd < out[v]) {
         out[v] = static_cast<std::uint16_t>(nd);
         if (parent != nullptr) (*parent)[static_cast<std::size_t>(v)] = u;
-        pq.push({nd, v});
+        s.push({nd, v});
       }
-    }
+    });
   }
 }
 

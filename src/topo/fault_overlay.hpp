@@ -37,19 +37,28 @@
 //    alive-pair distances are the base's; fail_link()/degrade_link() on
 //    them throws.
 //
-// The overlay is cheap to mutate (a set/map insert) and stateless about
-// distances: every query recomputes from the base adjacency, so concurrent
-// const use from the parallel mapping kernels is safe and results are
-// byte-identical for any thread count.  version() increments on every
+// The overlay is cheap to mutate (a set/map insert plus two entries of a
+// per-link cost array) and stateless about distances: every query
+// recomputes from the base adjacency, so concurrent const use from the
+// parallel mapping kernels is safe and results are byte-identical for any
+// thread count.  That adjacency is read through one walk
+// (for_each_alive_link): the base's links, stored once at construction as
+// a topo::LinkIndex CSR in neighbors() order, each with its current cost.
+// Row searches, early-exit distance queries, reroutes and
+// topo::connected_components all use it, and keep their frontiers, heaps
+// and visit marks in per-thread scratch, so a search allocates nothing
+// once its thread's buffers have grown.  version() increments on every
 // mutation and is embedded in name(), letting caches key on it.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "topo/link_index.hpp"
 #include "topo/topology.hpp"
 
 namespace topomap::topo {
@@ -136,6 +145,21 @@ class FaultOverlay final : public Topology {
 
   const Topology& base() const { return *base_; }
 
+  /// Call visit(v, cost) for every alive link u -> v, in the base's
+  /// neighbors(u) order: failed links and links into dead processors are
+  /// skipped, and cost is the link's weighted cost (kHealthCostOne when
+  /// healthy).  Requires has_adjacency().  Allocates nothing.
+  template <typename Visit>
+  void for_each_alive_link(int u, Visit&& visit) const {
+    for (int l = links_->offset(u), end = links_->offset(u + 1); l < end;
+         ++l) {
+      const int v = links_->to(l);
+      const int cost = link_cost_[static_cast<std::size_t>(l)];
+      if (cost == 0 || dead_[static_cast<std::size_t>(v)]) continue;
+      visit(v, cost);
+    }
+  }
+
   // --- Topology interface ---
 
   int size() const override { return size_; }
@@ -161,6 +185,8 @@ class FaultOverlay final : public Topology {
   /// included).  Integer-sum based when any fault is active, so incremental
   /// DistanceCache repair reproduces it bit-exactly; 0.0 for a dead p.
   double mean_distance_from(int p) const override;
+  /// With any fault active the mean above is the row average.
+  bool mean_is_row_average() const override { return has_faults(); }
   /// Mean of mean_distance_from over the alive processors.
   double mean_pairwise_distance() const override;
   /// Largest finite alive-pair distance (in distance_scale() units).
@@ -185,11 +211,16 @@ class FaultOverlay final : public Topology {
   /// exceeds kMaxFiniteDistance.
   void dijkstra_row(int src, std::uint16_t* out, std::vector<int>* parent) const;
   bool route_intact(const std::vector<int>& path) const;
-  /// Cost of alive base link u-v in weighted units (degraded or healthy).
-  int weighted_cost(int u, int v) const;
+  /// Set the walk's cost of base link a-b in both directions (0 = failed).
+  void set_link_cost(int a, int b, int cost);
 
   TopologyPtr base_;
   int size_ = 0;
+  // The base's links (empty on a distance model), and per link id its
+  // weighted cost: kHealthCostOne when healthy, the degraded cost, or 0
+  // while the link is hard-failed.  Mirrors failed_links_ and degraded_.
+  std::optional<LinkIndex> links_;
+  std::vector<std::uint16_t> link_cost_;
   std::vector<char> dead_;
   int dead_count_ = 0;
   std::set<std::pair<int, int>> failed_links_;       // normalized a < b

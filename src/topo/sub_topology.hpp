@@ -8,7 +8,8 @@
 // they are physical paths, reported in *base* ids via route_in_base()).
 // Construction requires every pair in the subset to be connected in the
 // base (precondition_error otherwise), so downstream code never sees an
-// unreachable pair.
+// unreachable pair.  One base row from the first member decides it: the
+// base's links are undirected, so connectivity is an equivalence.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +46,8 @@ class SubTopology final : public Topology {
     return base_->link_health(node_of(a), node_of(b));
   }
   double mean_distance_from(int p) const override;
+  /// Every entry of a row is finite, and the mean is their sum over size().
+  bool mean_is_row_average() const override { return true; }
   int diameter() const override;
   /// The base route translated to compact ids.  Succeeds whenever the base
   /// route stays inside the subset (always true over a FaultOverlay's alive

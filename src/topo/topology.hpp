@@ -66,6 +66,14 @@ class Topology {
   /// default loops over all processors.
   virtual double mean_distance_from(int p) const;
 
+  /// True when mean_distance_from(p) is by definition the integer sum of
+  /// write_distance_row(p)'s finite entries divided once by their count
+  /// (0.0 for a row with none).  topo::DistanceCache then takes the mean
+  /// from the row it has just written instead of asking again, which on a
+  /// faulted machine would repeat the row's shortest-path search.  False
+  /// for closed-form means.
+  virtual bool mean_is_row_average() const { return false; }
+
   /// Mean distance between two independently-uniform processors (self pairs
   /// included) — the paper's E[hops] for random placement.
   virtual double mean_pairwise_distance() const;

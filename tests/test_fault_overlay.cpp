@@ -4,20 +4,26 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/cache_handle.hpp"
 #include "core/fault_aware.hpp"
 #include "core/mapping.hpp"
 #include "core/strategy.hpp"
 #include "graph/builders.hpp"
+#include "ops/ops.hpp"
 #include "runtime/evacuate.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "topo/components.hpp"
 #include "topo/distance_cache.hpp"
 #include "topo/factory.hpp"
 #include "topo/fault_overlay.hpp"
+#include "topo/fault_spec.hpp"
 #include "topo/sub_topology.hpp"
 #include "topo/torus_mesh.hpp"
 
@@ -160,6 +166,211 @@ TEST(SubTopology, RejectsDisconnectedSubsets) {
                precondition_error);
   EXPECT_THROW(SubTopology(base, {}), precondition_error);
   EXPECT_THROW(SubTopology(base, {1, 0}), precondition_error);  // unsorted
+}
+
+// ---------------------------------------------------------------------------
+// Pinned faulted planes.  FNV-1a over the matrix bytes and over the stored
+// means, plus the diameter, of node-, link- and soft-faulted overlays and of
+// the SubTopology over each one's primary component, at 1 and 4 threads.
+// The values were recorded before the overlay's searches shared one
+// adjacency walk and before the cache took faulted means from its row sums,
+// so they pin that every plane byte survived both.
+// ---------------------------------------------------------------------------
+
+struct PlanePin {
+  std::uint64_t matrix = 0;
+  std::uint64_t means = 0;
+  int diameter = 0;
+};
+
+std::uint64_t fnv1a(const void* data, std::size_t n) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* c = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= c[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+PlanePin pin_of(const DistanceCache& c) {
+  const auto n = static_cast<std::size_t>(c.size());
+  std::vector<double> means(n);
+  for (std::size_t p = 0; p < n; ++p)
+    means[p] = c.mean_distance_from(static_cast<int>(p));
+  return {fnv1a(c.row(0), n * n * sizeof(std::uint16_t)),
+          fnv1a(means.data(), n * sizeof(double)), c.diameter()};
+}
+
+void expect_pin(const PlanePin& got, const PlanePin& want,
+                const std::string& what) {
+  EXPECT_EQ(got.matrix, want.matrix)
+      << what << " matrix 0x" << std::hex << got.matrix << std::dec;
+  EXPECT_EQ(got.means, want.means)
+      << what << " means 0x" << std::hex << got.means << std::dec;
+  EXPECT_EQ(got.diameter, want.diameter) << what << " diameter";
+}
+
+struct FaultedPlaneCase {
+  const char* topology;
+  int nodes = 0;
+  int links = 0;
+  int degrades = 0;
+  PlanePin overlay;
+  PlanePin sub;
+};
+
+/// The overlay the CLI builds for --random-{node,link}-faults /
+/// --random-degrades with --fault-seed=11.
+std::shared_ptr<FaultOverlay> faulted(const FaultedPlaneCase& c) {
+  FaultSpec spec;
+  spec.random_node_faults = c.nodes;
+  spec.random_link_faults = c.links;
+  spec.random_degrades = c.degrades;
+  spec.seed = 11;
+  return build_fault_overlay(make_topology(c.topology), spec);
+}
+
+const std::vector<FaultedPlaneCase>& faulted_plane_cases() {
+  static const std::vector<FaultedPlaneCase> cases = {
+      {"torus:6x6x4", 5, 0, 0,
+       {0xe33a42601efd9945ull, 0xfbba3332d360415aull, 8},
+       {0x7fe5f45365cedaabull, 0xdffdce0a054198daull, 8}},
+      {"torus:6x6x4", 0, 12, 0,
+       {0xe2874f05cdfa9053ull, 0xa4b0b96a6602d096ull, 8},
+       {0xe2874f05cdfa9053ull, 0xa4b0b96a6602d096ull, 8}},
+      {"torus:6x6x4", 0, 0, 12,
+       {0xd572b668660b9c0bull, 0x829b333b45afad99ull, 64},
+       {0xd572b668660b9c0bull, 0x829b333b45afad99ull, 64}},
+      {"mesh:8x8", 5, 0, 0,
+       {0x6dfc149c84c6ac61ull, 0xf10bcfac8db120edull, 14},
+       {0x30cce4a856bd8b2bull, 0xbe73274c1c74296dull, 14}},
+      {"mesh:8x8", 0, 12, 0,
+       {0xdc1bdeeedef72603ull, 0x7c093a10a9bfaca9ull, 14},
+       {0xdc1bdeeedef72603ull, 0x7c093a10a9bfaca9ull, 14}},
+      {"mesh:8x8", 0, 0, 12,
+       {0x13f23a0d92277a4bull, 0x380c7fe53940910ull, 112},
+       {0x13f23a0d92277a4bull, 0x380c7fe53940910ull, 112}},
+      {"hypercube:7", 5, 0, 0,
+       {0x78a18dddb9134591ull, 0x1ef4d5ed05bfab01ull, 7},
+       {0xc2eef7da8004ad1bull, 0x5152d49fa5e23581ull, 7}},
+      {"hypercube:7", 0, 12, 0,
+       {0x92594de0b28659d3ull, 0xadf43253f800f7c3ull, 7},
+       {0x92594de0b28659d3ull, 0xadf43253f800f7c3ull, 7}},
+      {"hypercube:7", 0, 0, 12,
+       {0xee357bda3954ac0bull, 0x6ab619f01a8af63ull, 56},
+       {0xee357bda3954ac0bull, 0x6ab619f01a8af63ull, 56}},
+      {"dragonfly:6", 5, 0, 0,
+       {0xf3dc6b002fd7c3f5ull, 0xad36a1bb20d3d4c1ull, 5},
+       {0x4ef1346889a1208bull, 0xbb0bf422757d9a21ull, 5}},
+      {"dragonfly:6", 0, 12, 0,
+       {0x6e9f1e9590e142cbull, 0xe457dcb9fad99458ull, 5},
+       {0x6e9f1e9590e142cbull, 0xe457dcb9fad99458ull, 5}},
+      {"dragonfly:6", 0, 0, 12,
+       {0xc657f16a87b50fe3ull, 0x6d77e3a1b2358d19ull, 40},
+       {0xc657f16a87b50fe3ull, 0x6d77e3a1b2358d19ull, 40}},
+      {"fattree:4x3", 5, 0, 0,
+       {0x4b18c801adc8f61dull, 0x64158f6fcde1b86bull, 6},
+       {0xdd49a61c536de5bbull, 0x5a4ae149f87ed70bull, 6}},
+  };
+  return cases;
+}
+
+TEST(FaultedPlanePins, OverlayAndSubTopologyPlanesAreUnchanged) {
+  for (const int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    for (const FaultedPlaneCase& c : faulted_plane_cases()) {
+      const auto overlay = faulted(c);
+      const std::string what = std::string(c.topology) + " nodes=" +
+                               std::to_string(c.nodes) + " links=" +
+                               std::to_string(c.links) + " degrades=" +
+                               std::to_string(c.degrades) + " threads=" +
+                               std::to_string(threads);
+      expect_pin(pin_of(DistanceCache(*overlay)), c.overlay,
+                 what + " overlay");
+      const SubTopology sub(overlay, connected_components(*overlay).primary());
+      expect_pin(pin_of(DistanceCache(sub)), c.sub, what + " sub");
+    }
+  }
+  support::set_num_threads(1);
+}
+
+void expect_same_plane(const DistanceCache& got, const DistanceCache& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(got.scale(), want.scale()) << what;
+  const auto n = static_cast<std::size_t>(want.size());
+  EXPECT_EQ(std::memcmp(got.row(0), want.row(0), n * n * sizeof(std::uint16_t)),
+            0)
+      << what << ": matrix";
+  for (int p = 0; p < want.size(); ++p)
+    ASSERT_EQ(got.mean_distance_from(p), want.mean_distance_from(p))
+        << what << ": mean of row " << p;
+  EXPECT_EQ(got.diameter(), want.diameter()) << what;
+}
+
+// A sub-machine plane cut out of its base's plane (what a CacheHandle
+// seeded with a pooled plane hands a faulted map) is byte-identical to one
+// built by searching the sub-machine's rows.
+TEST(FaultedPlanePins, GatheredSubPlaneEqualsAFreshBuild) {
+  for (const int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    for (const FaultedPlaneCase& c : faulted_plane_cases()) {
+      const auto overlay = faulted(c);
+      const std::string what =
+          std::string(c.topology) + " threads=" + std::to_string(threads);
+      const auto pooled = std::make_shared<const DistanceCache>(*overlay);
+      const SubTopology sub(overlay, connected_components(*overlay).primary());
+      expect_same_plane(DistanceCache(sub, *pooled), DistanceCache(sub), what);
+
+      core::CacheHandle handle;
+      handle.seed(*overlay, pooled);
+      const auto gathered = handle.get(sub);
+      expect_same_plane(*gathered, DistanceCache(sub), what + " via handle");
+      EXPECT_EQ(handle.get(sub), gathered) << what;
+    }
+  }
+  support::set_num_threads(1);
+  // A subset of a healthy machine (closed-form base plane).
+  const auto torus = make_topology("torus:6x6");
+  const SubTopology corner(torus, {0, 1, 2, 6, 7, 8, 12, 13, 14, 35});
+  expect_same_plane(DistanceCache(corner, DistanceCache(*torus)),
+                    DistanceCache(corner), "torus:6x6 corner");
+}
+
+/// The message part of a precondition_error (after the source location and
+/// the failed expression).
+std::string precondition_message(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    const std::string sep = " \xE2\x80\x94 ";  // " — "
+    const auto at = what.find(sep);
+    return at == std::string::npos ? what : what.substr(at + sep.size());
+  }
+  return "no error";
+}
+
+TEST(FaultedPlanePins, DisconnectedSubsetErrorNamesTheFirstPair) {
+  const auto base = std::make_shared<TorusMesh>(TorusMesh::mesh({5}));
+  auto dead = std::make_shared<FaultOverlay>(base);
+  dead->fail_node(2);
+  const std::string dead_name =
+      " are disconnected in faults(nodes=1,links=0,deg=0,v=1) over mesh(5)";
+  EXPECT_EQ(
+      precondition_message([&] { SubTopology(dead, dead->alive_procs()); }),
+      "SubTopology: processors 0 and 3" + dead_name);
+  EXPECT_EQ(
+      precondition_message([&] { SubTopology(dead, {0, 1, 2, 3, 4}); }),
+      "SubTopology: processors 0 and 2" + dead_name);
+  EXPECT_EQ(precondition_message([&] { SubTopology(dead, {2, 3, 4}); }),
+            "SubTopology: processors 2 and 2" + dead_name);
+  auto cut = std::make_shared<FaultOverlay>(base);
+  cut->fail_link(1, 2);
+  EXPECT_EQ(precondition_message([&] { SubTopology(cut, {1, 3, 4}); }),
+            "SubTopology: processors 1 and 3 are disconnected in "
+            "faults(nodes=0,links=1,deg=0,v=1) over mesh(5)");
 }
 
 // ---------------------------------------------------------------------------
@@ -363,6 +574,56 @@ TEST(MapOnAlive, RejectsOverfullAndDisconnectedMachines) {
   split->fail_node(2);  // {0,1} | {3,4}
   EXPECT_THROW(map_on_alive(*strategy, small, *split, rng),
                precondition_error);
+}
+
+// A strategy that oversubscribes (hier) maps more tasks than alive
+// processors onto a faulted machine, soft-faulted or with dead processors:
+// every task lands on an alive processor, at any thread count.
+TEST(MapOnAlive, OversubscribingStrategyMapsEveryTaskOntoAliveProcessors) {
+  ops::Params p;
+  p.tasks = "stencil3d:16x16x16";
+  p.topology = "torus:8x8x4";
+  p.strategy = "hier+refine";
+  p.random_degrades = 20;
+  for (const int dead : {0, 4}) {
+    p.random_node_faults = dead;
+    std::string text_1thread;
+    for (const int threads : {1, 4}) {
+      support::set_num_threads(threads);
+      const ops::MapResult r = ops::run_map(p, ops::make_machine);
+      ASSERT_EQ(r.mapping.size(), 4096u);
+      EXPECT_TRUE(r.quarantined.empty());
+      const topo::FaultOverlay& overlay = *r.machine->overlay;
+      EXPECT_EQ(overlay.num_alive(), 256 - dead);
+      for (const int proc : r.mapping) {
+        ASSERT_NE(proc, kUnassigned);
+        ASSERT_TRUE(overlay.is_alive(proc)) << proc;
+      }
+      const std::string text = ops::mapping_text(r.mapping);
+      if (threads == 1)
+        text_1thread = text;
+      else
+        EXPECT_EQ(text, text_1thread) << dead << " dead processors";
+    }
+  }
+  support::set_num_threads(1);
+}
+
+// On a split machine an oversubscribing strategy quarantines nothing: the
+// whole graph goes onto the primary component.
+TEST(MapOnAlive, OversubscribingStrategyFillsThePrimaryComponent) {
+  ops::Params p;
+  p.tasks = "stencil2d:16x16";
+  p.topology = "mesh:8x8";
+  p.strategy = "hier";
+  p.fail_node = "1,9,17,25,33,41,49,57";  // cuts off column 0
+  const ops::MapResult r = ops::run_map(p, ops::make_machine);
+  EXPECT_TRUE(r.quarantined.empty());
+  EXPECT_FALSE(r.partition_note.empty());
+  for (const int proc : r.mapping) {
+    ASSERT_NE(proc, kUnassigned);
+    EXPECT_GE(proc % 8, 2) << proc;  // columns 2..7 only
+  }
 }
 
 TEST(MapOnAlive, LinkFaultsSteerPlacementAwayFromTheCut) {

@@ -29,6 +29,7 @@
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "topo/distance_cache.hpp"
 #include "topo/factory.hpp"
 #include "topo/fault_overlay.hpp"
 
@@ -540,6 +541,42 @@ TEST_F(ObsTest, RefineWorkCountersArePinnedAtAnyThreadCount) {
     EXPECT_EQ(reg.counter("refine/swap_attempts"), 32640u) << threads;
     EXPECT_EQ(reg.counter("refine/delta_evals"), 768u) << threads;
     EXPECT_EQ(reg.counter("refine/pairs_skipped"), 31872u) << threads;
+  }
+}
+
+// Row searches on the cold served shape (perfbench served-mix): 4 of the
+// 256 processors dead, so every plane row is one BFS over the 252 alive.
+// A one-shot map searches the alive SubTopology's 252 rows plus the one row
+// that proves it connected; a pooled machine searches its own 252 alive
+// rows once, plus that one row, and cuts the sub-machine's plane out of
+// its plane.  A second search per row for its mean, or a connectivity row
+// per SubTopology member, shows here (they made 756 and 1260).
+TEST_F(ObsTest, FaultedMapRowSearchesArePinnedAtAnyThreadCount) {
+  ops::Params p;
+  p.tasks = "stencil2d:15x16";
+  p.topology = "torus:8x8x4";
+  p.strategy = "topolb+refine";
+  p.random_node_faults = 4;
+  p.fault_seed = 7;
+  const ops::MachineSource pooled = [](const std::string& topology,
+                                       const topo::FaultSpec& faults) {
+    auto machine = ops::make_machine(topology, faults);
+    machine->plane =
+        std::make_shared<const topo::DistanceCache>(machine->machine());
+    return ops::MachinePtr(machine);
+  };
+  set_enabled(true);
+  for (int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    Registry& reg = Registry::instance();
+    reg.reset();
+    const ops::MapResult one_shot = ops::run_map(p, ops::make_machine);
+    EXPECT_EQ(reg.counter("faultoverlay/row_searches"), 253u) << threads;
+    reg.reset();
+    const ops::MapResult served = ops::run_map(p, pooled);
+    EXPECT_EQ(reg.counter("faultoverlay/row_searches"), 253u) << threads;
+    EXPECT_EQ(reg.counter("distcache/rows_gathered"), 252u) << threads;
+    EXPECT_EQ(served.mapping, one_shot.mapping) << threads;
   }
 }
 
