@@ -7,18 +7,23 @@
 //   * the multilevel partitioner handles the MD-scale object graphs fast;
 //   * the distance-plane engine: DistanceCache rows vs virtual dispatch
 //     (the cached/virtual suffix pairs), and thread scaling of the pooled
-//     layers (the _Threads series).
+//     layers (the _Threads series);
+//   * the JSON codec on topomapd's largest response: explain's per-link
+//     attribution (the _ExplainLinks pair).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
+#include "core/contention.hpp"
 #include "core/metrics.hpp"
 #include "core/refine_topo_lb.hpp"
 #include "core/strategy.hpp"
 #include "graph/builders.hpp"
+#include "graph/factory.hpp"
 #include "graph/synthetic_md.hpp"
 #include "partition/multilevel.hpp"
 #include "partition/partition.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "topo/distance_cache.hpp"
@@ -264,6 +269,42 @@ void BM_HopBytesEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HopBytesEvaluation)->Arg(32)->Arg(64);
+
+/// The "links" array of an explain response on topomapd's served shape:
+/// TopoLB's stencil3d:4x4x8 mapping on torus:4x4x8, every used link with
+/// its top-3 contributing task pairs (the service's default top_k).
+support::json::Value explain_links() {
+  Rng rng(1);
+  const auto g = graph::make_task_graph("stencil3d:4x4x8", rng);
+  const topo::TorusMesh torus = topo::TorusMesh::torus({4, 4, 8});
+  const core::Mapping m = core::make_strategy("topolb")->map(g, torus, rng);
+  return core::contention_links_to_json(
+      core::attribute_link_loads(g, torus, m), 3);
+}
+
+void BM_JsonDump_ExplainLinks(benchmark::State& state) {
+  const support::json::Value links = explain_links();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = links.dump();
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_JsonDump_ExplainLinks)->Unit(benchmark::kMicrosecond);
+
+void BM_JsonParse_ExplainLinks(benchmark::State& state) {
+  const std::string text = explain_links().dump();
+  for (auto _ : state) {
+    const support::json::Value v = support::json::Value::parse(text);
+    benchmark::DoNotOptimize(&v);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_JsonParse_ExplainLinks)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

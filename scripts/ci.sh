@@ -6,7 +6,7 @@
 # build and switched on at runtime, so every build runs the OBS_* sites.
 #
 # The sanitizer pass runs label by label — unit, property, fault, hier,
-# chaos, oracle, svc — so a failure names the tier that broke, and the
+# chaos, oracle, svc, fuzz — so a failure names the tier that broke, and the
 # (slower) instrumented binaries only run the suites worth instrumenting
 # instead of every sweep twice.
 #
@@ -94,20 +94,28 @@ TOPOMAP_OBS=0 "$CLI" map --strategy=topolb+refine --tasks=stencil2d:16x16 \
   --topology=torus:8x8x4 --output="$OBS_TMP/refine_plain.map" >/dev/null
 diff "$OBS_TMP/refine_plain.map" "$OBS_TMP/refine_obs.map"
 # The cold served shape with 4 dead processors: one BFS per alive row of
-# the SubTopology's plane plus one row proving it connected (253), and the
-# 252 alive rows the "random expectation" line averages over.  A second
-# search per row for its mean, or a connectivity check per member, shows
-# up here (the count was 1008 with both).
+# the SubTopology's plane plus one row proving it connected (253).  The
+# "random expectation" line reads that plane's means instead of searching
+# the 252 alive rows again.  A second search per row for its mean, or a
+# connectivity check per member, shows up here (the count was 1008 with
+# both, 505 with the expectation's own searches).
 "$CLI" map --strategy=topolb+refine --tasks=stencil2d:15x16 \
   --topology=torus:8x8x4 --random-node-faults=4 --fault-seed=7 \
   --output="$OBS_TMP/cold_obs.map" --stats="$OBS_TMP/cold_stats.json" >/dev/null
 python3 scripts/check_trace.py --stats "$OBS_TMP/cold_stats.json" \
-  --expect-counter faultoverlay/row_searches=505 \
+  --expect-counter faultoverlay/row_searches=253 \
   --expect-counter distcache/rows_built=252
 TOPOMAP_OBS=0 "$CLI" map --strategy=topolb+refine --tasks=stencil2d:15x16 \
   --topology=torus:8x8x4 --random-node-faults=4 --fault-seed=7 \
   --output="$OBS_TMP/cold_plain.map" >/dev/null
 diff "$OBS_TMP/cold_plain.map" "$OBS_TMP/cold_obs.map"
+# Link faults only: every processor is alive, so the strategy's plane
+# covers the machine, and the run searches its 4096 rows plus one
+# connectivity row (8193 when the expectation searched them again).
+"$CLI" map --strategy=topolb --tasks=stencil2d:64x64 --topology=torus:64x64 \
+  --random-link-faults=40 --stats="$OBS_TMP/links_stats.json" >/dev/null
+python3 scripts/check_trace.py --stats "$OBS_TMP/links_stats.json" \
+  --expect-counter faultoverlay/row_searches=4097
 # A swap-dense random start: 278 accepted swaps over eight passes.  Every
 # visited pair is skipped or evaluated exactly once, so the counts pin the
 # sequential first-improvement sweep, and the mapping must not depend on
@@ -202,7 +210,7 @@ echo "telemetry e2e ok: schemas validate, bytes identical with recording on/off"
 echo "=== sanitize (ASan/UBSan): labeled slices ==="
 cmake -B build-ci-sanitize -S . -DTOPOMAP_SANITIZE=ON >/dev/null
 cmake --build build-ci-sanitize -j "$JOBS"
-for label in unit property fault hier chaos oracle svc; do
+for label in unit property fault hier chaos oracle svc fuzz; do
   echo "--- ctest -L $label ---"
   ctest --test-dir build-ci-sanitize --output-on-failure -j "$JOBS" -L "$label"
 done

@@ -53,6 +53,20 @@ class CacheHandle {
       cache_ = std::make_shared<const topo::DistanceCache>(topo);
     key_ = &topo;
     key_name_ = std::move(name);
+    sub_base_ = sub ? &sub->base() : nullptr;
+    sub_base_name_ = sub ? sub->base().name() : std::string();
+    return cache_;
+  }
+
+  /// The plane get() last handed out, when it was for a SubTopology over
+  /// `base` and `base` still has the name it had then; null otherwise.
+  /// What a faulted map's strategy filled for the alive sub-machine, for
+  /// callers that want more from those rows after the map.
+  std::shared_ptr<const topo::DistanceCache> sub_plane_of(
+      const topo::Topology& base) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!cache_ || sub_base_ != &base || sub_base_name_ != base.name())
+      return nullptr;
     return cache_;
   }
 
@@ -71,6 +85,8 @@ class CacheHandle {
     key_ = seed_key_ = &topo;
     key_name_ = seed_name_ = topo.name();
     cache_ = seed_ = std::move(cache);
+    sub_base_ = nullptr;
+    sub_base_name_.clear();
   }
 
  private:
@@ -78,6 +94,9 @@ class CacheHandle {
   const topo::Topology* key_ = nullptr;
   std::string key_name_;
   std::shared_ptr<const topo::DistanceCache> cache_;
+  // When key_ is a SubTopology: its base and the base's name at get().
+  const topo::Topology* sub_base_ = nullptr;
+  std::string sub_base_name_;
   // The seeded plane and its key, kept when cache_ moves on to a
   // sub-machine.
   const topo::Topology* seed_key_ = nullptr;

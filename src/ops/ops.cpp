@@ -47,6 +47,13 @@ const topo::DistanceCache* usable_plane(const Machine& machine) {
              : nullptr;
 }
 
+/// A fresh CacheHandle seeded with the machine's plane, if it has one.
+core::CacheHandlePtr pooled_handle(const Machine& machine) {
+  auto handle = std::make_shared<core::CacheHandle>();
+  if (usable_plane(machine)) handle->seed(machine.machine(), machine.plane);
+  return handle;
+}
+
 }  // namespace
 
 topo::FaultSpec Params::fault_spec() const {
@@ -66,10 +73,8 @@ std::shared_ptr<Machine> make_machine(const std::string& topology,
 
 core::StrategyPtr make_pooled_strategy(const std::string& spec,
                                        const Machine& machine) {
-  auto handle = std::make_shared<core::CacheHandle>();
-  if (usable_plane(machine)) handle->seed(machine.machine(), machine.plane);
   return core::make_strategy_with_handle(spec, core::DistanceMode::kCached,
-                                         handle);
+                                         pooled_handle(machine));
 }
 
 Metrics measure(const graph::TaskGraph& g, const Machine& machine,
@@ -117,8 +122,9 @@ MapResult run_map(const Params& p, const MachineSource& source) {
   const Machine& machine = *r.machine;
   {
     OBS_SPAN("ops/strategy_map");
-    const core::StrategyPtr strategy =
-        make_pooled_strategy(p.strategy, machine);
+    const core::CacheHandlePtr handle = pooled_handle(machine);
+    const core::StrategyPtr strategy = core::make_strategy_with_handle(
+        p.strategy, core::DistanceMode::kCached, handle);
     r.strategy = strategy->name();
     const topo::ComponentSplit split =
         machine.overlay ? topo::connected_components(*machine.overlay)
@@ -134,6 +140,13 @@ MapResult run_map(const Params& p, const MachineSource& source) {
       require_fits(g, machine, *strategy);
       r.mapping = map_onto(*strategy, g, machine, rng);
     }
+    // A strategy that filled the plane of the whole alive set (connected,
+    // so SubTopology accepted it) leaves its per-row means for
+    // random_expectation.
+    if (machine.overlay && machine.overlay->has_faults())
+      if (auto plane = handle->sub_plane_of(*machine.overlay);
+          plane && plane->size() == machine.overlay->num_alive())
+        r.alive_plane = std::move(plane);
   }
 
   if (r.quarantined.empty()) {
@@ -151,6 +164,11 @@ MapResult run_map(const Params& p, const MachineSource& source) {
                         placed_mapping);
   }
   return r;
+}
+
+double random_expectation(const MapResult& r) {
+  if (r.alive_plane) return core::expected_random_hops(*r.alive_plane);
+  return core::expected_random_hops(r.machine->machine());
 }
 
 ExplainResult run_explain(const Params& p, const MachineSource& source) {

@@ -1,8 +1,10 @@
 #include "support/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <system_error>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -13,8 +15,15 @@ namespace {
 constexpr int kMaxDepth = 64;  // parser recursion bound
 
 void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (unsigned char c : s) {
+  // Runs of bytes that need no escape are appended in one call each.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -23,17 +32,60 @@ void append_escaped(std::string& out, std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default:  // printf's "\\u%04x"
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(s, run, s.size() - run);
   out += '"';
+}
+
+/// strtod's double for the decimal text [first, last), which must be a
+/// complete number that from_chars accepts.  from_chars rounds exactly as
+/// strtod does; only out-of-range texts (1e400, 1e-400), which from_chars
+/// reports without a value, go through strtod for its overflow/underflow
+/// result.
+double read_double(const char* first, const char* last) {
+  double d = 0.0;
+  const std::from_chars_result r = std::from_chars(first, last, d);
+  if (r.ec == std::errc::result_out_of_range) {
+    const std::string copy(first, last);
+    return std::strtod(copy.c_str(), nullptr);
+  }
+  TOPOMAP_ASSERT(r.ec == std::errc() && r.ptr == last,
+                 "json: number text did not convert whole");
+  return d;
+}
+
+/// Append format_number(d) to `out`.
+void append_number(std::string& out, double d) {
+  TOPOMAP_REQUIRE(std::isfinite(d), "json numbers must be finite");
+  char buf[32];
+  char* end = nullptr;
+  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
+    // Integral values inside the exact double range print without a
+    // fraction so counters stay readable and diffs stay clean.  printf's
+    // "%.0f" of such a value is its integer digits, "-0" for negative
+    // zero.
+    if (d == 0.0 && std::signbit(d)) {
+      out += "-0";
+      return;
+    }
+    end = std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(d))
+              .ptr;
+  } else {
+    // Shortest round-trip among 15, 16 and 17 significant digits.
+    // chars_format::general with a precision is printf's "%.*g".
+    for (int prec = 15; prec <= 17; ++prec) {
+      end = std::to_chars(buf, buf + sizeof buf, d,
+                          std::chars_format::general, prec)
+                .ptr;
+      if (read_double(buf, end) == d) break;
+    }
+  }
+  out.append(buf, end);
 }
 
 struct Parser {
@@ -72,14 +124,19 @@ struct Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Bytes up to the next quote, backslash or control character are
+      // taken in one append.
+      const std::size_t run = pos;
+      while (pos < text.size()) {
+        const auto b = static_cast<unsigned char>(text[pos]);
+        if (b == '"' || b == '\\' || b < 0x20) break;
+        ++pos;
+      }
+      out.append(text, run, pos - run);
       if (pos >= text.size()) fail("unterminated string");
       const char c = text[pos++];
       if (c == '"') return out;
       if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
       if (pos >= text.size()) fail("unterminated escape");
       const char e = text[pos++];
       switch (e) {
@@ -134,20 +191,32 @@ struct Parser {
       }
       return any;
     };
+    const std::size_t int_start = pos;
     if (!digits()) fail("malformed number");
+    const std::size_t int_digits = pos - int_start;
+    bool integral = true;
     if (pos < text.size() && text[pos] == '.') {
       ++pos;
+      integral = false;
       if (!digits()) fail("malformed number fraction");
     }
     if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
       ++pos;
+      integral = false;
       if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
       if (!digits()) fail("malformed number exponent");
     }
-    // The slice is a valid JSON number grammar-wise; strtod accepts a
-    // superset, so this cannot fail to consume the whole slice.
-    const std::string slice(text.substr(start, pos - start));
-    return std::strtod(slice.c_str(), nullptr);
+    if (integral && int_digits <= 15) {
+      // Below 10^15 < 2^53 every integer is a double exactly, so this is
+      // the value strtod rounds to (negated after, keeping "-0" at -0.0).
+      std::int64_t v = 0;
+      for (std::size_t i = int_start; i < pos; ++i) v = v * 10 + (text[i] - '0');
+      const auto d = static_cast<double>(v);
+      return text[start] == '-' ? -d : d;
+    }
+    // The slice is a valid JSON number grammar-wise, which from_chars
+    // reads whole, in place.
+    return read_double(text.data() + start, text.data() + pos);
   }
 
   Value parse_value(int depth) {
@@ -208,76 +277,70 @@ struct Parser {
 }  // namespace
 
 std::string format_number(double d) {
-  TOPOMAP_REQUIRE(std::isfinite(d), "json numbers must be finite");
-  // Integral values inside the exact double range print without a fraction
-  // so counters stay readable and diffs stay clean.
-  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-    return buf;
-  }
-  // Shortest round-trip: try increasing precision until parse-back is exact.
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, d);
-    if (std::strtod(buf, nullptr) == d) break;
-  }
-  return buf;
+  std::string out;
+  append_number(out, d);
+  return out;
 }
 
 bool Value::as_bool() const {
-  TOPOMAP_REQUIRE(kind_ == Kind::kBool, "json value is not a bool");
-  return bool_;
+  TOPOMAP_REQUIRE(is_bool(), "json value is not a bool");
+  return *std::get_if<bool>(&v_);
 }
 
 double Value::as_number() const {
-  TOPOMAP_REQUIRE(kind_ == Kind::kNumber, "json value is not a number");
-  return num_;
+  TOPOMAP_REQUIRE(is_number(), "json value is not a number");
+  return *std::get_if<double>(&v_);
 }
 
 const std::string& Value::as_string() const {
-  TOPOMAP_REQUIRE(kind_ == Kind::kString, "json value is not a string");
-  return str_;
+  TOPOMAP_REQUIRE(is_string(), "json value is not a string");
+  return *std::get_if<std::string>(&v_);
 }
 
 const std::vector<Value>& Value::items() const {
-  TOPOMAP_REQUIRE(kind_ == Kind::kArray, "json value is not an array");
-  return arr_;
+  TOPOMAP_REQUIRE(is_array(), "json value is not an array");
+  return *std::get_if<std::vector<Value>>(&v_);
 }
 
 const Members& Value::members() const {
-  TOPOMAP_REQUIRE(kind_ == Kind::kObject, "json value is not an object");
-  return obj_;
+  TOPOMAP_REQUIRE(is_object(), "json value is not an object");
+  return *std::get_if<Members>(&v_);
 }
 
 void Value::push_back(Value v) {
-  TOPOMAP_REQUIRE(kind_ == Kind::kArray, "push_back on a non-array");
-  arr_.push_back(std::move(v));
+  TOPOMAP_REQUIRE(is_array(), "push_back on a non-array");
+  std::get_if<std::vector<Value>>(&v_)->push_back(std::move(v));
 }
 
 std::size_t Value::size() const {
-  if (kind_ == Kind::kArray) return arr_.size();
-  if (kind_ == Kind::kObject) return obj_.size();
+  if (const auto* arr = std::get_if<std::vector<Value>>(&v_))
+    return arr->size();
+  if (const auto* obj = std::get_if<Members>(&v_)) return obj->size();
   TOPOMAP_REQUIRE(false, "size() on a non-container json value");
   return 0;
 }
 
 void Value::set(std::string key, Value v) {
-  TOPOMAP_REQUIRE(kind_ == Kind::kObject, "set on a non-object");
-  for (auto& [k, existing] : obj_) {
+  TOPOMAP_REQUIRE(is_object(), "set on a non-object");
+  Members& obj = *std::get_if<Members>(&v_);
+  for (auto& [k, existing] : obj) {
     if (k == key) {
       existing = std::move(v);
       return;
     }
   }
-  obj_.emplace_back(std::move(key), std::move(v));
+  obj.emplace_back(std::move(key), std::move(v));
 }
 
 const Value* Value::find(std::string_view key) const {
-  TOPOMAP_REQUIRE(kind_ == Kind::kObject, "find on a non-object");
-  for (const auto& [k, v] : obj_)
+  TOPOMAP_REQUIRE(is_object(), "find on a non-object");
+  for (const auto& [k, v] : *std::get_if<Members>(&v_))
     if (k == key) return &v;
   return nullptr;
+}
+
+Value* Value::find(std::string_view key) {
+  return const_cast<Value*>(std::as_const(*this).find(key));
 }
 
 const Value& Value::at(std::string_view key) const {
@@ -293,32 +356,34 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
     out += '\n';
     out.append(static_cast<std::size_t>(indent * d), ' ');
   };
-  switch (kind_) {
+  switch (kind()) {
     case Kind::kNull: out += "null"; break;
-    case Kind::kBool: out += bool_ ? "true" : "false"; break;
-    case Kind::kNumber: out += format_number(num_); break;
-    case Kind::kString: append_escaped(out, str_); break;
+    case Kind::kBool: out += as_bool() ? "true" : "false"; break;
+    case Kind::kNumber: append_number(out, as_number()); break;
+    case Kind::kString: append_escaped(out, as_string()); break;
     case Kind::kArray: {
+      const std::vector<Value>& arr = items();
       out += '[';
-      for (std::size_t i = 0; i < arr_.size(); ++i) {
-        if (i) out += pretty ? "," : ",";
+      for (std::size_t i = 0; i < arr.size(); ++i) {
+        if (i) out += ',';
         newline_pad(depth + 1);
-        arr_[i].dump_to(out, indent, depth + 1);
+        arr[i].dump_to(out, indent, depth + 1);
       }
-      if (!arr_.empty()) newline_pad(depth);
+      if (!arr.empty()) newline_pad(depth);
       out += ']';
       break;
     }
     case Kind::kObject: {
+      const Members& obj = members();
       out += '{';
-      for (std::size_t i = 0; i < obj_.size(); ++i) {
-        if (i) out += ",";
+      for (std::size_t i = 0; i < obj.size(); ++i) {
+        if (i) out += ',';
         newline_pad(depth + 1);
-        append_escaped(out, obj_[i].first);
+        append_escaped(out, obj[i].first);
         out += pretty ? ": " : ":";
-        obj_[i].second.dump_to(out, indent, depth + 1);
+        obj[i].second.dump_to(out, indent, depth + 1);
       }
-      if (!obj_.empty()) newline_pad(depth);
+      if (!obj.empty()) newline_pad(depth);
       out += '}';
       break;
     }

@@ -12,12 +12,21 @@
 // throws topomap::precondition_error with a byte offset.  This is not a
 // general-purpose JSON library; it exists so obs has zero external
 // dependencies.
+//
+// Numbers go through std::to_chars/std::from_chars: integral values below
+// 2^53 as integers (printf's "%.0f" digits), the rest at general
+// precision, which the standard defines as printf's "%.*g", and parsing
+// rounds as strtod does.  The bytes are the printf-era bytes without
+// printf's locale lookups or a temporary string per number
+// (tests/test_obs.cpp checks both directions against the printf and
+// strtod formula on over a million doubles).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace topomap::support::json {
@@ -33,34 +42,33 @@ class Value {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
   Value() = default;  // null
-  Value(bool b) : kind_(Kind::kBool), bool_(b) {}
-  Value(double d) : kind_(Kind::kNumber), num_(d) {}
-  Value(int i) : kind_(Kind::kNumber), num_(i) {}
-  Value(std::int64_t i)
-      : kind_(Kind::kNumber), num_(static_cast<double>(i)) {}
+  Value(bool b) : v_(std::in_place_index<1>, b) {}
+  Value(double d) : v_(std::in_place_index<2>, d) {}
+  Value(int i) : v_(std::in_place_index<2>, i) {}
+  Value(std::int64_t i) : v_(std::in_place_index<2>, static_cast<double>(i)) {}
   Value(std::uint64_t u)
-      : kind_(Kind::kNumber), num_(static_cast<double>(u)) {}
-  Value(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}
-  Value(const char* s) : kind_(Kind::kString), str_(s) {}
+      : v_(std::in_place_index<2>, static_cast<double>(u)) {}
+  Value(std::string s) : v_(std::in_place_index<3>, std::move(s)) {}
+  Value(const char* s) : v_(std::in_place_index<3>, s) {}
 
   static Value array() {
     Value v;
-    v.kind_ = Kind::kArray;
+    v.v_.emplace<4>();
     return v;
   }
   static Value object() {
     Value v;
-    v.kind_ = Kind::kObject;
+    v.v_.emplace<5>();
     return v;
   }
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
+  Kind kind() const { return static_cast<Kind>(v_.index()); }
+  bool is_null() const { return kind() == Kind::kNull; }
+  bool is_bool() const { return kind() == Kind::kBool; }
+  bool is_number() const { return kind() == Kind::kNumber; }
+  bool is_string() const { return kind() == Kind::kString; }
+  bool is_array() const { return kind() == Kind::kArray; }
+  bool is_object() const { return kind() == Kind::kObject; }
 
   /// Typed accessors; throw precondition_error on a kind mismatch.
   bool as_bool() const;
@@ -77,6 +85,8 @@ class Value {
   /// key in place; find() returns nullptr when absent; at() throws.
   void set(std::string key, Value v);
   const Value* find(std::string_view key) const;
+  /// Mutable lookup, so a member can be moved out of a parsed document.
+  Value* find(std::string_view key);
   const Value& at(std::string_view key) const;
 
   /// Serialize.  indent < 0: compact one-line form; indent >= 0: pretty,
@@ -90,12 +100,11 @@ class Value {
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  std::vector<Value> arr_;
-  Members obj_;
+  // One alternative per Kind, in Kind order, so index() is the kind: a
+  // node is 40 bytes, not the sum of every kind's storage.
+  std::variant<std::monostate, bool, double, std::string, std::vector<Value>,
+               Members>
+      v_;
 };
 
 /// Round-trip formatting for a JSON number: integral values within the

@@ -2,7 +2,9 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -23,22 +25,25 @@ std::uint32_t read_be32(const char* p) {
          (std::uint32_t{b[2]} << 8) | std::uint32_t{b[3]};
 }
 
-void append_be32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>(v & 0xFF));
+/// The header announcing `payload`: magic, then its length big-endian.
+std::array<char, kFrameHeaderSize> frame_header(std::string_view payload) {
+  TOPOMAP_REQUIRE(payload.size() <= 0xFFFFFFFFu,
+                  "frame payload exceeds the 32-bit length field");
+  std::array<char, kFrameHeaderSize> header;
+  std::memcpy(header.data(), kFrameMagic.data(), kFrameMagic.size());
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  for (std::size_t i = 0; i < 4; ++i)
+    header[kFrameMagic.size() + i] = static_cast<char>(len >> (24 - 8 * i));
+  return header;
 }
 
 }  // namespace
 
 std::string encode_frame(std::string_view payload) {
-  TOPOMAP_REQUIRE(payload.size() <= 0xFFFFFFFFu,
-                  "frame payload exceeds the 32-bit length field");
+  const std::array<char, kFrameHeaderSize> header = frame_header(payload);
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
-  out.append(kFrameMagic);
-  append_be32(out, static_cast<std::uint32_t>(payload.size()));
+  out.append(header.data(), header.size());
   out.append(payload);
   return out;
 }
@@ -122,17 +127,34 @@ void write_frame(int fd, std::string_view payload, std::size_t max_payload) {
     throw io_error("svc frame: response of " +
                    std::to_string(payload.size()) +
                    " bytes exceeds the frame cap");
-  const std::string frame = encode_frame(payload);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t w =
-        ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
+  // The header and the payload go out as two iovecs of one sendmsg, so
+  // the payload is never copied behind a header.  A partial write
+  // advances the pair and sends the rest.
+  std::array<char, kFrameHeaderSize> header = frame_header(payload);
+  iovec iov[2] = {{header.data(), header.size()},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  iovec* next = iov;
+  int count = payload.empty() ? 1 : 2;
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(count);
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       throw io_error(std::string("svc frame: write failed: ") +
                      std::strerror(errno));
     }
-    sent += static_cast<std::size_t>(w);
+    auto sent = static_cast<std::size_t>(w);
+    while (count > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
   }
 }
 

@@ -14,10 +14,12 @@
 // topomap::precondition_error (the peer violated the protocol); transport
 // errors — mid-frame EOF, read/write failures — are topomap::io_error.
 //
-// Two consumption paths share the encoder: FrameDecoder is a pure
+// Two consumption paths share one header layout: FrameDecoder is a pure
 // incremental byte-stream decoder (unit-testable without sockets, and the
 // single place truncation/oversize/garbage policy lives), while
 // read_frame/write_frame do blocking I/O on a connected socket fd.
+// write_frame sends the header and the caller's payload as two iovecs of
+// one sendmsg, so a response is never copied into a frame buffer.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +38,8 @@ inline constexpr std::size_t kFrameHeaderSize = 8;
 /// bounding what one connection can make the daemon buffer.
 inline constexpr std::size_t kDefaultMaxPayload = 16u << 20;
 
-/// Wrap `payload` in a frame (header + bytes), ready to write to a peer.
+/// Wrap `payload` in a frame (header + bytes) as one string: the form
+/// FrameDecoder consumes.  Sockets use write_frame, which copies nothing.
 std::string encode_frame(std::string_view payload);
 
 /// Incremental decoder: feed() raw bytes as they arrive, next() pops

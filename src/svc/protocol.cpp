@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <type_traits>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -220,27 +221,31 @@ int exit_code_for(const std::string& category) {
   return 1;  // "usage" and anything unclassified
 }
 
-json::Value Response::to_json() const {
+namespace {
+
+/// The envelope around a response's result, `result` itself left out:
+/// the one body behind both to_json overloads.
+json::Value response_envelope(const Response& resp) {
   json::Value doc = json::Value::object();
   doc.set("schema", kResponseSchemaName);
   doc.set("schema_version", kSchemaVersion);
-  doc.set("id", id);
-  doc.set("status", ok ? "ok" : "error");
-  if (ok) {
-    doc.set("result", result);
-  } else {
+  doc.set("id", resp.id);
+  doc.set("status", resp.ok ? "ok" : "error");
+  if (!resp.ok) {
     json::Value e = json::Value::object();
-    e.set("category", error.category);
-    e.set("message", error.message);
-    e.set("exit_code", exit_code_for(error.category));
+    e.set("category", resp.error.category);
+    e.set("message", resp.error.message);
+    e.set("exit_code", exit_code_for(resp.error.category));
     doc.set("error", std::move(e));
   }
   return doc;
 }
 
-Response Response::from_json(const json::Value& doc) {
+/// Validate a response document and read everything but `result` into a
+/// Response; returns the document's result (an object) when ok, else
+/// null.  Both from_json overloads run this before taking the result.
+const json::Value* read_envelope(const json::Value& doc, Response& resp) {
   check_schema(doc, kResponseSchemaName);
-  Response resp;
   resp.id = get_string(require_member(doc, "id"), "id");
   const std::string status =
       get_string(require_member(doc, "status"), "status");
@@ -249,8 +254,9 @@ Response Response::from_json(const json::Value& doc) {
     const json::Value& result = require_member(doc, "result");
     if (!result.is_object())
       throw precondition_error("svc response: 'result' must be an object");
-    resp.result = result;
-  } else if (status == "error") {
+    return &result;
+  }
+  if (status == "error") {
     resp.ok = false;
     const json::Value& e = require_member(doc, "error");
     if (!e.is_object())
@@ -259,9 +265,36 @@ Response Response::from_json(const json::Value& doc) {
                                      "error.category");
     resp.error.message =
         get_string(require_member(e, "message"), "error.message");
-  } else {
-    throw precondition_error("svc response: status must be 'ok' or 'error'");
+    return nullptr;
   }
+  throw precondition_error("svc response: status must be 'ok' or 'error'");
+}
+
+}  // namespace
+
+json::Value Response::to_json() const& {
+  json::Value doc = response_envelope(*this);
+  if (ok) doc.set("result", result);
+  return doc;
+}
+
+json::Value Response::to_json() && {
+  json::Value doc = response_envelope(*this);
+  if (ok) doc.set("result", std::move(result));
+  return doc;
+}
+
+Response Response::from_json(const json::Value& doc) {
+  Response resp;
+  if (const json::Value* result = read_envelope(doc, resp))
+    resp.result = *result;
+  return resp;
+}
+
+Response Response::from_json(json::Value&& doc) {
+  Response resp;
+  if (read_envelope(doc, resp) != nullptr)
+    resp.result = std::move(*doc.find("result"));
   return resp;
 }
 

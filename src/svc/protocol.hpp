@@ -99,8 +99,16 @@ struct Response {
   ErrorInfo error;                        // when !ok
   json::Value result = json::Value::object();  // when ok
 
-  json::Value to_json() const;
+  /// The response document.  The rvalue overload moves `result` into it
+  /// instead of copying the tree: what the server does with a response it
+  /// has just computed and will not read again.
+  json::Value to_json() const&;
+  json::Value to_json() &&;
+
+  /// Strict parse + validation of one response document.  The rvalue
+  /// overload validates first, then moves `result` out of `doc`.
   static Response from_json(const json::Value& doc);
+  static Response from_json(json::Value&& doc);
 };
 
 /// Build the error response for the exception currently being handled,

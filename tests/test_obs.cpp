@@ -4,9 +4,14 @@
 // changes a mapping result, and exact pins on TopoLB's work counters.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -88,6 +93,109 @@ TEST_F(ObsTest, JsonParseErrorsThrowWithOffset) {
   EXPECT_THROW((void)Value::parse("[1, 2"), precondition_error);
   EXPECT_THROW((void)Value::parse("{} trailing"), precondition_error);
   EXPECT_THROW((void)Value::parse(""), precondition_error);
+}
+
+// The number codec's contract, stated as the printf/strtod formula the
+// writer and parser must reproduce byte for byte: integral values below
+// 2^53 print as "%.0f", everything else as the first of "%.15g", "%.16g",
+// "%.17g" that strtod reads back exactly; a parsed number is strtod's
+// double for the same text.
+std::string printf_format_number(double d) {
+  char buf[40];
+  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", d);
+    return buf;
+  }
+  for (int prec = 15; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, d);
+    if (std::strtod(buf, nullptr) == d) break;
+  }
+  return buf;
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+/// Format `d` both ways and parse the text both ways; returns how many of
+/// the two checks disagree (0 or more), failing the test with the value.
+int number_codec_mismatches(double d) {
+  int bad = 0;
+  const std::string expected = printf_format_number(d);
+  const std::string got = json::format_number(d);
+  if (got != expected) {
+    ADD_FAILURE() << "format_number(" << expected << ") printed " << got;
+    ++bad;
+  }
+  const double parsed = Value::parse(expected).as_number();
+  if (bits_of(parsed) != bits_of(std::strtod(expected.c_str(), nullptr))) {
+    ADD_FAILURE() << "parse(" << expected << ") differs from strtod";
+    ++bad;
+  }
+  return bad;
+}
+
+TEST_F(ObsTest, JsonNumberCodecMatchesPrintfAndStrtod) {
+  int mismatches = 0;
+  for (const double d :
+       {0.0, -0.0, 5e-324, -5e-324, DBL_MIN, DBL_MAX, -DBL_MAX,
+        9007199254740991.0, 9007199254740992.0, -9007199254740992.0,
+        1e15, 1e16, 1e21, 0.1, 1e-5, 0.5, 1.0 / 3.0, 123456789.125})
+    mismatches += number_codec_mismatches(d);
+
+  // Texts beyond the double range parse as strtod reads them: overflow to
+  // infinity, underflow to zero.
+  for (const char* text : {"1e400", "-1e400", "1e-400", "-1e-400",
+                           "2.4703282292062327e-324", "0.1e1", "-0",
+                           "00012", "1E+2"}) {
+    const double parsed = Value::parse(text).as_number();
+    EXPECT_EQ(bits_of(parsed), bits_of(std::strtod(text, nullptr))) << text;
+  }
+
+  std::mt19937_64 gen(20240611);
+  // Random bit patterns cover every exponent, subnormals included.
+  constexpr int kBitPatterns = 1000000;
+  for (int i = 0; i < kBitPatterns; ++i) {
+    std::uint64_t u = gen();
+    double d;
+    std::memcpy(&d, &u, sizeof d);
+    if (!std::isfinite(d)) continue;
+    mismatches += number_codec_mismatches(d);
+    if (mismatches > 10) break;
+  }
+  // Values the stack actually emits: uniform fractions and scaled
+  // integers (byte counts, ratios, means).
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 200000 && mismatches <= 10; ++i) {
+    mismatches += number_codec_mismatches(unit(gen));
+    mismatches += number_codec_mismatches(
+        static_cast<double>(gen() >> (gen() % 64)) / 8.0);
+  }
+  // Decimal texts with arbitrary digit counts and exponents, including
+  // ones no formatter would print (more digits than a double holds).
+  for (int i = 0; i < 200000 && mismatches <= 10; ++i) {
+    std::string text = gen() % 2 ? "-" : "";
+    text += static_cast<char>('1' + gen() % 9);
+    for (int k = static_cast<int>(gen() % 24); k > 0; --k)
+      text += static_cast<char>('0' + gen() % 10);
+    if (gen() % 2) {
+      text += '.';
+      for (int k = 1 + static_cast<int>(gen() % 20); k > 0; --k)
+        text += static_cast<char>('0' + gen() % 10);
+    }
+    if (gen() % 2) {
+      text += 'e';
+      text += std::to_string(static_cast<int>(gen() % 700) - 350);
+    }
+    const double parsed = Value::parse(text).as_number();
+    if (bits_of(parsed) != bits_of(std::strtod(text.c_str(), nullptr))) {
+      ADD_FAILURE() << "parse(" << text << ") differs from strtod";
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // --- Registry -------------------------------------------------------------
@@ -578,6 +686,59 @@ TEST_F(ObsTest, FaultedMapRowSearchesArePinnedAtAnyThreadCount) {
     EXPECT_EQ(reg.counter("distcache/rows_gathered"), 252u) << threads;
     EXPECT_EQ(served.mapping, one_shot.mapping) << threads;
   }
+}
+
+// The CLI's "random expectation" on a faulted machine is the overlay's
+// mean pairwise distance.  When the strategy filled the plane of the whole
+// (connected) alive set, it is read from that plane's means with no
+// search, and it is the same double the overlay's searches give.
+TEST_F(ObsTest, RandomExpectationReadsTheStrategysAlivePlane) {
+  ops::Params p;
+  p.tasks = "stencil2d:15x16";
+  p.topology = "torus:8x8x4";
+  p.strategy = "topolb+refine";
+  p.random_node_faults = 4;
+  p.fault_seed = 7;
+  set_enabled(true);
+  for (int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    Registry& reg = Registry::instance();
+    reg.reset();
+    const ops::MapResult r = ops::run_map(p, ops::make_machine);
+    ASSERT_NE(r.alive_plane, nullptr) << threads;
+    const double expectation = ops::random_expectation(r);
+    // 252 alive rows plus one connectivity row, all for the strategy.
+    EXPECT_EQ(reg.counter("faultoverlay/row_searches"), 253u) << threads;
+    const double searched = r.machine->overlay->mean_pairwise_distance();
+    EXPECT_EQ(bits_of(expectation), bits_of(searched)) << threads;
+  }
+  // A soft fault puts the plane in weighted units; the means still agree.
+  ops::Params soft;
+  soft.tasks = "stencil2d:7x9";
+  soft.fail_node = "9";
+  soft.degrade_link = "0:1:0.5";
+  const ops::MapResult weighted = ops::run_map(soft, ops::make_machine);
+  ASSERT_NE(weighted.alive_plane, nullptr);
+  EXPECT_EQ(bits_of(ops::random_expectation(weighted)),
+            bits_of(weighted.machine->overlay->mean_pairwise_distance()));
+
+  // No plane to read: a strategy that fills none, and a split machine
+  // whose primary component is not the whole alive set.  Both fall back
+  // to the overlay's searches.
+  ops::Params random = p;
+  random.strategy = "random";
+  const ops::MapResult r = ops::run_map(random, ops::make_machine);
+  EXPECT_EQ(r.alive_plane, nullptr);
+  EXPECT_EQ(bits_of(ops::random_expectation(r)),
+            bits_of(r.machine->overlay->mean_pairwise_distance()));
+  ops::Params split;
+  split.tasks = "stencil2d:6x10";
+  split.topology = "torus:8x8";
+  split.fail_node = "1,8,10,17";  // isolates processor 9
+  const ops::MapResult s = ops::run_map(split, ops::make_machine);
+  EXPECT_EQ(s.alive_plane, nullptr);
+  EXPECT_EQ(bits_of(ops::random_expectation(s)),
+            bits_of(s.machine->overlay->mean_pairwise_distance()));
 }
 
 // --- Load-aware evacuation (satellite of this PR) -------------------------

@@ -441,6 +441,113 @@ TEST(SvcService, UsageErrorsKeepCliExitCodeSemantics) {
   EXPECT_EQ(resp2.error.category, "precondition");
 }
 
+/// FNV-1a (64-bit) of a response's wire bytes.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One fixed-seed request per mapping kind, each with its response's wire
+/// hash and size.  The hashes were recorded from the snprintf/strtod codec
+/// with deep-copying envelopes; any codec or envelope change must keep
+/// them.  The map runs on a node- and soft-faulted machine (fractional
+/// hop-bytes), the explain on the served-mix shape (~210 KB of links).
+struct PinnedResponse {
+  svc::Request req;
+  std::size_t bytes;
+  std::uint64_t hash;
+};
+
+std::vector<PinnedResponse> pinned_responses() {
+  std::vector<PinnedResponse> pins(4);
+  svc::Request& map = pins[0].req;
+  map.id = "pin-map";
+  map.kind = svc::RequestKind::kMap;
+  map.tasks = "stencil2d:7x9";
+  map.topology = "torus:8x8";
+  map.strategy = "topolb+refine";
+  map.seed = 3;
+  map.fail_node = "9";
+  map.degrade_link = "0:1:0.5";
+  pins[0].bytes = 881;
+  pins[0].hash = 0x52395c72f6a49183ull;
+  svc::Request& explain = pins[1].req;
+  explain.id = "pin-explain";
+  explain.kind = svc::RequestKind::kExplain;
+  explain.tasks = "stencil3d:4x4x8";
+  explain.topology = "torus:4x4x8";
+  explain.strategy = "topolb";
+  explain.baseline = "random";
+  explain.seed = 5;
+  pins[1].bytes = 209984;
+  pins[1].hash = 0x4c9f438f1fb2d970ull;
+  svc::Request& evacuate = pins[2].req;
+  evacuate.id = "pin-evacuate";
+  evacuate.kind = svc::RequestKind::kEvacuate;
+  evacuate.tasks = "stencil2d:7x8";
+  evacuate.topology = "torus:8x8";
+  evacuate.strategy = "topolb";
+  evacuate.fail_node = "5,12";
+  evacuate.seed = 2;
+  pins[2].bytes = 865;
+  pins[2].hash = 0x333284add74daa2aull;
+  svc::Request& optimal = pins[3].req;
+  optimal.id = "pin-optimal";
+  optimal.kind = svc::RequestKind::kOptimal;
+  optimal.tasks = "stencil2d:3x3";
+  optimal.topology = "torus:3x3";
+  optimal.seed = 1;
+  pins[3].bytes = 352;
+  pins[3].hash = 0xa6d6f2e5348426a5ull;
+  return pins;
+}
+
+TEST(SvcProtocol, ResponseBytesArePinnedThroughBothEnvelopeOverloads) {
+  svc::Service service;
+  for (const PinnedResponse& pin : pinned_responses()) {
+    svc::Response resp = service.handle(pin.req);
+    ASSERT_TRUE(resp.ok) << pin.req.id << ": " << resp.error.message;
+    const std::string copied = resp.to_json().dump();
+    EXPECT_EQ(copied.size(), pin.bytes) << pin.req.id;
+    EXPECT_EQ(fnv1a(copied), pin.hash) << pin.req.id;
+    const std::string moved = std::move(resp).to_json().dump();
+    EXPECT_EQ(moved, copied) << pin.req.id;
+    // Decoding by copy and by move yields the same response again.
+    const svc::json::Value doc = svc::json::Value::parse(moved);
+    EXPECT_EQ(svc::Response::from_json(doc).to_json().dump(), copied)
+        << pin.req.id;
+    EXPECT_EQ(svc::Response::from_json(svc::json::Value::parse(moved))
+                  .to_json()
+                  .dump(),
+              copied)
+        << pin.req.id;
+  }
+}
+
+TEST(SvcServer, PinnedResponsesSurviveTheWireByteForByte) {
+  svc::ServerOptions options;
+  options.socket_path = unique_socket_path("pins");
+  options.workers = 2;
+  svc::Server server(options);
+  server.start();
+  {
+    svc::Client client = svc::Client::connect_unix(options.socket_path);
+    for (const PinnedResponse& pin : pinned_responses()) {
+      const svc::Response resp = client.call(pin.req);
+      ASSERT_TRUE(resp.ok) << pin.req.id << ": " << resp.error.message;
+      const std::string bytes = resp.to_json().dump();
+      EXPECT_EQ(bytes.size(), pin.bytes) << pin.req.id;
+      EXPECT_EQ(fnv1a(bytes), pin.hash) << pin.req.id;
+    }
+  }
+  server.stop();
+  server.join();
+}
+
 TEST(SvcServer, ConcurrentClientsAreByteIdenticalToSerialExecution) {
   const std::vector<svc::Request> reqs = mixed_requests(64);
 

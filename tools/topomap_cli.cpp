@@ -227,13 +227,12 @@ void print_workload(const graph::TaskGraph& g, const ops::Machine& machine) {
   if (machine.overlay) print_fault_summary(*machine.overlay);
 }
 
-void print_mapping_report(const topo::Topology& machine,
+void print_mapping_report(double random_expectation,
                           const ops::Metrics& metrics,
                           const std::string& strategy_name) {
   std::cout << "strategy:       " << strategy_name << "\n";
   std::cout << "hops-per-byte:  " << metrics.hops_per_byte
-            << "  (random expectation " << core::expected_random_hops(machine)
-            << ")\n";
+            << "  (random expectation " << random_expectation << ")\n";
   std::cout << "hop-bytes:      " << metrics.hop_bytes << "\n";
   if (const auto& links = metrics.link_loads)
     std::cout << "link loads:     max " << links->max_bytes << " B, mean "
@@ -309,7 +308,7 @@ int cmd_map(int argc, const char* const* argv, bool simulate) {
               << "quarantined:    " << r.quarantined.size() << " of "
               << g.num_vertices()
               << " tasks left unplaced (lightest communicators)\n";
-  print_mapping_report(machine.machine(), r.metrics, r.strategy);
+  print_mapping_report(ops::random_expectation(r), r.metrics, r.strategy);
 
   if (simulate) {
     netsim::AppParams app;
@@ -647,7 +646,7 @@ int cmd_optimal(int argc, const char* const* argv) {
   obs_out.describe(cli, "optimal", r.graph.label(), machine.name(), "");
 
   if (r.machine->overlay) print_fault_summary(*r.machine->overlay);
-  print_mapping_report(machine,
+  print_mapping_report(core::expected_random_hops(machine),
                        ops::measure(r.graph, *r.machine, r.search.mapping),
                        "OptimalLB (exact)");
   std::cout << "search:         " << r.search.nodes << " nodes, "
