@@ -56,12 +56,6 @@ double expected_random_hops(const topo::Topology& topo) {
   return topo.mean_pairwise_distance();
 }
 
-double expected_random_hops(const topo::DistanceCache& plane) {
-  double total = 0.0;
-  for (int p = 0; p < plane.size(); ++p) total += plane.mean_distance_from(p);
-  return total / static_cast<double>(plane.size());
-}
-
 LinkLoadStats link_loads(const graph::TaskGraph& g, const topo::Topology& topo,
                          const Mapping& m) {
   const topo::LinkIndex links(topo);

@@ -37,13 +37,6 @@ double hops_per_byte(const graph::TaskGraph& g, const topo::Topology& topo,
 /// square 2D tori, 3*cbrt(p)/4 for cubic 3D tori).
 double expected_random_hops(const topo::Topology& topo);
 
-/// The same mean over a plane's processors: its per-row means summed in
-/// row order, divided by its size.  That is the arithmetic of
-/// Topology::mean_pairwise_distance and FaultOverlay's over a connected
-/// alive set, so a plane of exactly that set gives their double without a
-/// search.
-double expected_random_hops(const topo::DistanceCache& plane);
-
 /// Per-link byte loads when every message follows Topology::route().
 struct LinkLoadStats {
   double total_bytes = 0.0;   ///< sum in link-id order (== hop-bytes)

@@ -47,6 +47,16 @@ const topo::DistanceCache* usable_plane(const Machine& machine) {
              : nullptr;
 }
 
+/// A plane's per-row means summed in row order, divided by its size: the
+/// arithmetic of FaultOverlay::mean_pairwise_distance over a connected
+/// alive set, so a plane of exactly that set gives its double without a
+/// search.
+double mean_of_row_means(const topo::DistanceCache& plane) {
+  double total = 0.0;
+  for (int p = 0; p < plane.size(); ++p) total += plane.mean_distance_from(p);
+  return total / static_cast<double>(plane.size());
+}
+
 /// A fresh CacheHandle seeded with the machine's plane, if it has one.
 core::CacheHandlePtr pooled_handle(const Machine& machine) {
   auto handle = std::make_shared<core::CacheHandle>();
@@ -141,12 +151,11 @@ MapResult run_map(const Params& p, const MachineSource& source) {
       r.mapping = map_onto(*strategy, g, machine, rng);
     }
     // A strategy that filled the plane of the whole alive set (connected,
-    // so SubTopology accepted it) leaves its per-row means for
-    // random_expectation.
+    // so SubTopology accepted it) holds that set's per-row means.
     if (machine.overlay && machine.overlay->has_faults())
-      if (auto plane = handle->sub_plane_of(*machine.overlay);
+      if (const auto plane = handle->sub_plane_of(*machine.overlay);
           plane && plane->size() == machine.overlay->num_alive())
-        r.alive_plane = std::move(plane);
+        r.random_expectation = mean_of_row_means(*plane);
   }
 
   if (r.quarantined.empty()) {
@@ -164,11 +173,6 @@ MapResult run_map(const Params& p, const MachineSource& source) {
                         placed_mapping);
   }
   return r;
-}
-
-double random_expectation(const MapResult& r) {
-  if (r.alive_plane) return core::expected_random_hops(*r.alive_plane);
-  return core::expected_random_hops(r.machine->machine());
 }
 
 ExplainResult run_explain(const Params& p, const MachineSource& source) {

@@ -140,21 +140,17 @@ struct MapResult : Run {
   std::string partition_note;
   /// Over the placed tasks only.
   Metrics metrics;
-  /// On a faulted machine whose alive set is connected: the plane the
-  /// strategy filled for that whole set, when it filled one.  Null
-  /// otherwise.
-  std::shared_ptr<const topo::DistanceCache> alive_plane;
+  /// The machine's mean pairwise distance (the CLI's "random
+  /// expectation"), when the map left it for free: on a faulted machine
+  /// whose connected alive set the strategy filled a plane for, read from
+  /// that plane's row means, the same double core::expected_random_hops
+  /// gives by searching every alive row again.  Empty otherwise.
+  std::optional<double> random_expectation;
 };
 
 /// Map onto the machine's alive processors, or onto its primary component
 /// with the overflow quarantined when faults split it.
 MapResult run_map(const Params& p, const MachineSource& source);
-
-/// The machine's mean pairwise distance, what a random mapping expects
-/// per byte (the CLI's "random expectation").  Read from r.alive_plane
-/// when the run kept one, else core::expected_random_hops on the machine;
-/// the same double either way.
-double random_expectation(const MapResult& r);
 
 struct ExplainResult : Run {
   core::Mapping mapping;

@@ -88,8 +88,7 @@ Response Client::call(const Request& req) {
   std::string payload;
   if (!read_frame(fd_, payload))
     throw io_error("client: daemon closed the connection before responding");
-  // The parsed document is a temporary, so its result is moved out.
-  Response resp = Response::from_json(json::Value::parse(payload));
+  const Response resp = Response::from_json(json::Value::parse(payload));
   TOPOMAP_ASSERT(resp.id == req.id,
                  "client: response id '" + resp.id +
                      "' does not echo request id '" + req.id + "'");

@@ -241,35 +241,6 @@ json::Value response_envelope(const Response& resp) {
   return doc;
 }
 
-/// Validate a response document and read everything but `result` into a
-/// Response; returns the document's result (an object) when ok, else
-/// null.  Both from_json overloads run this before taking the result.
-const json::Value* read_envelope(const json::Value& doc, Response& resp) {
-  check_schema(doc, kResponseSchemaName);
-  resp.id = get_string(require_member(doc, "id"), "id");
-  const std::string status =
-      get_string(require_member(doc, "status"), "status");
-  if (status == "ok") {
-    resp.ok = true;
-    const json::Value& result = require_member(doc, "result");
-    if (!result.is_object())
-      throw precondition_error("svc response: 'result' must be an object");
-    return &result;
-  }
-  if (status == "error") {
-    resp.ok = false;
-    const json::Value& e = require_member(doc, "error");
-    if (!e.is_object())
-      throw precondition_error("svc response: 'error' must be an object");
-    resp.error.category = get_string(require_member(e, "category"),
-                                     "error.category");
-    resp.error.message =
-        get_string(require_member(e, "message"), "error.message");
-    return nullptr;
-  }
-  throw precondition_error("svc response: status must be 'ok' or 'error'");
-}
-
 }  // namespace
 
 json::Value Response::to_json() const& {
@@ -284,17 +255,29 @@ json::Value Response::to_json() && {
   return doc;
 }
 
-Response Response::from_json(const json::Value& doc) {
+Response Response::from_json(json::Value doc) {
+  check_schema(doc, kResponseSchemaName);
   Response resp;
-  if (const json::Value* result = read_envelope(doc, resp))
-    resp.result = *result;
-  return resp;
-}
-
-Response Response::from_json(json::Value&& doc) {
-  Response resp;
-  if (read_envelope(doc, resp) != nullptr)
+  resp.id = get_string(require_member(doc, "id"), "id");
+  const std::string status =
+      get_string(require_member(doc, "status"), "status");
+  if (status == "ok") {
+    resp.ok = true;
+    if (!require_member(doc, "result").is_object())
+      throw precondition_error("svc response: 'result' must be an object");
     resp.result = std::move(*doc.find("result"));
+  } else if (status == "error") {
+    resp.ok = false;
+    const json::Value& e = require_member(doc, "error");
+    if (!e.is_object())
+      throw precondition_error("svc response: 'error' must be an object");
+    resp.error.category = get_string(require_member(e, "category"),
+                                     "error.category");
+    resp.error.message =
+        get_string(require_member(e, "message"), "error.message");
+  } else {
+    throw precondition_error("svc response: status must be 'ok' or 'error'");
+  }
   return resp;
 }
 

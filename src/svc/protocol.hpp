@@ -105,10 +105,10 @@ struct Response {
   json::Value to_json() const&;
   json::Value to_json() &&;
 
-  /// Strict parse + validation of one response document.  The rvalue
-  /// overload validates first, then moves `result` out of `doc`.
-  static Response from_json(const json::Value& doc);
-  static Response from_json(json::Value&& doc);
+  /// Strict parse + validation of one response document.  Validates
+  /// first, then moves `result` out of `doc`: a temporary document moves
+  /// in whole, an lvalue is copied.
+  static Response from_json(json::Value doc);
 };
 
 /// Build the error response for the exception currently being handled,

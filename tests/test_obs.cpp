@@ -690,7 +690,7 @@ TEST_F(ObsTest, FaultedMapRowSearchesArePinnedAtAnyThreadCount) {
 
 // The CLI's "random expectation" on a faulted machine is the overlay's
 // mean pairwise distance.  When the strategy filled the plane of the whole
-// (connected) alive set, it is read from that plane's means with no
+// (connected) alive set, run_map reads it from that plane's means with no
 // search, and it is the same double the overlay's searches give.
 TEST_F(ObsTest, RandomExpectationReadsTheStrategysAlivePlane) {
   ops::Params p;
@@ -705,12 +705,11 @@ TEST_F(ObsTest, RandomExpectationReadsTheStrategysAlivePlane) {
     Registry& reg = Registry::instance();
     reg.reset();
     const ops::MapResult r = ops::run_map(p, ops::make_machine);
-    ASSERT_NE(r.alive_plane, nullptr) << threads;
-    const double expectation = ops::random_expectation(r);
+    ASSERT_TRUE(r.random_expectation.has_value()) << threads;
     // 252 alive rows plus one connectivity row, all for the strategy.
     EXPECT_EQ(reg.counter("faultoverlay/row_searches"), 253u) << threads;
     const double searched = r.machine->overlay->mean_pairwise_distance();
-    EXPECT_EQ(bits_of(expectation), bits_of(searched)) << threads;
+    EXPECT_EQ(bits_of(*r.random_expectation), bits_of(searched)) << threads;
   }
   // A soft fault puts the plane in weighted units; the means still agree.
   ops::Params soft;
@@ -718,27 +717,21 @@ TEST_F(ObsTest, RandomExpectationReadsTheStrategysAlivePlane) {
   soft.fail_node = "9";
   soft.degrade_link = "0:1:0.5";
   const ops::MapResult weighted = ops::run_map(soft, ops::make_machine);
-  ASSERT_NE(weighted.alive_plane, nullptr);
-  EXPECT_EQ(bits_of(ops::random_expectation(weighted)),
+  ASSERT_TRUE(weighted.random_expectation.has_value());
+  EXPECT_EQ(bits_of(*weighted.random_expectation),
             bits_of(weighted.machine->overlay->mean_pairwise_distance()));
 
   // No plane to read: a strategy that fills none, and a split machine
-  // whose primary component is not the whole alive set.  Both fall back
-  // to the overlay's searches.
+  // whose primary component is not the whole alive set.  The caller then
+  // asks the machine.
   ops::Params random = p;
   random.strategy = "random";
-  const ops::MapResult r = ops::run_map(random, ops::make_machine);
-  EXPECT_EQ(r.alive_plane, nullptr);
-  EXPECT_EQ(bits_of(ops::random_expectation(r)),
-            bits_of(r.machine->overlay->mean_pairwise_distance()));
+  EXPECT_FALSE(ops::run_map(random, ops::make_machine).random_expectation);
   ops::Params split;
   split.tasks = "stencil2d:6x10";
   split.topology = "torus:8x8";
   split.fail_node = "1,8,10,17";  // isolates processor 9
-  const ops::MapResult s = ops::run_map(split, ops::make_machine);
-  EXPECT_EQ(s.alive_plane, nullptr);
-  EXPECT_EQ(bits_of(ops::random_expectation(s)),
-            bits_of(s.machine->overlay->mean_pairwise_distance()));
+  EXPECT_FALSE(ops::run_map(split, ops::make_machine).random_expectation);
 }
 
 // --- Load-aware evacuation (satellite of this PR) -------------------------

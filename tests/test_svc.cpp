@@ -516,7 +516,8 @@ TEST(SvcProtocol, ResponseBytesArePinnedThroughBothEnvelopeOverloads) {
     EXPECT_EQ(fnv1a(copied), pin.hash) << pin.req.id;
     const std::string moved = std::move(resp).to_json().dump();
     EXPECT_EQ(moved, copied) << pin.req.id;
-    // Decoding by copy and by move yields the same response again.
+    // Decoding a kept document (copied in) and a temporary one (moved in)
+    // yields the same response again.
     const svc::json::Value doc = svc::json::Value::parse(moved);
     EXPECT_EQ(svc::Response::from_json(doc).to_json().dump(), copied)
         << pin.req.id;

@@ -308,7 +308,11 @@ int cmd_map(int argc, const char* const* argv, bool simulate) {
               << "quarantined:    " << r.quarantined.size() << " of "
               << g.num_vertices()
               << " tasks left unplaced (lightest communicators)\n";
-  print_mapping_report(ops::random_expectation(r), r.metrics, r.strategy);
+  // Not value_or: its argument would run the row searches every time.
+  print_mapping_report(r.random_expectation
+                           ? *r.random_expectation
+                           : core::expected_random_hops(machine.machine()),
+                       r.metrics, r.strategy);
 
   if (simulate) {
     netsim::AppParams app;
