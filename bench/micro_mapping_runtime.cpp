@@ -270,20 +270,46 @@ void BM_HopBytesEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_HopBytesEvaluation)->Arg(32)->Arg(64);
 
-/// The "links" array of an explain response on topomapd's served shape:
-/// TopoLB's stencil3d:4x4x8 mapping on torus:4x4x8, every used link with
-/// its top-3 contributing task pairs (the service's default top_k).
-support::json::Value explain_links() {
+/// The report behind the "links" array of an explain response on
+/// topomapd's served shape: TopoLB's stencil3d:4x4x8 mapping on
+/// torus:4x4x8, every used link with its top-3 contributing task pairs (the
+/// service's default top_k).
+core::ContentionReport explain_report() {
   Rng rng(1);
   const auto g = graph::make_task_graph("stencil3d:4x4x8", rng);
   const topo::TorusMesh torus = topo::TorusMesh::torus({4, 4, 8});
   const core::Mapping m = core::make_strategy("topolb")->map(g, torus, rng);
-  return core::contention_links_to_json(
-      core::attribute_link_loads(g, torus, m), 3);
+  return core::attribute_link_loads(g, torus, m);
 }
 
+std::string explain_links_text() {
+  std::string text;
+  support::json::Writer w(text);
+  core::write_contention_links(w, explain_report(), 3);
+  return text;
+}
+
+/// The links array rendered straight from the typed report, as topomapd
+/// renders an explain response.
+void BM_JsonWrite_ExplainLinks(benchmark::State& state) {
+  const core::ContentionReport report = explain_report();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::string text;
+    support::json::Writer w(text);
+    core::write_contention_links(w, report, 3);
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_JsonWrite_ExplainLinks)->Unit(benchmark::kMicrosecond);
+
+/// The same bytes dumped from a parsed tree of them.
 void BM_JsonDump_ExplainLinks(benchmark::State& state) {
-  const support::json::Value links = explain_links();
+  const support::json::Value links =
+      support::json::Value::parse(explain_links_text());
   std::size_t bytes = 0;
   for (auto _ : state) {
     const std::string text = links.dump();
@@ -296,7 +322,7 @@ void BM_JsonDump_ExplainLinks(benchmark::State& state) {
 BENCHMARK(BM_JsonDump_ExplainLinks)->Unit(benchmark::kMicrosecond);
 
 void BM_JsonParse_ExplainLinks(benchmark::State& state) {
-  const std::string text = explain_links().dump();
+  const std::string text = explain_links_text();
   for (auto _ : state) {
     const support::json::Value v = support::json::Value::parse(text);
     benchmark::DoNotOptimize(&v);

@@ -372,8 +372,8 @@ def check_svc_flight(path: str, doc: dict) -> None:
     # Lifecycle nesting per correlation id.  The ring may have dropped
     # stages for a given request, so only pairs both present are checked:
     # accept/enqueue happen before the request interval (the done/error
-    # event spans handle() start to end), every acquire nests inside it,
-    # and serialize starts at or after its end.
+    # event spans the request from its start to the kernel's end), every
+    # acquire nests inside it, and serialize starts at or after its end.
     nested = 0
     for corr, evs in by_corr.items():
         finish = next((e for e in evs if e["stage"] in ("done", "error")),

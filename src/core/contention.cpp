@@ -175,87 +175,88 @@ ContentionDiff diff_contention(const ContentionReport& a,
   return diff;
 }
 
-support::json::Value contention_stats_to_json(const ContentionStats& stats) {
-  support::json::Value v = support::json::Value::object();
-  v.set("total_bytes", stats.total_bytes);
-  v.set("max_bytes", stats.max_bytes);
-  v.set("mean_bytes", stats.mean_bytes);
-  v.set("l2", stats.l2);
-  v.set("gini", stats.gini);
-  v.set("links_used", stats.links_used);
-  v.set("links_total", stats.links_total);
-  return v;
+void write_contention_stats(support::json::Writer& w,
+                            const ContentionStats& stats) {
+  w.begin_object();
+  w.member("total_bytes", stats.total_bytes);
+  w.member("max_bytes", stats.max_bytes);
+  w.member("mean_bytes", stats.mean_bytes);
+  w.member("l2", stats.l2);
+  w.member("gini", stats.gini);
+  w.member("links_used", stats.links_used);
+  w.member("links_total", stats.links_total);
+  w.end_object();
 }
 
 namespace {
 
-support::json::Value contributor_json(const LinkContributor& c) {
-  support::json::Value v = support::json::Value::object();
-  v.set("a", c.a);
-  v.set("b", c.b);
-  v.set("bytes", c.bytes);
-  return v;
+void write_contributor(support::json::Writer& w, int a, int b,
+                       double bytes) {
+  w.begin_object();
+  w.member("a", a);
+  w.member("b", b);
+  w.member("bytes", bytes);
+  w.end_object();
+}
+
+/// The first `top_k` entries of `list` as a JSON array of contributors.
+void write_contributors(support::json::Writer& w,
+                        const std::vector<LinkContributor>& list, int top_k) {
+  const auto shown =
+      std::min<std::size_t>(static_cast<std::size_t>(top_k), list.size());
+  for (std::size_t i = 0; i < shown; ++i)
+    write_contributor(w, list[i].a, list[i].b, list[i].bytes);
 }
 
 }  // namespace
 
-support::json::Value contention_links_to_json(const ContentionReport& report,
-                                              int top_k) {
+void write_contention_links(support::json::Writer& w,
+                            const ContentionReport& report, int top_k) {
   TOPOMAP_REQUIRE(top_k >= 1, "top_k must be >= 1");
-  support::json::Value links = support::json::Value::array();
+  w.begin_array();
   for (const LinkAttribution& link : report.links) {
-    support::json::Value v = support::json::Value::object();
-    v.set("from", link.from);
-    v.set("to", link.to);
-    v.set("bytes", link.bytes);
-    v.set("pairs", static_cast<std::int64_t>(link.contributors.size()));
-    support::json::Value contributors = support::json::Value::array();
-    const auto shown = std::min<std::size_t>(
-        static_cast<std::size_t>(top_k), link.contributors.size());
-    for (std::size_t i = 0; i < shown; ++i)
-      contributors.push_back(contributor_json(link.contributors[i]));
+    w.begin_object();
+    w.member("from", link.from);
+    w.member("to", link.to);
+    w.member("bytes", link.bytes);
+    w.member("pairs", static_cast<std::int64_t>(link.contributors.size()));
+    w.key("contributors").begin_array();
+    write_contributors(w, link.contributors, top_k);
     // The tail beyond top-K is folded into one "rest" bucket so the JSON
     // contributors still sum to the link total exactly.
-    if (shown < link.contributors.size()) {
+    if (static_cast<std::size_t>(top_k) < link.contributors.size()) {
       double rest = 0.0;
-      for (std::size_t i = shown; i < link.contributors.size(); ++i)
+      for (std::size_t i = static_cast<std::size_t>(top_k);
+           i < link.contributors.size(); ++i)
         rest += link.contributors[i].bytes;
-      support::json::Value other = support::json::Value::object();
-      other.set("a", -1);
-      other.set("b", -1);
-      other.set("bytes", rest);
-      contributors.push_back(std::move(other));
+      write_contributor(w, -1, -1, rest);
     }
-    v.set("contributors", std::move(contributors));
-    links.push_back(std::move(v));
+    w.end_array();
+    w.end_object();
   }
-  return links;
+  w.end_array();
 }
 
-support::json::Value contention_diff_to_json(const ContentionDiff& diff,
-                                             int top_k) {
+void write_contention_diff(support::json::Writer& w,
+                           const ContentionDiff& diff, int top_k) {
   TOPOMAP_REQUIRE(top_k >= 1, "top_k must be >= 1");
-  support::json::Value links = support::json::Value::array();
+  w.begin_array();
   for (const LinkDelta& d : diff.links) {
-    support::json::Value v = support::json::Value::object();
-    v.set("from", d.from);
-    v.set("to", d.to);
-    v.set("bytes_a", d.bytes_a);
-    v.set("bytes_b", d.bytes_b);
-    v.set("delta", d.delta);
-    auto moved = [&](const std::vector<LinkContributor>& list) {
-      support::json::Value arr = support::json::Value::array();
-      const auto shown =
-          std::min<std::size_t>(static_cast<std::size_t>(top_k), list.size());
-      for (std::size_t i = 0; i < shown; ++i)
-        arr.push_back(contributor_json(list[i]));
-      return arr;
-    };
-    v.set("moved_off", moved(d.moved_off));
-    v.set("moved_on", moved(d.moved_on));
-    links.push_back(std::move(v));
+    w.begin_object();
+    w.member("from", d.from);
+    w.member("to", d.to);
+    w.member("bytes_a", d.bytes_a);
+    w.member("bytes_b", d.bytes_b);
+    w.member("delta", d.delta);
+    w.key("moved_off").begin_array();
+    write_contributors(w, d.moved_off, top_k);
+    w.end_array();
+    w.key("moved_on").begin_array();
+    write_contributors(w, d.moved_on, top_k);
+    w.end_array();
+    w.end_object();
   }
-  return links;
+  w.end_array();
 }
 
 std::string render_contention_summary(const ContentionReport& report,

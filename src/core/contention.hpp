@@ -117,16 +117,20 @@ ContentionDiff diff_contention(const ContentionReport& a,
 inline constexpr const char* kContentionSchemaName = "topomap.obs.contention";
 inline constexpr int kContentionSchemaVersion = 1;
 
-support::json::Value contention_stats_to_json(const ContentionStats& stats);
+/// The JSON renderings of the contention types, written straight from the
+/// structs (the same bytes in topomapd's explain result and the CLI's
+/// --report artifact).  The stats object:
+void write_contention_stats(support::json::Writer& w,
+                            const ContentionStats& stats);
 
 /// The report's "links" JSON array: one object per link with its total and
 /// its top `top_k` contributors (plus a `pairs` count of all contributors).
-support::json::Value contention_links_to_json(const ContentionReport& report,
-                                              int top_k);
+void write_contention_links(support::json::Writer& w,
+                            const ContentionReport& report, int top_k);
 
 /// The diff's "links" JSON array (top_k bounds moved_off/moved_on lists).
-support::json::Value contention_diff_to_json(const ContentionDiff& diff,
-                                             int top_k);
+void write_contention_diff(support::json::Writer& w,
+                           const ContentionDiff& diff, int top_k);
 
 /// Compact terminal rendering: aggregate stats, a heatmap strip of every
 /// directed link's load (ramp " .:-=+*#%@" scaled by the max), and the

@@ -349,51 +349,111 @@ const Value& Value::at(std::string_view key) const {
   return *v;
 }
 
-void Value::dump_to(std::string& out, int indent, int depth) const {
-  const bool pretty = indent >= 0;
-  const auto newline_pad = [&](int d) {
-    if (!pretty) return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent * d), ' ');
-  };
-  switch (kind()) {
-    case Kind::kNull: out += "null"; break;
-    case Kind::kBool: out += as_bool() ? "true" : "false"; break;
-    case Kind::kNumber: append_number(out, as_number()); break;
-    case Kind::kString: append_escaped(out, as_string()); break;
-    case Kind::kArray: {
-      const std::vector<Value>& arr = items();
-      out += '[';
-      for (std::size_t i = 0; i < arr.size(); ++i) {
-        if (i) out += ',';
-        newline_pad(depth + 1);
-        arr[i].dump_to(out, indent, depth + 1);
-      }
-      if (!arr.empty()) newline_pad(depth);
-      out += ']';
-      break;
-    }
-    case Kind::kObject: {
-      const Members& obj = members();
-      out += '{';
-      for (std::size_t i = 0; i < obj.size(); ++i) {
-        if (i) out += ',';
-        newline_pad(depth + 1);
-        append_escaped(out, obj[i].first);
-        out += pretty ? ": " : ":";
-        obj[i].second.dump_to(out, indent, depth + 1);
-      }
-      if (!obj.empty()) newline_pad(depth);
-      out += '}';
-      break;
-    }
-  }
-}
-
 std::string Value::dump(int indent) const {
   std::string out;
-  dump_to(out, indent, 0);
+  Writer(out, indent).value(*this);
   return out;
+}
+
+void Writer::newline_pad() {
+  if (indent_ < 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_ * depth_), ' ');
+}
+
+void Writer::separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (depth_ == 0) return;  // the document's top-level value
+  if (!empty_) out_ += ',';
+  empty_ = false;
+  newline_pad();
+}
+
+Writer& Writer::begin_object() {
+  separate();
+  out_ += '{';
+  ++depth_;
+  empty_ = true;
+  return *this;
+}
+
+Writer& Writer::end_object() {
+  TOPOMAP_ASSERT(depth_ > 0 && !after_key_, "json writer: unbalanced '}'");
+  --depth_;
+  if (!empty_) newline_pad();
+  out_ += '}';
+  empty_ = false;
+  return *this;
+}
+
+Writer& Writer::begin_array() {
+  separate();
+  out_ += '[';
+  ++depth_;
+  empty_ = true;
+  return *this;
+}
+
+Writer& Writer::end_array() {
+  TOPOMAP_ASSERT(depth_ > 0 && !after_key_, "json writer: unbalanced ']'");
+  --depth_;
+  if (!empty_) newline_pad();
+  out_ += ']';
+  empty_ = false;
+  return *this;
+}
+
+Writer& Writer::key(std::string_view k) {
+  separate();
+  append_escaped(out_, k);
+  out_ += indent_ >= 0 ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::null() {
+  separate();
+  out_ += "null";
+  return *this;
+}
+
+Writer& Writer::value(bool b) {
+  separate();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+Writer& Writer::value(double d) {
+  separate();
+  append_number(out_, d);
+  return *this;
+}
+
+Writer& Writer::value(std::string_view s) {
+  separate();
+  append_escaped(out_, s);
+  return *this;
+}
+
+Writer& Writer::value(const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kNull: return null();
+    case Value::Kind::kBool: return value(v.as_bool());
+    case Value::Kind::kNumber: return value(v.as_number());
+    case Value::Kind::kString: return value(std::string_view(v.as_string()));
+    case Value::Kind::kArray:
+      begin_array();
+      for (const Value& item : v.items()) value(item);
+      return end_array();
+    case Value::Kind::kObject:
+      begin_object();
+      for (const auto& [k, member] : v.members()) key(k).value(member);
+      return end_object();
+  }
+  TOPOMAP_UNREACHABLE("unhandled json kind");
 }
 
 Value Value::parse(std::string_view text) {

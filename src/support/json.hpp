@@ -4,7 +4,10 @@
 // (obs::Report documents and Chrome-trace span dumps) and consumes them
 // again (tools/obs_diff, trace-validation tests), and svc:: frames every
 // topomapd request/response as a JSON document.  All of it goes through
-// this one value model so writers and parsers can never drift apart.
+// this one value model so writers and parsers can never drift apart, and
+// every JSON byte comes from one Writer: Value::dump walks a tree over it,
+// and typed results (svc responses, contention reports) stream through it
+// with no tree in between.
 //
 // Scope is deliberately small: UTF-8 in/out, objects preserve insertion
 // order (reports diff cleanly), numbers are doubles printed with round-trip
@@ -89,22 +92,73 @@ class Value {
   Value* find(std::string_view key);
   const Value& at(std::string_view key) const;
 
-  /// Serialize.  indent < 0: compact one-line form; indent >= 0: pretty,
-  /// `indent` spaces per level.
+  /// Serialize through a Writer.  indent < 0: compact one-line form;
+  /// indent >= 0: pretty, `indent` spaces per level.
   std::string dump(int indent = -1) const;
 
   /// Parse a complete JSON document (trailing garbage is an error).
   /// Throws precondition_error with a byte offset on malformed input.
+  /// A repeated object key keeps its first position and its last value.
   static Value parse(std::string_view text);
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
-
   // One alternative per Kind, in Kind order, so index() is the kind: a
   // node is 40 bytes, not the sum of every kind's storage.
   std::variant<std::monostate, bool, double, std::string, std::vector<Value>,
                Members>
       v_;
+};
+
+/// The one producer of JSON bytes: appends a document to a string as a
+/// sequence of begin/key/value/end events, so a typed result renders
+/// straight to text without first building a Value tree (Value::dump is a
+/// walk over this class).  The forms are Value::dump's: compact when
+/// indent < 0, else `indent` spaces per level, with ": " after keys and
+/// empty containers closed on their opening line.  Integers are written
+/// as the double a Value would hold.  Callers keep the event order valid
+/// (a key before every object member, balanced begin/end); a non-finite
+/// number throws precondition_error.
+class Writer {
+ public:
+  explicit Writer(std::string& out, int indent = -1)
+      : out_(out), indent_(indent) {}
+
+  Writer& begin_object();
+  Writer& end_object();
+  Writer& begin_array();
+  Writer& end_array();
+  /// The key of the next object member.
+  Writer& key(std::string_view k);
+
+  Writer& null();
+  Writer& value(bool b);
+  Writer& value(double d);
+  Writer& value(int i) { return value(static_cast<double>(i)); }
+  Writer& value(std::int64_t i) { return value(static_cast<double>(i)); }
+  Writer& value(std::uint64_t u) { return value(static_cast<double>(u)); }
+  Writer& value(std::string_view s);
+  Writer& value(const std::string& s) { return value(std::string_view(s)); }
+  Writer& value(const char* s) { return value(std::string_view(s)); }
+  /// Embed a whole tree.
+  Writer& value(const Value& v);
+
+  /// key(k), then value(v).
+  template <class T>
+  Writer& member(std::string_view k, const T& v) {
+    key(k);
+    return value(v);
+  }
+
+ private:
+  /// The comma and line break owed before the next key or array item.
+  void separate();
+  void newline_pad();
+
+  std::string& out_;
+  int indent_;
+  int depth_ = 0;
+  bool empty_ = true;       // the open container has no item yet
+  bool after_key_ = false;  // a key was written; its value comes next
 };
 
 /// Round-trip formatting for a JSON number: integral values within the

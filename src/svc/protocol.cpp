@@ -1,6 +1,7 @@
 #include "svc/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -76,6 +77,17 @@ std::uint64_t get_unsigned(const json::Value& v, const std::string& key) {
     throw precondition_error("svc request: field '" + key +
                              "' must be non-negative");
   return static_cast<std::uint64_t>(i);
+}
+
+/// An integer field of type T: out-of-range values are rejected, not
+/// wrapped into T.
+template <class T>
+T get_ranged(const json::Value& v, const std::string& key) {
+  const std::int64_t i = get_integer(v, key);
+  if (i < std::numeric_limits<T>::min() || i > std::numeric_limits<T>::max())
+    throw precondition_error("svc request: field '" + key +
+                             "' is out of range");
+  return static_cast<T>(i);
 }
 
 bool get_bool(const json::Value& v, const std::string& key) {
@@ -170,7 +182,7 @@ Request Request::from_json(const json::Value& doc) {
       else if constexpr (std::is_same_v<T, std::uint64_t>)
         field = get_unsigned(value, key);
       else
-        field = static_cast<T>(get_integer(value, key));
+        field = get_ranged<T>(value, key);
     });
     if (!known)
       throw precondition_error("svc request: unknown parameter '" + key +
@@ -221,39 +233,36 @@ int exit_code_for(const std::string& category) {
   return 1;  // "usage" and anything unclassified
 }
 
-namespace {
-
-/// The envelope around a response's result, `result` itself left out:
-/// the one body behind both to_json overloads.
-json::Value response_envelope(const Response& resp) {
-  json::Value doc = json::Value::object();
-  doc.set("schema", kResponseSchemaName);
-  doc.set("schema_version", kSchemaVersion);
-  doc.set("id", resp.id);
-  doc.set("status", resp.ok ? "ok" : "error");
-  if (!resp.ok) {
-    json::Value e = json::Value::object();
-    e.set("category", resp.error.category);
-    e.set("message", resp.error.message);
-    e.set("exit_code", exit_code_for(resp.error.category));
-    doc.set("error", std::move(e));
+void write_response(json::Writer& w, const std::string& id,
+                    const ErrorInfo* error,
+                    const std::function<void(json::Writer&)>& write_result) {
+  w.begin_object();
+  w.member("schema", kResponseSchemaName);
+  w.member("schema_version", kSchemaVersion);
+  w.member("id", id);
+  w.member("status", error == nullptr ? "ok" : "error");
+  if (error != nullptr) {
+    w.key("error").begin_object();
+    w.member("category", error->category);
+    w.member("message", error->message);
+    w.member("exit_code", exit_code_for(error->category));
+    w.end_object();
+  } else {
+    w.key("result");
+    write_result(w);
   }
-  return doc;
+  w.end_object();
 }
 
-}  // namespace
-
-json::Value Response::to_json() const& {
-  json::Value doc = response_envelope(*this);
-  if (ok) doc.set("result", result);
-  return doc;
+std::string Response::dump(int indent) const {
+  std::string out;
+  json::Writer w(out, indent);
+  write_response(w, id, ok ? nullptr : &error,
+                 [this](json::Writer& rw) { rw.value(result); });
+  return out;
 }
 
-json::Value Response::to_json() && {
-  json::Value doc = response_envelope(*this);
-  if (ok) doc.set("result", std::move(result));
-  return doc;
-}
+json::Value Response::to_json() const { return json::Value::parse(dump()); }
 
 Response Response::from_json(json::Value doc) {
   check_schema(doc, kResponseSchemaName);

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <string>
 
 #include "ops/ops.hpp"
@@ -99,17 +100,27 @@ struct Response {
   ErrorInfo error;                        // when !ok
   json::Value result = json::Value::object();  // when ok
 
-  /// The response document.  The rvalue overload moves `result` into it
-  /// instead of copying the tree: what the server does with a response it
-  /// has just computed and will not read again.
-  json::Value to_json() const&;
-  json::Value to_json() &&;
+  /// The response document's bytes (write_response), in Value::dump's
+  /// forms: compact when indent < 0.
+  std::string dump(int indent = -1) const;
+
+  /// The response document as a tree: dump() parsed back, so the tree and
+  /// the bytes come from the one envelope writer.
+  json::Value to_json() const;
 
   /// Strict parse + validation of one response document.  Validates
   /// first, then moves `result` out of `doc`: a temporary document moves
   /// in whole, an lvalue is copied.
   static Response from_json(json::Value doc);
 };
+
+/// Write one response document: the envelope for `id`, then either the
+/// error object (`error` non-null) or the "result" member, which
+/// `write_result` writes.  The one renderer of response bytes, behind
+/// Service::respond and Response::dump.
+void write_response(json::Writer& w, const std::string& id,
+                    const ErrorInfo* error,
+                    const std::function<void(json::Writer&)>& write_result);
 
 /// Build the error response for the exception currently being handled,
 /// mapping exception types onto the taxonomy (usage_error → "usage",

@@ -140,7 +140,7 @@ struct Server::Impl {
   }
 
   void send_response(const ConnectionPtr& conn, const Response& resp) {
-    send_payload(conn, resp.to_json().dump());
+    send_payload(conn, resp.dump());
   }
 
   void enqueue(ConnectionPtr conn, Request req, RequestContext ctx) {
@@ -251,25 +251,9 @@ struct Server::Impl {
       }
       last_key = job.affinity;
       job.ctx.dequeue_ns = obs::now_ns();
-      Response resp = service.handle(job.req, job.ctx);
-      // Serialize is its own lifecycle stage: the response is rendered
-      // here, outside the connection write lock, so its cost is separable
-      // from both the kernel and the socket write.  The result tree is
-      // moved into the envelope, not copied.
-      const std::uint64_t t0 = obs::now_ns();
-      const std::string payload = std::move(resp).to_json().dump();
-      const std::uint64_t dur = obs::now_ns() - t0;
-      service.flight().record(job.ctx.corr, to_string(job.req.kind),
-                              "serialize", t0, dur);
-      if (obs::enabled()) {
-        const std::string prefix =
-            std::string("svc/") + to_string(job.req.kind);
-        OBS_HISTOGRAM(prefix + "/serialize_us",
-                      static_cast<double>(dur / 1000));
-        OBS_HISTOGRAM(prefix + "/response_bytes",
-                      static_cast<double>(payload.size()));
-      }
-      send_payload(job.conn, payload);
+      // respond() records the kernel's `done` and the `serialize` stage
+      // that renders the typed result straight to these bytes.
+      send_payload(job.conn, service.respond(job.req, job.ctx));
     }
   }
 

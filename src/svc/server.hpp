@@ -20,10 +20,10 @@
 //
 // Request lifecycle telemetry: the server mints a correlation id the
 // moment a request parses off the wire and threads it — with enqueue/
-// dequeue timestamps — through the queue to Service::handle, so the
-// queue-wait stage is attributed exactly.  Serialization is timed here
-// too (the response is rendered by the worker, outside the connection
-// write lock).  See svc/service.hpp for the full stage breakdown.
+// dequeue timestamps — through the queue to Service::respond, so the
+// queue-wait stage is attributed exactly.  The worker sends the bytes
+// respond() rendered (its serialize stage), outside the connection write
+// lock.  See svc/service.hpp for the full stage breakdown.
 //
 // Shutdown: stop() is async-signal-safe (one write to a self-pipe).  The
 // sequence drains cleanly — stop accepting, EOF every connection, finish

@@ -1,9 +1,12 @@
 #include "svc/service.hpp"
 
 #include <cctype>
+#include <exception>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <utility>
+#include <variant>
 
 #include "core/contention.hpp"
 #include "obs/obs.hpp"
@@ -17,16 +20,6 @@ namespace topomap::svc {
 
 namespace {
 
-json::Value fault_summary(const topo::FaultOverlay& overlay) {
-  json::Value v = json::Value::object();
-  v.set("failed_nodes", overlay.num_failed_nodes());
-  v.set("failed_links", overlay.num_failed_links());
-  v.set("degraded_links", overlay.num_degraded_links());
-  v.set("alive", overlay.num_alive());
-  v.set("size", overlay.size());
-  return v;
-}
-
 json::Value pool_stats(const CachePoolStats& cs) {
   json::Value v = json::Value::object();
   v.set("hits", cs.hits);
@@ -37,103 +30,136 @@ json::Value pool_stats(const CachePoolStats& cs) {
   return v;
 }
 
-json::Value to_json(const ops::MapResult& r) {
+void write_fault_summary(json::Writer& w, const topo::FaultOverlay& overlay) {
+  w.begin_object();
+  w.member("failed_nodes", overlay.num_failed_nodes());
+  w.member("failed_links", overlay.num_failed_links());
+  w.member("degraded_links", overlay.num_degraded_links());
+  w.member("alive", overlay.num_alive());
+  w.member("size", overlay.size());
+  w.end_object();
+}
+
+/// The "faults" member, present only on a faulted machine.
+void write_faults(json::Writer& w, const ops::Machine& machine) {
+  if (!machine.overlay) return;
+  w.key("faults");
+  write_fault_summary(w, *machine.overlay);
+}
+
+// One result writer per request kind, each straight from the typed result.
+
+void write_result(json::Writer& w, const ops::MapResult& r, const Request&) {
   const ops::Machine& machine = *r.machine;
-  json::Value result = json::Value::object();
-  result.set("workload", r.graph.label());
-  result.set("edges", r.graph.num_edges());
-  result.set("comm_bytes", r.graph.total_comm_bytes());
-  result.set("machine", machine.base->name());
-  result.set("strategy", r.strategy);
-  if (machine.overlay) result.set("faults", fault_summary(*machine.overlay));
+  w.begin_object();
+  w.member("workload", r.graph.label());
+  w.member("edges", r.graph.num_edges());
+  w.member("comm_bytes", r.graph.total_comm_bytes());
+  w.member("machine", machine.base->name());
+  w.member("strategy", r.strategy);
+  write_faults(w, machine);
   if (!r.partition_note.empty()) {
-    result.set("partition", r.partition_note);
-    json::Value q = json::Value::array();
-    for (int t : r.quarantined) q.push_back(t);
-    result.set("quarantined", std::move(q));
+    w.member("partition", r.partition_note);
+    w.key("quarantined").begin_array();
+    for (int t : r.quarantined) w.value(t);
+    w.end_array();
   }
-  result.set("hop_bytes", r.metrics.hop_bytes);
-  result.set("hops_per_byte", r.metrics.hops_per_byte);
+  w.member("hop_bytes", r.metrics.hop_bytes);
+  w.member("hops_per_byte", r.metrics.hops_per_byte);
+  w.key("link_loads");
   if (const auto& links = r.metrics.link_loads) {
-    json::Value ll = json::Value::object();
-    ll.set("max_bytes", links->max_bytes);
-    ll.set("mean_bytes", links->mean_bytes);
-    ll.set("links_used", links->links_used);
-    ll.set("links_total", links->links_total);
-    result.set("link_loads", std::move(ll));
+    w.begin_object();
+    w.member("max_bytes", links->max_bytes);
+    w.member("mean_bytes", links->mean_bytes);
+    w.member("links_used", links->links_used);
+    w.member("links_total", links->links_total);
+    w.end_object();
   } else {
-    result.set("link_loads", json::Value());  // no processor-level routes
+    w.null();  // no processor-level routes
   }
-  result.set("mapping", ops::mapping_text(r.mapping));
-  return result;
+  w.member("mapping", ops::mapping_text(r.mapping));
+  w.end_object();
 }
 
-json::Value to_json(const ops::ExplainResult& r, const Request& req) {
+void write_result(json::Writer& w, const ops::ExplainResult& r,
+                  const Request& req) {
   const ops::Machine& machine = *r.machine;
-  json::Value result = json::Value::object();
-  result.set("workload", r.graph.label());
-  result.set("machine", machine.base->name());
-  result.set("strategy", r.strategy);
-  if (machine.overlay) result.set("faults", fault_summary(*machine.overlay));
-  result.set("hop_bytes", r.hop_bytes);
-  result.set("stats", core::contention_stats_to_json(r.attribution.stats));
-  result.set("links", core::contention_links_to_json(r.attribution, req.top_k));
+  w.begin_object();
+  w.member("workload", r.graph.label());
+  w.member("machine", machine.base->name());
+  w.member("strategy", r.strategy);
+  write_faults(w, machine);
+  w.member("hop_bytes", r.hop_bytes);
+  w.key("stats");
+  core::write_contention_stats(w, r.attribution.stats);
+  w.key("links");
+  core::write_contention_links(w, r.attribution, req.top_k);
   if (const auto& baseline = r.baseline) {
-    json::Value b = json::Value::object();
-    b.set("strategy", req.baseline);
-    b.set("blind", req.baseline_blind);
-    b.set("stats", core::contention_stats_to_json(baseline->attribution.stats));
-    result.set("baseline", std::move(b));
-    result.set("diff",
-               core::contention_diff_to_json(baseline->diff, req.top_k));
+    w.key("baseline").begin_object();
+    w.member("strategy", req.baseline);
+    w.member("blind", req.baseline_blind);
+    w.key("stats");
+    core::write_contention_stats(w, baseline->attribution.stats);
+    w.end_object();
+    w.key("diff");
+    core::write_contention_diff(w, baseline->diff, req.top_k);
   }
-  result.set("mapping", ops::mapping_text(r.mapping));
-  return result;
+  w.member("mapping", ops::mapping_text(r.mapping));
+  w.end_object();
 }
 
-json::Value to_json(const ops::EvacuateResult& r) {
+void write_result(json::Writer& w, const ops::EvacuateResult& r,
+                  const Request&) {
   const rts::EvacuateComparison& cmp = r.comparison;
-  json::Value result = json::Value::object();
-  result.set("workload", r.graph.label());
-  result.set("machine", r.machine->base->name());
-  result.set("strategy", r.strategy);
-  result.set("faults", fault_summary(*r.machine->overlay));
-  result.set("hop_bytes_before", r.hop_bytes_before);
-  json::Value evac = json::Value::object();
-  evac.set("stranded", cmp.evac.stranded);
-  evac.set("migrations", cmp.evac.migrations);
-  evac.set("refine_swaps", cmp.evac.refine_swaps);
-  evac.set("hop_bytes", cmp.evac.hop_bytes);
-  evac.set("load_imbalance", cmp.evac.load_imbalance);
-  result.set("evacuate", std::move(evac));
-  json::Value full = json::Value::object();
-  full.set("migrations", cmp.full_migrations);
-  full.set("hop_bytes", cmp.full_hop_bytes);
-  result.set("full_remap", std::move(full));
-  result.set("hop_bytes_ratio", r.hop_bytes_ratio());
-  result.set("mapping", ops::mapping_text(cmp.evac.mapping));
-  return result;
+  w.begin_object();
+  w.member("workload", r.graph.label());
+  w.member("machine", r.machine->base->name());
+  w.member("strategy", r.strategy);
+  w.key("faults");
+  write_fault_summary(w, *r.machine->overlay);
+  w.member("hop_bytes_before", r.hop_bytes_before);
+  w.key("evacuate").begin_object();
+  w.member("stranded", cmp.evac.stranded);
+  w.member("migrations", cmp.evac.migrations);
+  w.member("refine_swaps", cmp.evac.refine_swaps);
+  w.member("hop_bytes", cmp.evac.hop_bytes);
+  w.member("load_imbalance", cmp.evac.load_imbalance);
+  w.end_object();
+  w.key("full_remap").begin_object();
+  w.member("migrations", cmp.full_migrations);
+  w.member("hop_bytes", cmp.full_hop_bytes);
+  w.end_object();
+  w.member("hop_bytes_ratio", r.hop_bytes_ratio());
+  w.member("mapping", ops::mapping_text(cmp.evac.mapping));
+  w.end_object();
 }
 
-json::Value to_json(const ops::OptimalResult& r) {
+void write_result(json::Writer& w, const ops::OptimalResult& r,
+                  const Request&) {
   const ops::Machine& machine = *r.machine;
-  json::Value result = json::Value::object();
-  result.set("workload", r.graph.label());
-  result.set("machine", machine.machine().name());
-  if (machine.overlay) result.set("faults", fault_summary(*machine.overlay));
-  result.set("hop_bytes", r.search.hop_bytes);
-  result.set("nodes", static_cast<std::int64_t>(r.search.nodes));
-  result.set("pruned", static_cast<std::int64_t>(r.search.pruned));
-  result.set("root_candidates", r.search.root_candidates);
+  w.begin_object();
+  w.member("workload", r.graph.label());
+  w.member("machine", machine.machine().name());
+  write_faults(w, machine);
+  w.member("hop_bytes", r.search.hop_bytes);
+  w.member("nodes", static_cast<std::int64_t>(r.search.nodes));
+  w.member("pruned", static_cast<std::int64_t>(r.search.pruned));
+  w.member("root_candidates", r.search.root_candidates);
   if (r.compare) {
-    json::Value cmp = json::Value::object();
-    cmp.set("strategy", r.compare->strategy);
-    cmp.set("hop_bytes", r.compare->hop_bytes);
-    cmp.set("optimality_gap", r.compare->gap);
-    result.set("compare", std::move(cmp));
+    w.key("compare").begin_object();
+    w.member("strategy", r.compare->strategy);
+    w.member("hop_bytes", r.compare->hop_bytes);
+    w.member("optimality_gap", r.compare->gap);
+    w.end_object();
   }
-  result.set("mapping", ops::mapping_text(r.search.mapping));
-  return result;
+  w.member("mapping", ops::mapping_text(r.search.mapping));
+  w.end_object();
+}
+
+/// status, metrics and flight: the snapshot tree, embedded.
+void write_result(json::Writer& w, const json::Value& snapshot,
+                  const Request&) {
+  w.value(snapshot);
 }
 
 }  // namespace
@@ -155,11 +181,7 @@ void Service::set_queue_depth_probe(std::function<std::size_t()> probe) {
   queue_depth_probe_ = std::move(probe);
 }
 
-Response Service::handle(const Request& req) {
-  return handle(req, RequestContext{});
-}
-
-Response Service::handle(const Request& req, const RequestContext& ctx) {
+std::string Service::respond(const Request& req, const RequestContext& ctx) {
   // Mapping kernels run their parallel regions inline on this serving
   // thread: request-level concurrency is the only concurrency, and the
   // thread-count-invariance contract keeps results byte-identical.
@@ -170,41 +192,61 @@ Response Service::handle(const Request& req, const RequestContext& ctx) {
   lc.corr = ctx.corr.empty() ? mint_correlation_id() : ctx.corr;
   if (ctx.enqueue_ns != 0 && ctx.dequeue_ns >= ctx.enqueue_ns)
     lc.queue_wait_ns = ctx.dequeue_ns - ctx.enqueue_ns;
-  const std::uint64_t t_start = obs::now_ns();
-  const int kind_index = static_cast<int>(req.kind);
-  Response resp;
-  resp.id = req.id;
+  lc.t_start_ns = obs::now_ns();
+  std::optional<Outcome> outcome;
+  std::exception_ptr error;
   try {
-    resp.result = dispatch(req, lc);
+    outcome.emplace(dispatch(req, lc));
   } catch (...) {
-    ++failed_;
-    ++failed_by_kind_[kind_index];
-    OBS_COUNTER_ADD("svc/requests_failed", 1);
-    finish_request(req, lc, false, t_start, obs::now_ns() - t_start);
-    write_report(req, false);
-    return make_error_response(req.id, std::current_exception());
+    error = std::current_exception();
   }
-  resp.ok = true;
-  ++served_;
-  ++served_by_kind_[kind_index];
-  OBS_COUNTER_ADD("svc/requests_served", 1);
-  finish_request(req, lc, true, t_start, obs::now_ns() - t_start);
-  write_report(req, true);
-  return resp;
+  lc.total_ns = obs::now_ns() - lc.t_start_ns;
+  lc.ok = error == nullptr;
+  record_done(lc);
+
+  // Serialize: the typed result straight to the wire bytes.  A result
+  // the writer rejects (a non-finite number) becomes an error response.
+  const std::uint64_t t0 = obs::now_ns();
+  std::string out;
+  if (lc.ok) {
+    try {
+      json::Writer w(out);
+      write_response(w, req.id, nullptr, [&](json::Writer& rw) {
+        std::visit([&](const auto& r) { write_result(rw, r, req); },
+                   *outcome);
+      });
+    } catch (...) {
+      error = std::current_exception();
+      lc.ok = false;
+      out.clear();
+    }
+  }
+  if (!lc.ok) out = make_error_response(req.id, error).dump();
+  const std::uint64_t dur = obs::now_ns() - t0;
+  flight_.record(lc.corr, lc.kind, "serialize", t0, dur);
+  if (obs::enabled()) {
+    const std::string prefix = std::string("svc/") + lc.kind + "/";
+    obs::Registry& reg = obs::Registry::instance();
+    reg.observe(prefix + "serialize_us", static_cast<double>(dur / 1000));
+    reg.observe(prefix + "response_bytes", static_cast<double>(out.size()));
+  }
+  finish_request(req, lc);
+  return out;
 }
 
-json::Value Service::dispatch(const Request& req, Lifecycle& lc) {
+Response Service::handle(const Request& req, const RequestContext& ctx) {
+  return Response::from_json(json::Value::parse(respond(req, ctx)));
+}
+
+Service::Outcome Service::dispatch(const Request& req, Lifecycle& lc) {
   switch (req.kind) {
-    case RequestKind::kMap: return to_json(ops::run_map(req, pooled(lc)));
-    case RequestKind::kExplain:
-      return to_json(ops::run_explain(req, pooled(lc)), req);
-    case RequestKind::kEvacuate:
-      return to_json(ops::run_evacuate(req, pooled(lc)));
-    case RequestKind::kOptimal:
-      return to_json(ops::run_optimal(req, pooled(lc)));
+    case RequestKind::kMap: return ops::run_map(req, pooled(lc));
+    case RequestKind::kExplain: return ops::run_explain(req, pooled(lc));
+    case RequestKind::kEvacuate: return ops::run_evacuate(req, pooled(lc));
+    case RequestKind::kOptimal: return ops::run_optimal(req, pooled(lc));
     case RequestKind::kStatus: return run_status();
     case RequestKind::kMetrics: return metrics_snapshot();
-    case RequestKind::kFlight: return run_flight();
+    case RequestKind::kFlight: return flight_.to_json();
   }
   TOPOMAP_UNREACHABLE("unhandled RequestKind");
 }
@@ -220,39 +262,46 @@ ops::MachinePtr Service::acquire_timed(const std::string& topology,
   return entry;
 }
 
-void Service::finish_request(const Request& req, const Lifecycle& lc,
-                             bool ok, std::uint64_t t_start_ns,
-                             std::uint64_t total_ns) {
-  flight_.record(lc.corr, lc.kind, ok ? "done" : "error", t_start_ns,
-                 total_ns);
-  // The kernel stage is the handler time not spent acquiring pooled
-  // machine state (serialize happens on the server after handle returns).
-  const std::uint64_t kernel_ns =
-      total_ns >= lc.acquire_ns ? total_ns - lc.acquire_ns : 0;
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::Registry::instance();
-    const std::string prefix = std::string("svc/") + lc.kind + "/";
-    if (lc.queue_wait_ns > 0)
-      reg.observe(prefix + "queue_wait_us",
-                  static_cast<double>(lc.queue_wait_ns / 1000));
-    reg.observe(prefix + "acquire_us",
-                static_cast<double>(lc.acquire_ns / 1000));
-    reg.observe(prefix + "kernel_us", static_cast<double>(kernel_ns / 1000));
-    reg.observe(prefix + "total_us", static_cast<double>(total_ns / 1000));
+void Service::record_done(const Lifecycle& lc) {
+  flight_.record(lc.corr, lc.kind, lc.ok ? "done" : "error", lc.t_start_ns,
+                 lc.total_ns);
+  if (!obs::enabled()) return;
+  obs::Registry& reg = obs::Registry::instance();
+  const std::string prefix = std::string("svc/") + lc.kind + "/";
+  if (lc.queue_wait_ns > 0)
+    reg.observe(prefix + "queue_wait_us",
+                static_cast<double>(lc.queue_wait_ns / 1000));
+  reg.observe(prefix + "acquire_us", static_cast<double>(lc.acquire_ns / 1000));
+  reg.observe(prefix + "kernel_us",
+              static_cast<double>(lc.kernel_ns() / 1000));
+  reg.observe(prefix + "total_us", static_cast<double>(lc.total_ns / 1000));
+}
+
+void Service::finish_request(const Request& req, const Lifecycle& lc) {
+  const int kind_index = static_cast<int>(req.kind);
+  if (lc.ok) {
+    ++served_;
+    ++served_by_kind_[kind_index];
+    OBS_COUNTER_ADD("svc/requests_served", 1);
+  } else {
+    ++failed_;
+    ++failed_by_kind_[kind_index];
+    OBS_COUNTER_ADD("svc/requests_failed", 1);
   }
   if (event_log_.active()) {
     json::Value line = json::Value::object();
     line.set("corr", lc.corr);
     line.set("id", req.id);
     line.set("kind", lc.kind);
-    line.set("ok", ok);
-    line.set("t_start_ns", t_start_ns);
+    line.set("ok", lc.ok);
+    line.set("t_start_ns", lc.t_start_ns);
     line.set("queue_wait_us", lc.queue_wait_ns / 1000);
     line.set("acquire_us", lc.acquire_ns / 1000);
-    line.set("kernel_us", kernel_ns / 1000);
-    line.set("total_us", total_ns / 1000);
+    line.set("kernel_us", lc.kernel_ns() / 1000);
+    line.set("total_us", lc.total_ns / 1000);
     event_log_.append(line.dump());
   }
+  write_report(req, lc.ok);
 }
 
 ops::MachineSource Service::pooled(Lifecycle& lc) {
@@ -268,10 +317,6 @@ json::Value Service::run_status() const {
   result.set("requests_failed", failed_.load());
   result.set("cache", pool_stats(pool_.stats()));
   return result;
-}
-
-json::Value Service::run_flight() const {
-  return flight_.to_json();
 }
 
 json::Value Service::metrics_snapshot() const {

@@ -18,6 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -218,10 +222,12 @@ TEST(ContentionAttribution, ThreadCountNeverChangesTheReport) {
     const Mapping m =
         core::make_strategy("topolb+refine")->map(g, *topo, rng);
     const ContentionReport report = core::attribute_link_loads(g, *topo, m);
-    support::json::Value doc = support::json::Value::object();
-    doc.set("stats", core::contention_stats_to_json(report.stats));
-    doc.set("links", core::contention_links_to_json(report, 3));
-    dumps[i++] = doc.dump();
+    support::json::Writer w(dumps[i++]);
+    w.begin_object().key("stats");
+    core::write_contention_stats(w, report.stats);
+    w.key("links");
+    core::write_contention_links(w, report, 3);
+    w.end_object();
   }
   support::set_num_threads(1);
   EXPECT_EQ(dumps[0], dumps[1]);
@@ -296,7 +302,7 @@ TEST(ContentionDiffProps, RejectsMismatchedMachines) {
 }
 
 TEST(ContentionJson, TopKFoldingKeepsSumsExact) {
-  // contention_links_to_json truncates each link to its top-K contributors
+  // write_contention_links truncates each link to its top-K contributors
   // but folds the tail into a sentinel {a:-1, b:-1} entry, so the parsed
   // artifact still satisfies sum(contributors) == bytes exactly.
   const auto topo = topo::make_topology("torus:6x6");
@@ -304,8 +310,10 @@ TEST(ContentionJson, TopKFoldingKeepsSumsExact) {
   const auto g = graph::make_task_graph("er:36:0.2", rng);
   const Mapping m = core::make_strategy("random")->map(g, *topo, rng);
   const ContentionReport report = core::attribute_link_loads(g, *topo, m);
-  const support::json::Value links = core::contention_links_to_json(report, 2);
-  const support::json::Value parsed = support::json::Value::parse(links.dump());
+  std::string text;
+  support::json::Writer w(text);
+  core::write_contention_links(w, report, 2);
+  const support::json::Value parsed = support::json::Value::parse(text);
   ASSERT_EQ(parsed.size(), report.links.size());
   for (std::size_t i = 0; i < parsed.size(); ++i) {
     const support::json::Value& link = parsed.items()[i];
@@ -364,6 +372,70 @@ TEST(ContentionSoftFaults, ReproducesTheAblationHotLinkShift) {
     for (const auto& link : cut)
       if (d.from == link.first && d.to == link.second) cut_delta += d.delta;
   EXPECT_DOUBLE_EQ(cut_delta, -7000.0);
+}
+
+/// FNV-1a (64-bit) of a file's bytes.
+std::uint64_t file_fnv1a(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c; is.get(c);) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(ContentionReportFile, ExplainReportBytesArePinned) {
+  // `topomap explain --report` artifacts (indented JSON), run through the
+  // built CLI.  The hashes were recorded from the tree-building renderer
+  // that json::Writer replaced; healthy, link-faulted and soft-faulted
+  // machines, each with and without the simulated timeline.
+  struct Pin {
+    const char* name;
+    const char* args;
+    std::size_t bytes;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"healthy-timeline",
+       "--tasks=stencil2d:8x8 --topology=torus:8x8 --baseline=random", 176048,
+       0xb880298983f51899ull},
+      {"healthy",
+       "--tasks=stencil2d:8x8 --topology=torus:8x8 --baseline=random "
+       "--iterations=0",
+       173519, 0x6ba917d81bfa59eeull},
+      {"link-faulted-timeline",
+       "--tasks=stencil2d:7x8 --topology=torus:8x8 --fail-link=0:1,9:17 "
+       "--baseline=random --top-k=4",
+       181339, 0x3fd66d2512b63632ull},
+      {"link-faulted",
+       "--tasks=stencil2d:7x8 --topology=torus:8x8 --fail-link=0:1,9:17 "
+       "--baseline=random --top-k=4 --iterations=0",
+       178659, 0xd98a216a60170fb6ull},
+      {"soft-faulted-timeline",
+       "--tasks=stencil2d:8x8 --topology=torus:8x8 "
+       "--degrade-link=0:1:0.5,2:3:0.25 --baseline=greedy --baseline-blind "
+       "--top-k=1",
+       137974, 0xd2e9870da0fb8174ull},
+      {"soft-faulted",
+       "--tasks=stencil2d:8x8 --topology=torus:8x8 "
+       "--degrade-link=0:1:0.5,2:3:0.25 --baseline=greedy --baseline-blind "
+       "--top-k=1 --iterations=0",
+       135347, 0x97c193784e5803cdull},
+  };
+  const std::string dir = ::testing::TempDir();
+  for (const Pin& pin : pins) {
+    const std::string report = dir + "topomap-report-" + pin.name + ".json";
+    std::remove(report.c_str());
+    const std::string command = std::string(TOPOMAP_CLI_PATH) +
+                                " explain --seed=3 " + pin.args +
+                                " --report=" + report + " > /dev/null";
+    ASSERT_EQ(std::system(command.c_str()), 0) << command;
+    std::ifstream is(report, std::ios::binary | std::ios::ate);
+    EXPECT_EQ(static_cast<std::size_t>(is.tellg()), pin.bytes) << pin.name;
+    EXPECT_EQ(file_fnv1a(report), pin.hash) << pin.name;
+    std::remove(report.c_str());
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Seeded, structure-aware fuzzing of the two parsers that read untrusted
-// bytes off a topomapd connection: support::json::Value::parse and
-// svc::FrameDecoder.  Seeds are JSON documents the other suites already
-// exercise (request and response envelopes, a metrics snapshot, the obs
-// round-trip texts); the mutator edits them at the level JSON cares about
-// (brackets, quotes, escapes, number texts, nesting depth, splices of one
-// document into another) as well as byte by byte.
+// bytes off a topomapd connection, support::json::Value::parse and
+// svc::FrameDecoder, and of the svc schema readers on top of them.  Seeds
+// are JSON documents the other suites already exercise (request and
+// response envelopes, metrics and flight snapshots, the obs round-trip
+// texts); the mutator edits them at the level JSON cares about (brackets,
+// quotes, escapes, number texts, nesting depth, splices of one document
+// into another) as well as byte by byte.
 //
 // The contract under test:
 //   * every input either parses or throws topomap::precondition_error —
@@ -15,6 +16,12 @@
 //     not dump is one holding a non-finite number (an out-of-range text
 //     like 1e400 parses to infinity, as strtod reads it), and dumping it
 //     throws precondition_error;
+//   * json::Writer, fed a document event by event, writes Value::dump's
+//     bytes, and both equal a reference printer's, compact and indented;
+//   * svc::Request::from_json, svc::Response::from_json and the metrics
+//     and flight validators either accept a parsed document or throw
+//     precondition_error, and whatever they accept survives
+//     from_json(to_json(x));
 //   * the frame decoder returns exactly the framed payloads of an intact
 //     stream however it is chunked, and on a damaged stream either returns
 //     payloads within its cap or throws precondition_error.
@@ -30,6 +37,7 @@
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "svc/frame.hpp"
+#include "svc/metrics.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
 
@@ -72,6 +80,11 @@ std::vector<std::string> seed_corpus() {
   bad.strategy = "frobnicate";
   seeds.push_back(service.handle(bad).to_json().dump());
   seeds.push_back(service.metrics_snapshot().dump());
+  svc::Request status = map;
+  status.id = "status";
+  status.kind = svc::RequestKind::kStatus;
+  seeds.push_back(service.respond(status));
+  seeds.push_back(service.flight().to_json().dump());
   return seeds;
 }
 
@@ -237,6 +250,184 @@ bool check_parse(const std::string& text) {
     EXPECT_EQ(back.dump(indent), once);
   }
   return true;
+}
+
+/// Value::dump's bytes as the recursive printer that preceded json::Writer
+/// wrote them, kept here as the reference the Writer must reproduce.
+void reference_escaped(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          out += "\\u00";
+          out += kHex[c >> 4];
+          out += kHex[c & 0xF];
+        } else {
+          out += ch;
+        }
+    }
+  }
+  out += '"';
+}
+
+void reference_dump(const Value& v, std::string& out, int indent, int depth) {
+  const bool pretty = indent >= 0;
+  const auto newline_pad = [&](int d) {
+    if (!pretty) return;
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent * d), ' ');
+  };
+  switch (v.kind()) {
+    case Value::Kind::kNull: out += "null"; break;
+    case Value::Kind::kBool: out += v.as_bool() ? "true" : "false"; break;
+    case Value::Kind::kNumber: out += json::format_number(v.as_number()); break;
+    case Value::Kind::kString: reference_escaped(out, v.as_string()); break;
+    case Value::Kind::kArray: {
+      out += '[';
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i) out += ',';
+        newline_pad(depth + 1);
+        reference_dump(v.items()[i], out, indent, depth + 1);
+      }
+      if (v.size() > 0) newline_pad(depth);
+      out += ']';
+      break;
+    }
+    case Value::Kind::kObject: {
+      out += '{';
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i) out += ',';
+        newline_pad(depth + 1);
+        reference_escaped(out, v.members()[i].first);
+        out += pretty ? ": " : ":";
+        reference_dump(v.members()[i].second, out, indent, depth + 1);
+      }
+      if (v.size() > 0) newline_pad(depth);
+      out += '}';
+      break;
+    }
+  }
+}
+
+/// Feed `v` to a Writer one event per node, the way typed results are
+/// written (no Writer::value(const Value&) anywhere below the root).
+void write_events(json::Writer& w, const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kNull: w.null(); break;
+    case Value::Kind::kBool: w.value(v.as_bool()); break;
+    case Value::Kind::kNumber: w.value(v.as_number()); break;
+    case Value::Kind::kString: w.value(v.as_string()); break;
+    case Value::Kind::kArray:
+      w.begin_array();
+      for (const Value& item : v.items()) write_events(w, item);
+      w.end_array();
+      break;
+    case Value::Kind::kObject:
+      w.begin_object();
+      for (const auto& [key, member] : v.members()) {
+        w.key(key);
+        write_events(w, member);
+      }
+      w.end_object();
+      break;
+  }
+}
+
+/// The Writer's event stream, Value::dump and the reference printer agree
+/// on `v` in the compact form and at indents 0 and 2.
+void check_writer(const Value& v) {
+  for (const int indent : {-1, 0, 2}) {
+    std::string reference;
+    reference_dump(v, reference, indent, 0);
+    std::string streamed;
+    json::Writer w(streamed, indent);
+    write_events(w, v);
+    EXPECT_EQ(streamed, reference) << "indent " << indent;
+    EXPECT_EQ(v.dump(indent), reference) << "indent " << indent;
+  }
+}
+
+TEST(FuzzJson, WriterMatchesDumpOnEveryCorpusDocument) {
+  const std::vector<std::string> pool = seed_corpus();
+  for (const std::string& seed : pool) check_writer(Value::parse(seed));
+  Mutator mutator(0x5eed0004);
+  int checked = 0;
+  for (int i = 0; i < 5000 && !HasFailure(); ++i) {
+    Value v;
+    try {
+      v = Value::parse(mutator.mutate(pool[mutator.below(pool.size())], pool));
+    } catch (const precondition_error&) {
+      continue;
+    }
+    if (!all_finite(v)) continue;
+    check_writer(v);
+    ++checked;
+  }
+  EXPECT_GT(checked, 100);
+}
+
+/// Run a schema reader on a parsed document under the contract: it
+/// accepts, or throws precondition_error.  Returns whether it accepted.
+template <class Read>
+bool accepts(Read&& read, const char* what) {
+  try {
+    read();
+    return true;
+  } catch (const precondition_error&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << " threw a non-precondition error: " << e.what();
+    return false;
+  }
+}
+
+TEST(FuzzSvc, SchemaReadersAcceptOrThrowPreconditionAndRoundTrip) {
+  const std::vector<std::string> pool = seed_corpus();
+  Mutator mutator(0x5eed0005);
+  int requests = 0, responses = 0, snapshots = 0;
+  for (int i = 0; i < 20000 && !HasFailure(); ++i) {
+    Value doc;
+    try {
+      doc = Value::parse(mutator.mutate(pool[mutator.below(pool.size())], pool));
+    } catch (const precondition_error&) {
+      continue;
+    }
+    if (!all_finite(doc)) continue;
+    svc::Request req;
+    if (accepts([&] { req = svc::Request::from_json(doc); }, "Request")) {
+      ++requests;
+      const std::string once = req.to_json().dump();
+      const svc::Request back = svc::Request::from_json(req.to_json());
+      EXPECT_EQ(back.to_json().dump(), once);
+      EXPECT_EQ(back.id, req.id);
+      EXPECT_EQ(back.kind, req.kind);
+    }
+    svc::Response resp;
+    if (accepts([&] { resp = svc::Response::from_json(doc); }, "Response")) {
+      ++responses;
+      const std::string once = resp.dump();
+      const svc::Response back = svc::Response::from_json(resp.to_json());
+      EXPECT_EQ(back.dump(), once);
+      EXPECT_EQ(back.ok, resp.ok);
+    }
+    snapshots +=
+        accepts([&] { svc::validate_metrics_snapshot(doc); }, "metrics") +
+        accepts([&] { svc::validate_flight_snapshot(doc); }, "flight");
+  }
+  // Some mutants stay valid, so the accepting paths run too.
+  EXPECT_GT(requests, 0);
+  EXPECT_GT(responses, 0);
+  EXPECT_GT(snapshots, 0);
 }
 
 TEST(FuzzJson, SeedsRoundTrip) {

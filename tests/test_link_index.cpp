@@ -138,6 +138,15 @@ struct Fnv {
   void str(const std::string& x) { bytes(x.data(), x.size()); }
 };
 
+/// The JSON text one core::write_contention_* call writes as a document.
+template <class WriteFn>
+std::string rendered(int indent, WriteFn&& write) {
+  std::string text;
+  support::json::Writer w(text, indent);
+  write(w);
+  return text;
+}
+
 TEST(LinkLoadGoldens, FractionalWeightMdWorkload) {
   Rng rng(5);
   const auto g = graph::make_task_graph("md:4x4x4", rng);
@@ -163,9 +172,10 @@ TEST(LinkLoadGoldens, FractionalWeightMdWorkload) {
   EXPECT_EQ(ll.links_total, 384);
 
   Fnv f;
-  f.str(core::contention_links_to_json(core::attribute_link_loads(g, *topo, m),
-                                       3)
-            .dump(0));
+  const core::ContentionReport report = core::attribute_link_loads(g, *topo, m);
+  f.str(rendered(0, [&](support::json::Writer& w) {
+    core::write_contention_links(w, report, 3);
+  }));
   EXPECT_EQ(f.h, 0x3fdf759c51269b84ull);
 }
 
@@ -179,10 +189,18 @@ TEST(LinkLoadGoldens, ExplainAttributionAndDiff) {
   const ops::ExplainResult r = ops::run_explain(p, ops::make_machine);
   ASSERT_TRUE(r.baseline.has_value());
   Fnv f;
-  f.str(core::contention_stats_to_json(r.attribution.stats).dump(2));
-  f.str(core::contention_links_to_json(r.attribution, 3).dump(2));
-  f.str(core::contention_stats_to_json(r.baseline->attribution.stats).dump(2));
-  f.str(core::contention_diff_to_json(r.baseline->diff, 3).dump(2));
+  f.str(rendered(2, [&](support::json::Writer& w) {
+    core::write_contention_stats(w, r.attribution.stats);
+  }));
+  f.str(rendered(2, [&](support::json::Writer& w) {
+    core::write_contention_links(w, r.attribution, 3);
+  }));
+  f.str(rendered(2, [&](support::json::Writer& w) {
+    core::write_contention_stats(w, r.baseline->attribution.stats);
+  }));
+  f.str(rendered(2, [&](support::json::Writer& w) {
+    core::write_contention_diff(w, r.baseline->diff, 3);
+  }));
   EXPECT_EQ(f.h, 0xdaaaaedad8964b22ull);
 }
 

@@ -95,6 +95,38 @@ TEST_F(ObsTest, JsonParseErrorsThrowWithOffset) {
   EXPECT_THROW((void)Value::parse(""), precondition_error);
 }
 
+TEST_F(ObsTest, JsonRepeatedKeysKeepFirstPositionAndLastValue) {
+  EXPECT_EQ(Value::parse(R"({"a":1,"b":2,"a":3})").dump(), R"({"a":3,"b":2})");
+  // Random objects over a small key alphabet, so keys repeat, some with
+  // nested objects that repeat keys too; each parses to the tree that
+  // Value::set builds appending the members one by one.
+  std::mt19937_64 gen(0x0b1ec7);
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t n = gen() % 48;
+    const std::size_t alphabet = 1 + gen() % 24;
+    Value reference = Value::object();
+    std::string text = "{";
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string key = std::string("k").append(
+          std::to_string(gen() % alphabet));
+      const int value = static_cast<int>(i);
+      if (i) text += ',';
+      if (gen() % 4 == 0) {  // a nested object with its own repeats
+        text += "\"" + key + "\":{\"x\":" + std::to_string(value) +
+                ",\"x\":" + std::to_string(-value) + "}";
+        Value inner = Value::object();
+        inner.set("x", -value);
+        reference.set(key, std::move(inner));
+      } else {
+        text += "\"" + key + "\":" + std::to_string(value);
+        reference.set(key, value);
+      }
+    }
+    text += '}';
+    EXPECT_EQ(Value::parse(text).dump(), reference.dump()) << text;
+  }
+}
+
 // The number codec's contract, stated as the printf/strtod formula the
 // writer and parser must reproduce byte for byte: integral values below
 // 2^53 print as "%.0f", everything else as the first of "%.15g", "%.16g",

@@ -193,6 +193,11 @@ TEST(SvcProtocol, StrictValidationRejectsMalformedRequests) {
   EXPECT_THROW(parse(R"({"schema":"topomap.svc.request","schema_version":1,)"
                      R"("id":"x","kind":"map","params":{"top_k":1.5}})"),
                precondition_error);
+  // An integer beyond its field's type is rejected, not wrapped (2^32 + 1
+  // would read as top_k 1).
+  EXPECT_THROW(parse(R"({"schema":"topomap.svc.request","schema_version":1,)"
+                     R"("id":"x","kind":"map","params":{"top_k":4294967297}})"),
+               precondition_error);
 }
 
 TEST(SvcProtocol, ErrorMappingFollowsExitCodeTaxonomy) {
@@ -527,6 +532,56 @@ TEST(SvcProtocol, ResponseBytesArePinnedThroughBothEnvelopeOverloads) {
               copied)
         << pin.req.id;
   }
+}
+
+/// Zero every flight event's timestamps, the one part of a flight
+/// snapshot two identical request histories do not share.
+std::string without_times(const std::string& flight_response) {
+  svc::json::Value doc = svc::json::Value::parse(flight_response);
+  svc::json::Value& events = *doc.find("result")->find("events");
+  svc::json::Value zeroed = svc::json::Value::array();
+  for (svc::json::Value ev : events.items()) {
+    ev.set("t_ns", 0);
+    ev.set("dur_ns", 0);
+    zeroed.push_back(std::move(ev));
+  }
+  events = std::move(zeroed);
+  return doc.dump();
+}
+
+TEST(SvcService, RespondBytesEqualTheHandledResponseDumpForEveryKind) {
+  std::vector<svc::Request> reqs;
+  for (const PinnedResponse& pin : pinned_responses()) reqs.push_back(pin.req);
+  svc::Request bad = reqs[0];  // map with an unknown strategy: an error
+  bad.id = "bad";
+  bad.strategy = "frobnicate";
+  reqs.push_back(bad);
+  for (const auto kind : {svc::RequestKind::kStatus, svc::RequestKind::kMetrics,
+                          svc::RequestKind::kFlight}) {
+    svc::Request r;
+    r.id = svc::to_string(kind);
+    r.kind = kind;
+    reqs.push_back(r);
+  }
+  // Two services with one request history: what respond() renders is
+  // what handle() returns, dumped again, and Response::dump writes the
+  // bytes of its own tree in both forms.
+  svc::Service rendering, handling;
+  for (const svc::Request& r : reqs) {
+    const std::string bytes = rendering.respond(r);
+    const svc::Response resp = handling.handle(r);
+    const std::string handled = resp.to_json().dump();
+    EXPECT_EQ(resp.dump(), handled) << r.id;
+    EXPECT_EQ(resp.dump(2), resp.to_json().dump(2)) << r.id;
+    if (r.kind == svc::RequestKind::kFlight) {
+      EXPECT_EQ(without_times(bytes), without_times(handled));
+      EXPECT_NE(bytes.find("\"serialize\""), std::string::npos);
+    } else {
+      EXPECT_EQ(bytes, handled) << r.id;
+    }
+  }
+  EXPECT_NE(rendering.respond(bad).find("\"status\":\"error\""),
+            std::string::npos);
 }
 
 TEST(SvcServer, PinnedResponsesSurviveTheWireByteForByte) {

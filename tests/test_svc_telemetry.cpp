@@ -410,6 +410,72 @@ TEST(SvcFlight, ServiceFlightRequestReturnsValidSnapshot) {
   EXPECT_TRUE(saw_map_done);
 }
 
+/// The explain request of the mixed set, under `id`.
+svc::Request explain_request(const std::string& id) {
+  svc::Request req = mixed_requests(2)[1];
+  req.id = id;
+  return req;
+}
+
+/// The kernel's `done` event of correlation id `corr` precedes its
+/// `serialize` event in the ring, and serialize starts once done ends.
+void expect_serialize_follows_done(const svc::FlightRecorder& flight,
+                                   const std::string& corr) {
+  const std::vector<svc::FlightEvent> events = flight.snapshot();
+  const svc::FlightEvent* done = nullptr;
+  const svc::FlightEvent* serialize = nullptr;
+  for (const svc::FlightEvent& e : events) {
+    if (corr != e.corr) continue;
+    if (std::string(e.stage) == "done") done = &e;
+    if (std::string(e.stage) == "serialize") serialize = &e;
+  }
+  ASSERT_NE(done, nullptr) << corr;
+  ASSERT_NE(serialize, nullptr) << corr;
+  EXPECT_STREQ(serialize->kind, "explain");
+  EXPECT_LT(done->seq, serialize->seq);
+  EXPECT_GE(serialize->t_ns, done->t_ns + done->dur_ns);
+}
+
+TEST(SvcFlight, ExplainSerializeFollowsItsDoneServedAndInProcess) {
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  {
+    svc::Service service;
+    ASSERT_TRUE(service.handle(explain_request("in-process")).ok);
+    // handle() mints r-0 for its one request.
+    expect_serialize_follows_done(service.flight(), "r-0");
+    const Value hists = service.metrics_snapshot().at("histograms");
+    for (const char* name :
+         {"svc/explain/kernel_us", "svc/explain/serialize_us",
+          "svc/explain/response_bytes"}) {
+      const Value* h = hists.find(name);
+      ASSERT_NE(h, nullptr) << name;
+      EXPECT_EQ(h->at("count").as_number(), 1.0) << name;
+    }
+  }
+  obs::set_enabled(false);
+  obs::Registry::instance().reset();
+  obs::Tracer::instance().reset();
+
+  svc::ServerOptions options;
+  options.socket_path = unique_path("serialize", ".sock");
+  options.workers = 2;
+  svc::Server server(options);
+  server.start();
+  {
+    svc::Client client = svc::Client::connect_unix(options.socket_path);
+    ASSERT_TRUE(client.call(explain_request("served")).ok);
+  }
+  server.stop();
+  server.join();
+  // The server minted the explain's correlation id at accept.
+  std::string corr;
+  for (const svc::FlightEvent& e : server.service().flight().snapshot())
+    if (std::string(e.stage) == "accept") corr = e.corr;
+  ASSERT_FALSE(corr.empty());
+  expect_serialize_follows_done(server.service().flight(), corr);
+}
+
 // -------------------------------------------------------------- event log
 
 TEST(SvcEventLog, RotatesExactlyAtTheSizeBoundary) {

@@ -339,64 +339,79 @@ int cmd_map(int argc, const char* const* argv, bool simulate) {
 }
 
 /// Write the schema-versioned contention artifact ("topomap.obs.contention"
-/// v1): per-link table with top-K contributors, optional busiest-link
-/// timeline, optional baseline stats + mapping diff.
-void write_contention_report(
-    const std::string& path, const support::json::Value& meta,
-    const core::ContentionReport& attr, int top_k,
-    const netsim::AppResult* sim, const core::ContentionReport* baseline,
-    const std::string& baseline_name, const core::ContentionDiff* diff) {
-  support::json::Value doc = support::json::Value::object();
-  doc.set("schema", core::kContentionSchemaName);
-  doc.set("schema_version", core::kContentionSchemaVersion);
-  doc.set("meta", meta);
-  doc.set("stats", core::contention_stats_to_json(attr.stats));
-  doc.set("links", core::contention_links_to_json(attr, top_k));
+/// v1): the explain run's meta, per-link table with top-K contributors,
+/// optional busiest-link timeline, optional baseline stats + mapping diff,
+/// written straight from the typed results.
+void write_contention_report(const std::string& path,
+                             const ops::ExplainResult& r,
+                             const ops::Params& params,
+                             const std::string& seed,
+                             const netsim::AppResult* sim) {
+  std::string doc;
+  support::json::Writer w(doc, 2);
+  w.begin_object();
+  w.member("schema", core::kContentionSchemaName);
+  w.member("schema_version", core::kContentionSchemaVersion);
+  w.key("meta").begin_object();
+  w.member("command", "explain");
+  w.member("workload", r.graph.label());
+  w.member("machine", r.machine->base->name());
+  w.member("strategy", r.strategy);
+  w.member("seed", seed);
+  w.member("top_k", params.top_k);
+  w.member("hop_bytes", r.hop_bytes);
+  if (r.baseline) w.member("baseline", params.baseline);
+  w.end_object();
+  w.key("stats");
+  core::write_contention_stats(w, r.attribution.stats);
+  w.key("links");
+  core::write_contention_links(w, r.attribution, params.top_k);
   if (sim != nullptr) {
     const netsim::TelemetrySnapshot& snap = sim->telemetry;
-    support::json::Value timeline = support::json::Value::object();
-    timeline.set("sample_us", snap.sample_interval_us);
-    timeline.set("completion_us", sim->completion_us);
-    auto arr = [](const std::vector<double>& xs) {
-      support::json::Value a = support::json::Value::array();
-      for (double x : xs) a.push_back(x);
-      return a;
+    w.key("timeline").begin_object();
+    w.member("sample_us", snap.sample_interval_us);
+    w.member("completion_us", sim->completion_us);
+    const auto series = [&w](const char* name, const std::vector<double>& xs) {
+      w.key(name).begin_array();
+      for (const double x : xs) w.value(x);
+      w.end_array();
     };
-    timeline.set("t_us", arr(snap.t_us));
-    timeline.set("util_max", arr(snap.util_max));
-    timeline.set("queue_depth", arr(snap.queue_depth));
-    support::json::Value hot = support::json::Value::array();
+    series("t_us", snap.t_us);
+    series("util_max", snap.util_max);
+    series("queue_depth", snap.queue_depth);
+    w.key("hot_links").begin_array();
     const std::size_t shown = std::min<std::size_t>(snap.links.size(), 10);
     for (std::size_t i = 0; i < shown; ++i) {
       const netsim::LinkTelemetry& lt = snap.links[i];
-      support::json::Value v = support::json::Value::object();
-      v.set("from", lt.from);
-      v.set("to", lt.to);
-      v.set("bytes", lt.bytes);
-      v.set("busy_us", lt.busy_us);
-      v.set("peak_util", lt.peak_util);
-      v.set("time_to_peak_us", lt.time_to_peak_us);
-      v.set("saturated_us", lt.saturated_us);
-      hot.push_back(std::move(v));
+      w.begin_object();
+      w.member("from", lt.from);
+      w.member("to", lt.to);
+      w.member("bytes", lt.bytes);
+      w.member("busy_us", lt.busy_us);
+      w.member("peak_util", lt.peak_util);
+      w.member("time_to_peak_us", lt.time_to_peak_us);
+      w.member("saturated_us", lt.saturated_us);
+      w.end_object();
     }
-    timeline.set("hot_links", std::move(hot));
-    doc.set("timeline", std::move(timeline));
+    w.end_array();
+    w.end_object();
   }
-  if (baseline != nullptr) {
-    support::json::Value b = support::json::Value::object();
-    b.set("strategy", baseline_name);
-    b.set("stats", core::contention_stats_to_json(baseline->stats));
-    doc.set("baseline", std::move(b));
+  if (const auto& baseline = r.baseline) {
+    w.key("baseline").begin_object();
+    w.member("strategy", params.baseline);
+    w.key("stats");
+    core::write_contention_stats(w, baseline->attribution.stats);
+    w.end_object();
+    w.key("diff").begin_object();
+    w.key("links");
+    core::write_contention_diff(w, baseline->diff, params.top_k);
+    w.end_object();
   }
-  if (diff != nullptr) {
-    support::json::Value d = support::json::Value::object();
-    d.set("links", core::contention_diff_to_json(*diff, top_k));
-    doc.set("diff", std::move(d));
-  }
+  w.end_object();
   std::ofstream os(path);
   if (!os.good())
     throw io_error("explain: cannot open '" + path + "' for writing");
-  os << doc.dump(2) << "\n";
+  os << doc << "\n";
   os.flush();
   if (!os.good()) throw io_error("explain: failed writing '" + path + "'");
 }
@@ -496,20 +511,8 @@ int cmd_explain(int argc, const char* const* argv) {
 
   if (const std::string report_path = cli.str("report");
       !report_path.empty()) {
-    support::json::Value meta = support::json::Value::object();
-    meta.set("command", "explain");
-    meta.set("workload", g.label());
-    meta.set("machine", machine.base->name());
-    meta.set("strategy", r.strategy);
-    meta.set("seed", cli.str("seed"));
-    meta.set("top_k", top_k);
-    meta.set("hop_bytes", hb);
-    if (r.baseline) meta.set("baseline", params.baseline);
-    write_contention_report(report_path, meta, attr, top_k,
-                            iterations > 0 ? &sim : nullptr,
-                            r.baseline ? &r.baseline->attribution : nullptr,
-                            params.baseline,
-                            r.baseline ? &r.baseline->diff : nullptr);
+    write_contention_report(report_path, r, params, cli.str("seed"),
+                            iterations > 0 ? &sim : nullptr);
     std::cout << "report written to " << report_path << "\n";
   }
   write_mapping(cli.str("output"), r.mapping, "mapping");
@@ -949,7 +952,7 @@ int cmd_client(int argc, const char* const* argv) {
     std::cout << svc::metrics_to_prometheus(resp.result);
     return 0;
   }
-  std::cout << resp.to_json().dump(2) << "\n";
+  std::cout << resp.dump(2) << "\n";
   if (const std::string out = cli.str("output"); !out.empty()) {
     const support::json::Value* mapping = resp.result.find("mapping");
     TOPOMAP_REQUIRE(mapping != nullptr && mapping->is_string(),
