@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   cli.add_option("seed", "drift/mapping RNG seed", "1");
   if (!cli.parse(argc, argv)) return 0;
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
-  const int epochs = static_cast<int>(cli.integer("epochs"));
+  const int epochs = cli.integer_as<int>("epochs");
   bench::preamble("chaos soak ablation", seed);
 
   const auto topo = topo::make_topology(cli.str("topology"));

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   auto run_policy = [&](rts::RemapPolicy policy) {
     rts::DynamicLBConfig config;
-    config.epochs = static_cast<int>(cli.integer("epochs"));
+    config.epochs = cli.integer_as<int>("epochs");
     config.load_drift = cli.real("load-drift");
     config.comm_drift = cli.real("comm-drift");
     config.policy = policy;

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   const graph::TaskGraph g = graph::stencil_2d(nx, ny, 1000.0);
   const auto machine = topo::make_topology(cli.str("topology"));
   const auto strategy = core::make_strategy(cli.str("strategy"));
-  const int refine = static_cast<int>(cli.integer("refine-passes"));
+  const int refine = cli.integer_as<int>("refine-passes");
   std::cout << "workload: " << g.num_vertices() << " stencil tasks on "
             << machine->name() << ", strategy " << cli.str("strategy")
             << "\n";

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const core::Mapping m_lb = core::make_strategy("topolb")->map(g, torus, rng);
 
   netsim::AppParams app;
-  app.iterations = static_cast<int>(cli.integer("iterations"));
+  app.iterations = cli.integer_as<int>("iterations");
   app.compute_us = 10.0;
 
   Table table("Completion time (ms): wormhole vs store-and-forward",

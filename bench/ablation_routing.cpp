@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   bench::preamble("routing-policy ablation", seed);
 
   netsim::AppParams app;
-  app.iterations = static_cast<int>(cli.integer("iterations"));
+  app.iterations = cli.integer_as<int>("iterations");
   app.compute_us = 20.0;
 
   Table table("completion time (s): DOR vs minimal adaptive",

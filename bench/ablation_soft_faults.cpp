@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
               4);
 
   netsim::AppParams app;
-  app.iterations = static_cast<int>(cli.integer("iterations"));
+  app.iterations = cli.integer_as<int>("iterations");
   netsim::NetworkParams net;
   net.bandwidth = 500.0;
 

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   if (cli.flag("full")) procs.push_back(729);
   bench::run_bluegene_figure(
       "2D-mesh pattern on BlueGene 3D-torus (Fig 10)", "fig10_bluegene_torus",
-      /*torus=*/true, procs, static_cast<int>(cli.integer("iterations")),
+      /*torus=*/true, procs, cli.integer_as<int>("iterations"),
       cli.real("msg-kb") * 1024.0, cli.real("bandwidth"),
       cli.real("compute-us"), static_cast<std::uint64_t>(cli.integer("seed")));
   std::cout << "\nPaper shape check: TopoLB ~= TopoCentLB << Random at every "

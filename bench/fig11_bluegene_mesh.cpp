@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   if (cli.flag("full")) procs.push_back(729);
   bench::run_bluegene_figure(
       "2D-mesh pattern on BlueGene 3D-mesh (Fig 11)", "fig11_bluegene_mesh",
-      /*torus=*/false, procs, static_cast<int>(cli.integer("iterations")),
+      /*torus=*/false, procs, cli.integer_as<int>("iterations"),
       cli.real("msg-kb") * 1024.0, cli.real("bandwidth"),
       cli.real("compute-us"), static_cast<std::uint64_t>(cli.integer("seed")));
   std::cout << "\nPaper shape check: every entry exceeds its Fig 10 (torus) "

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   auto sides = cli.int_list("sides");
   if (cli.flag("full")) sides.push_back(76);
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
-  const int repeats = static_cast<int>(cli.integer("random-repeats"));
+  const int repeats = cli.integer_as<int>("random-repeats");
   bench::preamble("2D-mesh pattern mapped onto a 2D-torus (Figs 1-2)", seed);
 
   Table table("Average hops per byte, 2D-mesh on 2D-torus",

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   auto procs = cli.int_list("procs");
   if (cli.flag("full")) procs.push_back(4096);
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
-  const int repeats = static_cast<int>(cli.integer("random-repeats"));
+  const int repeats = cli.integer_as<int>("random-repeats");
   bench::preamble("2D-mesh pattern mapped onto a 3D-torus (Figs 3-4)", seed);
 
   Table table("Average hops per byte, 2D-mesh on 3D-torus",

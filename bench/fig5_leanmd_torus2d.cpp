@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       "LeanMD-like workload mapped onto 2D tori (Fig 5)",
       "fig5_leanmd_torus2d", /*dims=*/2, procs,
       static_cast<std::uint64_t>(cli.integer("seed")),
-      static_cast<int>(cli.integer("random-repeats")),
-      static_cast<int>(cli.integer("md-iterations")));
+      cli.integer_as<int>("random-repeats"),
+      cli.integer_as<int>("md-iterations"));
   return 0;
 }

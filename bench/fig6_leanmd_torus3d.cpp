@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
       "LeanMD-like workload mapped onto 3D tori (Fig 6)",
       "fig6_leanmd_torus3d", /*dims=*/3, procs,
       static_cast<std::uint64_t>(cli.integer("seed")),
-      static_cast<int>(cli.integer("random-repeats")),
-      static_cast<int>(cli.integer("md-iterations")));
+      cli.integer_as<int>("random-repeats"),
+      cli.integer_as<int>("md-iterations"));
   return 0;
 }

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   bench::emit(contention, "fig7_8_link_contention");
 
   netsim::AppParams app;
-  app.iterations = static_cast<int>(cli.integer("iterations"));
+  app.iterations = cli.integer_as<int>("iterations");
   app.compute_us = cli.real("compute-us");
 
   Table table("Average message latency (us) vs channel bandwidth",

@@ -5,9 +5,8 @@
 //     but with a smaller constant;
 //   * RefineTopoLB sweeps are O(p^2) per pass;
 //   * the multilevel partitioner handles the MD-scale object graphs fast;
-//   * the distance-plane engine: DistanceCache rows vs virtual dispatch
-//     (the cached/virtual suffix pairs), and thread scaling of the pooled
-//     layers (the _Threads series);
+//   * the distance-plane engine: DistanceCache construction, and thread
+//     scaling of the pooled layers (the _Threads series);
 //   * the JSON codec on topomapd's largest response: explain's per-link
 //     attribution (the _ExplainLinks pair).
 #include <benchmark/benchmark.h>
@@ -35,12 +34,11 @@ namespace {
 
 using namespace topomap;
 
-void map_stencil(benchmark::State& state, const char* strategy_spec,
-                 core::DistanceMode mode = core::DistanceMode::kCached) {
+void map_stencil(benchmark::State& state, const char* strategy_spec) {
   const int side = static_cast<int>(state.range(0));
   const auto g = graph::stencil_2d(side, side, 1.0);
   const topo::TorusMesh torus = topo::TorusMesh::torus({side, side});
-  const auto strategy = core::make_strategy(strategy_spec, mode);
+  const auto strategy = core::make_strategy(strategy_spec);
   Rng rng(1);
   for (auto _ : state) {
     auto m = strategy->map(g, torus, rng);
@@ -90,24 +88,7 @@ BENCHMARK(BM_TopoCentLB)->Arg(8)->Arg(16)->Arg(32)->Complexity(
 void BM_RandomLB(benchmark::State& state) { map_stencil(state, "random"); }
 BENCHMARK(BM_RandomLB)->Arg(32);
 
-// --- distance-plane engine: cached rows vs virtual dispatch ---------------
-// The acceptance bar for the cache is >= 2x on second-order TopoLB at
-// side=32 with a single thread; compare these two series.
-
-void BM_TopoLB_SecondOrder_Virtual(benchmark::State& state) {
-  map_stencil(state, "topolb", core::DistanceMode::kVirtual);
-}
-BENCHMARK(BM_TopoLB_SecondOrder_Virtual)->Arg(16)->Arg(24)->Arg(32);
-
-void BM_TopoLB_ThirdOrder_Virtual(benchmark::State& state) {
-  map_stencil(state, "topolb3", core::DistanceMode::kVirtual);
-}
-BENCHMARK(BM_TopoLB_ThirdOrder_Virtual)->Arg(16)->Arg(24);
-
-void BM_TopoCentLB_Virtual(benchmark::State& state) {
-  map_stencil(state, "topocent", core::DistanceMode::kVirtual);
-}
-BENCHMARK(BM_TopoCentLB_Virtual)->Arg(32);
+// --- distance-plane engine ------------------------------------------------
 
 void BM_DistanceCacheBuild(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));

@@ -104,15 +104,15 @@ int main(int argc, char** argv) {
   cli.add_option("seed", "workload seed offset (request seeds cycle 1..3)",
                  "1");
   if (!cli.parse(argc, argv)) return 0;
-  const int clients = static_cast<int>(cli.integer("clients"));
-  const int total = static_cast<int>(cli.integer("requests"));
+  const int clients = cli.integer_as<int>("clients");
+  const int total = cli.integer_as<int>("requests");
   bench::preamble("topomapd load (mixed kinds, shared cache pool)",
                   static_cast<std::uint64_t>(cli.integer("seed")));
 
   svc::ServerOptions options;
   options.socket_path =
       "/tmp/topomap-svc-load-" + std::to_string(::getpid()) + ".sock";
-  options.workers = static_cast<std::size_t>(cli.integer("workers"));
+  options.workers = cli.integer_as<std::size_t>("workers");
   svc::Server server(options);
   server.start();
 

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
-  const int iterations = static_cast<int>(cli.integer("iterations"));
+  const int iterations = cli.integer_as<int>("iterations");
   bench::preamble(
       "Table 1: Jacobi-like 8x8x8 on a (8,8,8) 3D-mesh, optimal vs random",
       seed);

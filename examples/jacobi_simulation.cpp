@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   cli.add_option("seed", "RNG seed", "7");
   if (!cli.parse(argc, argv)) return 0;
 
-  const int side = static_cast<int>(cli.integer("side"));
+  const int side = cli.integer_as<int>("side");
   const int p = side * side;
 
   // --- 1. instrumented run on the mini message-driven runtime ---
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       graph::stencil_2d(side, side, 2.0 * jacobi.message_bytes);
 
   netsim::AppParams app;
-  app.iterations = static_cast<int>(cli.integer("iterations"));
+  app.iterations = cli.integer_as<int>("iterations");
   app.compute_us = 20.0;
   netsim::NetworkParams net;
   net.bandwidth = cli.real("bandwidth");

@@ -187,6 +187,24 @@ expect_rc 2 "client --tcp with a non-numeric port" "$CLI" client \
   --tcp=127.0.0.1:abc --kind=status
 expect_rc 2 "client --tcp port above 65535" "$CLI" client \
   --tcp=127.0.0.1:70000 --kind=status
+# Integer flags are parsed whole and range-checked before narrowing: a
+# malformed or too-wide value exits 2 and names the flag on stderr.
+expect_flag_error() {  # flag, command...
+  local flag="$1" rc=0
+  shift
+  "$@" >/dev/null 2>"$TMP/flag.err" || rc=$?
+  if [ "$rc" != 2 ] || ! grep -q -- "$flag" "$TMP/flag.err"; then
+    echo "FAIL: $flag exited $rc, expected 2 naming the flag:" >&2
+    cat "$TMP/flag.err" >&2
+    exit 1
+  fi
+}
+expect_flag_error --parts "$CLI" partition --tasks=stencil2d:8x8 \
+  --parts=4294967300
+expect_flag_error --top-k "$CLI" explain --tasks=stencil2d:4x4 \
+  --topology=torus:4x4 --baseline=random --top-k=4294967297
+expect_flag_error --seed "$CLI" map --tasks=stencil2d:4x4 \
+  --topology=torus:4x4 --seed=abc
 echo "ok: exit codes         1 usage / 2 precondition / 4 io"
 
 # Self-validation drills: each documented corruption class must be caught

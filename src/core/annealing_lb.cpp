@@ -4,24 +4,26 @@
 
 #include "core/baseline_lb.hpp"
 #include "core/cache_handle.hpp"
+#include "core/distance_provider.hpp"
 #include "core/metrics.hpp"
 #include "core/swap_kernel.hpp"
 #include "obs/obs.hpp"
-#include "support/error.hpp"
 #include "topo/distance_cache.hpp"
 
 namespace topomap::core {
 
 namespace {
 
-/// The Metropolis chain proper, templated on the distance provider.  Swap
-/// deltas are identical integers-times-bytes for either provider and the
-/// rng draw sequence does not depend on the provider, so cached and virtual
-/// modes walk the same chain and return the same mapping.
-template <class Dist>
-Mapping run_chain(const graph::TaskGraph& g, const Dist& dist,
-                  Mapping current, double energy, Rng& rng,
-                  const AnnealingOptions& options) {
+// The schedule (see the header).
+constexpr double kMovesPerTask = 8.0;  // swap proposals per epoch, x n
+constexpr double kCooling = 0.9;       // geometric cooling per epoch
+constexpr int kEpochs = 60;
+constexpr double kT0Factor = 1.5;      // T0 = this x mean |delta|
+
+/// The Metropolis chain proper, on the distance plane.
+Mapping run_chain(const graph::TaskGraph& g, const topo::DistanceCache& plane,
+                  Mapping current, double energy, Rng& rng) {
+  const detail::CachedDistance dist{plane};
   const int n = g.num_vertices();
   Mapping best = current;
   double best_energy = energy;
@@ -36,15 +38,14 @@ Mapping run_chain(const graph::TaskGraph& g, const Dist& dist,
     mean_abs_delta += std::abs(detail::swap_delta_dist(g, dist, current, a, b));
   }
   mean_abs_delta /= static_cast<double>(probes);
-  double temperature = options.t0_factor * std::max(mean_abs_delta, 1e-9);
+  double temperature = kT0Factor * std::max(mean_abs_delta, 1e-9);
 
-  const auto moves =
-      static_cast<int>(options.moves_per_task * static_cast<double>(n));
+  const auto moves = static_cast<int>(kMovesPerTask * static_cast<double>(n));
   OBS_SPAN("anneal/chain");
   OBS_COUNTER_ADD("anneal/moves",
                   static_cast<std::uint64_t>(moves) *
-                      static_cast<std::uint64_t>(options.epochs));
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+                      static_cast<std::uint64_t>(kEpochs));
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
     for (int move = 0; move < moves; ++move) {
       const int a =
           static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
@@ -65,22 +66,15 @@ Mapping run_chain(const graph::TaskGraph& g, const Dist& dist,
         }
       }
     }
-    temperature *= options.cooling;
+    temperature *= kCooling;
   }
   return best;
 }
 
 }  // namespace
 
-AnnealingLB::AnnealingLB(AnnealingOptions options, DistanceMode mode,
-                         CacheHandlePtr cache)
-    : options_(std::move(options)), mode_(mode), cache_(std::move(cache)) {
-  TOPOMAP_REQUIRE(options_.moves_per_task > 0.0, "need positive move budget");
-  TOPOMAP_REQUIRE(options_.cooling > 0.0 && options_.cooling < 1.0,
-                  "cooling factor must be in (0,1)");
-  TOPOMAP_REQUIRE(options_.epochs >= 1, "need at least one epoch");
-  TOPOMAP_REQUIRE(options_.t0_factor > 0.0, "t0_factor must be positive");
-}
+AnnealingLB::AnnealingLB(AnnealingOptions options, CacheHandlePtr cache)
+    : options_(std::move(options)), cache_(std::move(cache)) {}
 
 std::string AnnealingLB::name() const {
   return options_.warm_start ? "AnnealingLB[" + options_.warm_start->name() + "]"
@@ -96,15 +90,9 @@ Mapping AnnealingLB::map(const graph::TaskGraph& g,
   Mapping current = options_.warm_start
                         ? options_.warm_start->map(g, topo, rng)
                         : RandomLB().map(g, topo, rng);
-  if (mode_ == DistanceMode::kVirtual) {
-    const double energy = hop_bytes(g, topo, current);
-    return run_chain(g, detail::VirtualDistance{topo}, std::move(current),
-                     energy, rng, options_);
-  }
   const auto cache = obtain_cache(cache_, topo);
   const double energy = hop_bytes(g, *cache, current);
-  return run_chain(g, detail::CachedDistance{*cache}, std::move(current),
-                   energy, rng, options_);
+  return run_chain(g, *cache, std::move(current), energy, rng);
 }
 
 }  // namespace topomap::core

@@ -11,8 +11,9 @@
 //   energy  E(P)    = hop-bytes(P)
 //   move            = swap the processors of two random tasks
 //   accept          = delta < 0, or with probability exp(-delta / T)
-//   schedule        = geometric cooling from T0 (set adaptively from the
-//                     mean |delta| of random moves) by `cooling` per epoch
+//   schedule        = 60 epochs of 8n proposals each, cooling
+//                     geometrically by 0.9 per epoch from T0 = 1.5 x the
+//                     mean |delta| of random moves
 // Keeps the best mapping ever visited.
 #pragma once
 
@@ -21,14 +22,6 @@
 namespace topomap::core {
 
 struct AnnealingOptions {
-  /// Swap proposals per temperature epoch, as a multiple of n.
-  double moves_per_task = 8.0;
-  /// Geometric cooling factor per epoch, in (0, 1).
-  double cooling = 0.9;
-  /// Epoch count.
-  int epochs = 60;
-  /// Initial temperature = t0_factor * mean |delta| of random swaps.
-  double t0_factor = 1.5;
   /// Start from this strategy's result instead of a random mapping
   /// (null = random start).
   StrategyPtr warm_start;
@@ -37,7 +30,6 @@ struct AnnealingOptions {
 class AnnealingLB final : public MappingStrategy {
  public:
   explicit AnnealingLB(AnnealingOptions options = {},
-                       DistanceMode mode = DistanceMode::kCached,
                        CacheHandlePtr cache = nullptr);
 
   Mapping map(const graph::TaskGraph& g, const topo::Topology& topo,
@@ -46,7 +38,6 @@ class AnnealingLB final : public MappingStrategy {
 
  private:
   AnnealingOptions options_;
-  DistanceMode mode_;
   CacheHandlePtr cache_;  // shared across a composition; may be null
 };
 

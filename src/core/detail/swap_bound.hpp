@@ -29,7 +29,7 @@
 // sweep's acceptance threshold of -1e-12).  Two regimes set k and c:
 //
 // * Exact: every edge weight is an integer and 2 * sum(W) * dmax <= 2^53,
-//   dmax the provider's largest distance.  Then every product and partial
+//   dmax the largest plane entry (0xFFFF).  Then every product and partial
 //   sum here and in swap_delta_dist is an integer of at most 2^53, so all
 //   of it is exact: k = 2, c_t = C_t, and a bound of exactly 0 skips.
 // * Rounded: otherwise.  The computed delta lies within
@@ -47,11 +47,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "core/mapping.hpp"
 #include "graph/task_graph.hpp"
+#include "topo/distance_cache.hpp"
 
 namespace topomap::core::detail {
 
@@ -63,8 +65,8 @@ class SwapBound {
     double c;
   };
 
-  template <class Dist>
-  SwapBound(const graph::TaskGraph& g, const Dist& dist, const Mapping& m)
+  SwapBound(const graph::TaskGraph& g, const topo::DistanceCache& plane,
+            const Mapping& m)
       : tasks_(static_cast<std::size_t>(g.num_vertices())) {
     int max_degree = 0;
     bool integral = true;
@@ -79,14 +81,15 @@ class SwapBound {
       tasks_[static_cast<std::size_t>(t)].w = w;
       total += w;
     }
-    if (!(integral && 2.0 * total * Dist::kMaxDistance <= 0x1p53)) {
+    constexpr double kMaxDistance = std::numeric_limits<std::uint16_t>::max();
+    if (!(integral && 2.0 * total * kMaxDistance <= 0x1p53)) {
       constexpr double eps = std::numeric_limits<double>::epsilon();
       k_ = 2.0 * (1.0 + (3.0 * max_degree + 16.0) * eps);
       derive_margin_ = 1.0 + (max_degree + 2.0) * eps;
       drift_ = 4.0 * eps;
     }
     for (int t = 0; t < g.num_vertices(); ++t)
-      tasks_[static_cast<std::size_t>(t)].c = derive(g, dist, m, t);
+      tasks_[static_cast<std::size_t>(t)].c = derive(g, plane, m, t);
   }
 
   const Task& operator[](int t) const {
@@ -100,21 +103,19 @@ class SwapBound {
   }
 
   /// Account for tasks a and b having just exchanged processors in `m`.
-  template <class Dist>
-  void swapped(const graph::TaskGraph& g, const Dist& dist, const Mapping& m,
-               int a, int b) {
-    moved(g, dist, m, a, b);
-    moved(g, dist, m, b, a);
-    tasks_[static_cast<std::size_t>(a)].c = derive(g, dist, m, a);
-    tasks_[static_cast<std::size_t>(b)].c = derive(g, dist, m, b);
+  void swapped(const graph::TaskGraph& g, const topo::DistanceCache& plane,
+               const Mapping& m, int a, int b) {
+    moved(g, plane, m, a, b);
+    moved(g, plane, m, b, a);
+    tasks_[static_cast<std::size_t>(a)].c = derive(g, plane, m, a);
+    tasks_[static_cast<std::size_t>(b)].c = derive(g, plane, m, b);
   }
 
  private:
   /// An upper bound on C_t under m.
-  template <class Dist>
-  double derive(const graph::TaskGraph& g, const Dist& dist, const Mapping& m,
-                int t) const {
-    const auto row = dist.row(m[static_cast<std::size_t>(t)]);
+  double derive(const graph::TaskGraph& g, const topo::DistanceCache& plane,
+                const Mapping& m, int t) const {
+    const std::uint16_t* row = plane.row(m[static_cast<std::size_t>(t)]);
     double c = 0.0;
     for (const graph::Edge& e : g.edges_of(t))
       c += e.bytes *
@@ -124,11 +125,10 @@ class SwapBound {
 
   /// Updates the bound of every neighbour of t but `other` for t's move
   /// from m[other] (its old processor) to m[t].
-  template <class Dist>
-  void moved(const graph::TaskGraph& g, const Dist& dist, const Mapping& m,
-             int t, int other) {
-    const auto now = dist.row(m[static_cast<std::size_t>(t)]);
-    const auto was = dist.row(m[static_cast<std::size_t>(other)]);
+  void moved(const graph::TaskGraph& g, const topo::DistanceCache& plane,
+             const Mapping& m, int t, int other) {
+    const std::uint16_t* now = plane.row(m[static_cast<std::size_t>(t)]);
+    const std::uint16_t* was = plane.row(m[static_cast<std::size_t>(other)]);
     for (const graph::Edge& e : g.edges_of(t)) {
       if (e.neighbor == other) continue;  // the a-b edge keeps its length
       const int pj = m[static_cast<std::size_t>(e.neighbor)];

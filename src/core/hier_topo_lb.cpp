@@ -14,6 +14,7 @@
 #include "core/metrics.hpp"
 #include "core/refine_topo_lb.hpp"
 #include "core/swap_kernel.hpp"
+#include "core/topo_lb.hpp"
 #include "graph/quotient.hpp"
 #include "obs/obs.hpp"
 #include "partition/multilevel.hpp"
@@ -30,6 +31,9 @@ using graph::UndirectedEdge;
 
 constexpr int kEdgeGrain = 2048;  // swap-delta / hop-bytes edge chunks
 constexpr int kNodeGrain = 16;    // machine-node split chunks
+/// Machine-side levels run their swap pass only while the node count is
+/// at most this cap; deeper (wider) levels keep the quota split as-is.
+constexpr int kRefineNodeCap = 8192;
 
 /// Balancing weights: vertex weights, or all-ones when the graph carries no
 /// compute load (same convention as the multilevel partitioner).
@@ -403,7 +407,7 @@ void split_machine_level(const TaskGraph& g, const topo::Topology& base,
 }  // namespace
 
 HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
-                    Rng& rng, const HierOptions& opt, DistanceMode mode,
+                    Rng& rng, const HierOptions& opt,
                     const CacheHandlePtr& cache) {
   const int n = g.num_vertices();
   const int p = topo.size();
@@ -411,7 +415,6 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
                   "flat_proc_cap must be in [1, 20000] (DistanceCache cap)");
   TOPOMAP_REQUIRE(opt.flat_square_cap >= 0 && opt.flat_square_cap <= 20000,
                   "flat_square_cap must be in [0, 20000] (DistanceCache cap)");
-  TOPOMAP_REQUIRE(opt.coarsen_factor >= 2, "coarsen_factor must be >= 2");
   TOPOMAP_REQUIRE(opt.refine_passes >= 0 && opt.coarse_refine_passes >= 0,
                   "refine pass counts must be non-negative");
   TOPOMAP_REQUIRE(n >= p,
@@ -450,7 +453,7 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
     OBS_SPAN("hier/coarsen_tasks");
     const TaskGraph* cur = &g;
     const long long stop_n =
-        static_cast<long long>(opt.coarsen_factor) * p_eff;
+        static_cast<long long>(HierOptions::coarsen_factor) * p_eff;
     // Cap coarse vertices at ~0.65 of a target part so the coarsest
     // partition can still balance; matching naturally stalls right around
     // stop_n (average coarse weight = total / stop_n = cap/2.6).
@@ -492,12 +495,13 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
     // with this call.
     const CacheHandlePtr solve_handle =
         contracted || !cache ? std::make_shared<CacheHandle>() : cache;
-    if (mode == DistanceMode::kCached) plane_cache = solve_handle->get(plane);
-    mc = TopoLB(opt.order, mode, solve_handle).map(out.quotient, plane, rng);
+    plane_cache = solve_handle->get(plane);
+    mc = TopoLB(EstimationOrder::kSecond, solve_handle)
+             .map(out.quotient, plane, rng);
     if (opt.coarse_refine_passes > 0) {
       RefineResult rr =
           refine_mapping(out.quotient, plane, mc, opt.coarse_refine_passes,
-                         mode, plane_cache.get());
+                         plane_cache.get());
       mc = std::move(rr.mapping);
       out.swaps += rr.swaps;
       out.coarse_hop_bytes = rr.hop_bytes_after;
@@ -515,13 +519,11 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
         mc[static_cast<std::size_t>(assign[static_cast<std::size_t>(v)])];
   {
     OBS_SPAN("hier/uncoarsen_tasks");
+    const detail::CachedDistance plane_dist{*plane_cache};
     const auto level_stats = [&](const TaskGraph& lg,
                                  const Mapping& lm) -> HierLevelStats {
-      const double hb =
-          mode == DistanceMode::kCached
-              ? hop_bytes_dist(lg, detail::CachedDistance{*plane_cache}, lm)
-              : hop_bytes_dist(lg, detail::VirtualDistance{plane}, lm);
-      return HierLevelStats{lg.num_vertices(), hb};
+      return HierLevelStats{lg.num_vertices(),
+                            hop_bytes_dist(lg, plane_dist, lm)};
     };
     out.trajectory.push_back(level_stats(gm, m));
     for (int li = static_cast<int>(tlevels.size()) - 1; li >= 0; --li) {
@@ -532,14 +534,8 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
       for (int v = 0; v < finer.num_vertices(); ++v)
         mf[static_cast<std::size_t>(v)] =
             m[static_cast<std::size_t>(f2c[static_cast<std::size_t>(v)])];
-      if (opt.refine_passes > 0) {
-        out.swaps +=
-            mode == DistanceMode::kCached
-                ? run_level_passes(finer, detail::CachedDistance{*plane_cache},
-                                   mf, opt.refine_passes)
-                : run_level_passes(finer, detail::VirtualDistance{plane}, mf,
-                                   opt.refine_passes);
-      }
+      if (opt.refine_passes > 0)
+        out.swaps += run_level_passes(finer, plane_dist, mf, opt.refine_passes);
       m = std::move(mf);
       out.trajectory.push_back(level_stats(finer, m));
       OBS_SERIES_APPEND("hier/hop_bytes_trajectory",
@@ -574,12 +570,12 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
       m = std::move(next);
       const int pk =
           static_cast<int>(mh.levels[static_cast<std::size_t>(k)].parent.size());
-      if (pk <= opt.refine_node_cap && opt.refine_passes > 0) {
+      if (pk <= kRefineNodeCap && opt.refine_passes > 0) {
         OBS_SPAN("hier/split_refine");
         const RepDistance dist{topo, mh.reps[static_cast<std::size_t>(k)]};
         out.swaps += run_level_passes(g, dist, m, opt.refine_passes);
       }
-      if (pk <= opt.refine_node_cap || k == 0) {
+      if (pk <= kRefineNodeCap || k == 0) {
         const RepDistance dist{topo, mh.reps[static_cast<std::size_t>(k)]};
         out.trajectory.push_back(
             HierLevelStats{n, hop_bytes_dist(g, dist, m)});
@@ -592,20 +588,17 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
   // --- optional final polish ("hier+refine") ---
   if (opt.final_refine) {
     OBS_SPAN("hier/final_refine");
-    if (n == p && !contracted) {
-      RefineResult rr =
-          refine_mapping(g, topo, m, 8, mode, plane_cache.get());
+    if (contracted) {
+      // The real machine is too wide for a plane: distances come from the
+      // topology directly.
+      out.swaps += run_level_passes(g, detail::VirtualDistance{topo}, m, 3);
+    } else if (n == p) {
+      RefineResult rr = refine_mapping(g, topo, m, 8, plane_cache.get());
       m = std::move(rr.mapping);
       out.swaps += rr.swaps;
-    } else if (contracted) {
-      out.swaps +=
-          run_level_passes(g, detail::VirtualDistance{topo}, m, 3);
-    } else if (mode == DistanceMode::kCached) {
-      out.swaps += run_level_passes(
-          g, detail::CachedDistance{*plane_cache}, m, 3);
     } else {
       out.swaps +=
-          run_level_passes(g, detail::VirtualDistance{topo}, m, 3);
+          run_level_passes(g, detail::CachedDistance{*plane_cache}, m, 3);
     }
     if (!out.trajectory.empty()) {
       const double hb = hop_bytes(g, topo, m);
@@ -620,22 +613,19 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
   return out;
 }
 
-HierTopoLB::HierTopoLB(HierOptions options, DistanceMode mode,
-                       CacheHandlePtr cache)
-    : options_(options), mode_(mode), cache_(std::move(cache)) {
+HierTopoLB::HierTopoLB(HierOptions options, CacheHandlePtr cache)
+    : options_(options), cache_(std::move(cache)) {
   TOPOMAP_REQUIRE(options_.flat_proc_cap >= 1 &&
                       options_.flat_proc_cap <= 20000,
                   "flat_proc_cap must be in [1, 20000]");
   TOPOMAP_REQUIRE(options_.flat_square_cap >= 0 &&
                       options_.flat_square_cap <= 20000,
                   "flat_square_cap must be in [0, 20000]");
-  TOPOMAP_REQUIRE(options_.coarsen_factor >= 2,
-                  "coarsen_factor must be >= 2");
 }
 
 Mapping HierTopoLB::map(const graph::TaskGraph& g, const topo::Topology& topo,
                         Rng& rng) const {
-  return hier_map(g, topo, rng, options_, mode_, cache_).mapping;
+  return hier_map(g, topo, rng, options_, cache_).mapping;
 }
 
 std::string HierTopoLB::name() const {

@@ -31,7 +31,6 @@
 #pragma once
 
 #include "core/strategy.hpp"
-#include "core/topo_lb.hpp"
 #include "graph/task_graph.hpp"
 
 namespace topomap::core {
@@ -53,21 +52,16 @@ struct HierOptions {
   /// Task coarsening stops near `coarsen_factor * (coarse node count)`
   /// vertices, so the coarsest partition has a few tasks per node to work
   /// with.
-  int coarsen_factor = 4;
+  static constexpr int coarsen_factor = 4;
   /// Bounded swap passes after each task-side projection level (0 disables
   /// level refinement entirely — the pure-projection mode the exactness
   /// property test relies on).
   int refine_passes = 1;
-  /// Machine-side levels run their swap pass only while the node count is
-  /// at most this cap; deeper (wider) levels keep the quota split as-is.
-  int refine_node_cap = 8192;
   /// RefineTopoLB sweeps over the coarsest (square) mapping; 0 disables.
   int coarse_refine_passes = 4;
   /// "+refine": full RefineTopoLB when the final mapping is square and the
   /// machine small enough, extra finest-level swap passes otherwise.
   bool final_refine = false;
-  /// Estimation order of the coarsest TopoLB solve.
-  EstimationOrder order = EstimationOrder::kSecond;
 };
 
 /// Vertex count and hop-bytes after each task-side projection level (first
@@ -100,14 +94,12 @@ struct HierResult {
 /// (Topology::has_adjacency) so the machine side can be contracted.
 HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
                     Rng& rng, const HierOptions& opt = {},
-                    DistanceMode mode = DistanceMode::kCached,
                     const CacheHandlePtr& cache = nullptr);
 
 /// Strategy adaptor ("hier" / "hier+refine" specs).
 class HierTopoLB final : public MappingStrategy {
  public:
   explicit HierTopoLB(HierOptions options = {},
-                      DistanceMode mode = DistanceMode::kCached,
                       CacheHandlePtr cache = nullptr);
 
   Mapping map(const graph::TaskGraph& g, const topo::Topology& topo,
@@ -119,7 +111,6 @@ class HierTopoLB final : public MappingStrategy {
 
  private:
   HierOptions options_;
-  DistanceMode mode_;
   CacheHandlePtr cache_;  // shared across a composition; may be null
 };
 

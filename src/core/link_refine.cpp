@@ -116,16 +116,15 @@ LinkRefineResult refine_link_load(const graph::TaskGraph& g,
   return result;
 }
 
-LinkRefinedStrategy::LinkRefinedStrategy(StrategyPtr base, int max_passes)
-    : base_(std::move(base)), max_passes_(max_passes) {
+LinkRefinedStrategy::LinkRefinedStrategy(StrategyPtr base)
+    : base_(std::move(base)) {
   TOPOMAP_REQUIRE(base_ != nullptr, "base strategy is null");
-  TOPOMAP_REQUIRE(max_passes_ >= 1, "need at least one sweep");
 }
 
 Mapping LinkRefinedStrategy::map(const graph::TaskGraph& g,
                                  const topo::Topology& topo, Rng& rng) const {
   const Mapping base = base_->map(g, topo, rng);
-  return refine_link_load(g, topo, base, max_passes_).mapping;
+  return refine_link_load(g, topo, base, kMaxPasses).mapping;
 }
 
 std::string LinkRefinedStrategy::name() const {

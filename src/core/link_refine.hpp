@@ -32,10 +32,12 @@ LinkRefineResult refine_link_load(const graph::TaskGraph& g,
                                   const topo::Topology& topo,
                                   const Mapping& m, int max_passes = 4);
 
-/// Strategy adaptor: run `base`, then link-load refinement.
+/// Strategy adaptor: run `base`, then up to kMaxPasses link-load sweeps.
 class LinkRefinedStrategy final : public MappingStrategy {
  public:
-  explicit LinkRefinedStrategy(StrategyPtr base, int max_passes = 4);
+  static constexpr int kMaxPasses = 4;
+
+  explicit LinkRefinedStrategy(StrategyPtr base);
 
   Mapping map(const graph::TaskGraph& g, const topo::Topology& topo,
               Rng& rng) const override;
@@ -43,7 +45,6 @@ class LinkRefinedStrategy final : public MappingStrategy {
 
  private:
   StrategyPtr base_;
-  int max_passes_;
 };
 
 }  // namespace topomap::core

@@ -102,8 +102,7 @@ OptimalResult find_optimal_mapping(const graph::TaskGraph& g,
 /// MappingStrategy facade over find_optimal_mapping so the oracle can ride
 /// every spec-driven harness (make_strategy("optimal"), the CLI, the
 /// invariance suites).  Accepts n <= p (injective; bijective at n == p).
-/// The oracle always reads a dense distance plane, so it takes no
-/// DistanceMode: it is not part of the cached-vs-virtual equivalence suite.
+/// The oracle reads its own dense distance plane and takes no CacheHandle.
 class OptimalLB final : public MappingStrategy {
  public:
   explicit OptimalLB(OptimalOptions options = {})

@@ -27,14 +27,12 @@ struct RefineResult {
 /// hop-bytes are monotonically non-increasing in the number of sweeps.
 /// Each sweep is the sequential first-improvement pass over the O(p^2)
 /// pairs, on the calling thread; it skips the pairs a metric lower bound
-/// proves cannot improve (core/detail/swap_bound.hpp).  Results are
-/// byte-identical for either distance mode.
-/// `cache` (optional) is a prebuilt distance matrix for `topo`; when given
-/// with kCached mode the sweep reuses it instead of building its own.
+/// proves cannot improve (core/detail/swap_bound.hpp).
+/// `cache` (optional) is a prebuilt distance plane for `topo`; when given
+/// the sweep reuses it instead of building its own.
 RefineResult refine_mapping(const graph::TaskGraph& g,
                             const topo::Topology& topo, const Mapping& m,
                             int max_passes = 8,
-                            DistanceMode mode = DistanceMode::kCached,
                             const topo::DistanceCache* cache = nullptr);
 
 /// Change in hop-bytes if tasks a and b exchanged processors under m
@@ -42,12 +40,12 @@ RefineResult refine_mapping(const graph::TaskGraph& g,
 double swap_delta(const graph::TaskGraph& g, const topo::Topology& topo,
                   const Mapping& m, int a, int b);
 
-/// Strategy adaptor: run `base`, then RefineTopoLB.
+/// Strategy adaptor: run `base`, then up to kMaxPasses RefineTopoLB sweeps.
 class RefinedStrategy final : public MappingStrategy {
  public:
-  RefinedStrategy(StrategyPtr base, int max_passes = 8,
-                  DistanceMode mode = DistanceMode::kCached,
-                  CacheHandlePtr cache = nullptr);
+  static constexpr int kMaxPasses = 8;
+
+  explicit RefinedStrategy(StrategyPtr base, CacheHandlePtr cache = nullptr);
 
   Mapping map(const graph::TaskGraph& g, const topo::Topology& topo,
               Rng& rng) const override;
@@ -55,8 +53,6 @@ class RefinedStrategy final : public MappingStrategy {
 
  private:
   StrategyPtr base_;
-  int max_passes_;
-  DistanceMode mode_;
   CacheHandlePtr cache_;  // shared across a composition; may be null
 };
 

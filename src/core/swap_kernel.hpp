@@ -1,8 +1,12 @@
 // Internal: templated pair-swap hop-bytes delta, shared by RefineTopoLB's
-// sweep and AnnealingLB's Metropolis chain.  `Dist` is one of the
-// core/distance_provider.hpp providers; both instantiations compute
-// identical terms in identical order (integer distance difference, then one
-// multiply-accumulate per edge), matching the public swap_delta() exactly.
+// sweep, AnnealingLB's Metropolis chain and HierTopoLB's level passes.
+// The sweep and the chain instantiate it once, on their distance plane
+// (CachedDistance); it stays a template because hier also runs it on
+// representative-processor distances and, where a machine is too wide for
+// a plane, on VirtualDistance (core/distance_provider.hpp).  Every
+// instantiation computes the same terms in the same order (integer
+// distance difference, then one multiply-accumulate per edge), matching
+// the public swap_delta() exactly.
 #pragma once
 
 #include "core/distance_provider.hpp"

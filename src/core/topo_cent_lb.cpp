@@ -1,11 +1,11 @@
 #include "core/topo_cent_lb.hpp"
 
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "core/cache_handle.hpp"
-#include "core/distance_provider.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "topo/distance_cache.hpp"
@@ -14,8 +14,8 @@ namespace topomap::core {
 
 namespace {
 
-template <class Dist>
-Mapping run_topocent(const graph::TaskGraph& g, const Dist& dist) {
+Mapping run_topocent(const graph::TaskGraph& g,
+                     const topo::DistanceCache& plane) {
   const int n = g.num_vertices();
   Mapping m(static_cast<std::size_t>(n), kUnassigned);
   if (n == 0) return m;
@@ -65,7 +65,7 @@ Mapping run_topocent(const graph::TaskGraph& g, const Dist& dist) {
     // --- processor selection: minimise first-order hop-byte cost ---
     // The dominant O(p) x |placed edges| work.  Ascending q with strict `<`
     // keeps the lowest-id processor on ties; each candidate's cost sums in
-    // CSR edge order, so cached and virtual distances agree term for term.
+    // CSR edge order.
     placed_edges.clear();
     for (const graph::Edge& e : g.edges_of(best_task))
       if (task_placed[static_cast<std::size_t>(e.neighbor)])
@@ -76,7 +76,7 @@ Mapping run_topocent(const graph::TaskGraph& g, const Dist& dist) {
     double best_cost = std::numeric_limits<double>::infinity();
     for (int q = 0; q < n; ++q) {
       if (proc_used[static_cast<std::size_t>(q)]) continue;
-      const auto row = dist.row(q);
+      const std::uint16_t* row = plane.row(q);
       double cost = 0.0;
       for (const auto& [bytes, pe] : placed_edges) cost += bytes * row[pe];
       if (cost < best_cost) {
@@ -104,10 +104,8 @@ Mapping TopoCentLB::map(const graph::TaskGraph& g, const topo::Topology& topo,
   (void)rng;  // fully deterministic given the tie-breaking rules above
   require_square(g, topo);
   if (g.num_vertices() == 0) return {};
-  if (mode_ == DistanceMode::kVirtual)
-    return run_topocent(g, detail::VirtualDistance{topo});
   const auto cache = obtain_cache(cache_, topo);
-  return run_topocent(g, detail::CachedDistance{*cache});
+  return run_topocent(g, *cache);
 }
 
 }  // namespace topomap::core

@@ -19,17 +19,14 @@ namespace topomap::core {
 
 class TopoCentLB final : public MappingStrategy {
  public:
-  explicit TopoCentLB(DistanceMode mode = DistanceMode::kCached,
-                      CacheHandlePtr cache = nullptr)
-      : mode_(mode), cache_(std::move(cache)) {}
+  explicit TopoCentLB(CacheHandlePtr cache = nullptr)
+      : cache_(std::move(cache)) {}
 
   Mapping map(const graph::TaskGraph& g, const topo::Topology& topo,
               Rng& rng) const override;
   std::string name() const override { return "TopoCentLB"; }
-  DistanceMode mode() const { return mode_; }
 
  private:
-  DistanceMode mode_;
   CacheHandlePtr cache_;  // shared across a composition; may be null
 };
 

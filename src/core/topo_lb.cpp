@@ -12,7 +12,6 @@
 #include "core/cache_handle.hpp"
 #include "core/detail/gain_select.hpp"
 #include "core/detail/row_minima.hpp"
-#include "core/distance_provider.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -48,9 +47,8 @@ constexpr int kRowGrain = 8;
 constexpr int kTopK = 8;
 
 /// All mutable algorithm state, kept in one place so the update steps after
-/// each placement read like the paper's description.  `Dist` is either
-/// detail::CachedDistance or detail::VirtualDistance; both run identical
-/// arithmetic (core/distance_provider.hpp).
+/// each placement read like the paper's description.  Distances come from
+/// one topo::DistanceCache plane.
 ///
 /// Placed-cost rows: A(t, q) lives in a pool of p-wide rows held only by
 /// *active* tasks — unplaced tasks with at least one placed neighbour.  A
@@ -77,11 +75,10 @@ constexpr int kTopK = 8;
 /// would otherwise refill at once.  A row activates (full rescan into its
 /// top-K buffer) the first time step 4 touches it.  Third order refreshes
 /// every row each cycle, so there the lazy path is disabled.
-template <class Dist>
 struct TopoLBState {
-  TopoLBState(const graph::TaskGraph& graph_in, const Dist& dist_in,
-              EstimationOrder order_in)
-      : g(graph_in), dist(dist_in), order(order_in), n(g.num_vertices()),
+  TopoLBState(const graph::TaskGraph& graph_in,
+              const topo::DistanceCache& plane_in, EstimationOrder order_in)
+      : g(graph_in), plane(plane_in), order(order_in), n(g.num_vertices()),
         lazy(order_in != EstimationOrder::kThird) {
     const auto un = static_cast<std::size_t>(n);
     zero_row.assign(un, 0.0);
@@ -93,7 +90,7 @@ struct TopoLBState {
       comm[static_cast<std::size_t>(t)] = g.comm_bytes(t);
     unplaced_bytes = comm;
     for (int q = 0; q < n; ++q)
-      mean_dist[static_cast<std::size_t>(q)] = dist.mean_distance_from(q);
+      mean_dist[static_cast<std::size_t>(q)] = plane.mean_distance_from(q);
     if (order == EstimationOrder::kThird) {
       sum_dist_free.resize(un);
       for (int q = 0; q < n; ++q)
@@ -193,15 +190,12 @@ struct TopoLBState {
     TOPOMAP_UNREACHABLE("estimation order is an exhaustive enum");
   }
 
-  /// A row of distances from one processor, as the provider hands it out.
-  using DistRow = decltype(std::declval<const Dist&>().row(0));
-
   /// Recompute F_sum and refill row t's top-K minima buffer (see sweep_row).
   void rescan_row(int t) { sweep_row<false>(t, nullptr, 0.0); }
 
   /// One sweep over the free processors in increasing q.  With kFold it
   /// first folds a newly placed neighbour's term into A
-  /// (A(t, q) += bytes * d(proc, q), `*drow` being proc's distance row),
+  /// (A(t, q) += bytes * d(proc, q), `drow` being proc's distance row),
   /// then, for every q, computes f, adds it to F_sum and offers it to the
   /// top-K buffer.  The buffer holds the K smallest (f, q) pairs in
   /// ascending lexicographic order, so its head is the sequential scan's
@@ -214,7 +208,7 @@ struct TopoLBState {
   /// slots (detail::RowMinima): most entries cost one compare against the
   /// buffer's largest f, and the finished buffer needs no sort or copy.
   template <bool kFold>
-  void sweep_row(int t, const DistRow* drow, double bytes) {
+  void sweep_row(int t, const std::uint16_t* drow, double bytes) {
     const int nf = static_cast<int>(free_procs.size());
     OBS_COUNTER_ADD("topolb/row_rescans", 1);
     OBS_COUNTER_ADD("topolb/f_est_evals", nf);
@@ -230,7 +224,7 @@ struct TopoLBState {
         const int q = free_procs[static_cast<std::size_t>(i)];
         double a = arow[q];
         if constexpr (kFold) {
-          a += bytes * static_cast<double>((*drow)[q]);
+          a += bytes * static_cast<double>(drow[q]);
           arow[q] = a;
         }
         const double f = f_of(a, q);
@@ -429,7 +423,7 @@ struct TopoLBState {
     // lands, so the running sum of just-closed incident edges equals the
     // final mapping's hop-bytes after the last placement.
     if (obs::enabled()) {
-      const auto drow_obs = dist.row(proc);
+      const std::uint16_t* drow_obs = plane.row(proc);
       for (const graph::Edge& e : g.edges_of(task)) {
         if (!task_placed[static_cast<std::size_t>(e.neighbor)]) continue;
         obs_hop_bytes +=
@@ -479,7 +473,7 @@ struct TopoLBState {
     }
 
     // 3. Third order: the free-set mean distances all shift.
-    const auto drow = dist.row(proc);
+    const std::uint16_t* drow = plane.row(proc);
     if (order == EstimationOrder::kThird) {
       for (const int q : free_procs)
         sum_dist_free[static_cast<std::size_t>(q)] -=
@@ -501,7 +495,7 @@ struct TopoLBState {
       double* const arow = take_row(e.neighbor);
       update_masks(e.neighbor, false);
       if (incremental) {
-        sweep_row<true>(e.neighbor, &drow, e.bytes);
+        sweep_row<true>(e.neighbor, drow, e.bytes);
       } else {
         for (const int q : free_procs)
           arow[q] += e.bytes * static_cast<double>(drow[q]);
@@ -516,7 +510,7 @@ struct TopoLBState {
   }
 
   const graph::TaskGraph& g;
-  const Dist dist;
+  const topo::DistanceCache& plane;
   const EstimationOrder order;
   const int n;
   const bool lazy;  // passive rows share the global landscape (not 3rd order)
@@ -566,12 +560,11 @@ struct TopoLBState {
   Mapping mapping;
 };
 
-template <class Dist>
-Mapping run_topolb(const graph::TaskGraph& g, const Dist& dist,
+Mapping run_topolb(const graph::TaskGraph& g, const topo::DistanceCache& plane,
                    EstimationOrder order) {
   const int n = g.num_vertices();
   OBS_SPAN("topolb/map");
-  TopoLBState<Dist> st(g, dist, order);
+  TopoLBState st(g, plane, order);
   for (int cycle = 0; cycle < n; ++cycle) {
     if (order == EstimationOrder::kThird && cycle > 0) {
       // Free-set averages moved last cycle; refresh every row (O(p^2)).
@@ -599,10 +592,8 @@ Mapping TopoLB::map(const graph::TaskGraph& g, const topo::Topology& topo,
   (void)rng;  // deterministic; see tie-breaking note in the header
   require_square(g, topo);
   if (g.num_vertices() == 0) return {};
-  if (mode_ == DistanceMode::kVirtual)
-    return run_topolb(g, detail::VirtualDistance{topo}, order_);
   const auto cache = obtain_cache(cache_, topo);
-  return run_topolb(g, detail::CachedDistance{*cache}, order_);
+  return run_topolb(g, *cache, order_);
 }
 
 std::string TopoLB::name() const {

@@ -29,8 +29,7 @@
 // ties by larger total communication then lower id; processor ties by
 // lower id.  Gain comparisons use a relative epsilon so the tie rules do
 // not depend on floating-point noise.  The algorithm is fully
-// deterministic, for any distance mode and any support::parallel thread
-// count.
+// deterministic, for any support::parallel thread count.
 #pragma once
 
 #include <utility>
@@ -44,20 +43,17 @@ enum class EstimationOrder { kFirst = 1, kSecond = 2, kThird = 3 };
 class TopoLB final : public MappingStrategy {
  public:
   explicit TopoLB(EstimationOrder order = EstimationOrder::kSecond,
-                  DistanceMode mode = DistanceMode::kCached,
                   CacheHandlePtr cache = nullptr)
-      : order_(order), mode_(mode), cache_(std::move(cache)) {}
+      : order_(order), cache_(std::move(cache)) {}
 
   Mapping map(const graph::TaskGraph& g, const topo::Topology& topo,
               Rng& rng) const override;
   std::string name() const override;
 
   EstimationOrder order() const { return order_; }
-  DistanceMode mode() const { return mode_; }
 
  private:
   EstimationOrder order_;
-  DistanceMode mode_;
   CacheHandlePtr cache_;  // shared across a composition; may be null
 };
 

@@ -8,6 +8,54 @@
 
 namespace topomap {
 
+namespace {
+
+/// `parse(v, &pos)` over the whole of `v`.  Trailing junk or a malformed
+/// value throws precondition_error("option --<name> is <kind>: '<v>'"), an
+/// out-of-range one "... is out of range: '<v>'".
+template <class Parse>
+auto parse_whole(const std::string& name, const std::string& v, Parse parse,
+                 const char* kind) {
+  std::size_t pos = 0;
+  try {
+    const auto out = parse(v, &pos);
+    if (pos == v.size()) return out;
+  } catch (const std::out_of_range&) {
+    kind = "out of range";
+  } catch (const std::invalid_argument&) {
+  }
+  throw precondition_error("option --" + name + " is " + kind + ": '" + v +
+                           "'");
+}
+
+std::int64_t parse_integer(const std::string& name, const std::string& v) {
+  const auto stoll = [](const std::string& s, std::size_t* pos) {
+    return static_cast<std::int64_t>(std::stoll(s, pos));
+  };
+  return parse_whole(name, v, stoll, "not an integer");
+}
+
+double parse_real(const std::string& name, const std::string& v) {
+  const auto stod = [](const std::string& s, std::size_t* pos) {
+    return std::stod(s, pos);
+  };
+  return parse_whole(name, v, stod, "not a number");
+}
+
+/// The non-empty comma-separated items of `list`, each parsed by `parse`.
+template <class Parse>
+auto parse_list(const std::string& name, const std::string& list,
+                Parse parse) {
+  std::vector<decltype(parse(name, list))> out;
+  std::stringstream ss(list);
+  std::string item;
+  while (std::getline(ss, item, ','))
+    if (!item.empty()) out.push_back(parse(name, item));
+  return out;
+}
+
+}  // namespace
+
 CliParser::CliParser(std::string program_description)
     : description_(std::move(program_description)) {
   add_flag("help", "print this help text");
@@ -87,41 +135,19 @@ std::string CliParser::str(const std::string& name) const {
 }
 
 std::int64_t CliParser::integer(const std::string& name) const {
-  const std::string& v = lookup(name).value;
-  std::size_t pos = 0;
-  const std::int64_t out = std::stoll(v, &pos);
-  TOPOMAP_REQUIRE(pos == v.size(), "option --" + name + " is not an integer");
-  return out;
+  return parse_integer(name, lookup(name).value);
 }
 
 double CliParser::real(const std::string& name) const {
-  const std::string& v = lookup(name).value;
-  std::size_t pos = 0;
-  const double out = std::stod(v, &pos);
-  TOPOMAP_REQUIRE(pos == v.size(), "option --" + name + " is not a number");
-  return out;
+  return parse_real(name, lookup(name).value);
 }
 
 std::vector<std::int64_t> CliParser::int_list(const std::string& name) const {
-  std::vector<std::int64_t> out;
-  std::stringstream ss(lookup(name).value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    out.push_back(std::stoll(item));
-  }
-  return out;
+  return parse_list(name, lookup(name).value, parse_integer);
 }
 
 std::vector<double> CliParser::real_list(const std::string& name) const {
-  std::vector<double> out;
-  std::stringstream ss(lookup(name).value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    out.push_back(std::stod(item));
-  }
-  return out;
+  return parse_list(name, lookup(name).value, parse_real);
 }
 
 std::string CliParser::usage() const {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "support/error.hpp"
+
 namespace topomap {
 
 class CliParser {
@@ -30,10 +32,21 @@ class CliParser {
   bool has(const std::string& name) const { return options_.count(name) > 0; }
   bool flag(const std::string& name) const;
   std::string str(const std::string& name) const;
+  /// The option's value, parsed whole.  A malformed or out-of-range value
+  /// throws precondition_error naming the option.
   std::int64_t integer(const std::string& name) const;
   double real(const std::string& name) const;
 
-  /// Comma-separated integer list, e.g. `--sizes=64,256,1024`.
+  /// integer() as the integer type T: a value T cannot hold throws
+  /// precondition_error naming the option (checked_narrow) instead of
+  /// wrapping through a cast.
+  template <class T>
+  T integer_as(const std::string& name) const {
+    return checked_narrow<T>(integer(name), "option --" + name);
+  }
+
+  /// Comma-separated integer list, e.g. `--sizes=64,256,1024`; each item
+  /// is parsed like integer().
   std::vector<std::int64_t> int_list(const std::string& name) const;
   std::vector<double> real_list(const std::string& name) const;
 

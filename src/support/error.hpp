@@ -5,9 +5,12 @@
 // std::logic_error, so callers (tests, long-running harnesses) can recover.
 #pragma once
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 namespace topomap {
 
@@ -38,6 +41,16 @@ class io_error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// `value` as the integer type T; a value T cannot hold throws
+/// precondition_error("<what> is out of range") instead of wrapping.  The
+/// one narrowing every CLI flag and svc request field goes through.
+template <class T>
+T checked_narrow(std::int64_t value, std::string_view what) {
+  if (!std::in_range<T>(value))
+    throw precondition_error(std::string(what) + " is out of range");
+  return static_cast<T>(value);
+}
 
 namespace detail {
 [[noreturn]] inline void throw_precondition(const char* expr, const char* file,

@@ -1,7 +1,6 @@
 #include "svc/protocol.hpp"
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -83,11 +82,8 @@ std::uint64_t get_unsigned(const json::Value& v, const std::string& key) {
 /// wrapped into T.
 template <class T>
 T get_ranged(const json::Value& v, const std::string& key) {
-  const std::int64_t i = get_integer(v, key);
-  if (i < std::numeric_limits<T>::min() || i > std::numeric_limits<T>::max())
-    throw precondition_error("svc request: field '" + key +
-                             "' is out of range");
-  return static_cast<T>(i);
+  return checked_narrow<T>(get_integer(v, key),
+                           "svc request: field '" + key + "'");
 }
 
 bool get_bool(const json::Value& v, const std::string& key) {

@@ -1,8 +1,8 @@
-// Distance-plane engine tests: the dense cache must agree exactly with
-// virtual Topology dispatch, every strategy must produce byte-identical
-// mappings in cached and virtual modes, results must not depend on the
-// worker-pool size, and known-good hop-bytes goldens pin the TopoLB /
-// TopoCentLB outputs against silent drift.
+// Distance-plane engine tests: every plane entry and row mean must agree
+// exactly with Topology::distance and Topology::mean_distance_from (the
+// reference every strategy's one plane path rests on), results must not
+// depend on the worker-pool size, and golden hop-bytes and mapping hashes
+// pin every strategy's output against silent drift.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,6 +36,19 @@ using core::Mapping;
 using graph::TaskGraph;
 using topo::DistanceCache;
 using topo::make_topology;
+
+/// FNV-1a over every entry of a mapping, for the golden-hash tests.
+std::uint64_t fnv1a(const Mapping& m) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const int proc : m) {
+    const auto u = static_cast<std::uint32_t>(proc);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
 
 const char* const kTopoSpecs[] = {
     "torus:6x6",   "mesh:5x5",  "torus:3x3x3", "mesh:4x3x2",
@@ -110,38 +123,67 @@ TEST(DistanceCache, RejectsOversizedTopology) {
                precondition_error);
 }
 
-// Every strategy the factory can build, in cached vs virtual mode, on a
-// mixed random workload: the mappings must be byte-identical.  This is the
-// property that lets production default to kCached without re-validating
-// any paper experiment.
-class CacheEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+// Every strategy the factory can build on every topology family, on a
+// mixed random workload, pinned as golden mapping hashes.  The hashes were
+// recorded when each strategy still had a second, virtual-dispatch
+// distance path, and both paths produced these bytes.
+const char* const kSweepTopos[] = {"torus:5x5",   "mesh:4x4",
+                                   "torus:3x3x3", "hypercube:4",
+                                   "fattree:2x4", "dragonfly:4"};
+const struct {
+  const char* strategy;
+  std::uint64_t hash[std::size(kSweepTopos)];  // one per kSweepTopos entry
+} kSweep[] = {
+    {"topolb",
+     {0x75fb167f9842765dull, 0x7c76efe03df69dc5ull, 0xe21bdda14d78c21eull,
+      0x35fa9ba17579fe65ull, 0x230adfbdbc6a28c5ull, 0x36db8b4cc2d63665ull}},
+    {"topolb1",
+     {0x75fb167f9842765dull, 0x06cef3a06f8d0a05ull, 0xe21bdda14d78c21eull,
+      0x35fa9ba17579fe65ull, 0x230adfbdbc6a28c5ull, 0x36db8b4cc2d63665ull}},
+    {"topolb3",
+     {0x329134d63699e8bdull, 0xf64c0c1409ee0225ull, 0x7bbfc8b289cc280eull,
+      0x7c382500d5d55fa5ull, 0x0d31365c86535e75ull, 0xc2f9b0982cafc2a5ull}},
+    {"topocent",
+     {0x1cf53c1f7fe82ccdull, 0x0cedb92b7844eee5ull, 0xc3db69943f2bdc1eull,
+      0xfb31a8b1255b0605ull, 0x594fb3f8cd5d5695ull, 0x0bc08621a8a6e795ull}},
+    {"topolb+refine",
+     {0xb29a590ff578b57dull, 0xd7c9e6139bc2a075ull, 0x0c980d40e8935fbeull,
+      0x020431fceff86be5ull, 0x25ee961c98dd8425ull, 0xf0f4cb7af98c9af5ull}},
+    {"topocent+refine",
+     {0xe845beb5c69a672dull, 0x0f90c2ee8559fdf5ull, 0xc3db69943f2bdc1eull,
+      0xab8ea87dca5692c5ull, 0xfeac754213d72e65ull, 0x70d511e3c58b20b5ull}},
+    {"anneal",
+     {0x4abbb26090c68e9dull, 0xf0a676efdc4ec605ull, 0xe9511358aa83513eull,
+      0x56d80e7eacef8415ull, 0xa7d56ef0e017ca25ull, 0xd55870a3b8d9ac85ull}},
+    {"anneal-warm",
+     {0x14f92baa4289457dull, 0x3f2532666bcd82e5ull, 0x144d53e022623e6eull,
+      0x721805df6a485975ull, 0xaf42f32a19da6b85ull, 0x726aa21fe20fecc5ull}},
+};
 
-TEST_P(CacheEquivalenceTest, CachedAndVirtualMappingsAreByteIdentical) {
-  const auto [strategy_spec, topo_spec] = GetParam();
+class StrategySweepTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(StrategySweepTest, MappingMatchesGoldenHash) {
+  const auto [row, col] = GetParam();
+  const char* const strategy = kSweep[row].strategy;
+  const char* const topo_spec = kSweepTopos[col];
   const auto t = make_topology(topo_spec);
   Rng graph_rng(7);
   const TaskGraph g =
       graph::random_graph(t->size(), 3.0 / t->size() + 0.08, 1.0, 64.0,
                           graph_rng, /*require_connected=*/false);
-  const auto cached = core::make_strategy(strategy_spec,
-                                          core::DistanceMode::kCached);
-  const auto virt = core::make_strategy(strategy_spec,
-                                        core::DistanceMode::kVirtual);
-  Rng rng_c(1234), rng_v(1234);
-  const Mapping mc = cached->map(g, *t, rng_c);
-  const Mapping mv = virt->map(g, *t, rng_v);
-  EXPECT_EQ(mc, mv);
+  Rng rng(1234);
+  const Mapping m = core::make_strategy(strategy)->map(g, *t, rng);
+  EXPECT_EQ(fnv1a(m), kSweep[row].hash[col])
+      << std::hex << "0x" << fnv1a(m) << std::dec << ": " << strategy
+      << " on " << topo_spec;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, CacheEquivalenceTest,
+    Sweep, StrategySweepTest,
     ::testing::Combine(
-        ::testing::Values("topolb", "topolb1", "topolb3", "topocent",
-                          "topolb+refine", "topocent+refine", "anneal",
-                          "anneal-warm"),
-        ::testing::Values("torus:5x5", "mesh:4x4", "torus:3x3x3",
-                          "hypercube:4", "fattree:2x4", "dragonfly:4")));
+        ::testing::Range(0, static_cast<int>(std::size(kSweep))),
+        ::testing::Range(0, static_cast<int>(std::size(kSweepTopos)))));
 
 // The parallel kernels must give the same answer for any pool size — the
 // chunk layout depends only on (n, grain), and reductions combine in fixed
@@ -206,20 +248,7 @@ TEST(DistanceCache, GoldenHopBytesOnStencils) {
 // the soft-faulted overlay (a Dijkstra-built plane) run at 256 tasks to
 // keep the suite fast.  A mesh instance has non-integer mean distances, so
 // second-order f values round; the 4096-task stencil on a 3D torus is the
-// flat-4k benchmark op.  Every hash must come out at 1 and 4 threads, and
-// on the healthy machines up to 1024 processors in both distance modes.
-std::uint64_t fnv1a(const Mapping& m) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const int proc : m) {
-    const auto u = static_cast<std::uint32_t>(proc);
-    for (int b = 0; b < 4; ++b) {
-      h ^= (u >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
+// flat-4k benchmark op.  Every hash must come out at 1 and 4 threads.
 TEST(DistanceCache, GoldenTopoLBMappingHashes) {
   struct Instance {
     const char* name;
@@ -305,24 +334,16 @@ TEST(DistanceCache, GoldenTopoLBMappingHashes) {
       overlay.degrade_link(p, overlay.neighbors(p).front(), 0.5);
     const topo::Topology& machine =
         c.soft ? static_cast<const topo::Topology&>(overlay) : *base;
-    // The soft overlay's virtual distance is an early-exit Dijkstra per
-    // call, so soft cases pin the cached mode only, as does the 4096-task
-    // instance (a virtual call per f evaluation there costs seconds).
-    const bool cached_only = c.soft || base->size() > 1024;
-    std::vector<std::pair<core::DistanceMode, int>> runs = {
-        {core::DistanceMode::kCached, 1}, {core::DistanceMode::kCached, 4}};
-    if (!cached_only) runs.emplace_back(core::DistanceMode::kVirtual, 4);
     const auto handle = std::make_shared<core::CacheHandle>();
-    for (const auto& [mode, threads] : runs) {
+    for (const int threads : {1, 4}) {
       support::set_num_threads(threads);
       Rng rng(42);
       const Mapping m =
-          core::TopoLB(c.order, mode, handle).map(inst.graph, machine, rng);
+          core::TopoLB(c.order, handle).map(inst.graph, machine, rng);
       EXPECT_EQ(fnv1a(m), c.hash)
           << std::hex << "0x" << fnv1a(m) << std::dec << ": " << inst.name
           << (c.soft ? " (soft)" : "") << " order "
-          << static_cast<int>(c.order) << " mode " << static_cast<int>(mode)
-          << " threads " << threads;
+          << static_cast<int>(c.order) << " threads " << threads;
     }
   }
   support::set_num_threads(1);
@@ -352,7 +373,7 @@ TEST(DistanceCache, GoldenTopoCentLBMappingHashes) {
     for (const int threads : {1, 4}) {
       support::set_num_threads(threads);
       Rng rng(42);
-      const Mapping m = core::TopoCentLB(core::DistanceMode::kCached, handle)
+      const Mapping m = core::TopoCentLB(handle)
                             .map(c.graph, *machine, rng);
       EXPECT_EQ(fnv1a(m), c.hash)
           << std::hex << "0x" << fnv1a(m) << std::dec << ": " << c.name
@@ -368,7 +389,9 @@ TEST(DistanceCache, GoldenTopoCentLBMappingHashes) {
 // shape on a soft-degraded (weighted-plane) torus, and hier+refine at 32k
 // tasks, whose coarse solve and final polish both run the sweep.  The
 // hashes were recorded on the all-pairs sweep, before the swap bound let
-// it skip pairs; every one must come out at 1 and 4 threads.
+// it skip pairs; every one must come out at 1 and 4 threads.  A last
+// hier+refine case maps four tasks per processor, so its final polish
+// runs bounded swap passes on the plane instead of the sweep.
 TEST(DistanceCache, GoldenRefineMappingHashes) {
   struct Case {
     const char* strategy;
@@ -387,6 +410,8 @@ TEST(DistanceCache, GoldenRefineMappingHashes) {
        0x17ca753bc2e1c7a5ull},
       {"hier+refine", "stencil3d:32x32x32", "torus:16x16x16", "",
        0xe6a2a735c279da42ull},
+      {"hier+refine", "stencil2d:32x32", "torus:16x16", "",
+       0x797c22620d8a0a26ull},
   };
   for (const Case& c : cases) {
     for (const int threads : {1, 4}) {

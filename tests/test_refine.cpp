@@ -145,13 +145,14 @@ TEST(RefineBound, PlanesAreMetrics) {
 
 /// Checks every pair the bound skips under m, and that every C entry
 /// bounds the exact C from above.  Returns the number of skipped pairs.
-int check_skips(const TaskGraph& g, const CachedDistance& dist,
+int check_skips(const TaskGraph& g, const topo::DistanceCache& plane,
                 const Mapping& m, const SwapBound& bound,
                 const std::string& what) {
+  const CachedDistance dist{plane};
   const int n = g.num_vertices();
   int skipped = 0;
   for (int a = 0; a < n; ++a) {
-    const std::uint16_t* row = dist.row(m[static_cast<std::size_t>(a)]);
+    const std::uint16_t* row = plane.row(m[static_cast<std::size_t>(a)]);
     long double c = 0.0L;
     for (const graph::Edge& e : g.edges_of(a))
       c += static_cast<long double>(e.bytes) *
@@ -174,7 +175,6 @@ TEST(RefineBound, SkippedPairsNeverImprove) {
   Rng rng(2024);
   for (const Machine& mc : machines()) {
     const topo::DistanceCache plane(*mc.topo);
-    const CachedDistance dist{plane};
     const int n = plane.size();
     for (const Weights& w : kWeights) {
       const std::string what = mc.name + ", " + w.name + " weights";
@@ -182,8 +182,8 @@ TEST(RefineBound, SkippedPairsNeverImprove) {
       int skipped = 0;
       for (int trial = 0; trial < 3; ++trial) {
         Mapping m = random_mapping(n, rng);
-        SwapBound bound(g, dist, m);
-        skipped += check_skips(g, dist, m, bound, what + " (fresh)");
+        SwapBound bound(g, plane, m);
+        skipped += check_skips(g, plane, m, bound, what + " (fresh)");
         // Incremental updates after swaps, improving or not.
         for (int round = 0; round < 3; ++round) {
           for (int s = 0; s < 12; ++s) {
@@ -192,18 +192,17 @@ TEST(RefineBound, SkippedPairsNeverImprove) {
             if (a == b) continue;
             std::swap(m[static_cast<std::size_t>(a)],
                       m[static_cast<std::size_t>(b)]);
-            bound.swapped(g, dist, m, a, b);
+            bound.swapped(g, plane, m, a, b);
           }
-          skipped += check_skips(g, dist, m, bound, what + " (moved)");
+          skipped += check_skips(g, plane, m, bound, what + " (moved)");
         }
       }
       // A refined mapping, where most pairs are far apart relative to
       // their tasks' edges and the bound skips most often.
       const Mapping refined =
-          core::refine_mapping(g, *mc.topo, random_mapping(n, rng), 8,
-                               core::DistanceMode::kCached, &plane)
+          core::refine_mapping(g, *mc.topo, random_mapping(n, rng), 8, &plane)
               .mapping;
-      skipped += check_skips(g, dist, refined, SwapBound(g, dist, refined),
+      skipped += check_skips(g, plane, refined, SwapBound(g, plane, refined),
                              what + " (refined)");
       EXPECT_GT(skipped, 0) << what << ": the bound never skipped";
     }
@@ -241,8 +240,7 @@ TEST(RefineBound, RefinerMatchesAllPairsSweep) {
       for (const int threads : {1, 4}) {
         support::set_num_threads(threads);
         const core::RefineResult r =
-            core::refine_mapping(g, *mc.topo, start, 8,
-                                 core::DistanceMode::kCached, &plane);
+            core::refine_mapping(g, *mc.topo, start, 8, &plane);
         EXPECT_EQ(r.mapping, expected)
             << mc.name << ", " << w.name << " weights, threads " << threads;
       }

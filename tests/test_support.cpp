@@ -1,12 +1,15 @@
 // Support-library tests: deterministic RNG, statistics, table/CSV, CLI.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "support/cli.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -130,6 +133,20 @@ TEST(Table, RejectsMismatchedRows) {
   EXPECT_THROW(t.add_row({std::int64_t{1}}), precondition_error);
 }
 
+TEST(CheckedNarrow, KeepsEveryValueTheTargetHoldsAndRejectsTheRest) {
+  // Both ends of a target's range pass unchanged; one past either end throws
+  // instead of wrapping (the message is checked through the CLI below).
+  const std::int64_t lo = INT32_MIN, hi = INT32_MAX, uhi = UINT32_MAX;
+  EXPECT_EQ(checked_narrow<int>(lo, "x"), lo);
+  EXPECT_EQ(checked_narrow<int>(hi, "x"), hi);
+  EXPECT_EQ(checked_narrow<std::uint32_t>(uhi, "x"), uhi);
+  for (const std::int64_t v : {lo - 1, hi + 1})
+    EXPECT_THROW(checked_narrow<int>(v, "x"), precondition_error) << v;
+  EXPECT_THROW(checked_narrow<std::uint32_t>(uhi + 1, "x"),
+               precondition_error);
+  EXPECT_THROW(checked_narrow<std::size_t>(-1, "x"), precondition_error);
+}
+
 TEST(Cli, ParsesFlagsOptionsAndLists) {
   CliParser cli("test");
   cli.add_flag("fast", "run fast");
@@ -152,6 +169,42 @@ TEST(Cli, RejectsUnknownAndMalformed) {
   const char* bad2[] = {"prog", "positional"};
   CliParser cli2("test");
   EXPECT_FALSE(cli2.parse(2, bad2));
+
+  // Malformed, out-of-range and too-wide values throw a typed
+  // precondition_error naming the flag, never a bare std::stoll error or a
+  // value wrapped through a narrowing cast.
+  const auto error_of = [](const char* arg, auto read) -> std::string {
+    CliParser c("test");
+    c.add_option("n", "count", "100");
+    c.add_option("bw", "bandwidth", "2.5");
+    c.add_option("sizes", "sweep sizes", "1,2,3");
+    const char* argv[] = {"prog", arg};
+    EXPECT_TRUE(c.parse(2, argv)) << arg;
+    try {
+      read(c);
+    } catch (const precondition_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto as_i64 = [](const CliParser& c) { c.integer("n"); };
+  const auto as_int = [](const CliParser& c) { c.integer_as<int>("n"); };
+  for (const char* arg : {"--n=abc", "--n=12abc", "--n=", "--n=1e99999"})
+    EXPECT_NE(error_of(arg, as_i64).find("--n is not an integer"),
+              std::string::npos)
+        << arg;
+  EXPECT_NE(error_of("--n=99999999999999999999", as_i64).find("--n is out"),
+            std::string::npos);
+  EXPECT_NE(error_of("--n=4294967297", as_int).find("--n is out of range"),
+            std::string::npos);
+  EXPECT_EQ(error_of("--n=-2147483648", as_int), "");
+  EXPECT_NE(error_of("--bw=1.5x", [](const CliParser& c) { c.real("bw"); })
+                .find("--bw is not a number"),
+            std::string::npos);
+  EXPECT_NE(error_of("--sizes=1,x", [](const CliParser& c) {
+              c.int_list("sizes");
+            }).find("--sizes is not an integer"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -171,10 +171,10 @@ ops::Params read_params(const CliParser& cli) {
   if (cli.has("baseline")) {
     p.baseline = cli.str("baseline");
     p.baseline_blind = cli.flag("baseline-blind");
-    p.top_k = static_cast<int>(cli.integer("top-k"));
+    p.top_k = cli.integer_as<int>("top-k");
   }
   if (cli.has("refine-passes")) {
-    p.refine_passes = static_cast<int>(cli.integer("refine-passes"));
+    p.refine_passes = cli.integer_as<int>("refine-passes");
     p.load_weight = cli.real("load-weight");
   }
   if (cli.has("budget")) {
@@ -316,7 +316,7 @@ int cmd_map(int argc, const char* const* argv, bool simulate) {
 
   if (simulate) {
     netsim::AppParams app;
-    app.iterations = static_cast<int>(cli.integer("iterations"));
+    app.iterations = cli.integer_as<int>("iterations");
     app.compute_us = cli.real("compute-us");
     net.bandwidth = cli.real("bandwidth");
     const auto sim = netsim::run_iterative_app(g, machine.machine(), r.mapping,
@@ -472,7 +472,7 @@ int cmd_explain(int argc, const char* const* argv) {
 
   // Busiest-link timeline from the simulator's sampling grid.
   netsim::AppResult sim;
-  const int iterations = static_cast<int>(cli.integer("iterations"));
+  const int iterations = cli.integer_as<int>("iterations");
   if (iterations > 0) {
     netsim::AppParams app;
     app.iterations = iterations;
@@ -531,7 +531,7 @@ int cmd_partition(int argc, const char* const* argv) {
 
   Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
   const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
-  const int k = static_cast<int>(cli.integer("parts"));
+  const int k = cli.integer_as<int>("parts");
   const auto partitioner = part::make_partitioner(cli.str("partitioner"));
   const auto r = partitioner->partition(g, k, rng);
 
@@ -766,11 +766,11 @@ int cmd_chaos(int argc, const char* const* argv) {
   const auto topo = topo::make_topology(cli.str("topology"));
 
   rts::DynamicLBConfig config;
-  config.epochs = static_cast<int>(cli.integer("epochs"));
+  config.epochs = cli.integer_as<int>("epochs");
   config.load_drift = cli.real("load-drift");
   config.comm_drift = cli.real("comm-drift");
   config.resilience.validate = !cli.flag("no-validate");
-  config.resilience.plane_rows = static_cast<int>(cli.integer("plane-rows"));
+  config.resilience.plane_rows = cli.integer_as<int>("plane-rows");
   config.pipeline.partitioner = part::make_partitioner(cli.str("partitioner"));
   config.pipeline.mapper = core::make_strategy(cli.str("strategy"));
   const std::string policy = cli.str("policy");
