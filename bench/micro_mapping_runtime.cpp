@@ -94,8 +94,8 @@ void BM_DistanceCacheBuild(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   const topo::TorusMesh torus = topo::TorusMesh::torus({side, side});
   for (auto _ : state) {
-    topo::DistanceCache cache(torus);
-    benchmark::DoNotOptimize(cache.row(0));
+    topo::DistanceCache cache(torus);  // a byte plane
+    benchmark::DoNotOptimize(cache.row<std::uint8_t>(0));
   }
   state.SetComplexityN(side * side);
 }
@@ -133,7 +133,7 @@ void BM_DistanceCacheBuild_Faulted(benchmark::State& state) {
     const topo::DistanceCache plane(*overlay);
     const topo::DistanceCache sub_plane =
         gather ? topo::DistanceCache(sub, plane) : topo::DistanceCache(sub);
-    benchmark::DoNotOptimize(sub_plane.row(0));
+    benchmark::DoNotOptimize(sub_plane.row<std::uint16_t>(0));
   }
   support::set_num_threads(1);
 }

@@ -111,11 +111,22 @@ TOPOMAP_OBS=0 "$CLI" map --strategy=topolb+refine --tasks=stencil2d:15x16 \
 diff "$OBS_TMP/cold_plain.map" "$OBS_TMP/cold_obs.map"
 # Link faults only: every processor is alive, so the strategy's plane
 # covers the machine, and the run searches its 4096 rows plus one
-# connectivity row (8193 when the expectation searched them again).
+# connectivity row (8193 when the expectation searched them again).  The
+# overlay's plane, the one kind that is repaired in place, stores two bytes
+# per pair: 4096^2 * 2.
 "$CLI" map --strategy=topolb --tasks=stencil2d:64x64 --topology=torus:64x64 \
   --random-link-faults=40 --stats="$OBS_TMP/links_stats.json" >/dev/null
 python3 scripts/check_trace.py --stats "$OBS_TMP/links_stats.json" \
-  --expect-counter faultoverlay/row_searches=4097
+  --expect-counter faultoverlay/row_searches=4097 \
+  --expect-counter distcache/plane_bytes=33554432
+# The flat-4k shape: torus:16x16x16 (diameter 24) fits its plane in one
+# byte per pair, 4096^2 bytes, and TopoLB's work counts on it are pinned.
+"$CLI" map --strategy=topolb --tasks=stencil2d:64x64 \
+  --topology=torus:16x16x16 --stats="$OBS_TMP/flat_stats.json" >/dev/null
+python3 scripts/check_trace.py --stats "$OBS_TMP/flat_stats.json" \
+  --expect-counter distcache/plane_bytes=16777216 \
+  --expect-counter topolb/f_est_evals=16902912 \
+  --expect-counter topolb/row_rescans=8147
 # A swap-dense random start: 278 accepted swaps over eight passes.  Every
 # visited pair is skipped or evaluated exactly once, so the counts pin the
 # sequential first-improvement sweep, and the mapping must not depend on
@@ -226,8 +237,9 @@ echo "sanitized chaos soak ok"
 echo "=== tsan (-fsanitize=thread): parallel, plane, chaos, obs and svc suites ==="
 # ThreadSanitizer over every suite that shares memory across threads: the
 # support::parallel pool and third-order TopoLB's pooled row rescan
-# (test_parallel maps at 1 and 4 threads), the parallel distance-plane fill
-# and repairs (test_distance_cache, test_chaos, and test_refine, which
+# (test_parallel maps at 1 and 4 threads), the parallel distance-plane fill,
+# whose byte planes narrow each row from a per-thread scratch row, and
+# repairs (test_distance_cache, test_chaos, and test_refine, which
 # refines on pooled planes at 1 and 4 threads), faulted-overlay planes,
 # whose row searches keep per-thread scratch (test_fault_overlay and
 # test_soft_faults fill them at 4 threads), the obs registry and the

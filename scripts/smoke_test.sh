@@ -205,6 +205,11 @@ expect_flag_error --top-k "$CLI" explain --tasks=stencil2d:4x4 \
   --topology=torus:4x4 --baseline=random --top-k=4294967297
 expect_flag_error --seed "$CLI" map --tasks=stencil2d:4x4 \
   --topology=torus:4x4 --seed=abc
+# Seeds are unsigned 64-bit: a negative one does not wrap, the largest runs.
+expect_flag_error --seed "$CLI" map --strategy=random --tasks=stencil2d:4x4 \
+  --topology=torus:4x4 --seed=-1
+"$CLI" map --strategy=random --tasks=stencil2d:4x4 --topology=torus:4x4 \
+  --seed=18446744073709551615 >/dev/null
 echo "ok: exit codes         1 usage / 2 precondition / 4 io"
 
 # Self-validation drills: each documented corruption class must be caught

@@ -20,10 +20,11 @@ constexpr double kCooling = 0.9;       // geometric cooling per epoch
 constexpr int kEpochs = 60;
 constexpr double kT0Factor = 1.5;      // T0 = this x mean |delta|
 
-/// The Metropolis chain proper, on the distance plane.
-Mapping run_chain(const graph::TaskGraph& g, const topo::DistanceCache& plane,
-                  Mapping current, double energy, Rng& rng) {
-  const detail::CachedDistance dist{plane};
+/// The Metropolis chain proper, on a distance plane of D entries.
+template <class D>
+Mapping run_chain(const graph::TaskGraph& g,
+                  const detail::CachedDistance<D>& dist, Mapping current,
+                  double energy, Rng& rng) {
   const int n = g.num_vertices();
   Mapping best = current;
   double best_energy = energy;
@@ -92,7 +93,10 @@ Mapping AnnealingLB::map(const graph::TaskGraph& g,
                         : RandomLB().map(g, topo, rng);
   const auto cache = obtain_cache(cache_, topo);
   const double energy = hop_bytes(g, *cache, current);
-  return run_chain(g, *cache, std::move(current), energy, rng);
+  return cache->visit([&](auto tag) {
+    return run_chain(g, detail::CachedDistance<decltype(tag)>{*cache},
+                     std::move(current), energy, rng);
+  });
 }
 
 }  // namespace topomap::core

@@ -20,8 +20,10 @@
 // plane), and kUnreachable = 0xFFFF between components or at dead
 // processors, which keeps the triangle inequality: when d(x, z) is
 // 0xFFFF, no y shares a component with both x and z, so d(x, y) or
-// d(y, z) is 0xFFFF too.  tests/test_refine.cpp checks symmetry and the
-// triangle inequality on every family.
+// d(y, z) is 0xFFFF too.  A byte plane's sentinel 0xFF obeys the same
+// argument, and its entries stay below dmax = 0xFFFF.
+// tests/test_refine.cpp checks symmetry and the triangle inequality on
+// every family.
 //
 // A pair is skipped when fl(fl(w_a + w_b) * D) >= fl(fl(c_a + c_b) * k),
 // with w_t the computed W_t and c_t an upper bound on C_t; a skipped
@@ -29,9 +31,10 @@
 // sweep's acceptance threshold of -1e-12).  Two regimes set k and c:
 //
 // * Exact: every edge weight is an integer and 2 * sum(W) * dmax <= 2^53,
-//   dmax the largest plane entry (0xFFFF).  Then every product and partial
-//   sum here and in swap_delta_dist is an integer of at most 2^53, so all
-//   of it is exact: k = 2, c_t = C_t, and a bound of exactly 0 skips.
+//   dmax the largest entry of a plane at either width (0xFFFF).  Then
+//   every product and partial sum here and in swap_delta_dist is an
+//   integer of at most 2^53, so all of it is exact: k = 2, c_t = C_t,
+//   and a bound of exactly 0 skips.
 // * Rounded: otherwise.  The computed delta lies within
 //   gamma(2g + 1) * (W_a + W_b) * D of the exact one, for maximum degree
 //   g and gamma(k) = k u / (1 - k u), u = eps / 2, and w_t is at most
@@ -51,9 +54,9 @@
 #include <limits>
 #include <vector>
 
+#include "core/distance_provider.hpp"
 #include "core/mapping.hpp"
 #include "graph/task_graph.hpp"
-#include "topo/distance_cache.hpp"
 
 namespace topomap::core::detail {
 
@@ -65,7 +68,8 @@ class SwapBound {
     double c;
   };
 
-  SwapBound(const graph::TaskGraph& g, const topo::DistanceCache& plane,
+  template <class D>
+  SwapBound(const graph::TaskGraph& g, const CachedDistance<D>& dist,
             const Mapping& m)
       : tasks_(static_cast<std::size_t>(g.num_vertices())) {
     int max_degree = 0;
@@ -89,7 +93,7 @@ class SwapBound {
       drift_ = 4.0 * eps;
     }
     for (int t = 0; t < g.num_vertices(); ++t)
-      tasks_[static_cast<std::size_t>(t)].c = derive(g, plane, m, t);
+      tasks_[static_cast<std::size_t>(t)].c = derive(g, dist, m, t);
   }
 
   const Task& operator[](int t) const {
@@ -103,19 +107,21 @@ class SwapBound {
   }
 
   /// Account for tasks a and b having just exchanged processors in `m`.
-  void swapped(const graph::TaskGraph& g, const topo::DistanceCache& plane,
+  template <class D>
+  void swapped(const graph::TaskGraph& g, const CachedDistance<D>& dist,
                const Mapping& m, int a, int b) {
-    moved(g, plane, m, a, b);
-    moved(g, plane, m, b, a);
-    tasks_[static_cast<std::size_t>(a)].c = derive(g, plane, m, a);
-    tasks_[static_cast<std::size_t>(b)].c = derive(g, plane, m, b);
+    moved(g, dist, m, a, b);
+    moved(g, dist, m, b, a);
+    tasks_[static_cast<std::size_t>(a)].c = derive(g, dist, m, a);
+    tasks_[static_cast<std::size_t>(b)].c = derive(g, dist, m, b);
   }
 
  private:
   /// An upper bound on C_t under m.
-  double derive(const graph::TaskGraph& g, const topo::DistanceCache& plane,
+  template <class D>
+  double derive(const graph::TaskGraph& g, const CachedDistance<D>& dist,
                 const Mapping& m, int t) const {
-    const std::uint16_t* row = plane.row(m[static_cast<std::size_t>(t)]);
+    const D* row = dist.row(m[static_cast<std::size_t>(t)]);
     double c = 0.0;
     for (const graph::Edge& e : g.edges_of(t))
       c += e.bytes *
@@ -125,10 +131,11 @@ class SwapBound {
 
   /// Updates the bound of every neighbour of t but `other` for t's move
   /// from m[other] (its old processor) to m[t].
-  void moved(const graph::TaskGraph& g, const topo::DistanceCache& plane,
+  template <class D>
+  void moved(const graph::TaskGraph& g, const CachedDistance<D>& dist,
              const Mapping& m, int t, int other) {
-    const std::uint16_t* now = plane.row(m[static_cast<std::size_t>(t)]);
-    const std::uint16_t* was = plane.row(m[static_cast<std::size_t>(other)]);
+    const D* now = dist.row(m[static_cast<std::size_t>(t)]);
+    const D* was = dist.row(m[static_cast<std::size_t>(other)]);
     for (const graph::Edge& e : g.edges_of(t)) {
       if (e.neighbor == other) continue;  // the a-b edge keeps its length
       const int pj = m[static_cast<std::size_t>(e.neighbor)];

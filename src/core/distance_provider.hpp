@@ -5,13 +5,14 @@
 // mean, against Topology::distance.  TopoLB, TopoCentLB, RefineTopoLB's
 // sweep, AnnealingLB's chain and the swap bound take the plane directly.
 // The templates that also run elsewhere (core/swap_kernel.hpp and
-// HierTopoLB's level passes) take one of these providers: CachedDistance
-// over a plane, or VirtualDistance over plain Topology::distance where
-// there is no plane — hier's final passes on a contracted machine too wide
-// for one, and the public swap_delta().  Both do the same integer distance
-// math.  row(a) returns something indexable by processor id — a raw
-// pointer for the plane, a thin adapter otherwise — and should be hoisted
-// out of inner loops.
+// HierTopoLB's level passes) take one of these providers: CachedDistance<D>
+// over a plane whose entries are D (the caller dispatches once on the
+// plane's width with DistanceCache::visit), or VirtualDistance over plain
+// Topology::distance where there is no plane — hier's final passes on a
+// contracted machine too wide for one, and the public swap_delta().  Both
+// do the same integer distance math.  row(a) returns something indexable
+// by processor id — a raw pointer for the plane, a thin adapter otherwise
+// — and should be hoisted out of inner loops.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +34,12 @@ struct VirtualDistance {
   Row row(int a) const { return Row{topo, a}; }
 };
 
+template <class D>
 struct CachedDistance {
   const topo::DistanceCache& cache;
 
-  int operator()(int a, int b) const { return cache.distance(a, b); }
-  const std::uint16_t* row(int a) const { return cache.row(a); }
+  int operator()(int a, int b) const { return cache.row<D>(a)[b]; }
+  const D* row(int a) const { return cache.row<D>(a); }
 };
 
 }  // namespace topomap::core::detail

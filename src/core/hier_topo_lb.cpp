@@ -195,6 +195,7 @@ class NodeTopology final : public topo::Topology {
            std::to_string(reps_.size()) + ')';
   }
   int distance_scale() const override { return base_.distance_scale(); }
+  int distance_bound() const override { return base_.distance_bound(); }
   void write_distance_row(int p, std::uint16_t* out) const override {
     const int rp = reps_[static_cast<std::size_t>(p)];
     for (std::size_t b = 0; b < reps_.size(); ++b)
@@ -517,9 +518,9 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
   for (int v = 0; v < gm.num_vertices(); ++v)
     m[static_cast<std::size_t>(v)] =
         mc[static_cast<std::size_t>(assign[static_cast<std::size_t>(v)])];
-  {
+  plane_cache->visit([&](auto tag) {
     OBS_SPAN("hier/uncoarsen_tasks");
-    const detail::CachedDistance plane_dist{*plane_cache};
+    const detail::CachedDistance<decltype(tag)> plane_dist{*plane_cache};
     const auto level_stats = [&](const TaskGraph& lg,
                                  const Mapping& lm) -> HierLevelStats {
       return HierLevelStats{lg.num_vertices(),
@@ -541,7 +542,7 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
       OBS_SERIES_APPEND("hier/hop_bytes_trajectory",
                         out.trajectory.back().hop_bytes);
     }
-  }
+  });
 
   // Compose the coarsest group id of every original task (for the
   // projection-exactness tests and callers that want the partition).
@@ -597,8 +598,10 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
       m = std::move(rr.mapping);
       out.swaps += rr.swaps;
     } else {
-      out.swaps +=
-          run_level_passes(g, detail::CachedDistance{*plane_cache}, m, 3);
+      out.swaps += plane_cache->visit([&](auto tag) {
+        return run_level_passes(
+            g, detail::CachedDistance<decltype(tag)>{*plane_cache}, m, 3);
+      });
     }
     if (!out.trajectory.empty()) {
       const double hb = hop_bytes(g, topo, m);

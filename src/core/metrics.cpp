@@ -27,11 +27,14 @@ double hop_bytes(const graph::TaskGraph& g, const topo::DistanceCache& cache,
                   "mapping size does not match task graph");
   for (const int p : m)
     TOPOMAP_REQUIRE(p >= 0 && p < cache.size(), "mapping is incomplete");
-  double total = 0.0;
-  for (const graph::UndirectedEdge& e : g.edges())
-    total += e.bytes * cache.distance(m[static_cast<std::size_t>(e.a)],
-                                      m[static_cast<std::size_t>(e.b)]);
-  return total;
+  return cache.visit([&](auto tag) {
+    using D = decltype(tag);
+    double total = 0.0;
+    for (const graph::UndirectedEdge& e : g.edges())
+      total += e.bytes * cache.row<D>(m[static_cast<std::size_t>(e.a)])
+                             [m[static_cast<std::size_t>(e.b)]];
+    return total;
+  });
 }
 
 double hop_bytes_of_task(const graph::TaskGraph& g, const topo::Topology& topo,

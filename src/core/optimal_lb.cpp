@@ -20,16 +20,22 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Plane entries holding FaultOverlay::kUnreachable price as +infinity, so
+/// Plane entries holding the unreachable sentinel price as +infinity, so
 /// infeasible placements lose every comparison instead of wrapping.
-inline double dist_cost(std::uint16_t d) {
-  return d == topo::FaultOverlay::kUnreachable ? kInf : static_cast<double>(d);
+template <class D>
+double dist_cost(D d) {
+  return d == topo::DistanceCache::kUnreachableEntry<D>
+             ? kInf
+             : static_cast<double>(d);
 }
 
-/// The static problem view shared (read-only) by every root subtree.
+/// The static problem view shared (read-only) by every root subtree, on a
+/// distance plane of D entries.
+template <class D>
 struct Instance {
   const graph::TaskGraph* g = nullptr;
   const topo::DistanceCache* plane = nullptr;
+  const D* row(int q) const { return plane->row<D>(q); }
   int n = 0;  // tasks
   int p = 0;  // processors (usable marked below)
   int usable_count = 0;
@@ -63,16 +69,18 @@ struct Search {
   long long pruned = 0;
   bool budget_exceeded = false;
 
-  explicit Search(const Instance& in)
+  template <class D>
+  explicit Search(const Instance<D>& in)
       : assigned(static_cast<std::size_t>(in.n), -1),
         in_use(static_cast<std::size_t>(in.p), 0) {}
 };
 
 /// Exact cost the task at `depth` adds when placed on q.
-double incremental_cost(const Instance& in, const Search& st, int depth,
+template <class D>
+double incremental_cost(const Instance<D>& in, const Search& st, int depth,
                         int q) {
   double cost = 0.0;
-  const std::uint16_t* qrow = in.plane->row(q);
+  const D* qrow = in.row(q);
   for (const auto& [vd, bytes] : in.back_edges[static_cast<std::size_t>(depth)])
     cost += bytes * dist_cost(qrow[st.assigned[static_cast<std::size_t>(vd)]]);
   return cost;
@@ -98,7 +106,8 @@ constexpr int kFreePairLimit = 24;
 ///           whole machine otherwise.
 /// On a clique mapped onto the whole machine both terms are exact, so the
 /// cost plateau prunes at the root instead of exploding factorially.
-double frontier_bound(const Instance& in, const Search& st, int d) {
+template <class D>
+double frontier_bound(const Instance<D>& in, const Search& st, int d) {
   // --- suffix term -------------------------------------------------------
   const std::vector<double>& bytes_desc =
       in.suffix_bytes_desc[static_cast<std::size_t>(d)];
@@ -112,8 +121,7 @@ double frontier_bound(const Instance& in, const Search& st, int d) {
           in.usable[static_cast<std::size_t>(q)])
         free_procs.push_back(q);
     for (std::size_t i = 0; i < free_procs.size(); ++i) {
-      const std::uint16_t* row =
-          in.plane->row(free_procs[i]);
+      const D* row = in.row(free_procs[i]);
       for (std::size_t j = i + 1; j < free_procs.size(); ++j) {
         const double dcost = dist_cost(row[free_procs[j]]);
         if (dcost < kInf) free_pairs.push_back(dcost);
@@ -131,7 +139,7 @@ double frontier_bound(const Instance& in, const Search& st, int d) {
 
   // --- cross term --------------------------------------------------------
   // (placed-neighbour row, bytes) pairs of the frontier task under price.
-  std::vector<std::pair<const std::uint16_t*, double>> placed;
+  std::vector<std::pair<const D*, double>> placed;
   std::vector<double> col_min(static_cast<std::size_t>(in.p), kInf);
   double row_sum = 0.0;
   int frontier = 0;
@@ -139,8 +147,8 @@ double frontier_bound(const Instance& in, const Search& st, int d) {
     placed.clear();
     for (const auto& [vd, bytes] : in.back_edges[static_cast<std::size_t>(ud)]) {
       if (vd >= d) continue;
-      placed.emplace_back(
-          in.plane->row(st.assigned[static_cast<std::size_t>(vd)]), bytes);
+      placed.emplace_back(in.row(st.assigned[static_cast<std::size_t>(vd)]),
+                          bytes);
     }
     if (placed.empty()) continue;
     ++frontier;
@@ -175,7 +183,8 @@ double frontier_bound(const Instance& in, const Search& st, int d) {
 /// Depth-first branch and bound below an already-committed prefix of
 /// depths [0, d).  Deterministic: children sorted by (incremental cost,
 /// processor id), incumbent updated on strict improvement only.
-void dfs(const Instance& in, Search& st, int d, double partial) {
+template <class D>
+void dfs(const Instance<D>& in, Search& st, int d, double partial) {
   if (d == in.n) {
     if (partial < st.best) {
       st.best = partial;
@@ -221,7 +230,8 @@ void dfs(const Instance& in, Search& st, int d, double partial) {
 /// free usable processor with the cheapest exact placed-edge cost (ties to
 /// the lower id).  Seeds every root's incumbent so pruning bites from the
 /// first node.
-std::pair<double, std::vector<int>> greedy_upper_bound(const Instance& in) {
+template <class D>
+std::pair<double, std::vector<int>> greedy_upper_bound(const Instance<D>& in) {
   Search st(in);
   double total = 0.0;
   for (int d = 0; d < in.n; ++d) {
@@ -296,22 +306,15 @@ std::vector<int> symmetry_roots(const topo::Topology& topo, bool symmetry,
   return all;
 }
 
-}  // namespace
-
-OptimalResult find_optimal_mapping(const graph::TaskGraph& g,
-                                   const topo::Topology& topo,
-                                   const OptimalOptions& options) {
+/// The exact search on `plane`, the distance plane of `topo`, whose
+/// entries are D.
+template <class D>
+OptimalResult search(const graph::TaskGraph& g, const topo::Topology& topo,
+                     const OptimalOptions& options,
+                     const topo::DistanceCache& plane) {
   OptimalResult result;
   const int n = g.num_vertices();
-  if (n == 0) return result;
-  TOPOMAP_REQUIRE(n <= options.max_tasks,
-                  "exact search is factorial: " + std::to_string(n) +
-                      " tasks exceed the max_tasks cap of " +
-                      std::to_string(options.max_tasks));
-  OBS_SPAN("optimal/map");
-
-  Instance in;
-  const topo::DistanceCache plane(topo);
+  Instance<D> in;
   in.g = &g;
   in.plane = &plane;
   in.n = n;
@@ -362,7 +365,7 @@ OptimalResult find_optimal_mapping(const graph::TaskGraph& g,
   std::vector<double> pair_dist;
   for (int a = 0; a < in.p; ++a) {
     if (!in.usable[static_cast<std::size_t>(a)]) continue;
-    const std::uint16_t* row = plane.row(a);
+    const D* row = in.row(a);
     for (int b = a + 1; b < in.p; ++b) {
       if (!in.usable[static_cast<std::size_t>(b)]) continue;
       const double dcost = dist_cost(row[b]);
@@ -463,6 +466,25 @@ OptimalResult find_optimal_mapping(const graph::TaskGraph& g,
   OBS_COUNTER_ADD("optimal/pruned", result.pruned);
   OBS_COUNTER_ADD("optimal/maps", 1);
   return result;
+}
+
+}  // namespace
+
+OptimalResult find_optimal_mapping(const graph::TaskGraph& g,
+                                   const topo::Topology& topo,
+                                   const OptimalOptions& options) {
+  const int n = g.num_vertices();
+  if (n == 0) return {};
+  TOPOMAP_REQUIRE(n <= options.max_tasks,
+                  "exact search is factorial: " + std::to_string(n) +
+                      " tasks exceed the max_tasks cap of " +
+                      std::to_string(options.max_tasks));
+  OBS_SPAN("optimal/map");
+
+  const topo::DistanceCache plane(topo);
+  return plane.visit([&](auto tag) {
+    return search<decltype(tag)>(g, topo, options, plane);
+  });
 }
 
 Mapping OptimalLB::map(const graph::TaskGraph& g, const topo::Topology& topo,

@@ -25,16 +25,17 @@ namespace {
 /// would be rejected anyway; only the pairs the bound cannot skip pay for
 /// swap_delta_dist.  The test costs one plane load and a few scalar loads
 /// against a's hoisted distance row, which a swap moves and so re-hoists.
-bool sweep_once(const graph::TaskGraph& g, const topo::DistanceCache& plane,
-                Mapping& m, detail::SwapBound& bound, int* swaps) {
-  const detail::CachedDistance dist{plane};
+template <class D>
+bool sweep_once(const graph::TaskGraph& g,
+                const detail::CachedDistance<D>& dist, Mapping& m,
+                detail::SwapBound& bound, int* swaps) {
   const int n = static_cast<int>(m.size());
   bool improved = false;
   for (int a = 0; a < n; ++a) {
     std::uint64_t evals = 0;
     int b = a + 1;
     while (b < n) {  // once per run of pairs between accepted swaps
-      const std::uint16_t* row = plane.row(m[static_cast<std::size_t>(a)]);
+      const D* row = dist.row(m[static_cast<std::size_t>(a)]);
       const detail::SwapBound::Task& ta = bound[a];
       for (; b < n; ++b) {
         if (bound.skips(ta, bound[b], row[m[static_cast<std::size_t>(b)]]))
@@ -44,7 +45,7 @@ bool sweep_once(const graph::TaskGraph& g, const topo::DistanceCache& plane,
       }
       if (b == n) break;
       std::swap(m[static_cast<std::size_t>(a)], m[static_cast<std::size_t>(b)]);
-      bound.swapped(g, plane, m, a, b);
+      bound.swapped(g, dist, m, a, b);
       ++*swaps;
       OBS_COUNTER_ADD("refine/swap_accepts", 1);
       improved = true;
@@ -83,14 +84,15 @@ RefineResult refine_mapping(const graph::TaskGraph& g,
   RefineResult result;
   result.mapping = m;
   result.hop_bytes_before = hop_bytes(g, *cache, m);
-  {
+  cache->visit([&](auto tag) {
     OBS_SPAN("refine/run");
-    detail::SwapBound bound(g, *cache, result.mapping);
+    const detail::CachedDistance<decltype(tag)> dist{*cache};
+    detail::SwapBound bound(g, dist, result.mapping);
     for (int pass = 0; pass < max_passes; ++pass) {
       ++result.passes;
-      if (!sweep_once(g, *cache, result.mapping, bound, &result.swaps)) break;
+      if (!sweep_once(g, dist, result.mapping, bound, &result.swaps)) break;
     }
-  }
+  });
   result.hop_bytes_after = hop_bytes(g, *cache, result.mapping);
   TOPOMAP_ASSERT(result.hop_bytes_after <= result.hop_bytes_before + 1e-6,
                  "refinement must never worsen hop-bytes");

@@ -1,7 +1,7 @@
 // Internal: templated pair-swap hop-bytes delta, shared by RefineTopoLB's
 // sweep, AnnealingLB's Metropolis chain and HierTopoLB's level passes.
-// The sweep and the chain instantiate it once, on their distance plane
-// (CachedDistance); it stays a template because hier also runs it on
+// The sweep and the chain instantiate it on their distance plane
+// (CachedDistance<D>, once per plane width); it stays a template because hier also runs it on
 // representative-processor distances and, where a machine is too wide for
 // a plane, on VirtualDistance (core/distance_provider.hpp).  Every
 // instantiation computes the same terms in the same order (integer

@@ -14,6 +14,7 @@ namespace topomap::core {
 
 namespace {
 
+template <class D>
 Mapping run_topocent(const graph::TaskGraph& g,
                      const topo::DistanceCache& plane) {
   const int n = g.num_vertices();
@@ -76,7 +77,7 @@ Mapping run_topocent(const graph::TaskGraph& g,
     double best_cost = std::numeric_limits<double>::infinity();
     for (int q = 0; q < n; ++q) {
       if (proc_used[static_cast<std::size_t>(q)]) continue;
-      const std::uint16_t* row = plane.row(q);
+      const D* row = plane.row<D>(q);
       double cost = 0.0;
       for (const auto& [bytes, pe] : placed_edges) cost += bytes * row[pe];
       if (cost < best_cost) {
@@ -105,7 +106,8 @@ Mapping TopoCentLB::map(const graph::TaskGraph& g, const topo::Topology& topo,
   require_square(g, topo);
   if (g.num_vertices() == 0) return {};
   const auto cache = obtain_cache(cache_, topo);
-  return run_topocent(g, *cache);
+  return cache->visit(
+      [&](auto tag) { return run_topocent<decltype(tag)>(g, *cache); });
 }
 
 }  // namespace topomap::core

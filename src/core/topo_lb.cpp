@@ -48,14 +48,16 @@ constexpr int kTopK = 8;
 
 /// All mutable algorithm state, kept in one place so the update steps after
 /// each placement read like the paper's description.  Distances come from
-/// one topo::DistanceCache plane.
+/// one topo::DistanceCache plane, whose entries are D.
 ///
 /// Placed-cost rows: A(t, q) lives in a pool of p-wide rows held only by
 /// *active* tasks — unplaced tasks with at least one placed neighbour.  A
-/// task takes a row the first time step 4 touches it (a recycled row is
-/// reset to zero, a fresh one starts at zero) and returns it to a LIFO
-/// free list when it is placed, so the next task to activate reuses a row
-/// that is still warm in cache.  Every other task (passive, or never
+/// task takes a row the first time step 4 touches it and returns it to a
+/// LIFO free list when it is placed, so the next task to activate reuses a
+/// row that is still warm in cache.  A taken row is never cleared: the
+/// fold that takes it adds its term to the shared zero row instead, storing
+/// 0.0 + bytes * d at every free processor, and entries at used processors
+/// are never read again.  Every other task (passive, or never
 /// touched in third order) reads one shared zero row.  Memory is
 /// O(p * peak active rows) instead of a dense p x p matrix: a 4096-task 2D
 /// stencil peaks at 136 live rows, while a dense graph approaches one row
@@ -75,6 +77,7 @@ constexpr int kTopK = 8;
 /// would otherwise refill at once.  A row activates (full rescan into its
 /// top-K buffer) the first time step 4 touches it.  Third order refreshes
 /// every row each cycle, so there the lazy path is disabled.
+template <class D>
 struct TopoLBState {
   TopoLBState(const graph::TaskGraph& graph_in,
               const topo::DistanceCache& plane_in, EstimationOrder order_in)
@@ -141,23 +144,24 @@ struct TopoLBState {
     }
   }
 
-  /// Task t's writable A row: the row it already holds, else the most
-  /// recently released one reset to zero, else a fresh zeroed row.
-  double* take_row(int t) {
+  /// Give task t a writable A row, if it holds none yet: the most
+  /// recently released one, else a fresh one.  Either holds stale or
+  /// unwritten values, so the fold that follows reads the zero row in its
+  /// place.  Returns whether t took a row.
+  bool take_row(int t) {
     double*& row = assigned_row[static_cast<std::size_t>(t)];
-    if (row != zero_row.data()) return row;
+    if (row != zero_row.data()) return false;
     holder_pos[static_cast<std::size_t>(t)] = static_cast<int>(holders.size());
     holders.push_back(t);
     if (free_rows.empty()) {
-      row_store.push_back(std::make_unique<double[]>(
-          static_cast<std::size_t>(n)));  // value-initialized: zero
+      row_store.push_back(std::make_unique_for_overwrite<double[]>(
+          static_cast<std::size_t>(n)));
       row = row_store.back().get();
     } else {
       row = free_rows.back();
       free_rows.pop_back();
-      std::fill_n(row, n, 0.0);
     }
-    return row;
+    return true;
   }
 
   /// Task t was placed: its row goes back to the top of the free list.
@@ -191,11 +195,12 @@ struct TopoLBState {
   }
 
   /// Recompute F_sum and refill row t's top-K minima buffer (see sweep_row).
-  void rescan_row(int t) { sweep_row<false>(t, nullptr, 0.0); }
+  void rescan_row(int t) { sweep_row<false>(t, nullptr, 0.0, nullptr); }
 
   /// One sweep over the free processors in increasing q.  With kFold it
   /// first folds a newly placed neighbour's term into A
-  /// (A(t, q) += bytes * d(proc, q), `drow` being proc's distance row),
+  /// (A(t, q) = from[q] + bytes * d(proc, q), `drow` being proc's distance
+  /// row and `from` t's A row, or the zero row for a row just taken),
   /// then, for every q, computes f, adds it to F_sum and offers it to the
   /// top-K buffer.  The buffer holds the K smallest (f, q) pairs in
   /// ascending lexicographic order, so its head is the sequential scan's
@@ -208,7 +213,7 @@ struct TopoLBState {
   /// slots (detail::RowMinima): most entries cost one compare against the
   /// buffer's largest f, and the finished buffer needs no sort or copy.
   template <bool kFold>
-  void sweep_row(int t, const std::uint16_t* drow, double bytes) {
+  void sweep_row(int t, const D* drow, double bytes, const double* from) {
     const int nf = static_cast<int>(free_procs.size());
     OBS_COUNTER_ADD("topolb/row_rescans", 1);
     OBS_COUNTER_ADD("topolb/f_est_evals", nf);
@@ -222,10 +227,12 @@ struct TopoLBState {
     auto sweep = [&](auto f_of) {
       for (int i = 0; i < nf; ++i) {
         const int q = free_procs[static_cast<std::size_t>(i)];
-        double a = arow[q];
+        double a;
         if constexpr (kFold) {
-          a += bytes * static_cast<double>(drow[q]);
+          a = from[q] + bytes * static_cast<double>(drow[q]);
           arow[q] = a;
+        } else {
+          a = arow[q];
         }
         const double f = f_of(a, q);
         sum += f;
@@ -423,7 +430,7 @@ struct TopoLBState {
     // lands, so the running sum of just-closed incident edges equals the
     // final mapping's hop-bytes after the last placement.
     if (obs::enabled()) {
-      const std::uint16_t* drow_obs = plane.row(proc);
+      const D* drow_obs = plane.row<D>(proc);
       for (const graph::Edge& e : g.edges_of(task)) {
         if (!task_placed[static_cast<std::size_t>(e.neighbor)]) continue;
         obs_hop_bytes +=
@@ -473,7 +480,7 @@ struct TopoLBState {
     }
 
     // 3. Third order: the free-set mean distances all shift.
-    const std::uint16_t* drow = plane.row(proc);
+    const D* drow = plane.row<D>(proc);
     if (order == EstimationOrder::kThird) {
       for (const int q : free_procs)
         sum_dist_free[static_cast<std::size_t>(q)] -=
@@ -488,17 +495,22 @@ struct TopoLBState {
     //    exactly one `+= bytes * d` term per placement.  In the incremental
     //    orders one sweep per touched row folds that term into A and
     //    rescans the row.  Third order only folds here; its rows are all
-    //    rescanned at the start of the next cycle.
+    //    rescanned at the start of the next cycle.  A row's first fold, the
+    //    one that takes it, adds to the zero row.
     for (const graph::Edge& e : g.edges_of(task)) {
       if (task_placed[static_cast<std::size_t>(e.neighbor)]) continue;
       unplaced_bytes[static_cast<std::size_t>(e.neighbor)] -= e.bytes;
-      double* const arow = take_row(e.neighbor);
+      const double* const from = take_row(e.neighbor)
+                                     ? zero_row.data()
+                                     : assigned_row[static_cast<std::size_t>(
+                                           e.neighbor)];
       update_masks(e.neighbor, false);
       if (incremental) {
-        sweep_row<true>(e.neighbor, drow, e.bytes);
+        sweep_row<true>(e.neighbor, drow, e.bytes, from);
       } else {
+        double* const arow = assigned_row[static_cast<std::size_t>(e.neighbor)];
         for (const int q : free_procs)
-          arow[q] += e.bytes * static_cast<double>(drow[q]);
+          arow[q] = from[q] + e.bytes * static_cast<double>(drow[q]);
       }
     }
 
@@ -560,11 +572,12 @@ struct TopoLBState {
   Mapping mapping;
 };
 
+template <class D>
 Mapping run_topolb(const graph::TaskGraph& g, const topo::DistanceCache& plane,
                    EstimationOrder order) {
   const int n = g.num_vertices();
   OBS_SPAN("topolb/map");
-  TopoLBState st(g, plane, order);
+  TopoLBState<D> st(g, plane, order);
   for (int cycle = 0; cycle < n; ++cycle) {
     if (order == EstimationOrder::kThird && cycle > 0) {
       // Free-set averages moved last cycle; refresh every row (O(p^2)).
@@ -593,7 +606,9 @@ Mapping TopoLB::map(const graph::TaskGraph& g, const topo::Topology& topo,
   require_square(g, topo);
   if (g.num_vertices() == 0) return {};
   const auto cache = obtain_cache(cache_, topo);
-  return run_topolb(g, *cache, order_);
+  return cache->visit([&](auto tag) {
+    return run_topolb<decltype(tag)>(g, *cache, order_);
+  });
 }
 
 std::string TopoLB::name() const {

@@ -1,7 +1,6 @@
 #include "core/validate.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -143,10 +142,22 @@ void check_plane(const SystemState& st, const ValidateOptions& opts,
           k == 1 ? 0 : static_cast<long long>(i) * (m - 1) / (k - 1))]);
   }
   std::vector<std::uint16_t> fresh(static_cast<std::size_t>(overlay.size()));
+  // A fresh overlay row against the plane's row of D entries, whose
+  // sentinel stands for the overlay's kUnreachable.
+  const auto same_row = [&](auto tag, int p) {
+    using D = decltype(tag);
+    const D* row = plane.row<D>(p);
+    for (std::size_t q = 0; q < fresh.size(); ++q) {
+      const int want = fresh[q] == topo::FaultOverlay::kUnreachable
+                           ? topo::DistanceCache::kUnreachableEntry<D>
+                           : fresh[q];
+      if (row[q] != want) return false;
+    }
+    return true;
+  };
   for (int p : rows) {
     overlay.write_distance_row(p, fresh.data());
-    if (std::memcmp(fresh.data(), plane.row(p),
-                    fresh.size() * sizeof(std::uint16_t)) != 0) {
+    if (!plane.visit([&](auto tag) { return same_row(tag, p); })) {
       out.push_back("plane row " + std::to_string(p) +
                     " differs from a fresh rebuild (stale repair?)");
       continue;

@@ -35,6 +35,17 @@ std::int64_t parse_integer(const std::string& name, const std::string& v) {
   return parse_whole(name, v, stoll, "not an integer");
 }
 
+std::uint64_t parse_unsigned(const std::string& name, const std::string& v) {
+  const auto stoull = [](const std::string& s, std::size_t* pos) {
+    // std::stoull accepts a sign and wraps a negative value: refuse it.
+    const std::size_t first = s.find_first_not_of(" \t\n\v\f\r");
+    if (first != std::string::npos && s[first] == '-')
+      throw std::out_of_range(s);
+    return static_cast<std::uint64_t>(std::stoull(s, pos));
+  };
+  return parse_whole(name, v, stoull, "not an integer");
+}
+
 double parse_real(const std::string& name, const std::string& v) {
   const auto stod = [](const std::string& s, std::size_t* pos) {
     return std::stod(s, pos);
@@ -136,6 +147,10 @@ std::string CliParser::str(const std::string& name) const {
 
 std::int64_t CliParser::integer(const std::string& name) const {
   return parse_integer(name, lookup(name).value);
+}
+
+std::uint64_t CliParser::unsigned_integer(const std::string& name) const {
+  return parse_unsigned(name, lookup(name).value);
 }
 
 double CliParser::real(const std::string& name) const {

@@ -35,6 +35,9 @@ class CliParser {
   /// The option's value, parsed whole.  A malformed or out-of-range value
   /// throws precondition_error naming the option.
   std::int64_t integer(const std::string& name) const;
+  /// The option's value as an unsigned 64-bit integer, parsed whole: a
+  /// negative value is out of range, not wrapped.
+  std::uint64_t unsigned_integer(const std::string& name) const;
   double real(const std::string& name) const;
 
   /// integer() as the integer type T: a value T cannot hold throws

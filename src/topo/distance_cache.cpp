@@ -42,6 +42,15 @@ void deallocate_plane(void* p, std::size_t bytes) noexcept {
 
 }  // namespace detail
 
+namespace {
+
+/// Whether `topo`'s plane stores one byte per pair (see the header).
+bool fits_in_byte(const Topology& topo) {
+  return topo.distance_bound() <= DistanceCache::kMaxByteDistance;
+}
+
+}  // namespace
+
 DistanceCache::DistanceCache(const Topology& topo) {
   allocate(topo.size());
   rebuild_all(topo);
@@ -50,17 +59,22 @@ DistanceCache::DistanceCache(const Topology& topo) {
 DistanceCache::DistanceCache(const SubTopology& sub,
                              const DistanceCache& base_plane) {
   TOPOMAP_REQUIRE(base_plane.size() == sub.base().size() &&
-                      base_plane.scale() == sub.distance_scale(),
+                      base_plane.scale() == sub.distance_scale() &&
+                      base_plane.wide_ == !fits_in_byte(sub),
                   "gathered plane: base plane does not match " + sub.name());
   allocate(sub.size());
+  size_plane(base_plane.wide_);
   OBS_SPAN("distcache/gather");
   OBS_COUNTER_ADD("distcache/rows_gathered", n_);
-  const std::vector<int>& nodes = sub.nodes();
-  fill_rows(sub, [&](int p, std::uint16_t* out) {
-    const std::uint16_t* src =
-        base_plane.row(nodes[static_cast<std::size_t>(p)]);
-    for (int q = 0; q < n_; ++q)
-      out[q] = src[nodes[static_cast<std::size_t>(q)]];
+  base_plane.visit([&](auto tag) {
+    using D = decltype(tag);
+    fill_rows<D>(sub, [&](int p, D* out) {
+      // Locals: byte stores may alias what a capture points to.
+      const int* const nodes = sub.nodes().data();
+      const int n = n_;
+      const D* src = base_plane.row<D>(nodes[p]);
+      for (int q = 0; q < n; ++q) out[q] = src[nodes[q]];
+    });
   });
 }
 
@@ -70,18 +84,30 @@ void DistanceCache::allocate(int n) {
                   "topology too large for a dense distance matrix");
   n_ = n;
   const auto un = static_cast<std::size_t>(n_);
-  dist_.resize(un * un);
   mean_dist_.resize(un);
   row_sum_.resize(un);
   row_reach_.resize(un);
   row_max_.resize(un);
 }
 
-template <typename FillRow>
+void DistanceCache::size_plane(bool wide) {
+  const auto un = static_cast<std::size_t>(n_);
+  wide_ = wide;
+  if (wide) {
+    decltype(dist8_)().swap(dist8_);
+    dist16_.resize(un * un);
+  } else {
+    decltype(dist16_)().swap(dist16_);
+    dist8_.resize(un * un);
+  }
+  OBS_COUNTER_ADD("distcache/plane_bytes",
+                  un * un * static_cast<std::size_t>(entry_bytes()));
+}
+
+template <class D, typename FillRow>
 void DistanceCache::fill_rows(const Topology& topo, FillRow&& fill_row) {
   scale_ = topo.distance_scale();
   const bool row_average_means = topo.mean_is_row_average();
-  const auto un = static_cast<std::size_t>(n_);
   // Rows are independent: fill in parallel, reduce per-chunk diameters in
   // ascending chunk order (max is order-free; kept ordered for form).
   const int grain = 16;
@@ -90,8 +116,8 @@ void DistanceCache::fill_rows(const Topology& topo, FillRow&& fill_row) {
   support::parallel_for_chunks(n_, grain, [&](int chunk, int begin, int end) {
     int mx = 0;
     for (int p = begin; p < end; ++p) {
-      fill_row(p, dist_.data() + static_cast<std::size_t>(p) * un);
-      recompute_row_stats(p);
+      fill_row(p, row_mut<D>(p));
+      recompute_row_stats<D>(p);
       mean_dist_[static_cast<std::size_t>(p)] =
           row_average_means ? row_average(p) : topo.mean_distance_from(p);
       mx = std::max(mx, row_max_[static_cast<std::size_t>(p)]);
@@ -107,19 +133,40 @@ void DistanceCache::rebuild_all(const Topology& topo) {
   OBS_SPAN("distcache/rebuild_all");
   OBS_COUNTER_ADD("distcache/builds", 1);
   OBS_COUNTER_ADD("distcache/rows_built", n_);
-  fill_rows(topo, [&topo](int p, std::uint16_t* out) {
-    topo.write_distance_row(p, out);
+  size_plane(!fits_in_byte(topo));
+  if (wide_) {
+    fill_rows<std::uint16_t>(topo, [&topo](int p, std::uint16_t* out) {
+      topo.write_distance_row(p, out);
+    });
+    return;
+  }
+  fill_rows<std::uint8_t>(topo, [&](int p, std::uint8_t* out) {
+    // The topology writes uint16_t; narrow from this thread's scratch row
+    // while it is in L1.  Every finite entry is <= kMaxByteDistance, so
+    // saturating at 0xFF keeps it and maps 0xFFFF to the byte sentinel.
+    // Locals: byte stores may alias what a capture points to, and a bound
+    // reloaded every iteration keeps the loop from vectorizing.
+    const int n = n_;
+    thread_local std::vector<std::uint16_t> scratch;
+    scratch.resize(static_cast<std::size_t>(n));
+    std::uint16_t* const wide = scratch.data();
+    topo.write_distance_row(p, wide);
+    for (int q = 0; q < n; ++q)
+      out[q] = static_cast<std::uint8_t>(
+          std::min<std::uint16_t>(wide[q], kUnreachableEntry<std::uint8_t>));
   });
 }
 
 bool DistanceCache::rescale_if_needed(const FaultOverlay& overlay) {
-  if (overlay.distance_scale() == scale_) return false;
+  if (overlay.distance_scale() == scale_ && wide_) return false;
   OBS_COUNTER_ADD("distcache/rescale_rebuilds", 1);
   // The plane's units changed (first soft fault engaged the weighted
   // metric, or the last degraded link vanished): every finite entry
-  // re-expresses, so an all-rows rebuild is the incremental repair.  No
-  // aggregate-based mean refresh afterwards — rebuild_all stores the
-  // overlay's own mean values, exactly like a fresh build.
+  // re-expresses, so an all-rows rebuild is the incremental repair.  So is
+  // a byte plane built on the healthy base, which rebuilds at the overlay's
+  // two bytes per entry.  No aggregate-based mean refresh afterwards —
+  // rebuild_all stores the overlay's own mean values, exactly like a fresh
+  // build.
   rebuild_all(overlay);
   return true;
 }
@@ -129,41 +176,41 @@ void DistanceCache::recompute_rows(const FaultOverlay& overlay,
   const int m = static_cast<int>(rows.size());
   OBS_COUNTER_ADD("distcache/repairs", 1);
   OBS_COUNTER_ADD("distcache/rows_repaired", m);
-  const auto un = static_cast<std::size_t>(n_);
   support::parallel_for(m, 4, [&](int begin, int end) {
     for (int i = begin; i < end; ++i) {
       const int s = rows[static_cast<std::size_t>(i)];
-      overlay.write_distance_row(s, dist_.data() +
-                                        static_cast<std::size_t>(s) * un);
-      recompute_row_stats(s);
+      overlay.write_distance_row(s, row_mut<std::uint16_t>(s));
+      recompute_row_stats<std::uint16_t>(s);
     }
   });
 }
 
+template <class D>
 void DistanceCache::recompute_row_stats(int p) {
-  const std::uint16_t* r = row(p);
+  constexpr D kSentinel = kUnreachableEntry<D>;
+  const D* r = row<D>(p);
   const auto up = static_cast<std::size_t>(p);
   // Fast path, one branch-free pass that vectorizes: with no unreachable
   // entry every entry counts, and n <= 20000 entries below 2^16 keep the
   // sum below 2^32.
   std::uint32_t sum32 = 0;
-  std::uint16_t max16 = 0;
+  D max_d = 0;
   for (int q = 0; q < n_; ++q) {
     sum32 += r[q];
-    max16 = std::max(max16, r[q]);
+    max_d = std::max(max_d, r[q]);
   }
-  if (max16 != kUnreachable) {
+  if (max_d != kSentinel) {
     row_sum_[up] = sum32;
     row_reach_[up] = n_;
-    row_max_[up] = max16;
+    row_max_[up] = max_d;
     return;
   }
   long long sum = 0;
   int reach = 0;
   int mx = 0;
   for (int q = 0; q < n_; ++q) {
-    const std::uint16_t d = r[q];
-    if (d == kUnreachable) continue;
+    const D d = r[q];
+    if (d == kSentinel) continue;
     sum += d;
     ++reach;
     mx = std::max(mx, static_cast<int>(d));
@@ -212,7 +259,7 @@ int DistanceCache::repair_link_failure(const FaultOverlay& overlay, int a,
   const int cost = prev_cost > 0 ? prev_cost : scale_;
   std::vector<int> affected;
   for (int s = 0; s < n_; ++s) {
-    const std::uint16_t* r = row(s);
+    const std::uint16_t* r = row<std::uint16_t>(s);
     const std::uint16_t da = r[a];
     const std::uint16_t db = r[b];
     if (da == kUnreachable || db == kUnreachable) continue;
@@ -232,7 +279,6 @@ int DistanceCache::repair_node_failure(const FaultOverlay& overlay, int p) {
                   "repair_node_failure: processor " + std::to_string(p) +
                       " is not failed in the overlay");
   if (rescale_if_needed(overlay)) return n_;
-  const auto un = static_cast<std::size_t>(n_);
   const auto up = static_cast<std::size_t>(p);
 
   // p's surviving DAG-successor candidates: its base neighbors that are
@@ -254,7 +300,7 @@ int DistanceCache::repair_node_failure(const FaultOverlay& overlay, int p) {
   std::vector<int> recompute;  // rows where p was interior to the SP DAG
   for (int s = 0; s < n_; ++s) {
     if (s == p) continue;
-    std::uint16_t* r = dist_.data() + static_cast<std::size_t>(s) * un;
+    std::uint16_t* r = row_mut<std::uint16_t>(s);
     const std::uint16_t dp = r[up];
     if (dp == kUnreachable) continue;  // p was never reachable: row unchanged
     bool interior = false;
@@ -274,13 +320,13 @@ int DistanceCache::repair_node_failure(const FaultOverlay& overlay, int p) {
       const auto us = static_cast<std::size_t>(s);
       row_sum_[us] -= dp;
       row_reach_[us] -= 1;
-      if (static_cast<int>(dp) == row_max_[us]) recompute_row_stats(s);
+      if (static_cast<int>(dp) == row_max_[us])
+        recompute_row_stats<std::uint16_t>(s);
     }
   }
 
   // p's own row: dead source, everything unreachable.
-  std::fill(dist_.begin() + up * un, dist_.begin() + (up + 1) * un,
-            kUnreachable);
+  std::fill_n(row_mut<std::uint16_t>(p), n_, kUnreachable);
   row_sum_[up] = 0;
   row_reach_[up] = 0;
   row_max_[up] = 0;
@@ -313,7 +359,7 @@ int DistanceCache::repair_link_degrade(const FaultOverlay& overlay, int a,
   //    an alternative equal-cost path, leaving distances unchanged).
   std::vector<int> affected;
   for (int s = 0; s < n_; ++s) {
-    const std::uint16_t* r = row(s);
+    const std::uint16_t* r = row<std::uint16_t>(s);
     const std::uint16_t da = r[a];
     const std::uint16_t db = r[b];
     if (da == kUnreachable || db == kUnreachable) continue;
@@ -344,15 +390,14 @@ int DistanceCache::repair_node_restore(const FaultOverlay& overlay, int p) {
   }
   OBS_COUNTER_ADD("distcache/repairs", 1);
   const auto un = static_cast<std::size_t>(n_);
-  const auto up = static_cast<std::size_t>(p);
 
   // One fresh row for the revived processor; every other change derives
   // from it: a path gained by the restore crosses p (at most once — costs
   // are positive), so new_d(s, q) = min(old, d(p, s) + d(p, q)) exactly.
   std::vector<std::uint16_t> row_p(un);
   overlay.write_distance_row(p, row_p.data());
-  std::copy(row_p.begin(), row_p.end(), dist_.begin() + up * un);
-  recompute_row_stats(p);
+  std::copy(row_p.begin(), row_p.end(), row_mut<std::uint16_t>(p));
+  recompute_row_stats<std::uint16_t>(p);
 
   const int grain = 16;
   const int chunks = support::parallel_chunk_count(n_, grain);
@@ -363,7 +408,7 @@ int DistanceCache::repair_node_restore(const FaultOverlay& overlay, int p) {
       if (s == p) continue;
       const int dp = row_p[static_cast<std::size_t>(s)];
       if (dp == kUnreachable) continue;  // s cannot reach p: row unchanged
-      std::uint16_t* r = dist_.data() + static_cast<std::size_t>(s) * un;
+      std::uint16_t* r = row_mut<std::uint16_t>(s);
       bool changed = false;
       for (int q = 0; q < n_; ++q) {
         const int dq = row_p[static_cast<std::size_t>(q)];
@@ -380,7 +425,7 @@ int DistanceCache::repair_node_restore(const FaultOverlay& overlay, int p) {
         }
       }
       if (changed) {
-        recompute_row_stats(s);
+        recompute_row_stats<std::uint16_t>(s);
         ++rows_changed;
       }
     }
@@ -413,7 +458,6 @@ int DistanceCache::repair_link_restore(const FaultOverlay& overlay, int a,
     return n_;
   }
   OBS_COUNTER_ADD("distcache/repairs", 1);
-  const auto un = static_cast<std::size_t>(n_);
 
   // Pre-restore endpoint rows: a path gained by the restore crosses the new
   // edge exactly once (positive costs), so with the *old* metric
@@ -422,8 +466,10 @@ int DistanceCache::repair_link_restore(const FaultOverlay& overlay, int a,
   // reachable and |d(s,a) - d(s,b)| <= c gain nothing (triangle inequality
   // makes both candidates >= old); rows reaching exactly one endpoint may
   // gain entries across the edge.
-  const std::vector<std::uint16_t> old_ra(row(a), row(a) + n_);
-  const std::vector<std::uint16_t> old_rb(row(b), row(b) + n_);
+  const std::uint16_t* ra = row<std::uint16_t>(a);
+  const std::uint16_t* rb = row<std::uint16_t>(b);
+  const std::vector<std::uint16_t> old_ra(ra, ra + n_);
+  const std::vector<std::uint16_t> old_rb(rb, rb + n_);
 
   const int grain = 16;
   const int chunks = support::parallel_chunk_count(n_, grain);
@@ -440,7 +486,7 @@ int DistanceCache::repair_link_restore(const FaultOverlay& overlay, int a,
         const int diff = da > db ? da - db : db - da;
         if (diff <= cost) continue;
       }
-      std::uint16_t* r = dist_.data() + static_cast<std::size_t>(s) * un;
+      std::uint16_t* r = row_mut<std::uint16_t>(s);
       bool changed = false;
       for (int q = 0; q < n_; ++q) {
         int cand = kUnreachable;
@@ -460,7 +506,7 @@ int DistanceCache::repair_link_restore(const FaultOverlay& overlay, int a,
         }
       }
       if (changed) {
-        recompute_row_stats(s);
+        recompute_row_stats<std::uint16_t>(s);
         ++rows_changed;
       }
     }

@@ -5,20 +5,37 @@
 // Metropolis chain — funnels through Topology::distance(a, b).  Through the
 // vtable that is a call + (for grids) a div/mod chain per lookup, repeated
 // billions of times per mapping run.  DistanceCache materializes the whole
-// p x p matrix once (row-major uint16_t, built via the batch
+// p x p matrix once (row-major, built via the batch
 // Topology::write_distance_row hook, rows filled in parallel) plus the
 // per-source mean distances, and hands the kernels raw row pointers.
 //
-// Memory: 2 bytes per pair — 800 MB at the 20000-node cap shared with
-// GraphTopology, 2 MB for a 1024-node BlueGene partition.  Construction is
-// O(p^2) with a small constant (closed-form batch fills for grids and
-// hypercubes, memcpy for GraphTopology) and one pass over the plane: the
-// storage is not zero-filled first (every row fill writes all n entries),
-// a plane of 2 MiB and up is 2 MiB-aligned with MADV_HUGEPAGE advice on
-// Linux (one page fault per 2 MiB instead of per 4 KiB), and each row's
-// stats come from a branch-free uint32 sum / uint16 max over the row while
+// Width: 1 or 2 bytes per pair, derived from the topology and never set.
+// When Topology::distance_bound() — a bound known before the fill — shows
+// every finite entry the plane can ever hold is at most kMaxByteDistance
+// (254), entries are std::uint8_t and 0xFF marks an unreachable pair;
+// otherwise they are std::uint16_t with FaultOverlay::kUnreachable (0xFFFF).
+// Every healthy grid, hypercube, fat-tree and dragonfly up to the node cap
+// with diameter <= 254 fits in a byte (torus:16x16x16: 16 MiB instead of
+// 32 MiB).  A FaultOverlay's plane stays 2 bytes: it is the only plane
+// repaired in place, so it must hold any finite distance the overlay can
+// come to have (weighted Dijkstra costs run to kMaxFiniteDistance), and the
+// repair_* routines and the soft-fault rescale keep their one uint16_t
+// code path.  A SubTopology's bound is its base's, so its plane — fresh or
+// gathered — has its base plane's width.  Topologies still write uint16_t
+// rows; a byte plane narrows each from a per-thread scratch row while the
+// row is in L1.  Kernels read rows through row<D>() and dispatch once per
+// call with visit(), into a body templated on the element type D.
+//
+// Memory: p^2 * entry_bytes() — at most 800 MB at the 20000-node cap shared
+// with GraphTopology, 1 MB for a healthy 1024-node BlueGene partition.
+// Construction is O(p^2) with a small constant (closed-form batch fills for
+// grids and hypercubes, memcpy for GraphTopology) and one pass over the
+// plane: the storage is not zero-filled first (every row fill writes all n
+// entries), a plane of 2 MiB and up is 2 MiB-aligned with MADV_HUGEPAGE
+// advice on Linux (one page fault per 2 MiB instead of per 4 KiB), and each
+// row's stats come from a branch-free uint32 sum / max over the row while
 // it is still in L1 — exact whenever the row has no unreachable entry,
-// because n <= 20000 keeps the sum below 2^32; rows holding kUnreachable
+// because n <= 20000 keeps the sum below 2^32; rows holding the sentinel
 // take the entry-by-entry loop.
 //
 // Determinism contract: distance(a, b) returns exactly the virtual
@@ -40,8 +57,8 @@
 // write_distance_row produces, in the topology's distance_scale() units.
 // For a soft-faulted topo::FaultOverlay that is the fixed-point
 // health-weighted plane (healthy hop = kHealthCostOne units); with every
-// link healthy the scale is 1 and the plane is byte-identical to the plain
-// hop plane.  The scale captured at build time is how repairs detect a
+// link healthy the scale is 1 and the plane holds the plain hop values.
+// The scale captured at build time is how repairs detect a
 // *unit change* (first degrade, or last degraded link disappearing): the
 // whole plane then re-expresses in the new units, so the repair falls back
 // to an all-rows rebuild exactly once per transition.
@@ -71,7 +88,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "topo/topology.hpp"
@@ -117,13 +136,21 @@ struct PlaneAllocator {
 
 class DistanceCache {
  public:
+  /// Largest finite entry a byte plane holds; 0xFF is its sentinel.
+  static constexpr int kMaxByteDistance = 0xFE;
+
+  /// The entry of element type D that marks an unreachable pair: 0xFF in a
+  /// byte plane, FaultOverlay::kUnreachable (0xFFFF) in a uint16_t one.
+  template <class D>
+  static constexpr D kUnreachableEntry = std::numeric_limits<D>::max();
+
   /// Build the dense matrix for `topo`.  Requires size() <= 20000 (the
   /// dense-matrix cap); throws precondition_error beyond it.
   explicit DistanceCache(const Topology& topo);
 
   /// The plane of `sub`, gathered from `base_plane`, a current plane of
-  /// sub.base() (same size and units): no row is searched.  Byte-identical
-  /// to DistanceCache(sub) — matrix, means and diameter.
+  /// sub.base() (same size, units and width): no row is searched.
+  /// Byte-identical to DistanceCache(sub) — matrix, means and diameter.
   DistanceCache(const SubTopology& sub, const DistanceCache& base_plane);
 
   int size() const { return n_; }
@@ -132,15 +159,45 @@ class DistanceCache {
   /// of every matrix entry (1 = plain hops).
   int scale() const { return scale_; }
 
-  /// Row pointer: row(a)[b] == distance(a, b).  The fastest access path —
-  /// hoist it out of inner loops over b.  Rows are contiguous: row(0) is
-  /// the whole n x n matrix.
-  const std::uint16_t* row(int a) const {
-    return dist_.data() + static_cast<std::size_t>(a) * static_cast<std::size_t>(n_);
+  /// Bytes per stored entry: 1 (std::uint8_t) when the topology's
+  /// distance_bound() is at most kMaxByteDistance, else 2 (std::uint16_t).
+  int entry_bytes() const { return wide_ ? 2 : 1; }
+
+  /// Calls f(D{}) with D the plane's element type, std::uint8_t or
+  /// std::uint16_t, and returns its result: a kernel dispatches once per
+  /// call into a body templated on D, which then reads row<D>().
+  template <class F>
+  decltype(auto) visit(F&& f) const {
+    if (wide_) return f(std::uint16_t{});
+    return f(std::uint8_t{});
   }
 
-  /// Bounds-unchecked scalar lookup.
-  int distance(int a, int b) const { return row(a)[b]; }
+  /// Row pointer in the plane's element type D (see visit):
+  /// row<D>(a)[b] is d(a, b), or kUnreachableEntry<D>.  The fastest access
+  /// path — hoist it out of inner loops over b.  Rows are contiguous:
+  /// row<D>(0) is the whole n x n matrix.
+  template <class D>
+  const D* row(int a) const {
+    static_assert(std::is_same_v<D, std::uint8_t> ||
+                      std::is_same_v<D, std::uint16_t>,
+                  "plane entries are std::uint8_t or std::uint16_t");
+    const auto offset =
+        static_cast<std::size_t>(a) * static_cast<std::size_t>(n_);
+    if constexpr (std::is_same_v<D, std::uint8_t>)
+      return dist8_.data() + offset;
+    else
+      return dist16_.data() + offset;
+  }
+
+  /// Bounds-unchecked scalar lookup at either width; an unreachable pair
+  /// reads FaultOverlay::kUnreachable (0xFFFF).
+  int distance(int a, int b) const {
+    if (wide_) return row<std::uint16_t>(a)[b];
+    const int d = row<std::uint8_t>(a)[b];
+    return d == kUnreachableEntry<std::uint8_t>
+               ? kUnreachableEntry<std::uint16_t>
+               : d;
+  }
 
   /// The topology's mean_distance_from(p), captured at build time and kept
   /// exact across repairs.
@@ -150,14 +207,18 @@ class DistanceCache {
 
   int diameter() const { return diameter_; }
 
+  // Repairs run on the uint16_t plane of a FaultOverlay.  The overlay's
+  // base must be the topology this cache was built on (or the overlay
+  // itself); a byte plane built on the healthy base is rebuilt at two
+  // bytes per entry by its first repair, like a change of units.
+
   /// Incorporate overlay.fail_link(a, b) — call once, immediately after the
   /// overlay mutation.  Recomputes only the source rows whose shortest-path
   /// DAG crossed the failed link; refreshes means and diameter.
   /// `prev_cost` is the cost the link carried while alive in the
   /// pre-mutation plane units (fail_link's return value); 0 means "it was
   /// healthy" (one hop — the only possibility before soft faults existed).
-  /// The overlay's base must be the topology this cache was built on (or
-  /// the overlay itself).  Returns the number of rows recomputed.
+  /// Returns the number of rows recomputed.
   int repair_link_failure(const FaultOverlay& overlay, int a, int b,
                           int prev_cost = 0);
 
@@ -207,31 +268,42 @@ class DistanceCache {
   void rebuild(const Topology& topo);
 
  private:
-  /// Size the storage for n processors (n <= 20000).
+  /// Size the per-row storage for n processors (n <= 20000).
   void allocate(int n);
-  /// Fill every row with fill_row(p, row) in parallel, then its aggregates
-  /// and mean (the virtual's, or the row average it stands for), and the
-  /// diameter.
-  template <typename FillRow>
+  /// Size the plane at the given width, releasing the other width's.
+  void size_plane(bool wide);
+  /// Fill every row with fill_row(p, row) in parallel, row being p's D
+  /// entries, then its aggregates and mean (the virtual's, or the row
+  /// average it stands for), and the diameter.
+  template <class D, typename FillRow>
   void fill_rows(const Topology& topo, FillRow&& fill_row);
   void rebuild_all(const Topology& topo);
   /// All-rows rebuild when the overlay's distance_scale() no longer matches
-  /// the plane's units.  Returns true when it rebuilt (repair is done).
+  /// the plane's units, or the plane is a byte plane.  Returns true when it
+  /// rebuilt (repair is done).
   bool rescale_if_needed(const FaultOverlay& overlay);
   /// Recompute the given source rows from the overlay, in parallel.
   void recompute_rows(const FaultOverlay& overlay,
                       const std::vector<int>& rows);
+  template <class D>
   void recompute_row_stats(int p);
   /// row_sum / row_reach, divided once (0.0 for a row with nothing
   /// reachable): FaultOverlay's and SubTopology's mean arithmetic.
   double row_average(int p) const;
   void refresh_means_and_diameter();
+  template <class D>
+  D* row_mut(int a) {
+    return const_cast<D*>(row<D>(a));
+  }
 
   int n_ = 0;
   int scale_ = 1;
   int diameter_ = 0;
-  // Row-major n x n; entries are unwritten until rebuild_all fills them.
-  std::vector<std::uint16_t, detail::PlaneAllocator<std::uint16_t>> dist_;
+  bool wide_ = true;
+  // Row-major n x n at one width; the other stays empty.  Entries are
+  // unwritten until a row fill writes them.
+  std::vector<std::uint8_t, detail::PlaneAllocator<std::uint8_t>> dist8_;
+  std::vector<std::uint16_t, detail::PlaneAllocator<std::uint16_t>> dist16_;
   std::vector<double> mean_dist_;    // virtual mean_distance_from values
   // Exact per-row aggregates (finite entries only, self included) letting
   // repairs reproduce the overlay's integer mean arithmetic bit-for-bit.

@@ -191,6 +191,10 @@ class FaultOverlay final : public Topology {
   double mean_pairwise_distance() const override;
   /// Largest finite alive-pair distance (in distance_scale() units).
   int diameter() const override;
+  /// kMaxFiniteDistance: the plane of an overlay is repaired in place
+  /// across faults and unit changes, so it stays wide enough for any
+  /// finite distance the overlay can come to have.
+  int distance_bound() const override { return kMaxFiniteDistance; }
   /// Cheapest alive route.  Keeps the base's deterministic route whenever
   /// the faults (hard or soft) do not touch it — such a route is still
   /// weighted-optimal, since every alternative crosses at least as many

@@ -49,6 +49,8 @@ class SubTopology final : public Topology {
   /// Every entry of a row is finite, and the mean is their sum over size().
   bool mean_is_row_average() const override { return true; }
   int diameter() const override;
+  /// The base's: a subset's distances are some of the base's.
+  int distance_bound() const override { return base_->distance_bound(); }
   /// The base route translated to compact ids.  Succeeds whenever the base
   /// route stays inside the subset (always true over a FaultOverlay's alive
   /// set); throws precondition_error if an intermediate hop is excluded —

@@ -81,6 +81,14 @@ class Topology {
   /// Maximum distance between any pair of processors.
   virtual int diameter() const;
 
+  /// An upper bound on every finite distance(a, b), in distance_scale()
+  /// units, known without a search: topo::DistanceCache stores one byte per
+  /// pair when it is at most 254.  diameter() by default (a closed form or
+  /// a stored value on every concrete machine).  A view of another
+  /// topology's distances returns its base's bound; a FaultOverlay, whose
+  /// plane is repaired in place, the largest uint16_t plane entry.
+  virtual int distance_bound() const { return diameter(); }
+
   /// The route a message from a to b takes, written into `path` (which is
   /// overwritten, so many walks reuse one buffer) as the nodes [a, ..., b].
   /// Deterministic; grids route dimension-ordered, the default is a BFS

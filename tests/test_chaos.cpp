@@ -47,7 +47,10 @@ void expect_plane_matches_rebuild(const DistanceCache& repaired,
   ASSERT_EQ(fresh.size(), n) << context;
   EXPECT_EQ(repaired.scale(), fresh.scale()) << context;
   EXPECT_EQ(repaired.diameter(), fresh.diameter()) << context;
-  EXPECT_EQ(std::memcmp(repaired.row(0), fresh.row(0),
+  ASSERT_EQ(repaired.entry_bytes(), 2) << context;
+  ASSERT_EQ(fresh.entry_bytes(), 2) << context;
+  EXPECT_EQ(std::memcmp(repaired.row<std::uint16_t>(0),
+                        fresh.row<std::uint16_t>(0),
                         static_cast<std::size_t>(n) *
                             static_cast<std::size_t>(n) * sizeof(std::uint16_t)),
             0)

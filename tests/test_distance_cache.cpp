@@ -28,6 +28,7 @@
 #include "topo/factory.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/fault_overlay.hpp"
+#include "topo/sub_topology.hpp"
 
 namespace topomap {
 namespace {
@@ -55,29 +56,86 @@ const char* const kTopoSpecs[] = {
     "hypercube:5", "fattree:3x3", "dragonfly:5",
 };
 
+// Every plane at both widths: the topology's own plane stores one byte per
+// pair, the plane of a fault-free FaultOverlay over it two (an overlay's
+// plane is repaired in place, so it is always two bytes wide).
 TEST(DistanceCache, MatchesVirtualDistanceExactly) {
   std::vector<const char*> specs(std::begin(kTopoSpecs), std::end(kTopoSpecs));
-  // A hybrid torus/mesh, and an 8 MiB plane: planes of 2 MiB and up are
-  // allocated 2 MiB-aligned with huge-page advice.
+  // A hybrid torus/mesh, and an 8 MiB plane at two bytes (4 MiB at one):
+  // planes of 2 MiB and up are allocated 2 MiB-aligned with huge-page
+  // advice.
   specs.push_back("hybrid:6wx5o");
   specs.push_back("torus:16x16x8");
   for (const char* spec : specs) {
     const auto t = make_topology(spec);
-    const DistanceCache cache(*t);
-    ASSERT_EQ(cache.size(), t->size());
-    int max_seen = 0;
-    for (int a = 0; a < t->size(); ++a) {
-      const std::uint16_t* row = cache.row(a);
-      for (int b = 0; b < t->size(); ++b) {
-        ASSERT_EQ(static_cast<int>(row[b]), t->distance(a, b))
-            << spec << " (" << a << "," << b << ")";
-        max_seen = std::max(max_seen, static_cast<int>(row[b]));
-      }
-      // The determinism contract: the *virtual* mean, bit for bit.
-      ASSERT_EQ(cache.mean_distance_from(a), t->mean_distance_from(a)) << spec;
+    const topo::FaultOverlay healthy(t);
+    for (const topo::Topology* machine :
+         {t.get(), static_cast<const topo::Topology*>(&healthy)}) {
+      const DistanceCache cache(*machine);
+      ASSERT_EQ(cache.size(), t->size());
+      EXPECT_EQ(cache.entry_bytes(), machine == t.get() ? 1 : 2) << spec;
+      int max_seen = 0;
+      cache.visit([&](auto tag) {
+        using D = decltype(tag);
+        for (int a = 0; a < t->size(); ++a) {
+          const D* row = cache.row<D>(a);
+          for (int b = 0; b < t->size(); ++b) {
+            ASSERT_EQ(static_cast<int>(row[b]), t->distance(a, b))
+                << spec << " (" << a << "," << b << ")";
+            ASSERT_EQ(cache.distance(a, b), t->distance(a, b));
+            max_seen = std::max(max_seen, static_cast<int>(row[b]));
+          }
+          // The determinism contract: the *virtual* mean, bit for bit.
+          ASSERT_EQ(cache.mean_distance_from(a), t->mean_distance_from(a))
+              << spec;
+        }
+      });
+      EXPECT_EQ(cache.diameter(), max_seen) << spec;
     }
-    EXPECT_EQ(cache.diameter(), max_seen) << spec;
   }
+}
+
+// The width rule at its boundary: a byte holds every distance up to 254,
+// so mesh:255 (diameter 254) is stored at one byte per pair and mesh:256
+// (diameter 255) at two.  Planes of a FaultOverlay stay two bytes wide,
+// also when a soft fault leaves every distance small, and so do the planes
+// of a subset of one.
+TEST(DistanceCache, WidthFollowsTheDistanceBound) {
+  for (const auto& [spec, bytes] :
+       {std::pair{"mesh:255", 1}, std::pair{"mesh:256", 2}}) {
+    const auto t = make_topology(spec);
+    const DistanceCache cache(*t);
+    EXPECT_EQ(cache.entry_bytes(), bytes) << spec;
+    EXPECT_EQ(cache.diameter(), t->size() - 1) << spec;
+    for (int b = 0; b < t->size(); ++b)
+      ASSERT_EQ(cache.distance(0, b), b) << spec;
+    EXPECT_EQ(cache.distance(t->size() - 1, 0), t->size() - 1) << spec;
+  }
+  const auto torus = make_topology("torus:4x4");
+  const auto soft = std::make_shared<topo::FaultOverlay>(torus);
+  soft->degrade_link(0, 1, 0.5);
+  ASSERT_LE(soft->diameter(), DistanceCache::kMaxByteDistance);
+  EXPECT_EQ(DistanceCache(*soft).entry_bytes(), 2);
+  const topo::SubTopology soft_sub(soft, {0, 1, 2, 5});
+  EXPECT_EQ(DistanceCache(soft_sub).entry_bytes(), 2);
+  const topo::SubTopology healthy_sub(torus, {0, 1, 2, 5});
+  EXPECT_EQ(DistanceCache(healthy_sub).entry_bytes(), 1);
+
+  // A byte plane of the healthy base, repaired against an overlay over it,
+  // is rebuilt at two bytes per pair and equals a fresh overlay plane.
+  DistanceCache repaired(*torus);
+  ASSERT_EQ(repaired.entry_bytes(), 1);
+  topo::FaultOverlay overlay(torus);
+  overlay.fail_node(5);
+  EXPECT_EQ(repaired.repair_node_failure(overlay, 5), torus->size());
+  const DistanceCache fresh(overlay);
+  ASSERT_EQ(repaired.entry_bytes(), 2);
+  for (int a = 0; a < torus->size(); ++a) {
+    for (int b = 0; b < torus->size(); ++b)
+      ASSERT_EQ(repaired.distance(a, b), fresh.distance(a, b));
+    EXPECT_EQ(repaired.mean_distance_from(a), fresh.mean_distance_from(a));
+  }
+  EXPECT_EQ(repaired.diameter(), fresh.diameter());
 }
 
 // Hard faults put FaultOverlay::kUnreachable entries in every row, which
@@ -101,9 +159,11 @@ TEST(DistanceCache, FreshBuildOnHardFaultsMatchesRepairedPlane) {
   const DistanceCache fresh(*overlay);
   const int p = fresh.size();
   ASSERT_EQ(repaired.size(), p);
+  ASSERT_EQ(repaired.entry_bytes(), 2);
+  ASSERT_EQ(fresh.entry_bytes(), 2);
   for (int a = 0; a < p; ++a) {
-    const std::uint16_t* fr = fresh.row(a);
-    const std::uint16_t* rr = repaired.row(a);
+    const std::uint16_t* fr = fresh.row<std::uint16_t>(a);
+    const std::uint16_t* rr = repaired.row<std::uint16_t>(a);
     ASSERT_GT(std::count(fr, fr + p, topo::FaultOverlay::kUnreachable), 0)
         << "row " << a << " has no unreachable entry";
     ASSERT_TRUE(std::equal(fr, fr + p, rr)) << "row " << a;

@@ -169,12 +169,15 @@ TEST(SubTopology, RejectsDisconnectedSubsets) {
 }
 
 // ---------------------------------------------------------------------------
-// Pinned faulted planes.  FNV-1a over the matrix bytes and over the stored
-// means, plus the diameter, of node-, link- and soft-faulted overlays and of
-// the SubTopology over each one's primary component, at 1 and 4 threads.
-// The values were recorded before the overlay's searches shared one
-// adjacency walk and before the cache took faulted means from its row sums,
-// so they pin that every plane byte survived both.
+// Pinned faulted planes.  FNV-1a over the matrix entries as uint16_t values
+// and over the stored means, plus the diameter, of node-, link- and
+// soft-faulted overlays and of the SubTopology over each one's primary
+// component, at 1 and 4 threads.  The values were recorded before the
+// overlay's searches shared one adjacency walk and before the cache took
+// faulted means from its row sums, so they pin that every plane byte
+// survived both.  The same pins of the healthy bases, and of the subsets of
+// them, run on byte planes; they were recorded when every plane stored
+// uint16_t entries.
 // ---------------------------------------------------------------------------
 
 struct PlanePin {
@@ -193,12 +196,20 @@ std::uint64_t fnv1a(const void* data, std::size_t n) {
   return h;
 }
 
+/// The pin of a plane at either width: entries hash as the uint16_t values
+/// a two-byte plane stores (an unreachable pair as 0xFFFF).
 PlanePin pin_of(const DistanceCache& c) {
-  const auto n = static_cast<std::size_t>(c.size());
+  const int p = c.size();
+  const auto n = static_cast<std::size_t>(p);
+  std::vector<std::uint16_t> matrix;
+  matrix.reserve(n * n);
+  for (int a = 0; a < p; ++a)
+    for (int b = 0; b < p; ++b)
+      matrix.push_back(static_cast<std::uint16_t>(c.distance(a, b)));
   std::vector<double> means(n);
-  for (std::size_t p = 0; p < n; ++p)
-    means[p] = c.mean_distance_from(static_cast<int>(p));
-  return {fnv1a(c.row(0), n * n * sizeof(std::uint16_t)),
+  for (std::size_t q = 0; q < n; ++q)
+    means[q] = c.mean_distance_from(static_cast<int>(q));
+  return {fnv1a(matrix.data(), n * n * sizeof(std::uint16_t)),
           fnv1a(means.data(), n * sizeof(double)), c.diameter()};
 }
 
@@ -286,10 +297,57 @@ TEST(FaultedPlanePins, OverlayAndSubTopologyPlanesAreUnchanged) {
                                std::to_string(c.links) + " degrades=" +
                                std::to_string(c.degrades) + " threads=" +
                                std::to_string(threads);
-      expect_pin(pin_of(DistanceCache(*overlay)), c.overlay,
-                 what + " overlay");
+      const DistanceCache overlay_plane(*overlay);
+      EXPECT_EQ(overlay_plane.entry_bytes(), 2) << what;
+      expect_pin(pin_of(overlay_plane), c.overlay, what + " overlay");
       const SubTopology sub(overlay, connected_components(*overlay).primary());
       expect_pin(pin_of(DistanceCache(sub)), c.sub, what + " sub");
+    }
+  }
+  support::set_num_threads(1);
+}
+
+// Each topology of the table above, healthy, and its subset of the
+// processors that survive the table's five node faults: byte planes.
+TEST(FaultedPlanePins, HealthyBaseAndSubsetPlanesAreUnchanged) {
+  const struct {
+    const char* topology;
+    PlanePin base;
+    PlanePin sub;
+  } cases[] = {
+      {"torus:6x6x4",
+       {0x510042ebaf47e283ull, 0x64973c20ec944983ull, 8},
+       {0x2d1c680a41dce86bull, 0x7a17593fb9cce751ull, 8}},
+      {"mesh:8x8",
+       {0xada629c01c467d03ull, 0xd20458055928af83ull, 14},
+       {0x697c25784ade2d8bull, 0xc8f244df67d7b8bbull, 14}},
+      {"hypercube:7",
+       {0x1f524432b1180383ull, 0xf8ed1db757ba1383ull, 7},
+       {0x318c5591539fe57bull, 0x400512ca2ebf4b00ull, 7}},
+      {"dragonfly:6",
+       {0x324243937db3996bull, 0x10edc46347575debull, 3},
+       {0x6381b4f307da78bbull, 0xf89ee5b9b7408d1dull, 3}},
+      {"fattree:4x3",
+       {0x318f6f501747bd83ull, 0x5a64474a9aba8783ull, 6},
+       {0xdd49a61c536de5bbull, 0x5a4ae149f87ed70bull, 6}},
+  };
+  for (const int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    for (const auto& c : cases) {
+      const std::string what =
+          std::string(c.topology) + " threads=" + std::to_string(threads);
+      FaultSpec spec;
+      spec.random_node_faults = 5;
+      spec.seed = 11;
+      const auto base = make_topology(c.topology);
+      const auto overlay = build_fault_overlay(base, spec);
+      const SubTopology sub(base, connected_components(*overlay).primary());
+      const DistanceCache base_plane(*base);
+      const DistanceCache sub_plane(sub);
+      EXPECT_EQ(base_plane.entry_bytes(), 1) << what;
+      EXPECT_EQ(sub_plane.entry_bytes(), 1) << what;
+      expect_pin(pin_of(base_plane), c.base, what + " base");
+      expect_pin(pin_of(sub_plane), c.sub, what + " sub");
     }
   }
   support::set_num_threads(1);
@@ -299,10 +357,13 @@ void expect_same_plane(const DistanceCache& got, const DistanceCache& want,
                        const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   EXPECT_EQ(got.scale(), want.scale()) << what;
+  ASSERT_EQ(got.entry_bytes(), want.entry_bytes()) << what;
   const auto n = static_cast<std::size_t>(want.size());
-  EXPECT_EQ(std::memcmp(got.row(0), want.row(0), n * n * sizeof(std::uint16_t)),
-            0)
-      << what << ": matrix";
+  want.visit([&](auto tag) {
+    using D = decltype(tag);
+    EXPECT_EQ(std::memcmp(got.row<D>(0), want.row<D>(0), n * n * sizeof(D)), 0)
+        << what << ": matrix";
+  });
   for (int p = 0; p < want.size(); ++p)
     ASSERT_EQ(got.mean_distance_from(p), want.mean_distance_from(p))
         << what << ": mean of row " << p;
@@ -331,11 +392,15 @@ TEST(FaultedPlanePins, GatheredSubPlaneEqualsAFreshBuild) {
     }
   }
   support::set_num_threads(1);
-  // A subset of a healthy machine (closed-form base plane).
+  // A subset of a healthy machine (closed-form base plane), gathered from
+  // the base's byte plane.
   const auto torus = make_topology("torus:6x6");
   const SubTopology corner(torus, {0, 1, 2, 6, 7, 8, 12, 13, 14, 35});
-  expect_same_plane(DistanceCache(corner, DistanceCache(*torus)),
-                    DistanceCache(corner), "torus:6x6 corner");
+  const DistanceCache torus_plane(*torus);
+  ASSERT_EQ(torus_plane.entry_bytes(), 1);
+  const DistanceCache gathered(corner, torus_plane);
+  EXPECT_EQ(gathered.entry_bytes(), 1);
+  expect_same_plane(gathered, DistanceCache(corner), "torus:6x6 corner");
 }
 
 /// The message part of a precondition_error (after the source location and
@@ -457,7 +522,9 @@ void run_fault_sequence(const TopologyPtr& base, std::uint64_t seed, int steps,
     const std::size_t bytes = static_cast<std::size_t>(p) *
                               static_cast<std::size_t>(p) *
                               sizeof(std::uint16_t);
-    ASSERT_EQ(std::memcmp(repaired.row(0), fresh.row(0), bytes), 0)
+    ASSERT_EQ(std::memcmp(repaired.row<std::uint16_t>(0),
+                          fresh.row<std::uint16_t>(0), bytes),
+              0)
         << "matrix diverged after step " << step << " on " << overlay->name();
     for (int q = 0; q < p; ++q)
       ASSERT_EQ(repaired.mean_distance_from(q), fresh.mean_distance_from(q))
@@ -467,7 +534,8 @@ void run_fault_sequence(const TopologyPtr& base, std::uint64_t seed, int steps,
         << "diameter diverged after step " << step;
   }
   const auto n2 = static_cast<std::size_t>(p) * static_cast<std::size_t>(p);
-  out_matrix->assign(repaired.row(0), repaired.row(0) + n2);
+  const std::uint16_t* matrix = repaired.row<std::uint16_t>(0);
+  out_matrix->assign(matrix, matrix + n2);
 }
 
 TEST(DistanceCacheRepair, RepairedEqualsRebuiltAcrossRandomFaultSequences) {

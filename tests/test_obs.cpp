@@ -641,6 +641,8 @@ TEST_F(ObsTest, TopoLBWorkCountersArePinnedAtAnyThreadCount) {
     EXPECT_EQ(reg.counter("topolb/select_evals"), 13555u) << threads;
     // ops::measure routes each of the 512 stencil edges both ways once.
     EXPECT_EQ(reg.counter("links/route_hops"), 960u) << threads;
+    // One plane, one byte per pair (the torus's diameter is 16).
+    EXPECT_EQ(reg.counter("distcache/plane_bytes"), 256u * 256u) << threads;
   }
 }
 
@@ -712,10 +714,16 @@ TEST_F(ObsTest, FaultedMapRowSearchesArePinnedAtAnyThreadCount) {
     reg.reset();
     const ops::MapResult one_shot = ops::run_map(p, ops::make_machine);
     EXPECT_EQ(reg.counter("faultoverlay/row_searches"), 253u) << threads;
+    // Planes over a FaultOverlay keep two bytes per pair.
+    EXPECT_EQ(reg.counter("distcache/plane_bytes"), 252u * 252u * 2u)
+        << threads;
     reg.reset();
     const ops::MapResult served = ops::run_map(p, pooled);
     EXPECT_EQ(reg.counter("faultoverlay/row_searches"), 253u) << threads;
     EXPECT_EQ(reg.counter("distcache/rows_gathered"), 252u) << threads;
+    EXPECT_EQ(reg.counter("distcache/plane_bytes"),
+              (256u * 256u + 252u * 252u) * 2u)
+        << threads;
     EXPECT_EQ(served.mapping, one_shot.mapping) << threads;
   }
 }

@@ -126,13 +126,13 @@ TEST(RefineBound, PlanesAreMetrics) {
     const int p = plane.size();
     int unreachable = 0;
     for (int x = 0; x < p; ++x) {
-      const std::uint16_t* rx = plane.row(x);
       for (int y = 0; y < p; ++y) {
-        ASSERT_EQ(rx[y], plane.row(y)[x]) << mc.name << " (" << x << "," << y
-                                          << ") is not symmetric";
-        unreachable += rx[y] == topo::FaultOverlay::kUnreachable ? 1 : 0;
+        const int dxy = plane.distance(x, y);
+        ASSERT_EQ(dxy, plane.distance(y, x))
+            << mc.name << " (" << x << "," << y << ") is not symmetric";
+        unreachable += dxy == topo::FaultOverlay::kUnreachable ? 1 : 0;
         for (int z = 0; z < p; ++z)
-          ASSERT_LE(rx[z], static_cast<int>(rx[y]) + plane.row(y)[z])
+          ASSERT_LE(plane.distance(x, z), dxy + plane.distance(y, z))
               << mc.name << ": d(" << x << "," << z << ") > d(" << x << ","
               << y << ") + d(" << y << "," << z << ")";
       }
@@ -145,14 +145,14 @@ TEST(RefineBound, PlanesAreMetrics) {
 
 /// Checks every pair the bound skips under m, and that every C entry
 /// bounds the exact C from above.  Returns the number of skipped pairs.
-int check_skips(const TaskGraph& g, const topo::DistanceCache& plane,
+template <class D>
+int check_skips(const TaskGraph& g, const CachedDistance<D>& dist,
                 const Mapping& m, const SwapBound& bound,
                 const std::string& what) {
-  const CachedDistance dist{plane};
   const int n = g.num_vertices();
   int skipped = 0;
   for (int a = 0; a < n; ++a) {
-    const std::uint16_t* row = plane.row(m[static_cast<std::size_t>(a)]);
+    const D* row = dist.row(m[static_cast<std::size_t>(a)]);
     long double c = 0.0L;
     for (const graph::Edge& e : g.edges_of(a))
       c += static_cast<long double>(e.bytes) *
@@ -175,42 +175,46 @@ TEST(RefineBound, SkippedPairsNeverImprove) {
   Rng rng(2024);
   for (const Machine& mc : machines()) {
     const topo::DistanceCache plane(*mc.topo);
-    const int n = plane.size();
-    for (const Weights& w : kWeights) {
-      const std::string what = mc.name + ", " + w.name + " weights";
-      const TaskGraph g = random_graph(n, w, rng);
-      int skipped = 0;
-      for (int trial = 0; trial < 3; ++trial) {
-        Mapping m = random_mapping(n, rng);
-        SwapBound bound(g, plane, m);
-        skipped += check_skips(g, plane, m, bound, what + " (fresh)");
-        // Incremental updates after swaps, improving or not.
-        for (int round = 0; round < 3; ++round) {
-          for (int s = 0; s < 12; ++s) {
-            const int a = static_cast<int>(rng.uniform(n));
-            const int b = static_cast<int>(rng.uniform(n));
-            if (a == b) continue;
-            std::swap(m[static_cast<std::size_t>(a)],
-                      m[static_cast<std::size_t>(b)]);
-            bound.swapped(g, plane, m, a, b);
+    plane.visit([&](auto tag) {
+      const CachedDistance<decltype(tag)> dist{plane};
+      const int n = plane.size();
+      for (const Weights& w : kWeights) {
+        const std::string what = mc.name + ", " + w.name + " weights";
+        const TaskGraph g = random_graph(n, w, rng);
+        int skipped = 0;
+        for (int trial = 0; trial < 3; ++trial) {
+          Mapping m = random_mapping(n, rng);
+          SwapBound bound(g, dist, m);
+          skipped += check_skips(g, dist, m, bound, what + " (fresh)");
+          // Incremental updates after swaps, improving or not.
+          for (int round = 0; round < 3; ++round) {
+            for (int s = 0; s < 12; ++s) {
+              const int a = static_cast<int>(rng.uniform(n));
+              const int b = static_cast<int>(rng.uniform(n));
+              if (a == b) continue;
+              std::swap(m[static_cast<std::size_t>(a)],
+                        m[static_cast<std::size_t>(b)]);
+              bound.swapped(g, dist, m, a, b);
+            }
+            skipped += check_skips(g, dist, m, bound, what + " (moved)");
           }
-          skipped += check_skips(g, plane, m, bound, what + " (moved)");
         }
+        // A refined mapping, where most pairs are far apart relative to
+        // their tasks' edges and the bound skips most often.
+        const Mapping refined =
+            core::refine_mapping(g, *mc.topo, random_mapping(n, rng), 8, &plane)
+                .mapping;
+        skipped += check_skips(g, dist, refined, SwapBound(g, dist, refined),
+                               what + " (refined)");
+        EXPECT_GT(skipped, 0) << what << ": the bound never skipped";
       }
-      // A refined mapping, where most pairs are far apart relative to
-      // their tasks' edges and the bound skips most often.
-      const Mapping refined =
-          core::refine_mapping(g, *mc.topo, random_mapping(n, rng), 8, &plane)
-              .mapping;
-      skipped += check_skips(g, plane, refined, SwapBound(g, plane, refined),
-                             what + " (refined)");
-      EXPECT_GT(skipped, 0) << what << ": the bound never skipped";
-    }
+    });
   }
 }
 
 /// The plain sequential first-improvement sweep the refiner must match.
-Mapping reference_refine(const TaskGraph& g, const CachedDistance& dist,
+template <class D>
+Mapping reference_refine(const TaskGraph& g, const CachedDistance<D>& dist,
                          Mapping m, int max_passes) {
   const int n = g.num_vertices();
   for (int pass = 0; pass < max_passes; ++pass) {
@@ -231,12 +235,14 @@ TEST(RefineBound, RefinerMatchesAllPairsSweep) {
   Rng rng(99);
   for (const Machine& mc : machines()) {
     const topo::DistanceCache plane(*mc.topo);
-    const CachedDistance dist{plane};
     const int n = plane.size();
     for (const Weights& w : kWeights) {
       const TaskGraph g = random_graph(n, w, rng);
       const Mapping start = random_mapping(n, rng);
-      const Mapping expected = reference_refine(g, dist, start, 8);
+      const Mapping expected = plane.visit([&](auto tag) {
+        return reference_refine(g, CachedDistance<decltype(tag)>{plane}, start,
+                                8);
+      });
       for (const int threads : {1, 4}) {
         support::set_num_threads(threads);
         const core::RefineResult r =

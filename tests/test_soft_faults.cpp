@@ -70,11 +70,14 @@ TEST(SoftFaultIdentity, DistancePlaneIsByteIdenticalToBase) {
     const DistanceCache from_overlay(*overlay);
     ASSERT_EQ(from_base.size(), from_overlay.size());
     EXPECT_EQ(from_base.scale(), from_overlay.scale()) << spec;
-    const std::size_t n = static_cast<std::size_t>(from_base.size());
-    EXPECT_EQ(std::memcmp(from_base.row(0), from_overlay.row(0),
-                          n * n * sizeof(std::uint16_t)),
-              0)
-        << spec << ": plane bytes diverged";
+    // The same entries: the base's plane stores them in one byte each, the
+    // overlay's (repairable) plane in two.
+    EXPECT_EQ(from_base.entry_bytes(), 1) << spec;
+    EXPECT_EQ(from_overlay.entry_bytes(), 2) << spec;
+    for (int a = 0; a < from_base.size(); ++a)
+      for (int b = 0; b < from_base.size(); ++b)
+        ASSERT_EQ(from_base.distance(a, b), from_overlay.distance(a, b))
+            << spec << ": plane entry (" << a << "," << b << ") diverged";
     for (int p = 0; p < from_base.size(); ++p)
       EXPECT_EQ(from_base.mean_distance_from(p),
                 from_overlay.mean_distance_from(p))
@@ -186,7 +189,8 @@ TEST(SoftFaultWeighted, DegradeAndRestoreRoundTripsThePlane) {
   EXPECT_EQ(overlay.distance_scale(), 1);
   const DistanceCache after(overlay);
   const std::size_t n = static_cast<std::size_t>(before.size());
-  EXPECT_EQ(std::memcmp(before.row(0), after.row(0),
+  EXPECT_EQ(std::memcmp(before.row<std::uint16_t>(0),
+                        after.row<std::uint16_t>(0),
                         n * n * sizeof(std::uint16_t)),
             0)
       << "restore did not round-trip the plane";

@@ -198,6 +198,24 @@ TEST(Cli, RejectsUnknownAndMalformed) {
   EXPECT_NE(error_of("--n=4294967297", as_int).find("--n is out of range"),
             std::string::npos);
   EXPECT_EQ(error_of("--n=-2147483648", as_int), "");
+  // Seeds are read as uint64_t: every value the RNG takes is accepted, and
+  // a negative one is out of range instead of wrapping.
+  const auto as_u64 = [](const CliParser& c) { c.unsigned_integer("n"); };
+  EXPECT_EQ(error_of("--n=18446744073709551615", as_u64), "");
+  EXPECT_EQ(error_of("--n=0", as_u64), "");
+  for (const char* arg : {"--n=-1", "--n= -1", "--n=18446744073709551616"})
+    EXPECT_NE(error_of(arg, as_u64).find("--n is out of range"),
+              std::string::npos)
+        << arg;
+  EXPECT_NE(error_of("--n=12abc", as_u64).find("--n is not an integer"),
+            std::string::npos);
+  {
+    CliParser c("test");
+    c.add_option("seed", "RNG seed", "1");
+    const char* argv[] = {"prog", "--seed=18446744073709551615"};
+    ASSERT_TRUE(c.parse(2, argv));
+    EXPECT_EQ(c.unsigned_integer("seed"), 18446744073709551615ull);
+  }
   EXPECT_NE(error_of("--bw=1.5x", [](const CliParser& c) { c.real("bw"); })
                 .find("--bw is not a number"),
             std::string::npos);

@@ -166,7 +166,7 @@ ops::Params read_params(const CliParser& cli) {
   ops::Params p;
   p.tasks = cli.str("tasks");
   p.topology = cli.str("topology");
-  p.seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  p.seed = cli.unsigned_integer("seed");
   if (cli.has("strategy")) p.strategy = cli.str("strategy");
   if (cli.has("baseline")) {
     p.baseline = cli.str("baseline");
@@ -190,7 +190,7 @@ ops::Params read_params(const CliParser& cli) {
   p.random_link_faults = cli.integer("random-link-faults");
   p.random_node_faults = cli.integer("random-node-faults");
   p.random_degrades = cli.integer("random-degrades");
-  p.fault_seed = static_cast<std::uint64_t>(cli.integer("fault-seed"));
+  p.fault_seed = cli.unsigned_integer("fault-seed");
   return p;
 }
 
@@ -529,7 +529,7 @@ int cmd_partition(int argc, const char* const* argv) {
   cli.add_option("output", "write 'task group' lines here", "");
   if (!cli.parse(argc, argv)) return 0;
 
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
+  Rng rng(cli.unsigned_integer("seed"));
   const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
   const int k = cli.integer_as<int>("parts");
   const auto partitioner = part::make_partitioner(cli.str("partitioner"));
@@ -561,7 +561,7 @@ int cmd_pipeline(int argc, const char* const* argv) {
   cli.add_option("output", "write 'object processor' lines here", "");
   if (!cli.parse(argc, argv)) return 0;
 
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
+  Rng rng(cli.unsigned_integer("seed"));
   const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
   const auto topo = topo::make_topology(cli.str("topology"));
   rts::PipelineConfig config;
@@ -761,7 +761,7 @@ int cmd_chaos(int argc, const char* const* argv) {
 
   ObsOutputs obs_out(cli);
 
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
+  Rng rng(cli.unsigned_integer("seed"));
   const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
   const auto topo = topo::make_topology(cli.str("topology"));
 
