@@ -120,13 +120,16 @@ python3 scripts/check_trace.py --stats "$OBS_TMP/links_stats.json" \
   --expect-counter faultoverlay/row_searches=4097 \
   --expect-counter distcache/plane_bytes=33554432
 # The flat-4k shape: torus:16x16x16 (diameter 24) fits its plane in one
-# byte per pair, 4096^2 bytes, and TopoLB's work counts on it are pinned.
+# byte per pair, 4096^2 bytes, and TopoLB's work counts on it are pinned,
+# with its placed-cost pool: at most 2 tasks have two placed neighbours at
+# once, so it takes 2 rows.
 "$CLI" map --strategy=topolb --tasks=stencil2d:64x64 \
   --topology=torus:16x16x16 --stats="$OBS_TMP/flat_stats.json" >/dev/null
 python3 scripts/check_trace.py --stats "$OBS_TMP/flat_stats.json" \
   --expect-counter distcache/plane_bytes=16777216 \
   --expect-counter topolb/f_est_evals=16902912 \
-  --expect-counter topolb/row_rescans=8147
+  --expect-counter topolb/row_rescans=8147 \
+  --expect-counter topolb/pool_rows=2
 # A swap-dense random start: 278 accepted swaps over eight passes.  Every
 # visited pair is skipped or evaluated exactly once, so the counts pin the
 # sequential first-improvement sweep, and the mapping must not depend on

@@ -50,21 +50,27 @@ constexpr int kTopK = 8;
 /// each placement read like the paper's description.  Distances come from
 /// one topo::DistanceCache plane, whose entries are D.
 ///
-/// Placed-cost rows: A(t, q) lives in a pool of p-wide rows held only by
-/// *active* tasks — unplaced tasks with at least one placed neighbour.  A
-/// task takes a row the first time step 4 touches it and returns it to a
-/// LIFO free list when it is placed, so the next task to activate reuses a
-/// row that is still warm in cache.  A taken row is never cleared: the
-/// fold that takes it adds its term to the shared zero row instead, storing
-/// 0.0 + bytes * d at every free processor, and entries at used processors
-/// are never read again.  Every other task (passive, or never
-/// touched in third order) reads one shared zero row.  Memory is
-/// O(p * peak active rows) instead of a dense p x p matrix: a 4096-task 2D
-/// stencil peaks at 136 live rows, while a dense graph approaches one row
-/// per task (927 of 1024 for er:1024:0.05).  Each A(t, q) is still the
+/// Placed-cost rows: A(t, q) sums bytes * d(p_j, q) over t's placed
+/// neighbours p_j, and each row is in one of three states.  A *passive*
+/// row (no placed neighbour, or never touched in third order) reads one
+/// shared zero row.  A *one-term* row (one placed neighbour) is that
+/// neighbour's processor's distance-plane row times the edge's bytes, and
+/// stores nothing: it keeps the plane row and the byte count, and every
+/// reader computes bytes * d[q].  A *materialized* row (two or more placed
+/// neighbours) holds a p-wide pool row, taken at the second fold, which
+/// writes fl(b1 * d1[q]) + b2 * d2[q] at every free processor, and
+/// returned to a LIFO free list when the task is placed, so the next task
+/// to materialize reuses a row that is still warm in cache.  A taken row
+/// is never cleared, and entries at used processors are never read again.
+/// Pool memory is O(p * peak tasks with >= 2 placed neighbours), far below
+/// the active-row count on sparse graphs: a 4096-task 2D stencil peaks at
+/// 2 pool rows (136 active rows), a 3D one at 46 (768), while a dense
+/// graph still approaches one row per task (889 of 1024 for
+/// er:1024:0.05).  Since 0 + x == x for x >= 0, each A(t, q) is still the
 /// same sequence of `+= bytes * d` in placement order, so the values — and
-/// every mapping — are those of a dense matrix.  The holders double as
-/// the active-row list step 1 walks.
+/// every mapping — are those of a dense matrix.  The one-term and
+/// materialized holders, kept in two lists, are the active rows step 1
+/// walks, one loop per state.
 ///
 /// Lazy rows: until a task gains its first placed neighbour its
 /// A row is identically zero, so its f landscape is just
@@ -86,6 +92,7 @@ struct TopoLBState {
     const auto un = static_cast<std::size_t>(n);
     zero_row.assign(un, 0.0);
     assigned_row.assign(un, zero_row.data());
+    term.assign(un, OneTerm{});
     holder_pos.assign(un, -1);
     mean_dist.resize(un);
     comm.resize(un);
@@ -144,42 +151,84 @@ struct TopoLBState {
     }
   }
 
-  /// Give task t a writable A row, if it holds none yet: the most
-  /// recently released one, else a fresh one.  Either holds stale or
-  /// unwritten values, so the fold that follows reads the zero row in its
-  /// place.  Returns whether t took a row.
-  bool take_row(int t) {
+  /// Placed-cost sources a sweep reads A(t, q) from, one per row state
+  /// and step; each computes A at one free processor q.
+  struct Stored {  // a pool row, or the shared zero row
+    const double* row;
+    double operator()(int q) const { return row[q]; }
+  };
+  struct OneTerm {  // bytes * d(proc, q), stored nowhere
+    const D* d = nullptr;  // the placed neighbour's plane row; null if none
+    double bytes = 0.0;
+    double operator()(int q) const {
+      return bytes * static_cast<double>(d[q]);
+    }
+  };
+  /// One more placed neighbour's term, added to `from` and stored in the
+  /// pool row `row`: a materialized row's fold (`from` reads `row`) or a
+  /// one-term row's second, which takes the row (`from` is the first term).
+  template <class From>
+  struct AddTerm {
+    double* row;
+    From from;
+    const D* d;
+    double bytes;
+    double operator()(int q) const {
+      const double a = from(q) + bytes * static_cast<double>(d[q]);
+      row[q] = a;
+      return a;
+    }
+  };
+
+  void add_holder(std::vector<int>& list, int t) {
+    holder_pos[static_cast<std::size_t>(t)] = static_cast<int>(list.size());
+    list.push_back(t);
+  }
+
+  void drop_holder(std::vector<int>& list, int t) {
+    const int pos = holder_pos[static_cast<std::size_t>(t)];
+    list[static_cast<std::size_t>(pos)] = list.back();
+    holder_pos[static_cast<std::size_t>(list.back())] = pos;
+    list.pop_back();
+  }
+
+  /// Give one-term task t a pool row: the most recently released one,
+  /// else a fresh one.  Either holds stale or unwritten values, which the
+  /// fold that follows overwrites at every free processor.
+  double* take_row(int t) {
+    drop_holder(one_term, t);
+    add_holder(pooled, t);
     double*& row = assigned_row[static_cast<std::size_t>(t)];
-    if (row != zero_row.data()) return false;
-    holder_pos[static_cast<std::size_t>(t)] = static_cast<int>(holders.size());
-    holders.push_back(t);
     if (free_rows.empty()) {
       row_store.push_back(std::make_unique_for_overwrite<double[]>(
           static_cast<std::size_t>(n)));
+      OBS_COUNTER_ADD("topolb/pool_rows", 1);
       row = row_store.back().get();
     } else {
       row = free_rows.back();
       free_rows.pop_back();
     }
-    return true;
+    return row;
   }
 
-  /// Task t was placed: its row goes back to the top of the free list.
+  /// Task t was placed: its pool row, if any, goes back to the top of the
+  /// free list, and it leaves its holder list.
   void release_row(int t) {
     double*& row = assigned_row[static_cast<std::size_t>(t)];
-    if (row == zero_row.data()) return;
-    free_rows.push_back(row);
-    row = zero_row.data();
-    const int pos = holder_pos[static_cast<std::size_t>(t)];
-    holders[static_cast<std::size_t>(pos)] = holders.back();
-    holder_pos[static_cast<std::size_t>(holders.back())] = pos;
-    holders.pop_back();
+    OneTerm& first = term[static_cast<std::size_t>(t)];
+    if (row != zero_row.data()) {
+      free_rows.push_back(row);
+      row = zero_row.data();
+      drop_holder(pooled, t);
+    } else if (first.d != nullptr) {
+      first.d = nullptr;
+      drop_holder(one_term, t);
+    }
   }
 
-  /// f_est(t, q, P) for a free processor q under the configured order.
-  double f_est(int t, int q) const {
-    const double assigned =
-        assigned_row[static_cast<std::size_t>(t)][static_cast<std::size_t>(q)];
+  /// f_est(t, q, P) for a free processor q whose placed cost A(t, q) is
+  /// `assigned`, under the configured order.
+  double f_est(int t, double assigned, int q) const {
     switch (order) {
       case EstimationOrder::kFirst:
         return assigned;
@@ -194,68 +243,78 @@ struct TopoLBState {
     TOPOMAP_UNREACHABLE("estimation order is an exhaustive enum");
   }
 
-  /// Recompute F_sum and refill row t's top-K minima buffer (see sweep_row).
-  void rescan_row(int t) { sweep_row<false>(t, nullptr, 0.0, nullptr); }
+  /// Step 1 for one active row: retire `proc` from its F_sum, using the
+  /// f it had there, and note the row if its minimum lived on `proc`.
+  void retire(int t, double assigned, int proc) {
+    f_sum[static_cast<std::size_t>(t)] -= f_est(t, assigned, proc);
+    if (f_argmin[static_cast<std::size_t>(t)] == proc) stale.push_back(t);
+  }
 
-  /// One sweep over the free processors in increasing q.  With kFold it
-  /// first folds a newly placed neighbour's term into A
-  /// (A(t, q) = from[q] + bytes * d(proc, q), `drow` being proc's distance
-  /// row and `from` t's A row, or the zero row for a row just taken),
-  /// then, for every q, computes f, adds it to F_sum and offers it to the
-  /// top-K buffer.  The buffer holds the K smallest (f, q) pairs in
-  /// ascending lexicographic order, so its head is the sequential scan's
-  /// first-strict-minimum (smallest f; lowest q on ties).
+  /// Recompute F_sum and refill row t's top-K minima buffer (see sweep_row).
+  void rescan_row(int t) {
+    const OneTerm& first = term[static_cast<std::size_t>(t)];
+    if (first.d != nullptr)
+      sweep_row(t, first);
+    else
+      sweep_row(t, Stored{assigned_row[static_cast<std::size_t>(t)]});
+  }
+
+  /// One sweep over the free processors in increasing q: for every q it
+  /// reads A(t, q) from `a_of` (which, for an AddTerm, first folds a newly
+  /// placed neighbour's term into t's pool row), computes f, adds it to
+  /// F_sum and offers it to the top-K buffer.  The buffer holds the K
+  /// smallest (f, q) pairs in ascending lexicographic order, so its head is
+  /// the sequential scan's first-strict-minimum (smallest f; lowest q on
+  /// ties).
   ///
   /// This is the hottest kernel (every step-4 touched row pays one call),
   /// so the f expression is specialized per order outside the loop —
   /// identical arithmetic to f_est, without its per-element dispatch — and
-  /// the K smallest are kept sorted in place in the row's own top_f/top_q
-  /// slots (detail::RowMinima): most entries cost one compare against the
-  /// buffer's largest f, and the finished buffer needs no sort or copy.
-  template <bool kFold>
-  void sweep_row(int t, const D* drow, double bytes, const double* from) {
-    const int nf = static_cast<int>(free_procs.size());
+  /// each (source, order) pair gets its own loop (sweep).  The K smallest
+  /// are kept sorted in place in the row's own top_f/top_q slots: most
+  /// entries cost one compare against the buffer's largest f, and the
+  /// finished buffer needs no sort or copy.
+  template <class A>
+  void sweep_row(int t, A a_of) {
     OBS_COUNTER_ADD("topolb/row_rescans", 1);
-    OBS_COUNTER_ADD("topolb/f_est_evals", nf);
-    // Only a pool row is ever folded into; the shared zero row is read-only.
-    double* const arow = assigned_row[static_cast<std::size_t>(t)];
+    OBS_COUNTER_ADD("topolb/f_est_evals", free_procs.size());
     const double u = unplaced_bytes[static_cast<std::size_t>(t)];
-    const auto base =
-        static_cast<std::size_t>(t) * static_cast<std::size_t>(top_k);
-    detail::RowMinima best(top_f.data() + base, top_q.data() + base, top_k);
-    double sum = 0.0;
-    auto sweep = [&](auto f_of) {
-      for (int i = 0; i < nf; ++i) {
-        const int q = free_procs[static_cast<std::size_t>(i)];
-        double a;
-        if constexpr (kFold) {
-          a = from[q] + bytes * static_cast<double>(drow[q]);
-          arow[q] = a;
-        } else {
-          a = arow[q];
-        }
-        const double f = f_of(a, q);
-        sum += f;
-        best.offer(f, q);
-      }
-    };
     switch (order) {
       case EstimationOrder::kFirst:
-        sweep([](double a, int) { return a; });
+        sweep(t, a_of, [](double a, int) { return a; });
         break;
       case EstimationOrder::kSecond: {
         const double* md = mean_dist.data();
-        sweep([u, md](double a, int q) { return a + u * md[q]; });
+        sweep(t, a_of, [u, md](double a, int q) { return a + u * md[q]; });
         break;
       }
       case EstimationOrder::kThird: {
         const double* sdf = sum_dist_free.data();
-        const double nfree = static_cast<double>(nf);
-        sweep([u, sdf, nfree](double a, int q) {
+        const double nfree = static_cast<double>(free_procs.size());
+        sweep(t, a_of, [u, sdf, nfree](double a, int q) {
           return a + u * sdf[q] / nfree;
         });
         break;
       }
+    }
+  }
+
+  /// The loop of sweep_row.  Flattened: GCC's size heuristics outline
+  /// RowMinima::offer once a function holds several of these loops, and
+  /// a loop that calls it out of line runs about a quarter slower.
+  template <class A, class F>
+  [[gnu::flatten]] void sweep(int t, A a_of, F f_of) {
+    const int nf = static_cast<int>(free_procs.size());
+    const int* const procs = free_procs.data();
+    const auto base =
+        static_cast<std::size_t>(t) * static_cast<std::size_t>(top_k);
+    detail::RowMinima best(top_f.data() + base, top_q.data() + base, top_k);
+    double sum = 0.0;
+    for (int i = 0; i < nf; ++i) {
+      const int q = procs[i];
+      const double f = f_of(a_of(q), q);
+      sum += f;
+      best.offer(f, q);
     }
     const int hs = best.size();
     row_active[static_cast<std::size_t>(t)] = 1;
@@ -265,6 +324,18 @@ struct TopoLBState {
     f_min[static_cast<std::size_t>(t)] =
         hs > 0 ? top_f[base] : std::numeric_limits<double>::infinity();
     f_argmin[static_cast<std::size_t>(t)] = hs > 0 ? top_q[base] : -1;
+  }
+
+  /// Fold a newly placed neighbour's term into t's pool row.  The
+  /// incremental orders rescan the row in the same sweep; third order only
+  /// folds here, its rows all being rescanned at the next cycle's start.
+  template <class From>
+  void add_term(int t, AddTerm<From> a_of) {
+    if (order != EstimationOrder::kThird) {
+      sweep_row(t, a_of);
+    } else {
+      for (const int q : free_procs) (void)a_of(q);
+    }
   }
 
   /// Row t's argmin processor was consumed: advance to the first buffered
@@ -449,15 +520,16 @@ struct TopoLBState {
     // 1. Retire `proc` from the incremental row statistics using the *old*
     //    f values (non-neighbour rows are otherwise unchanged).  Only
     //    active rows carry per-row state, and in the incremental orders
-    //    those are exactly the pool-row holders; passive rows are covered
-    //    by the shared sum/head update in step 2.  Rows whose buffered
-    //    minimum lived on `proc` are collected for step 5.
+    //    those are exactly the one-term and pool-row holders, one loop per
+    //    list; passive rows are covered by the shared sum/head update in
+    //    step 2.  Rows whose buffered minimum lived on `proc` are collected
+    //    for step 5.
     stale.clear();
     if (incremental) {
-      for (const int t : holders) {
-        f_sum[static_cast<std::size_t>(t)] -= f_est(t, proc);
-        if (f_argmin[static_cast<std::size_t>(t)] == proc) stale.push_back(t);
-      }
+      for (const int t : pooled)
+        retire(t, assigned_row[static_cast<std::size_t>(t)][proc], proc);
+      for (const int t : one_term)
+        retire(t, term[static_cast<std::size_t>(t)](proc), proc);
     }
 
     // 2. Remove the processor from the free set; keep the passive rows'
@@ -495,22 +567,24 @@ struct TopoLBState {
     //    exactly one `+= bytes * d` term per placement.  In the incremental
     //    orders one sweep per touched row folds that term into A and
     //    rescans the row.  Third order only folds here; its rows are all
-    //    rescanned at the start of the next cycle.  A row's first fold, the
-    //    one that takes it, adds to the zero row.
+    //    rescanned at the start of the next cycle.  A row's first term is
+    //    only recorded (one-term); its second takes a pool row.
     for (const graph::Edge& e : g.edges_of(task)) {
-      if (task_placed[static_cast<std::size_t>(e.neighbor)]) continue;
-      unplaced_bytes[static_cast<std::size_t>(e.neighbor)] -= e.bytes;
-      const double* const from = take_row(e.neighbor)
-                                     ? zero_row.data()
-                                     : assigned_row[static_cast<std::size_t>(
-                                           e.neighbor)];
-      update_masks(e.neighbor, false);
-      if (incremental) {
-        sweep_row<true>(e.neighbor, drow, e.bytes, from);
+      const int t = e.neighbor;
+      if (task_placed[static_cast<std::size_t>(t)]) continue;
+      unplaced_bytes[static_cast<std::size_t>(t)] -= e.bytes;
+      update_masks(t, false);
+      double* const row = assigned_row[static_cast<std::size_t>(t)];
+      OneTerm& first = term[static_cast<std::size_t>(t)];
+      if (row != zero_row.data()) {
+        add_term(t, AddTerm<Stored>{row, Stored{row}, drow, e.bytes});
+      } else if (first.d == nullptr) {
+        first = OneTerm{drow, e.bytes};
+        add_holder(one_term, t);
+        if (incremental) sweep_row(t, first);
       } else {
-        double* const arow = assigned_row[static_cast<std::size_t>(e.neighbor)];
-        for (const int q : free_procs)
-          arow[q] = from[q] + e.bytes * static_cast<double>(drow[q]);
+        add_term(t, AddTerm<OneTerm>{take_row(t), first, drow, e.bytes});
+        first.d = nullptr;
       }
     }
 
@@ -529,10 +603,12 @@ struct TopoLBState {
 
   std::vector<double*> assigned_row;   // A(t, .): pool row or zero_row
   std::vector<double> zero_row;        // shared by tasks holding no row
+  std::vector<OneTerm> term;           // a one-term row's term, else null d
   std::vector<std::unique_ptr<double[]>> row_store;  // every pool row
   std::vector<double*> free_rows;      // LIFO: most recently released last
-  std::vector<int> holders;     // tasks holding a pool row, unordered
-  std::vector<int> holder_pos;  // t's index in holders (stale once released)
+  std::vector<int> one_term;    // one-term tasks, unordered
+  std::vector<int> pooled;      // tasks holding a pool row, unordered
+  std::vector<int> holder_pos;  // t's index in its list (stale once left)
   std::vector<double> unplaced_bytes;  // U(t)
   std::vector<double> mean_dist;       // meandist_Vp(q)
   std::vector<double> sum_dist_free;   // 3rd order: sum_{free pj} d(q, pj)

@@ -1,7 +1,9 @@
 #include "svc/protocol.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 
@@ -61,16 +63,35 @@ double get_number(const json::Value& v, const std::string& key) {
   return v.as_number();
 }
 
+/// 2^53: every integer up to it is a double exactly.
+constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+
 std::int64_t get_integer(const json::Value& v, const std::string& key) {
   const double d = get_number(v, key);
   if (std::floor(d) != d ||
-      std::abs(d) > 9007199254740992.0 /* 2^53: exact double integers */)
+      std::abs(d) > static_cast<double>(kMaxExactInteger))
     throw precondition_error("svc request: field '" + key +
                              "' must be an integer");
   return static_cast<std::int64_t>(d);
 }
 
+/// A uint64_t field: a non-negative integer number, or, for values above
+/// 2^53 that a JSON number cannot carry exactly, a string of decimal
+/// digits up to 2^64 - 1.
 std::uint64_t get_unsigned(const json::Value& v, const std::string& key) {
+  if (v.is_string()) {
+    const std::string& s = v.as_string();
+    const char* const end = s.data() + s.size();
+    std::uint64_t u = 0;
+    // Unsigned from_chars takes digits only: no sign, space or prefix.
+    const auto [ptr, ec] = std::from_chars(s.data(), end, u);
+    if (ec != std::errc() || ptr != end)
+      throw precondition_error(
+          "svc request: field '" + key +
+          "' must be a non-negative integer, or a string of decimal digits "
+          "up to 18446744073709551615");
+    return u;
+  }
   const std::int64_t i = get_integer(v, key);
   if (i < 0)
     throw precondition_error("svc request: field '" + key +
@@ -145,6 +166,13 @@ json::Value Request::to_json() const {
   doc.set("kind", to_string(kind));
   json::Value params = json::Value::object();
   for_each_param(*this, [&params](const char* key, const auto& field) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                 std::uint64_t>) {
+      if (field > kMaxExactInteger) {
+        params.set(key, std::to_string(field));
+        return;
+      }
+    }
     params.set(key, field);
   });
   doc.set("params", std::move(params));

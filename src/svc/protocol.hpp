@@ -10,7 +10,10 @@
 // strict in both directions: wrong schema/version, missing ids, unknown
 // kinds, unknown parameter keys, and mistyped values all throw
 // topomap::precondition_error naming the field, so malformed requests fail
-// loudly instead of mapping something the caller did not ask for.
+// loudly instead of mapping something the caller did not ask for.  The
+// uint64_t seeds (`seed`, `fault_seed`) are written as JSON numbers up to
+// 2^53 and as decimal-digit strings above it, where a double would round
+// them; either form is read.
 //
 // Responses are either {"status":"ok","result":{...}} or
 // {"status":"error","error":{"category","message"}}.  Error categories

@@ -29,10 +29,12 @@ LinkIndex::LinkIndex(const Topology& topo) : topo_(&topo) {
 int LinkIndex::id(int u, int v) const {
   TOPOMAP_REQUIRE(u >= 0 && u < static_cast<int>(offset_.size()) - 1,
                   "link source out of range");
-  const auto last = by_target_.begin() + offset(u + 1);
-  const auto it = std::lower_bound(by_target_.begin() + offset(u), last, v,
-                                   [this](int l, int x) { return to(l) < x; });
-  return it != last && to(*it) == v ? *it : -1;
+  // A linear scan: route walks call this once per hop, and a grid node
+  // has at most 2 * ndims links, where a binary search costs more.
+  const int last = offset(u + 1);
+  for (int l = offset(u); l < last; ++l)
+    if (to(l) == v) return l;
+  return -1;
 }
 
 }  // namespace topomap::topo

@@ -58,6 +58,13 @@ std::vector<std::string> seed_corpus() {
       R"({"schema":"topomap.svc.request","schema_version":1,"id":"x",)"
       R"("kind":"map","params":{"tasks":"stencil2d:4x4","seed":3}})",
   };
+  // The uint64_t seeds' digit-string form, valid and not.
+  for (const char* seed : {"18446744073709551615", "-1", "1e3", "",
+                           "18446744073709551616"})
+    seeds.push_back(
+        R"({"schema":"topomap.svc.request","schema_version":1,"id":"s",)"
+        R"("kind":"map","params":{"seed":")" +
+        std::string(seed) + R"(","fault_seed":")" + seed + R"("}})");
   svc::Request req;
   req.id = "r-42";
   req.kind = svc::RequestKind::kExplain;

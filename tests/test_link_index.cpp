@@ -9,9 +9,12 @@
 // contention_stats' exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/contention.hpp"
@@ -114,6 +117,53 @@ TEST(LinkIndex, SubTopologyOverAliveProcessors) {
     if (overlay->is_alive(p)) alive.push_back(p);
   const topo::SubTopology sub(overlay, alive);
   check_index(sub, "sub");
+}
+
+/// Reference lookup for id(): a binary search of u's links ordered by far
+/// end.
+int id_by_search(const topo::LinkIndex& links, int u, int v) {
+  const std::span<const int> by_target = links.links_by_target(u);
+  const auto it = std::lower_bound(
+      by_target.begin(), by_target.end(), v,
+      [&links](int l, int x) { return links.to(l) < x; });
+  return it != by_target.end() && links.to(*it) == v ? *it : -1;
+}
+
+TEST(LinkIndex, IdEqualsTheSearchedLookupOnEveryFamily) {
+  auto overlay = std::make_shared<topo::FaultOverlay>(
+      topo::make_topology("torus:4x4x2"));
+  overlay->fail_link(0, 1);
+  overlay->fail_node(6);
+  overlay->degrade_link(9, 10, 0.5);
+  std::vector<int> alive;
+  for (int p = 0; p < overlay->size(); ++p)
+    if (overlay->is_alive(p)) alive.push_back(p);
+  std::vector<std::pair<std::string, topo::TopologyPtr>> families;
+  for (const std::string spec :
+       {"torus:4x5", "torus:2x3x4", "torus:16x16x16", "mesh:1x7",
+        "mesh:2x3x2", "hybrid:4wx3ox2w", "hypercube:6", "dragonfly:5"})
+    families.emplace_back(spec, topo::make_topology(spec));
+  families.emplace_back("overlay", overlay);
+  families.emplace_back("sub",
+                        std::make_shared<topo::SubTopology>(overlay, alive));
+  for (const auto& [label, topo] : families) {
+    const topo::LinkIndex links(*topo);
+    int pairs = 0;
+    for (int u = 0; u < topo->size(); ++u) {
+      for (const int v : topo->neighbors(u)) {
+        ASSERT_EQ(links.id(u, v), id_by_search(links, u, v))
+            << label << " " << u << "->" << v;
+        ++pairs;
+      }
+      // Not linked: both lookups miss.
+      for (const int v : {u, (u + 3) % topo->size()}) {
+        if (id_by_search(links, u, v) < 0) {
+          EXPECT_EQ(links.id(u, v), -1) << label << " " << u << "->" << v;
+        }
+      }
+    }
+    EXPECT_EQ(pairs, links.size()) << label;
+  }
 }
 
 TEST(LinkIndex, DistanceModelTopologyThrows) {

@@ -636,6 +636,8 @@ TEST_F(ObsTest, TopoLBWorkCountersArePinnedAtAnyThreadCount) {
     Registry& reg = Registry::instance();
     EXPECT_EQ(reg.counter("topolb/row_rescans"), 480u) << threads;
     EXPECT_EQ(reg.counter("topolb/f_est_evals"), 67784u) << threads;
+    // Peak tasks with two or more placed neighbours (pool rows taken).
+    EXPECT_EQ(reg.counter("topolb/pool_rows"), 2u) << threads;
     // Gains the selection folded one by one; a fold of every unplaced
     // task each cycle would count 256 * 257 / 2 = 32896.
     EXPECT_EQ(reg.counter("topolb/select_evals"), 13555u) << threads;
@@ -644,6 +646,47 @@ TEST_F(ObsTest, TopoLBWorkCountersArePinnedAtAnyThreadCount) {
     // One plane, one byte per pair (the torus's diameter is 16).
     EXPECT_EQ(reg.counter("distcache/plane_bytes"), 256u * 256u) << threads;
   }
+}
+
+// TopoLB keeps a p-wide placed-cost pool row only for tasks with two or
+// more placed neighbours; a task with one reads its neighbour's plane row.
+// On stencils few tasks have two at once, so the pool stays a few rows,
+// against 136 and 768 active rows at the peak.  The mapping hashes were
+// recorded with a pool row per active task.
+TEST_F(ObsTest, TopoLBPoolRowsArePinnedOnStencils) {
+  const auto fnv1a = [](const core::Mapping& m) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (const int proc : m) {
+      const auto u = static_cast<std::uint32_t>(proc);
+      for (int b = 0; b < 4; ++b) {
+        h ^= (u >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+    return h;
+  };
+  const struct {
+    graph::TaskGraph graph;
+    std::uint64_t pool_rows;
+    std::uint64_t hash;
+  } cases[] = {
+      {graph::stencil_2d(64, 64, 1024.0), 2, 0x708a37e7a7352225ull},
+      {graph::stencil_3d(16, 16, 16, 1024.0), 46, 0x45704c95f3b18f25ull},
+  };
+  const auto topo = topo::make_topology("torus:16x16x16");
+  set_enabled(true);
+  for (const auto& c : cases) {
+    for (const int threads : {1, 4}) {
+      support::set_num_threads(threads);
+      Registry::instance().reset();
+      Rng rng(1);
+      const core::Mapping m = core::TopoLB().map(c.graph, *topo, rng);
+      EXPECT_EQ(Registry::instance().counter("topolb/pool_rows"), c.pool_rows)
+          << threads;
+      EXPECT_EQ(fnv1a(m), c.hash) << threads;
+    }
+  }
+  support::set_num_threads(1);
 }
 
 // The explain run of scripts/ci.sh attributes the TopoLB mapping (224 hops)

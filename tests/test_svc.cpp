@@ -357,6 +357,53 @@ TEST(SvcCachePool, FaultVersionInvalidatesSeededHandle) {
 
 /// The mixed request set used by the concurrency tests: four kinds over a
 /// handful of machines/seeds, all deterministic.
+// The uint64_t seeds travel as JSON numbers up to 2^53 and as digit
+// strings above it, where a double would round them.
+TEST(SvcProtocol, SeedsAbove2To53TravelAsDigitStrings) {
+  svc::Request req;
+  req.id = "s";
+  req.kind = svc::RequestKind::kMap;
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1} << 53, (std::uint64_t{1} << 53) + 1,
+        ~std::uint64_t{0}}) {
+    req.seed = seed;
+    req.fault_seed = seed;
+    const std::string text = req.to_json().dump();
+    const bool above = seed > (std::uint64_t{1} << 53);
+    const std::string digits = std::to_string(seed);
+    EXPECT_NE(text.find("\"seed\":" + (above ? "\"" + digits + "\""
+                                               : digits)),
+              std::string::npos)
+        << text;
+    const svc::Request back =
+        svc::Request::from_json(svc::json::Value::parse(text));
+    EXPECT_EQ(back.seed, seed);
+    EXPECT_EQ(back.fault_seed, seed);
+    EXPECT_EQ(back.to_json().dump(), text);
+  }
+  auto seed_of = [](const std::string& value) {
+    return svc::Request::from_json(svc::json::Value::parse(
+               R"({"schema":"topomap.svc.request","schema_version":1,)"
+               R"("id":"x","kind":"map","params":{"seed":)" +
+               value + "}}"))
+        .seed;
+  };
+  EXPECT_EQ(seed_of(R"("7")"), 7u);
+  EXPECT_EQ(seed_of(R"("18446744073709551615")"), ~std::uint64_t{0});
+  for (const char* bad : {R"("-1")", R"("1e3")", R"("")", R"("+5")",
+                          R"(" 5")", R"("5 ")", R"("0x10")",
+                          R"("18446744073709551616")", "-1", "1.5",
+                          "18446744073709551615"}) {
+    try {
+      (void)seed_of(bad);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+}
+
 std::vector<svc::Request> mixed_requests(int count) {
   std::vector<svc::Request> reqs;
   reqs.reserve(static_cast<std::size_t>(count));
@@ -599,6 +646,41 @@ TEST(SvcServer, PinnedResponsesSurviveTheWireByteForByte) {
       EXPECT_EQ(bytes.size(), pin.bytes) << pin.req.id;
       EXPECT_EQ(fnv1a(bytes), pin.hash) << pin.req.id;
     }
+  }
+  server.stop();
+  server.join();
+}
+
+// Served == one-shot for seeds a double cannot hold: the served random
+// map equals ops::run_map's (the `topomap map` path) for the same seed, and
+// 2^53 + 1 is not served as 2^53.
+TEST(SvcServer, SeedsAbove2To53AreServedUnrounded) {
+  svc::ServerOptions options;
+  options.socket_path = unique_socket_path("seeds");
+  options.workers = 1;
+  svc::Server server(options);
+  server.start();
+  {
+    svc::Client client = svc::Client::connect_unix(options.socket_path);
+    svc::Request req;
+    req.kind = svc::RequestKind::kMap;
+    req.tasks = "stencil2d:4x4";
+    req.topology = "torus:4x4";
+    req.strategy = "random";
+    std::vector<std::string> served;
+    for (const std::uint64_t seed :
+         {std::uint64_t{1} << 53, (std::uint64_t{1} << 53) + 1,
+          ~std::uint64_t{0}}) {
+      req.id = std::to_string(seed);
+      req.seed = seed;
+      const svc::Response resp = client.call(req);
+      ASSERT_TRUE(resp.ok) << seed << ": " << resp.error.message;
+      served.push_back(resp.result.at("mapping").as_string());
+      EXPECT_EQ(served.back(),
+                ops::mapping_text(ops::run_map(req, ops::make_machine).mapping))
+          << seed;
+    }
+    EXPECT_NE(served[0], served[1]);
   }
   server.stop();
   server.join();
