@@ -89,8 +89,7 @@ int main(int argc, char** argv) {
       config.events = schedule.events;
 
       Rng rng(seed);
-      const rts::DynamicLBRun run =
-          rts::run_dynamic_lb_detailed(g, *topo, config, rng);
+      const rts::DynamicLBRun run = rts::run_dynamic_lb(g, *topo, config, rng);
 
       double alive_sum = 0.0;
       double hpb_sum = 0.0;

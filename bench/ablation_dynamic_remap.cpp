@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     config.pipeline.partitioner = part::make_partitioner("multilevel");
     config.pipeline.mapper = core::make_strategy("topolb");
     Rng rng(seed);
-    return rts::run_dynamic_lb(objects, *machine, config, rng);
+    return rts::run_dynamic_lb(objects, *machine, config, rng).history;
   };
   const auto scratch = run_policy(rts::RemapPolicy::kScratch);
   const auto incremental = run_policy(rts::RemapPolicy::kIncremental);

@@ -35,16 +35,6 @@ constexpr int kNodeGrain = 16;    // machine-node split chunks
 /// at most this cap; deeper (wider) levels keep the quota split as-is.
 constexpr int kRefineNodeCap = 8192;
 
-/// Balancing weights: vertex weights, or all-ones when the graph carries no
-/// compute load (same convention as the multilevel partitioner).
-std::vector<double> balance_weights(const TaskGraph& g) {
-  std::vector<double> w(static_cast<std::size_t>(g.num_vertices()), 1.0);
-  if (g.total_vertex_weight() > 0.0)
-    for (int v = 0; v < g.num_vertices(); ++v)
-      w[static_cast<std::size_t>(v)] = g.vertex_weight(v);
-  return w;
-}
-
 // ---------------------------------------------------------------------------
 // Machine-side hierarchy: contract the processor graph by heaviest-link
 // matching until it fits the flat solve cap.  Distances between nodes are
@@ -561,7 +551,7 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
   // --- machine-side splitting back to real processors ---
   if (contracted) {
     OBS_SPAN("hier/split_machine");
-    const std::vector<double> task_w = balance_weights(g);
+    const std::vector<double> task_w = part::balance_weights(g);
     for (int k = static_cast<int>(mh.levels.size()) - 1; k >= 0; --k) {
       Mapping next(static_cast<std::size_t>(n));
       {

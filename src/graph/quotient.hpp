@@ -2,6 +2,13 @@
 // vertex.  This is the paper's phase-1 output — after METIS-style
 // partitioning of the object graph into p groups, the p-vertex quotient
 // graph is what the mapping heuristics place onto the p processors.
+//
+// quotient_graph and induced_subgraph are the one relabel-and-merge loop
+// of the code base (the partitioner's coarsening levels and bisection
+// sides, HierTopoLB's task levels, the two-phase pipeline's quotient and
+// the fault-aware active set all go through them).  Both walk g.edges() in
+// order, so parallel edges that land on one vertex pair are summed by
+// TaskGraph::Builder::build in the fine graph's edge-list order.
 #pragma once
 
 #include <vector>
@@ -12,8 +19,8 @@ namespace topomap::graph {
 
 /// @param g           original task graph
 /// @param assignment  group id in [0, num_groups) per vertex
-/// @param num_groups  number of groups (every id must appear? no — empty
-///                    groups become isolated zero-weight vertices)
+/// @param num_groups  number of groups; a group no vertex maps to becomes an
+///                    isolated zero-weight vertex
 /// Group vertex weight = sum of member weights; inter-group edge bytes =
 /// sum of crossing edge bytes.  Intra-group communication vanishes (it is
 /// intra-processor after mapping).

@@ -83,23 +83,42 @@ TaskGraph TaskGraph::Builder::build() && {
   g.vertex_weight_ = std::move(weights_);
   const auto n = g.vertex_weight_.size();
 
-  // Merge parallel edges by sorting on (a, b) and accumulating bytes.
-  std::sort(raw_edges_.begin(), raw_edges_.end(),
-            [](const UndirectedEdge& x, const UndirectedEdge& y) {
-              return x.a != y.a ? x.a < y.a : x.b < y.b;
-            });
-  for (const auto& e : raw_edges_) {
-    if (!g.edge_list_.empty() && g.edge_list_.back().a == e.a &&
-        g.edge_list_.back().b == e.b) {
-      g.edge_list_.back().bytes += e.bytes;
+  // Merge parallel edges.  A stable two-pass counting sort, by b and then
+  // by a, puts the raw edges in (a, b) order with the copies of one pair
+  // in insertion order, and the merge sums each pair's bytes left to
+  // right in that order.
+  {
+    std::vector<UndirectedEdge> by_b(raw_edges_.size());
+    std::vector<std::size_t> start(n + 1);
+    auto counting_pass = [&](const std::vector<UndirectedEdge>& from,
+                             std::vector<UndirectedEdge>& to,
+                             int UndirectedEdge::*key) {
+      std::fill(start.begin(), start.end(), 0);
+      for (const UndirectedEdge& e : from)
+        ++start[static_cast<std::size_t>(e.*key) + 1];
+      for (std::size_t v = 0; v < n; ++v) start[v + 1] += start[v];
+      for (const UndirectedEdge& e : from)
+        to[start[static_cast<std::size_t>(e.*key)]++] = e;
+    };
+    counting_pass(raw_edges_, by_b, &UndirectedEdge::b);
+    counting_pass(by_b, raw_edges_, &UndirectedEdge::a);
+  }
+  std::size_t merged = 0;
+  for (const UndirectedEdge& e : raw_edges_) {
+    if (merged > 0 && raw_edges_[merged - 1].a == e.a &&
+        raw_edges_[merged - 1].b == e.b) {
+      raw_edges_[merged - 1].bytes += e.bytes;
     } else {
-      g.edge_list_.push_back(e);
+      raw_edges_[merged++] = e;
     }
   }
-  raw_edges_.clear();
-  raw_edges_.shrink_to_fit();
+  g.edge_list_.assign(raw_edges_.begin(), raw_edges_.begin() +
+                                           static_cast<std::ptrdiff_t>(merged));
+  raw_edges_ = {};
 
-  // Build CSR from the merged edge list.
+  // Build CSR from the merged edge list.  Filling it in (a, b) order
+  // leaves every row ascending: row v receives its edges (a, v), a < v, in
+  // ascending a before its edges (v, b), b > v, in ascending b.
   std::vector<int> degree(n, 0);
   for (const auto& e : g.edge_list_) {
     ++degree[static_cast<std::size_t>(e.a)];
@@ -120,13 +139,8 @@ TaskGraph TaskGraph::Builder::build() && {
     g.comm_bytes_[static_cast<std::size_t>(e.b)] += e.bytes;
     g.total_comm_bytes_ += e.bytes;
   }
-  for (std::size_t v = 0; v < n; ++v) {
-    auto* begin = g.csr_.data() + g.row_offset_[v];
-    auto* end = g.csr_.data() + g.row_offset_[v + 1];
-    std::sort(begin, end,
-              [](const Edge& x, const Edge& y) { return x.neighbor < y.neighbor; });
+  for (std::size_t v = 0; v < n; ++v)
     g.total_vertex_weight_ += g.vertex_weight_[v];
-  }
   return g;
 }
 

@@ -103,13 +103,16 @@ class TaskGraph::Builder {
   int num_vertices() const { return static_cast<int>(weights_.size()); }
 
   /// Finalize into an immutable TaskGraph.  Parallel edges added through
-  /// add_edge have already been merged by accumulation.
+  /// add_edge merge into one edge whose bytes are their left-to-right sum
+  /// in insertion order; edges() is in (a, b) order and every CSR row is
+  /// ascending by neighbour.  Linear in vertices plus edges: no comparison
+  /// sort.
   TaskGraph build() &&;
 
  private:
   std::string label_;
   std::vector<double> weights_;
-  // Edge accumulation keyed by (min,max) endpoint pair.
+  // Edges as added, endpoints stored as (min, max).
   std::vector<UndirectedEdge> raw_edges_;
 };
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "graph/quotient.hpp"
 #include "support/error.hpp"
 
 namespace topomap::part {
@@ -12,29 +13,17 @@ namespace {
 
 using graph::Edge;
 using graph::TaskGraph;
-using graph::UndirectedEdge;
 
-/// Balancing weights: vertex weights, or all-ones when the graph carries no
-/// compute load (balance on counts instead of dividing by zero).
-std::vector<double> balance_weights(const TaskGraph& g) {
-  std::vector<double> w(static_cast<std::size_t>(g.num_vertices()));
-  if (g.total_vertex_weight() <= 0.0) {
-    std::fill(w.begin(), w.end(), 1.0);
-  } else {
-    for (int v = 0; v < g.num_vertices(); ++v)
-      w[static_cast<std::size_t>(v)] = g.vertex_weight(v);
-  }
-  return w;
-}
-
-double cut_of(const TaskGraph& g, const std::vector<int>& side) {
-  double cut = 0.0;
-  for (const UndirectedEdge& e : g.edges())
-    if (side[static_cast<std::size_t>(e.a)] !=
-        side[static_cast<std::size_t>(e.b)])
-      cut += e.bytes;
-  return cut;
-}
+/// Stop coarsening once a bisection's working graph has at most this many
+/// vertices.
+constexpr int kCoarsenTarget = 64;
+/// Independent greedy-growing trials for the initial bisection.
+constexpr int kInitialTrials = 6;
+/// Maximum FM passes per uncoarsening level.
+constexpr int kFmPasses = 4;
+/// Per-side balance tolerance: a side may exceed its target weight by this
+/// fraction.
+constexpr double kEpsilon = 0.08;
 
 }  // namespace
 
@@ -79,20 +68,7 @@ bool coarsen_once(const TaskGraph& g, double weight_cap, Rng& rng,
   }
   if (coarse_count > static_cast<int>(0.95 * n)) return false;
 
-  TaskGraph::Builder b("coarse");
-  b.add_vertices(coarse_count, 0.0);
-  std::vector<double> cw(static_cast<std::size_t>(coarse_count), 0.0);
-  for (int v = 0; v < n; ++v)
-    cw[static_cast<std::size_t>(fine_to_coarse[static_cast<std::size_t>(v)])] +=
-        g.vertex_weight(v);
-  for (int c = 0; c < coarse_count; ++c)
-    b.set_vertex_weight(c, cw[static_cast<std::size_t>(c)]);
-  for (const UndirectedEdge& e : g.edges()) {
-    const int ca = fine_to_coarse[static_cast<std::size_t>(e.a)];
-    const int cb = fine_to_coarse[static_cast<std::size_t>(e.b)];
-    if (ca != cb) b.add_edge(ca, cb, e.bytes);
-  }
-  out->coarse = std::move(b).build();
+  out->coarse = graph::quotient_graph(g, fine_to_coarse, coarse_count);
   out->fine_to_coarse = std::move(fine_to_coarse);
   return true;
 }
@@ -179,13 +155,12 @@ bool fm_pass(const FmContext& ctx, std::vector<int>& side) {
 }
 
 void fm_refine(const TaskGraph& g, const std::vector<double>& w,
-               std::vector<int>& side, double target_left, double eps,
-               int passes) {
+               std::vector<int>& side, double target_left) {
   const double total = std::accumulate(w.begin(), w.end(), 0.0);
   FmContext ctx{g, w,
-                {target_left * total * (1.0 + eps),
-                 (1.0 - target_left) * total * (1.0 + eps)}};
-  for (int pass = 0; pass < passes; ++pass)
+                {target_left * total * (1.0 + kEpsilon),
+                 (1.0 - target_left) * total * (1.0 + kEpsilon)}};
+  for (int pass = 0; pass < kFmPasses; ++pass)
     if (!fm_pass(ctx, side)) break;
 }
 
@@ -195,15 +170,14 @@ void fm_refine(const TaskGraph& g, const std::vector<double>& w,
 
 std::vector<int> grow_bisection(const TaskGraph& g,
                                 const std::vector<double>& w,
-                                double target_left, double eps, int trials,
-                                int fm_passes, Rng& rng) {
+                                double target_left, Rng& rng) {
   const int n = g.num_vertices();
   const double total = std::accumulate(w.begin(), w.end(), 0.0);
   const double target_weight = target_left * total;
 
   std::vector<int> best_side;
   double best_cut = std::numeric_limits<double>::infinity();
-  for (int trial = 0; trial < std::max(1, trials); ++trial) {
+  for (int trial = 0; trial < kInitialTrials; ++trial) {
     std::vector<int> side(static_cast<std::size_t>(n), 1);
     // conn[v]: bytes from v into the growing region minus bytes outward.
     std::vector<double> conn(static_cast<std::size_t>(n), 0.0);
@@ -233,8 +207,8 @@ std::vector<int> grow_bisection(const TaskGraph& g,
       for (const Edge& e : g.edges_of(pick))
         conn[static_cast<std::size_t>(e.neighbor)] += 2.0 * e.bytes;
     }
-    fm_refine(g, w, side, target_left, eps, fm_passes);
-    const double cut = cut_of(g, side);
+    fm_refine(g, w, side, target_left);
+    const double cut = edge_cut(g, side);
     if (cut < best_cut) {
       best_cut = cut;
       best_side = std::move(side);
@@ -243,45 +217,7 @@ std::vector<int> grow_bisection(const TaskGraph& g,
   return best_side;
 }
 
-// ---------------------------------------------------------------------------
-// Induced subgraph extraction (keeps a local -> parent vertex map).
-// ---------------------------------------------------------------------------
-
-struct Subgraph {
-  TaskGraph graph;
-  std::vector<int> local_to_parent;
-};
-
-Subgraph extract_side(const TaskGraph& g, const std::vector<int>& side,
-                      int which) {
-  Subgraph out;
-  std::vector<int> parent_to_local(static_cast<std::size_t>(g.num_vertices()),
-                                   -1);
-  TaskGraph::Builder b("sub");
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    if (side[static_cast<std::size_t>(v)] != which) continue;
-    parent_to_local[static_cast<std::size_t>(v)] =
-        b.add_vertex(g.vertex_weight(v));
-    out.local_to_parent.push_back(v);
-  }
-  for (const UndirectedEdge& e : g.edges()) {
-    const int la = parent_to_local[static_cast<std::size_t>(e.a)];
-    const int lb = parent_to_local[static_cast<std::size_t>(e.b)];
-    if (la >= 0 && lb >= 0) b.add_edge(la, lb, e.bytes);
-  }
-  out.graph = std::move(b).build();
-  return out;
-}
-
 }  // namespace
-
-MultilevelPartitioner::MultilevelPartitioner(MultilevelOptions options)
-    : options_(options) {
-  TOPOMAP_REQUIRE(options_.coarsen_target >= 8, "coarsen_target too small");
-  TOPOMAP_REQUIRE(options_.epsilon >= 0.0, "epsilon must be non-negative");
-  TOPOMAP_REQUIRE(options_.fm_passes >= 1, "need at least one FM pass");
-  TOPOMAP_REQUIRE(options_.initial_trials >= 1, "need at least one trial");
-}
 
 std::vector<int> MultilevelPartitioner::bisect(const graph::TaskGraph& g,
                                                double left_fraction,
@@ -295,7 +231,7 @@ std::vector<int> MultilevelPartitioner::bisect(const graph::TaskGraph& g,
   std::vector<CoarseLevel> levels;
   const TaskGraph* cur = &g;
   const double side_fraction = std::min(left_fraction, 1.0 - left_fraction);
-  while (cur->num_vertices() > options_.coarsen_target) {
+  while (cur->num_vertices() > kCoarsenTarget) {
     const std::vector<double> cur_w = balance_weights(*cur);
     const double total = std::accumulate(cur_w.begin(), cur_w.end(), 0.0);
     CoarseLevel level;
@@ -308,9 +244,7 @@ std::vector<int> MultilevelPartitioner::bisect(const graph::TaskGraph& g,
 
   // Initial bisection on the coarsest graph.
   std::vector<double> w = balance_weights(*cur);
-  std::vector<int> side =
-      grow_bisection(*cur, w, left_fraction, options_.epsilon,
-                     options_.initial_trials, options_.fm_passes, rng);
+  std::vector<int> side = grow_bisection(*cur, w, left_fraction, rng);
 
   // Uncoarsen with refinement at every level.
   for (int li = static_cast<int>(levels.size()) - 1; li >= 0; --li) {
@@ -322,8 +256,7 @@ std::vector<int> MultilevelPartitioner::bisect(const graph::TaskGraph& g,
           side[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])];
     side = std::move(fine_side);
     const std::vector<double> fw = balance_weights(finer);
-    fm_refine(finer, fw, side, left_fraction, options_.epsilon,
-              options_.fm_passes);
+    fm_refine(finer, fw, side, left_fraction);
   }
   return side;
 }
@@ -353,7 +286,10 @@ void recurse(const MultilevelPartitioner& partitioner, const TaskGraph& g,
   const std::vector<int> side = partitioner.bisect(g, left_fraction, rng);
 
   for (int which : {0, 1}) {
-    Subgraph sub = extract_side(g, side, which);
+    std::vector<int> members;
+    for (int v = 0; v < n; ++v)
+      if (side[static_cast<std::size_t>(v)] == which) members.push_back(v);
+    const graph::Subgraph sub = graph::induced_subgraph(g, members);
     std::vector<int> sub_to_original(sub.local_to_parent.size());
     for (std::size_t i = 0; i < sub.local_to_parent.size(); ++i)
       sub_to_original[i] = to_original[static_cast<std::size_t>(

@@ -41,23 +41,8 @@ struct CoarseLevel {
 bool coarsen_once(const graph::TaskGraph& g, double weight_cap, Rng& rng,
                   CoarseLevel* out);
 
-struct MultilevelOptions {
-  /// Stop coarsening once a bisection's working graph has at most this
-  /// many vertices.
-  int coarsen_target = 64;
-  /// Independent greedy-growing trials for the initial bisection.
-  int initial_trials = 6;
-  /// Maximum FM passes per uncoarsening level.
-  int fm_passes = 4;
-  /// Per-side balance tolerance: a side may exceed its target weight by
-  /// this fraction.
-  double epsilon = 0.08;
-};
-
 class MultilevelPartitioner final : public Partitioner {
  public:
-  explicit MultilevelPartitioner(MultilevelOptions options = {});
-
   PartitionResult partition(const graph::TaskGraph& g, int k,
                             Rng& rng) const override;
   std::string name() const override { return "MultilevelPartition"; }
@@ -66,9 +51,6 @@ class MultilevelPartitioner final : public Partitioner {
   /// `left_fraction` of the total vertex weight.  Exposed for tests.
   std::vector<int> bisect(const graph::TaskGraph& g, double left_fraction,
                           Rng& rng) const;
-
- private:
-  MultilevelOptions options_;
 };
 
 }  // namespace topomap::part

@@ -20,6 +20,14 @@ double edge_cut(const graph::TaskGraph& g,
   return cut;
 }
 
+std::vector<double> balance_weights(const graph::TaskGraph& g) {
+  std::vector<double> w(static_cast<std::size_t>(g.num_vertices()), 1.0);
+  if (g.total_vertex_weight() > 0.0)
+    for (int v = 0; v < g.num_vertices(); ++v)
+      w[static_cast<std::size_t>(v)] = g.vertex_weight(v);
+  return w;
+}
+
 std::vector<double> part_weights(const graph::TaskGraph& g,
                                  const std::vector<int>& assignment, int k) {
   TOPOMAP_REQUIRE(static_cast<int>(assignment.size()) == g.num_vertices(),

@@ -40,6 +40,10 @@ double edge_cut(const graph::TaskGraph& g, const std::vector<int>& assignment);
 double load_imbalance(const graph::TaskGraph& g,
                       const std::vector<int>& assignment, int k);
 
+/// Balancing weights: vertex weights, or all ones when the graph carries no
+/// compute load (balance on counts instead of dividing by zero).
+std::vector<double> balance_weights(const graph::TaskGraph& g);
+
 /// Per-part total vertex weights.
 std::vector<double> part_weights(const graph::TaskGraph& g,
                                  const std::vector<int>& assignment, int k);

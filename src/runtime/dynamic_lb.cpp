@@ -120,46 +120,28 @@ EventOutcome apply_event(topo::FaultOverlay& overlay,
   return out;
 }
 
-DynamicLBRun run_dynamic_lb_detailed(const graph::TaskGraph& initial,
-                                     const topo::Topology& topo,
-                                     const DynamicLBConfig& config, Rng& rng) {
+DynamicLBRun run_dynamic_lb(const graph::TaskGraph& initial,
+                            const topo::Topology& topo,
+                            const DynamicLBConfig& config, Rng& rng) {
   TOPOMAP_REQUIRE(config.epochs >= 1, "need at least one epoch");
   TOPOMAP_REQUIRE(config.load_drift >= 0.0 && config.load_drift < 1.0,
                   "load_drift must be in [0,1)");
   TOPOMAP_REQUIRE(config.comm_drift >= 0.0 && config.comm_drift < 1.0,
                   "comm_drift must be in [0,1)");
   TOPOMAP_REQUIRE(config.pipeline.mapper != nullptr, "pipeline needs a mapper");
-  for (const FaultEvent& f : config.faults) {
-    TOPOMAP_REQUIRE(f.epoch >= 0 && f.epoch < config.epochs,
-                    "fault epoch out of range");
-    TOPOMAP_REQUIRE(f.proc >= 0 && f.proc < topo.size(),
-                    "fault processor out of range");
-    TOPOMAP_REQUIRE(config.pipeline.partitioner != nullptr,
-                    "faults shrink the machine below the object count: the "
-                    "pipeline needs a partitioner");
-  }
-
-  // Merged timeline: the legacy node-death list first, then the generalized
-  // events, scanned in this order at every epoch boundary.
-  std::vector<Event> timeline;
-  timeline.reserve(config.faults.size() + config.events.size());
-  for (const FaultEvent& f : config.faults)
-    timeline.push_back({f.epoch, EventKind::kNodeFail, f.proc, 0, 1.0, false});
+  bool can_shrink = false;
   for (const Event& ev : config.events) {
     check_event(ev, config.epochs, topo);
-    timeline.push_back(ev);
-  }
-  bool can_shrink = false;
-  for (const Event& ev : timeline)
     if (ev.kind == EventKind::kNodeFail || ev.kind == EventKind::kLinkFail)
       can_shrink = true;
+  }
   TOPOMAP_REQUIRE(!can_shrink || config.pipeline.partitioner != nullptr,
                   "fault events can shrink or split the machine: the "
                   "pipeline needs a partitioner");
 
-  // Fault-free runs take exactly the legacy code path: no overlay queries,
+  // Fault-free runs skip the resilience machinery: no overlay queries,
   // no plane, no component scans, no validation.
-  const bool resilient = !timeline.empty();
+  const bool resilient = !config.events.empty();
 
   DynamicLBRun run;
   graph::TaskGraph current = initial;
@@ -212,7 +194,7 @@ DynamicLBRun run_dynamic_lb_detailed(const graph::TaskGraph& initial,
 
     // --- apply this epoch's events, repairing the plane as we go ---
     bool state_changed = false;
-    for (const Event& ev : timeline) {
+    for (const Event& ev : config.events) {
       if (ev.epoch != epoch) continue;
       const bool skip_repair =
           plane != nullptr &&
@@ -462,13 +444,6 @@ DynamicLBRun run_dynamic_lb_detailed(const graph::TaskGraph& initial,
   run.final_placement = std::move(prev_placement);
   run.final_quarantined = std::move(qflags);
   return run;
-}
-
-std::vector<DynamicEpochStats> run_dynamic_lb(const graph::TaskGraph& initial,
-                                              const topo::Topology& topo,
-                                              const DynamicLBConfig& config,
-                                              Rng& rng) {
-  return run_dynamic_lb_detailed(initial, topo, config, rng).history;
 }
 
 }  // namespace topomap::rts

@@ -16,10 +16,10 @@
 //                   migrations.
 //
 // Faults arrive at epoch boundaries as tagged events — node or link, fail,
-// degrade, or recover (Event; the legacy FaultEvent node-death list still
-// works).  The runtime owns a long-lived topo::DistanceCache plane that it
-// repairs incrementally after every event, a quarantine ledger for network
-// partitions, and a self-validation loop:
+// degrade, or recover (Event).  The runtime owns a long-lived
+// topo::DistanceCache plane that it repairs incrementally after every
+// event, a quarantine ledger for network partitions, and a self-validation
+// loop:
 //
 //  * a fault that shrinks the machine regroups the objects onto the
 //    compact alive subset of a topo::FaultOverlay;
@@ -47,14 +47,6 @@
 namespace topomap::rts {
 
 enum class RemapPolicy { kScratch, kIncremental };
-
-/// Legacy node-death event: processor `proc` dies at the start of epoch
-/// `epoch` (before that epoch's remap).  Kept for callers predating the
-/// generalized Event; equivalent to {epoch, kNodeFail, proc}.
-struct FaultEvent {
-  int epoch = 0;
-  int proc = 0;
-};
 
 /// What happens to the machine at an epoch boundary.
 enum class EventKind {
@@ -118,10 +110,9 @@ struct DynamicLBConfig {
   /// RefineTopoLB sweeps per epoch in incremental mode.
   int refine_passes = 4;
   PipelineConfig pipeline;
-  /// Legacy processor-failure list; merged (first) into the event timeline.
-  std::vector<FaultEvent> faults;
-  /// Generalized fault/recovery timeline.  Epochs must lie in [0, epochs);
-  /// a pipeline partitioner is required once any processor can die.
+  /// Fault/recovery timeline, applied at epoch boundaries (before that
+  /// epoch's remap) in this order.  Epochs must lie in [0, epochs); a
+  /// pipeline partitioner is required once any processor can die.
   std::vector<Event> events;
   ResilienceOptions resilience;
 };
@@ -168,14 +159,8 @@ struct DynamicLBRun {
 
 /// Run the drifting-workload simulation with the full event/recovery/
 /// validation machinery.
-DynamicLBRun run_dynamic_lb_detailed(const graph::TaskGraph& initial,
-                                     const topo::Topology& topo,
-                                     const DynamicLBConfig& config, Rng& rng);
-
-/// Compatibility wrapper: just the per-epoch stats rows.
-std::vector<DynamicEpochStats> run_dynamic_lb(const graph::TaskGraph& initial,
-                                              const topo::Topology& topo,
-                                              const DynamicLBConfig& config,
-                                              Rng& rng);
+DynamicLBRun run_dynamic_lb(const graph::TaskGraph& initial,
+                            const topo::Topology& topo,
+                            const DynamicLBConfig& config, Rng& rng);
 
 }  // namespace topomap::rts

@@ -1,8 +1,10 @@
 #include "support/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <numeric>
 #include <system_error>
 #include <utility>
 
@@ -231,19 +233,20 @@ struct Parser {
         ++pos;
         return v;
       }
+      Members members;
       for (;;) {
         skip_ws();
         std::string key = parse_string();
         skip_ws();
         expect(':');
-        v.set(std::move(key), parse_value(depth + 1));
+        members.emplace_back(std::move(key), parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos;
           continue;
         }
         expect('}');
-        return v;
+        return Value::object(std::move(members));
       }
     }
     if (c == '[') {
@@ -318,6 +321,64 @@ std::size_t Value::size() const {
   if (const auto* obj = std::get_if<Members>(&v_)) return obj->size();
   TOPOMAP_REQUIRE(false, "size() on a non-container json value");
   return 0;
+}
+
+namespace detail {
+
+std::size_t resolve_repeated_keys(Members& members) {
+  // Objects up to this size first compare every pair of keys, at most
+  // kScanLimit^2 / 2 comparisons: when none repeats, as in every object
+  // topomap writes, nothing is allocated or moved.
+  constexpr std::size_t kScanLimit = 16;
+  const std::size_t m = members.size();
+  std::size_t comparisons = 0;
+  if (m <= kScanLimit) {
+    bool repeated = false;
+    for (std::size_t i = 1; i < m && !repeated; ++i)
+      for (std::size_t j = 0; j < i && !repeated; ++j) {
+        ++comparisons;
+        repeated = members[j].first == members[i].first;
+      }
+    if (!repeated) return comparisons;
+  }
+  // Member positions sorted by (key, position).
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    ++comparisons;
+    const int c = members[x].first.compare(members[y].first);
+    return c != 0 ? c < 0 : x < y;
+  });
+  // Each run of one key keeps its first position with its last value; the
+  // kept positions collect at the front of `order`.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < m;) {
+    std::size_t j = i + 1;
+    while (j < m && members[order[j]].first == members[order[i]].first) ++j;
+    comparisons += j - i;
+    if (j - i > 1)
+      members[order[i]].second = std::move(members[order[j - 1]].second);
+    order[kept++] = order[i];
+    i = j;
+  }
+  if (kept < m) {
+    // order[t] >= t once ascending, so moving forward never reads a slot
+    // already overwritten.
+    std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(kept));
+    for (std::size_t t = 0; t < kept; ++t)
+      if (order[t] != t) members[t] = std::move(members[order[t]]);
+    members.resize(kept);
+  }
+  return comparisons;
+}
+
+}  // namespace detail
+
+Value Value::object(Members members) {
+  detail::resolve_repeated_keys(members);
+  Value v;
+  v.v_.emplace<5>(std::move(members));
+  return v;
 }
 
 void Value::set(std::string key, Value v) {

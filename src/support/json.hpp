@@ -64,6 +64,10 @@ class Value {
     v.v_.emplace<5>();
     return v;
   }
+  /// An object of `members` in order, a repeated key keeping its first
+  /// position and its last value: the object that set() builds from them
+  /// one by one, in O(m log m) key comparisons instead of set()'s O(m^2).
+  static Value object(Members members);
 
   Kind kind() const { return static_cast<Kind>(v_.index()); }
   bool is_null() const { return kind() == Kind::kNull; }
@@ -108,6 +112,15 @@ class Value {
                Members>
       v_;
 };
+
+namespace detail {
+/// Drops repeated keys from `members` in place: each key keeps its first
+/// position and its last value.  Sorts member positions by (key,
+/// position), so the work is O(m log m) key comparisons; objects of at
+/// most 16 members first check every pair and return at once when no key
+/// repeats.  Returns the number of key comparisons made.
+std::size_t resolve_repeated_keys(Members& members);
+}  // namespace detail
 
 /// The one producer of JSON bytes: appends a document to a string as a
 /// sequence of begin/key/value/end events, so a typed result renders

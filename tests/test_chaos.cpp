@@ -338,7 +338,7 @@ rts::DynamicLBRun chaos_soak(int threads, std::vector<int> skip_repairs = {}) {
   config.events = rts::make_chaos_schedule(*t, chaos).events;
   config.resilience.skip_repairs = std::move(skip_repairs);
   Rng rng(11);
-  rts::DynamicLBRun run = rts::run_dynamic_lb_detailed(g, *t, config, rng);
+  rts::DynamicLBRun run = rts::run_dynamic_lb(g, *t, config, rng);
   support::set_num_threads(1);
   return run;
 }
@@ -375,15 +375,13 @@ TEST(ChaosSoak, SkippedRepairTriggersRebuildFallback) {
   config.events = {{1, rts::EventKind::kNodeFail, 7},
                    {3, rts::EventKind::kNodeRestore, 7}};
   Rng rng_a(11);
-  const rts::DynamicLBRun honest =
-      rts::run_dynamic_lb_detailed(g, *t, config, rng_a);
+  const rts::DynamicLBRun honest = rts::run_dynamic_lb(g, *t, config, rng_a);
   EXPECT_EQ(honest.plane_rebuilds, 0);
   EXPECT_EQ(honest.violations, 0);
 
   config.resilience.skip_repairs = {0};  // sabotage the node-fail repair
   Rng rng_b(11);
-  const rts::DynamicLBRun sabotaged =
-      rts::run_dynamic_lb_detailed(g, *t, config, rng_b);
+  const rts::DynamicLBRun sabotaged = rts::run_dynamic_lb(g, *t, config, rng_b);
   EXPECT_GE(sabotaged.plane_rebuilds, 1);
   EXPECT_GE(sabotaged.violations, 1);
   EXPECT_EQ(sabotaged.final_placement, honest.final_placement);
@@ -397,11 +395,10 @@ TEST(DynamicLB, StrictEventThrowsWhereLenientSkips) {
   config.events = {{0, rts::EventKind::kNodeFail, 5},
                    {1, rts::EventKind::kLinkDegrade, 5, 6, 0.5}};  // dead link
   Rng rng(1);
-  EXPECT_THROW(rts::run_dynamic_lb_detailed(g, *t, config, rng),
-               precondition_error);
+  EXPECT_THROW(rts::run_dynamic_lb(g, *t, config, rng), precondition_error);
   config.events[1].strict = false;
   Rng rng2(1);
-  const rts::DynamicLBRun run = rts::run_dynamic_lb_detailed(g, *t, config, rng2);
+  const rts::DynamicLBRun run = rts::run_dynamic_lb(g, *t, config, rng2);
   EXPECT_EQ(run.events_applied, 1);
   EXPECT_EQ(run.events_skipped, 1);
 }
@@ -418,30 +415,13 @@ TEST(DynamicLB, PartitionQuarantinesThenRestoreReadmits) {
   config.events = {{1, rts::EventKind::kNodeFail, 2},
                    {4, rts::EventKind::kNodeRestore, 2}};
   Rng rng(5);
-  const rts::DynamicLBRun run = rts::run_dynamic_lb_detailed(g, *t, config, rng);
+  const rts::DynamicLBRun run = rts::run_dynamic_lb(g, *t, config, rng);
   EXPECT_GE(run.partitioned_epochs, 1);
   EXPECT_GT(run.max_quarantined, 0);
   // After the restore the machine is whole again and everyone is active.
   for (char f : run.final_quarantined) EXPECT_EQ(f, 0);
   EXPECT_EQ(run.history.back().components, 1);
   EXPECT_EQ(run.history.back().quarantined, 0);
-}
-
-TEST(DynamicLB, EmptyTimelineMatchesLegacyRun) {
-  // The resilience machinery must be invisible when nothing goes wrong:
-  // an event-free detailed run reproduces the legacy wrapper bit-for-bit.
-  const auto g = graph::stencil_2d(8, 8, 16.0);
-  const auto t = make_topology("torus:4x4");
-  Rng rng_a(13), rng_b(13);
-  const auto legacy = rts::run_dynamic_lb(g, *t, soak_config(5), rng_a);
-  const rts::DynamicLBRun detailed =
-      rts::run_dynamic_lb_detailed(g, *t, soak_config(5), rng_b);
-  ASSERT_EQ(detailed.history.size(), legacy.size());
-  for (std::size_t e = 0; e < legacy.size(); ++e) {
-    EXPECT_DOUBLE_EQ(detailed.history[e].hops_per_byte,
-                     legacy[e].hops_per_byte);
-    EXPECT_EQ(detailed.history[e].migrations, legacy[e].migrations);
-  }
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ TEST(DynamicLB, ZeroDriftIncrementalHasZeroMigrations) {
   config.load_drift = 0.0;
   config.comm_drift = 0.0;
   Rng rng(11);
-  const auto history = rts::run_dynamic_lb(g, *t, config, rng);
+  const auto history = rts::run_dynamic_lb(g, *t, config, rng).history;
   ASSERT_EQ(history.size(), 5u);
   for (const auto& epoch : history) EXPECT_EQ(epoch.migrations, 0);
 }
@@ -212,9 +212,12 @@ TEST(DynamicLB, IncrementalMigratesLessThanScratch) {
   Rng rng_a(13), rng_b(13);
   const auto scratch =
       rts::run_dynamic_lb(g, *t, dynamic_config(rts::RemapPolicy::kScratch),
-                          rng_a);
-  const auto incremental = rts::run_dynamic_lb(
-      g, *t, dynamic_config(rts::RemapPolicy::kIncremental), rng_b);
+                          rng_a)
+          .history;
+  const auto incremental =
+      rts::run_dynamic_lb(g, *t,
+                          dynamic_config(rts::RemapPolicy::kIncremental), rng_b)
+          .history;
   long scratch_moves = 0, incr_moves = 0;
   for (const auto& e : scratch) scratch_moves += e.migrations;
   for (const auto& e : incremental) incr_moves += e.migrations;
@@ -230,7 +233,8 @@ TEST(DynamicLB, FirstEpochHasNoMigrationsByDefinition) {
   Rng rng(17);
   const auto history =
       rts::run_dynamic_lb(g, *t, dynamic_config(rts::RemapPolicy::kScratch),
-                          rng);
+                          rng)
+          .history;
   EXPECT_EQ(history.front().migrations, 0);
 }
 

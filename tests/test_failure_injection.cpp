@@ -296,6 +296,12 @@ TEST(Evacuate, ComparisonMigratesFarLessThanFullRemap) {
   EXPECT_LE(cmp.evac.hop_bytes, 1.10 * cmp.full_hop_bytes);
 }
 
+/// Processor `proc` dies at the start of epoch `epoch`, skipped (not
+/// thrown) if it is already dead.
+Event node_fail(int epoch, int proc) {
+  return {epoch, EventKind::kNodeFail, proc, 0, 1.0, /*strict=*/false};
+}
+
 TEST(DynamicLBFaults, ShrinksMachineAndKeepsPlacementsAlive) {
   const auto g = graph::stencil_2d(6, 6, 1.0);  // 36 objects
   const auto topo = topo::make_topology("torus:6x6");
@@ -306,9 +312,9 @@ TEST(DynamicLBFaults, ShrinksMachineAndKeepsPlacementsAlive) {
     config.policy = policy;
     config.pipeline.partitioner = part::make_partitioner("multilevel");
     config.pipeline.mapper = core::make_strategy("topolb");
-    config.faults = {{2, 7}, {2, 8}, {4, 20}};
+    config.events = {node_fail(2, 7), node_fail(2, 8), node_fail(4, 20)};
     Rng rng(11);
-    const auto history = run_dynamic_lb(g, *topo, config, rng);
+    const auto history = run_dynamic_lb(g, *topo, config, rng).history;
     ASSERT_EQ(history.size(), 6u);
     EXPECT_EQ(history[0].alive_procs, 36);
     EXPECT_EQ(history[1].alive_procs, 36);
@@ -332,14 +338,14 @@ TEST(DynamicLBFaults, ValidatesFaultEvents) {
   DynamicLBConfig config;
   config.epochs = 3;
   config.pipeline.mapper = core::make_strategy("topolb");
-  config.faults = {{1, 5}};
+  config.events = {node_fail(1, 5)};
   Rng rng(1);
   // Faults require a partitioner (objects outnumber alive processors).
   EXPECT_THROW(run_dynamic_lb(g, *topo, config, rng), precondition_error);
   config.pipeline.partitioner = part::make_partitioner("multilevel");
-  config.faults = {{7, 5}};  // epoch out of range
+  config.events = {node_fail(7, 5)};  // epoch out of range
   EXPECT_THROW(run_dynamic_lb(g, *topo, config, rng), precondition_error);
-  config.faults = {{1, 99}};  // processor out of range
+  config.events = {node_fail(1, 99)};  // processor out of range
   EXPECT_THROW(run_dynamic_lb(g, *topo, config, rng), precondition_error);
 }
 

@@ -1,6 +1,12 @@
 // Task-graph structure and generator tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "graph/builders.hpp"
 #include "graph/quotient.hpp"
 #include "graph/synthetic_md.hpp"
@@ -50,6 +56,65 @@ TEST(TaskGraph, CsrRowsSortedByNeighbor) {
   EXPECT_EQ(row[0].neighbor, 0);
   EXPECT_EQ(row[1].neighbor, 1);
   EXPECT_EQ(row[2].neighbor, 3);
+}
+
+TEST(TaskGraph, ParallelEdgesSumInInsertionOrder) {
+  // Forty raw edges over six vertices, so most (a, b) pairs repeat, in
+  // either orientation, with fractional bytes over sixteen decades: a
+  // merged edge's double sum depends on the order of its copies.  Each
+  // must be the left-to-right sum in insertion order, edges() must be in
+  // (a, b) order, and every CSR row must be ascending and hold exactly the
+  // edges() entries of its vertex.
+  std::mt19937_64 gen(0x7a5c);
+  TaskGraph::Builder b("t");
+  b.add_vertices(6);
+  std::map<std::pair<int, int>, std::vector<double>> copies;
+  for (int i = 0; i < 40; ++i) {
+    const int a = static_cast<int>(gen() % 6);
+    int c = static_cast<int>(gen() % 5);
+    if (c >= a) ++c;
+    const double bytes =
+        gen() % 3 == 0 ? 1e16 : 0.1 * static_cast<double>(1 + gen() % 9);
+    b.add_edge(a, c, bytes);
+    copies[{std::min(a, c), std::max(a, c)}].push_back(bytes);
+  }
+  const TaskGraph g = std::move(b).build();
+
+  ASSERT_EQ(g.num_edges(), static_cast<int>(copies.size()));
+  int order_sensitive = 0;
+  std::size_t i = 0;
+  for (const auto& [pair, bytes] : copies) {
+    double forward = 0.0, backward = 0.0;
+    for (const double x : bytes) forward += x;
+    for (auto it = bytes.rbegin(); it != bytes.rend(); ++it) backward += *it;
+    order_sensitive += forward != backward ? 1 : 0;
+    const UndirectedEdge& e = g.edges()[i++];
+    EXPECT_EQ(e.a, pair.first);
+    EXPECT_EQ(e.b, pair.second);
+    EXPECT_EQ(e.bytes, forward) << e.a << "-" << e.b;
+  }
+  EXPECT_GT(order_sensitive, 0);  // the data can tell the orders apart
+
+  std::vector<std::vector<Edge>> rows(6);
+  for (const UndirectedEdge& e : g.edges()) {
+    rows[static_cast<std::size_t>(e.a)].push_back({e.b, e.bytes});
+    rows[static_cast<std::size_t>(e.b)].push_back({e.a, e.bytes});
+  }
+  for (int v = 0; v < 6; ++v) {
+    auto& want = rows[static_cast<std::size_t>(v)];
+    std::sort(want.begin(), want.end(), [](const Edge& x, const Edge& y) {
+      return x.neighbor < y.neighbor;
+    });
+    const auto row = g.edges_of(v);
+    ASSERT_EQ(row.size(), want.size());
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      if (k > 0) {
+        EXPECT_LT(row[k - 1].neighbor, row[k].neighbor);
+      }
+      EXPECT_EQ(row[k].neighbor, want[k].neighbor);
+      EXPECT_EQ(row[k].bytes, want[k].bytes);
+    }
+  }
 }
 
 TEST(Builders, Stencil2DShape) {

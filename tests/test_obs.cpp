@@ -127,6 +127,45 @@ TEST_F(ObsTest, JsonRepeatedKeysKeepFirstPositionAndLastValue) {
   }
 }
 
+TEST_F(ObsTest, JsonObjectKeysResolveInLogLinearComparisons) {
+  // A 65,536-member object over at most 40,000 distinct keys.  Resolving
+  // its repeats sorts member positions: at most 2 m log2 m = 2,097,152 key
+  // comparisons, where a scan of the earlier keys per member (Value::set)
+  // makes about m^2 / 2 = 2^31.  Parsing the same object keeps each key's
+  // first position and last value.
+  constexpr std::size_t m = std::size_t{1} << 16;
+  std::mt19937_64 gen(0x5eed);
+  json::Members members;
+  std::string text = "{";
+  std::vector<std::pair<std::string, int>> want;  // first position order
+  std::map<std::string, std::size_t> slot;
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::string key =
+        std::string("k").append(std::to_string(gen() % 40000));
+    const int value = static_cast<int>(i);
+    members.emplace_back(key, value);
+    if (i) text += ',';
+    text += "\"" + key + "\":" + std::to_string(value);
+    const auto [it, fresh] = slot.try_emplace(key, want.size());
+    if (fresh) want.emplace_back(key, value);
+    else want[it->second].second = value;
+  }
+  text += '}';
+  ASSERT_LT(want.size(), m);  // the object really repeats keys
+
+  const std::size_t comparisons = json::detail::resolve_repeated_keys(members);
+  EXPECT_LE(comparisons, 2 * m * 16);
+  const Value parsed = Value::parse(text);
+  const json::Members* const results[] = {&members, &parsed.members()};
+  for (const json::Members* got : results) {
+    ASSERT_EQ(got->size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ((*got)[i].first, want[i].first);
+      EXPECT_EQ((*got)[i].second.as_number(), want[i].second);
+    }
+  }
+}
+
 // The number codec's contract, stated as the printf/strtod formula the
 // writer and parser must reproduce byte for byte: integral values below
 // 2^53 print as "%.0f", everything else as the first of "%.15g", "%.16g",

@@ -2,16 +2,23 @@
 // multilevel bisection behaviour, quotient-pipeline integration.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <tuple>
+#include <vector>
 
+#include "core/strategy.hpp"
 #include "graph/builders.hpp"
+#include "graph/factory.hpp"
 #include "graph/quotient.hpp"
 #include "graph/synthetic_md.hpp"
 #include "partition/greedy_partition.hpp"
 #include "partition/multilevel.hpp"
 #include "partition/partition.hpp"
+#include "runtime/lb_manager.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
+#include "topo/factory.hpp"
 
 namespace topomap::part {
 namespace {
@@ -162,6 +169,55 @@ TEST(Multilevel, MdPipelineProducesUsableQuotient) {
   EXPECT_EQ(q.num_vertices(), p);
   EXPECT_GT(q.num_edges(), 0);
   EXPECT_NEAR(q.total_vertex_weight(), md.total_vertex_weight(), 1e-6);
+}
+
+/// FNV-1a over every entry of an assignment, for the golden-hash tests.
+std::uint64_t fnv1a(const std::vector<int>& assignment) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const int x : assignment) {
+    const auto u = static_cast<std::uint32_t>(x);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Golden bytes for contractions of fractional-weight graphs, whose merged
+// edge bytes depend on the order parallel edges are summed in (insertion
+// order, TaskGraph::Builder::build): `topomap partition
+// --tasks=er:2000:0.01 --parts=128` and `topomap pipeline
+// --tasks=md:10x10x10 --topology=torus:8x8x8`, both at seed 1.  Every hash
+// must come out at 1 and 4 threads.
+TEST(Multilevel, GoldenFractionalPartitionHash) {
+  for (const int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    Rng rng(1);
+    const TaskGraph g = graph::make_task_graph("er:2000:0.01", rng);
+    const PartitionResult r = MultilevelPartitioner().partition(g, 128, rng);
+    EXPECT_EQ(fnv1a(r.assignment), 0x15b37accd896df82ull)
+        << std::hex << "0x" << fnv1a(r.assignment) << std::dec << ": threads "
+        << threads;
+  }
+  support::set_num_threads(1);
+}
+
+TEST(Multilevel, GoldenFractionalPipelineHash) {
+  const auto machine = topo::make_topology("torus:8x8x8");
+  rts::PipelineConfig config;
+  config.partitioner = make_partitioner("multilevel");
+  config.mapper = core::make_strategy("topolb+refine");
+  for (const int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    Rng rng(1);
+    const TaskGraph g = graph::make_task_graph("md:10x10x10", rng);
+    const rts::PipelineResult r = rts::run_two_phase(g, *machine, config, rng);
+    EXPECT_EQ(fnv1a(r.object_to_proc), 0x5ee6b036cbf58658ull)
+        << std::hex << "0x" << fnv1a(r.object_to_proc) << std::dec
+        << ": threads " << threads;
+  }
+  support::set_num_threads(1);
 }
 
 TEST(Factory, BuildsByName) {

@@ -816,7 +816,7 @@ int cmd_chaos(int argc, const char* const* argv) {
   rts::DynamicLBRun run;
   {
     obs::ScopedSpan root_span("cli/chaos");
-    run = rts::run_dynamic_lb_detailed(g, *topo, config, rng);
+    run = rts::run_dynamic_lb(g, *topo, config, rng);
   }
 
   double alive_sum = 0.0;
