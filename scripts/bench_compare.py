@@ -14,9 +14,9 @@ Only *deterministic* columns participate in the gate: wall-clock columns
 informational context (e.g. the svc_load p50/p99 service latencies) but
 are skipped during compare, so the gate never fails on machine speed —
 it fails when mapping quality metrics (hop-bytes, max-link-load, L2,
-simulated virtual-time results) move.  Numeric cells compare under a
-relative tolerance; strings must match exactly.  Intentional algorithm
-changes regenerate the baseline with `rollup`.
+simulated virtual-time results) move.  Real-valued cells compare under a
+relative tolerance; integer cells (counts) and strings must match exactly.
+Intentional algorithm changes regenerate the baseline with `rollup`.
 
 Exit 0 when every shared table matches, 1 on any regression or missing
 table, 2 on usage/I-O errors.  Stdlib only.
@@ -109,6 +109,8 @@ def cmd_rollup(args) -> None:
 def cells_match(a, b, tolerance: float) -> bool:
     if isinstance(a, str) or isinstance(b, str):
         return a == b
+    if isinstance(a, int) and isinstance(b, int):
+        return a == b  # counts (work counters, migrations) match exactly
     if a == b:
         return True
     scale = max(abs(a), abs(b))

@@ -6,9 +6,10 @@
 # (svc_load's p50/p99 latencies, per-run seconds) ride along in the
 # baseline as informational context but never gate — so the gate flags
 # changes to mapping quality (hop-bytes, max-link-load, L2, simulated
-# completion) and cache-sharing invariants (svc_load hit_rate), never
-# machine speed.  After an intentional algorithm change, regenerate the
-# baseline and commit it:
+# completion), cache-sharing invariants (svc_load hit_rate) and the work
+# counters of the benchmark's mapping shapes (work_counters, compared
+# exactly), never machine speed.  After an intentional algorithm change,
+# regenerate the baseline and commit it:
 #
 #   scripts/bench_gate.sh <build-dir> --update
 #
@@ -38,6 +39,7 @@ run ablation_hier_scale --full=0
 run ablation_chaos_soak --epochs=60
 run ablation_optimality_gap
 run svc_load
+run work_counters
 
 if [ "$MODE" = "--update" ]; then
   python3 scripts/bench_compare.py rollup --dir "$TMP/bench_results" \

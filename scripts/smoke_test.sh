@@ -214,6 +214,14 @@ expect_flag_error --seed "$CLI" map --strategy=random --tasks=stencil2d:4x4 \
   --topology=torus:4x4 --seed=-1
 "$CLI" map --strategy=random --tasks=stencil2d:4x4 --topology=torus:4x4 \
   --seed=18446744073709551615 >/dev/null
+# Spec fields are strict: a stray or trailing separator is an empty field,
+# which exits 2 naming the spec instead of mapping a smaller spec.
+for spec in torus:4x4x mesh:4x; do
+  expect_flag_error "$spec" "$CLI" map --tasks=stencil2d:2x2 --topology="$spec"
+done
+for spec in stencil2d:4x4x stencil2d:4x4:; do
+  expect_flag_error "$spec" "$CLI" map --tasks="$spec" --topology=torus:4x4
+done
 echo "ok: exit codes         1 usage / 2 precondition / 4 io"
 
 # Self-validation drills: each documented corruption class must be caught
@@ -287,6 +295,8 @@ SOCK="$TMP/topomapd.sock"
 "$DAEMON" --socket="$SOCK" --workers=2 --event-log="$TMP/events.jsonl" \
   --flight-capacity=64 > "$TMP/daemon.log" 2>&1 &
 DAEMON_PID=$!
+# A failing check below must not leave the daemon running.
+trap 'kill "$DAEMON_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.05; done
 if [ ! -S "$SOCK" ]; then
   echo "FAIL: topomapd never bound $SOCK" >&2
@@ -347,6 +357,15 @@ do
     exit 1
   fi
 done
+# Strict spec fields through the daemon: exit 2 naming the spec.
+for spec in torus:4x4x mesh:4x; do
+  expect_flag_error "$spec" "$CLI" client --socket="$SOCK" --kind=map \
+    --tasks=stencil2d:2x2 --topology="$spec"
+done
+for spec in stencil2d:4x4x stencil2d:4x4:; do
+  expect_flag_error "$spec" "$CLI" client --socket="$SOCK" --kind=map \
+    --tasks="$spec" --topology=torus:4x4
+done
 kill -USR1 "$DAEMON_PID"
 for _ in $(seq 1 50); do
   grep -q 'flight recorder' "$TMP/daemon.log" && break; sleep 0.05
@@ -355,6 +374,7 @@ grep -q 'flight recorder' "$TMP/daemon.log"
 kill -TERM "$DAEMON_PID"
 DAEMON_RC=0
 wait "$DAEMON_PID" || DAEMON_RC=$?
+trap 'rm -rf "$TMP"' EXIT
 if [ "$DAEMON_RC" != 0 ]; then
   echo "FAIL: topomapd exited $DAEMON_RC on SIGTERM, expected 0" >&2
   cat "$TMP/daemon.log" >&2

@@ -6,6 +6,7 @@
 
 #include "core/cache_handle.hpp"
 #include "core/detail/swap_bound.hpp"
+#include "core/detail/tight_tasks.hpp"
 #include "core/distance_provider.hpp"
 #include "core/metrics.hpp"
 #include "core/swap_kernel.hpp"
@@ -21,14 +22,19 @@ namespace {
 /// order: the first pair whose swap lowers hop-bytes by more than 1e-12 is
 /// swapped, and the sweep goes on from the next pair under the new mapping.
 ///
-/// A pair that detail::SwapBound skips has a computed delta >= 0, so it
-/// would be rejected anyway; only the pairs the bound cannot skip pay for
-/// swap_delta_dist.  The test costs one plane load and a few scalar loads
-/// against a's hoisted distance row, which a swap moves and so re-hoists.
+/// Two exact rules spare pairs whose computed delta is provably >= 0, which
+/// the sweep would reject anyway, so neither changes which swap is taken.
+/// When a is tight (core/detail/tight_tasks.hpp), the sweep walks only the
+/// loose b, in the same ascending order: two tight tasks never swap.  Each
+/// walked pair then goes through detail::SwapBound, and only the pairs it
+/// cannot skip pay for swap_delta_dist.  The bound's test costs one plane
+/// load and a few scalar loads against a's hoisted distance row, which a
+/// swap moves and so re-hoists.
 template <class D>
 bool sweep_once(const graph::TaskGraph& g,
                 const detail::CachedDistance<D>& dist, Mapping& m,
-                detail::SwapBound& bound, int* swaps) {
+                detail::SwapBound& bound, detail::TightTasks& tight,
+                int* swaps) {
   const int n = static_cast<int>(m.size());
   bool improved = false;
   for (int a = 0; a < n; ++a) {
@@ -37,15 +43,22 @@ bool sweep_once(const graph::TaskGraph& g,
     while (b < n) {  // once per run of pairs between accepted swaps
       const D* row = dist.row(m[static_cast<std::size_t>(a)]);
       const detail::SwapBound::Task& ta = bound[a];
-      for (; b < n; ++b) {
-        if (bound.skips(ta, bound[b], row[m[static_cast<std::size_t>(b)]]))
-          continue;
+      const auto improves = [&](int c) {
+        if (bound.skips(ta, bound[c], row[m[static_cast<std::size_t>(c)]]))
+          return false;
         ++evals;
-        if (detail::swap_delta_dist(g, dist, m, a, b) < -1e-12) break;
+        return detail::swap_delta_dist(g, dist, m, a, c) < -1e-12;
+      };
+      if (tight.tight(a)) {
+        for (b = tight.next_loose(b); b < n && !improves(b);)
+          b = tight.next_loose(b + 1);
+      } else {
+        while (b < n && !improves(b)) ++b;
       }
       if (b == n) break;
       std::swap(m[static_cast<std::size_t>(a)], m[static_cast<std::size_t>(b)]);
       bound.swapped(g, dist, m, a, b);
+      tight.swapped(g, dist, m, a, b);
       ++*swaps;
       OBS_COUNTER_ADD("refine/swap_accepts", 1);
       improved = true;
@@ -88,9 +101,11 @@ RefineResult refine_mapping(const graph::TaskGraph& g,
     OBS_SPAN("refine/run");
     const detail::CachedDistance<decltype(tag)> dist{*cache};
     detail::SwapBound bound(g, dist, result.mapping);
+    detail::TightTasks tight(g, dist, result.mapping, cache->scale());
     for (int pass = 0; pass < max_passes; ++pass) {
       ++result.passes;
-      if (!sweep_once(g, dist, result.mapping, bound, &result.swaps)) break;
+      if (!sweep_once(g, dist, result.mapping, bound, tight, &result.swaps))
+        break;
     }
   });
   result.hop_bytes_after = hop_bytes(g, *cache, result.mapping);

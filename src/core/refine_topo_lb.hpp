@@ -26,8 +26,11 @@ struct RefineResult {
 /// Refine `m` in place-semantics (returns the improved copy).  The result's
 /// hop-bytes are monotonically non-increasing in the number of sweeps.
 /// Each sweep is the sequential first-improvement pass over the O(p^2)
-/// pairs, on the calling thread; it skips the pairs a metric lower bound
-/// proves cannot improve (core/detail/swap_bound.hpp).
+/// pairs, on the calling thread.  It skips, without changing which swap is
+/// taken, two kinds of pairs that provably cannot improve: pairs of tight
+/// tasks, whose every edge spans one hop (the tight-pair rule,
+/// core/detail/tight_tasks.hpp), and pairs a metric lower bound rules out
+/// (core/detail/swap_bound.hpp).
 /// `cache` (optional) is a prebuilt distance plane for `topo`; when given
 /// the sweep reuses it instead of building its own.
 RefineResult refine_mapping(const graph::TaskGraph& g,

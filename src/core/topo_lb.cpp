@@ -41,10 +41,15 @@ constexpr int kRowGrain = 8;
 ///
 /// The buffer is exact at any depth, so K trades only work: a shallower
 /// buffer costs less per sweep (each insert shifts up to K entries) and
-/// drains a little sooner.  At 8 a 4096-task stencil needs 0.7% more
-/// rescans than at 16 and a dense 1024-task random graph 5% more; the
-/// cheaper sweep more than pays for both.
-constexpr int kTopK = 8;
+/// drains a little sooner.  Against K = 8, K = 4 rescans 483 rows instead
+/// of 480 on stencil2d:16x16 -> torus:8x8x4, 8196 instead of 8147 on
+/// stencil2d:64x64 -> torus:16x16x16, 11538 instead of 11520 on
+/// stencil3d:16x16x16 -> torus:16x16x16 and 31305 instead of 28440 (+10%)
+/// on er:1024:0.05 -> torus:16x8x8, and the cheaper inserts more than pay
+/// for it: TopoLB's median wall time there went 107 -> 98 ms over 15
+/// alternated runs, and on the stencils it did not move beyond the host's
+/// noise (DESIGN.md, "TopoLB row-minima buffer").
+constexpr int kTopK = 4;
 
 /// All mutable algorithm state, kept in one place so the update steps after
 /// each placement read like the paper's description.  Distances come from

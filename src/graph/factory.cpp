@@ -8,119 +8,129 @@
 #include "graph/builders.hpp"
 #include "graph/synthetic_md.hpp"
 #include "support/error.hpp"
+#include "support/split.hpp"
 
 namespace topomap::graph {
 
 namespace {
 
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, delim)) out.push_back(item);
-  return out;
-}
-
-int parse_int(const std::string& s, const char* what) {
+/// The field `s` of workload spec `spec` as one whole base-10 integer.
+int parse_int(const std::string& s, const char* what, const std::string& spec) {
   try {
     std::size_t pos = 0;
     const int v = std::stoi(s, &pos);
-    TOPOMAP_REQUIRE(pos == s.size(), std::string("bad ") + what + ": " + s);
-    return v;
-  } catch (const precondition_error&) {
-    throw;
+    if (pos == s.size()) return v;
   } catch (const std::exception&) {
-    throw precondition_error(std::string("bad ") + what + ": " + s);
   }
+  throw precondition_error(std::string("bad ") + what + " '" + s +
+                           "' in workload spec " + spec);
 }
 
-double parse_real(const std::string& s, const char* what) {
+/// The field `s` of workload spec `spec` as one whole real number.
+double parse_real(const std::string& s, const char* what,
+                  const std::string& spec) {
   try {
     std::size_t pos = 0;
     const double v = std::stod(s, &pos);
-    TOPOMAP_REQUIRE(pos == s.size(), std::string("bad ") + what + ": " + s);
-    return v;
-  } catch (const precondition_error&) {
-    throw;
+    if (pos == s.size()) return v;
   } catch (const std::exception&) {
-    throw precondition_error(std::string("bad ") + what + ": " + s);
   }
+  throw precondition_error(std::string("bad ") + what + " '" + s +
+                           "' in workload spec " + spec);
 }
 
-std::vector<int> parse_dims(const std::string& s, const char* what) {
+std::vector<int> parse_dims(const std::string& s, const char* what,
+                            const std::string& spec) {
   std::vector<int> dims;
-  for (const auto& part : split(s, 'x')) dims.push_back(parse_int(part, what));
+  for (const auto& part : split_fields(s, 'x'))
+    dims.push_back(parse_int(part, what, spec));
   return dims;
 }
 
 }  // namespace
 
 TaskGraph make_task_graph(const std::string& spec, Rng& rng) {
-  const auto parts = split(spec, ':');
+  const auto parts = split_fields(spec, ':');
   TOPOMAP_REQUIRE(parts.size() >= 2,
                   "workload spec must look like kind:params, got: " + spec);
   const std::string& kind = parts[0];
+  // A file path keeps its colons; every other kind has a fixed field count.
+  if (kind == "file")
+    return read_task_graph_file(spec.substr(kind.size() + 1));
+  const auto at_most = [&](std::size_t fields) {
+    TOPOMAP_REQUIRE(parts.size() <= fields,
+                    "too many fields in workload spec " + spec);
+  };
 
   if (kind == "stencil2d") {
-    const auto dims = parse_dims(parts[1], "extent");
+    at_most(3);
+    const auto dims = parse_dims(parts[1], "extent", spec);
     TOPOMAP_REQUIRE(dims.size() == 2, "stencil2d needs WxH");
     const double bytes =
-        parts.size() > 2 ? parse_real(parts[2], "bytes") : 1024.0;
+        parts.size() > 2 ? parse_real(parts[2], "bytes", spec) : 1024.0;
     return stencil_2d(dims[0], dims[1], bytes);
   }
   if (kind == "stencil3d") {
-    const auto dims = parse_dims(parts[1], "extent");
+    at_most(3);
+    const auto dims = parse_dims(parts[1], "extent", spec);
     TOPOMAP_REQUIRE(dims.size() == 3, "stencil3d needs WxHxD");
     const double bytes =
-        parts.size() > 2 ? parse_real(parts[2], "bytes") : 1024.0;
+        parts.size() > 2 ? parse_real(parts[2], "bytes", spec) : 1024.0;
     return stencil_3d(dims[0], dims[1], dims[2], bytes);
   }
   if (kind == "ring") {
+    at_most(3);
     const double bytes =
-        parts.size() > 2 ? parse_real(parts[2], "bytes") : 1024.0;
-    return ring(parse_int(parts[1], "size"), bytes);
+        parts.size() > 2 ? parse_real(parts[2], "bytes", spec) : 1024.0;
+    return ring(parse_int(parts[1], "size", spec), bytes);
   }
   if (kind == "complete") {
+    at_most(3);
     const double bytes =
-        parts.size() > 2 ? parse_real(parts[2], "bytes") : 1024.0;
-    return complete(parse_int(parts[1], "size"), bytes);
+        parts.size() > 2 ? parse_real(parts[2], "bytes", spec) : 1024.0;
+    return complete(parse_int(parts[1], "size", spec), bytes);
   }
   if (kind == "transpose") {
+    at_most(3);
     const double bytes =
-        parts.size() > 2 ? parse_real(parts[2], "bytes") : 1024.0;
-    return transpose(parse_int(parts[1], "grid side"), bytes);
+        parts.size() > 2 ? parse_real(parts[2], "bytes", spec) : 1024.0;
+    return transpose(parse_int(parts[1], "grid side", spec), bytes);
   }
   if (kind == "butterfly") {
+    at_most(3);
     const double bytes =
-        parts.size() > 2 ? parse_real(parts[2], "bytes") : 1024.0;
-    return butterfly(parse_int(parts[1], "stages"), bytes);
+        parts.size() > 2 ? parse_real(parts[2], "bytes", spec) : 1024.0;
+    return butterfly(parse_int(parts[1], "stages", spec), bytes);
   }
   if (kind == "er") {
+    at_most(4);
     TOPOMAP_REQUIRE(parts.size() >= 3, "er spec is er:n:p[:maxbytes]");
     const double max_bytes =
-        parts.size() > 3 ? parse_real(parts[3], "bytes") : 1024.0;
-    return random_graph(parse_int(parts[1], "size"),
-                        parse_real(parts[2], "probability"), 1.0, max_bytes,
-                        rng);
+        parts.size() > 3 ? parse_real(parts[3], "bytes", spec) : 1024.0;
+    return random_graph(parse_int(parts[1], "size", spec),
+                        parse_real(parts[2], "probability", spec), 1.0,
+                        max_bytes, rng);
   }
   if (kind == "rgg") {
+    at_most(4);
     TOPOMAP_REQUIRE(parts.size() >= 3, "rgg spec is rgg:n:radius[:bytes]");
     const double bytes =
-        parts.size() > 3 ? parse_real(parts[3], "bytes") : 1024.0;
-    return random_geometric(parse_int(parts[1], "size"),
-                            parse_real(parts[2], "radius"), bytes, rng);
+        parts.size() > 3 ? parse_real(parts[3], "bytes", spec) : 1024.0;
+    return random_geometric(parse_int(parts[1], "size", spec),
+                            parse_real(parts[2], "radius", spec), bytes, rng);
   }
   if (kind == "md") {
-    const auto dims = parse_dims(parts[1], "cell extent");
+    at_most(3);
+    const auto dims = parse_dims(parts[1], "cell extent", spec);
     TOPOMAP_REQUIRE(dims.size() == 3, "md needs CXxCYxCZ cells");
     MdParams params;
     params.cells_x = dims[0];
     params.cells_y = dims[1];
     params.cells_z = dims[2];
-    if (parts.size() > 2) params.atoms_per_cell = parse_real(parts[2], "atoms");
+    if (parts.size() > 2)
+      params.atoms_per_cell = parse_real(parts[2], "atoms", spec);
     return synthetic_md(params, rng);
   }
-  if (kind == "file") return read_task_graph_file(parts[1]);
   throw precondition_error("unknown workload kind: " + kind);
 }
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <sstream>
 
 #include "support/error.hpp"
+#include "support/split.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/hypercube.hpp"
@@ -15,24 +15,20 @@ namespace topomap::topo {
 
 namespace {
 
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, delim)) out.push_back(item);
-  return out;
-}
-
-int parse_int(const std::string& s, const std::string& what) {
-  TOPOMAP_REQUIRE(!s.empty(), "empty " + what + " in topology spec");
+/// The field `s` of topology spec `spec` as one whole base-10 integer.
+int parse_int(const std::string& s, const std::string& what,
+              const std::string& spec) {
+  TOPOMAP_REQUIRE(!s.empty(), "empty " + what + " in topology spec " + spec);
   std::size_t pos = 0;
   int v = 0;
   try {
     v = std::stoi(s, &pos);
   } catch (const std::exception&) {
-    throw precondition_error("bad " + what + " in topology spec: " + s);
+    throw precondition_error("bad " + what + " '" + s +
+                             "' in topology spec " + spec);
   }
-  TOPOMAP_REQUIRE(pos == s.size(), "bad " + what + " in topology spec: " + s);
+  TOPOMAP_REQUIRE(pos == s.size(),
+                  "bad " + what + " '" + s + "' in topology spec " + spec);
   return v;
 }
 
@@ -47,8 +43,8 @@ TopologyPtr make_topology(const std::string& spec) {
 
   if (kind == "torus" || kind == "mesh") {
     std::vector<int> dims;
-    for (const auto& part : split(params, 'x'))
-      dims.push_back(parse_int(part, "extent"));
+    for (const auto& part : split_fields(params, 'x'))
+      dims.push_back(parse_int(part, "extent", spec));
     return kind == "torus"
                ? std::make_shared<TorusMesh>(TorusMesh::torus(dims))
                : std::make_shared<TorusMesh>(TorusMesh::mesh(dims));
@@ -56,27 +52,28 @@ TopologyPtr make_topology(const std::string& spec) {
   if (kind == "hybrid") {
     std::vector<int> dims;
     std::vector<bool> wrap;
-    for (auto part : split(params, 'x')) {
-      TOPOMAP_REQUIRE(!part.empty(), "empty extent in hybrid spec");
+    for (auto part : split_fields(params, 'x')) {
+      TOPOMAP_REQUIRE(!part.empty(), "empty extent in topology spec " + spec);
       const char suffix = part.back();
       TOPOMAP_REQUIRE(suffix == 'w' || suffix == 'o',
                       "hybrid extents need a w/o suffix: " + part);
       wrap.push_back(suffix == 'w');
       part.pop_back();
-      dims.push_back(parse_int(part, "extent"));
+      dims.push_back(parse_int(part, "extent", spec));
     }
     return std::make_shared<TorusMesh>(dims, wrap);
   }
   if (kind == "hypercube")
-    return std::make_shared<Hypercube>(parse_int(params, "dimension"));
+    return std::make_shared<Hypercube>(parse_int(params, "dimension", spec));
   if (kind == "dragonfly")
     return std::make_shared<GraphTopology>(
-        make_dragonfly(parse_int(params, "routers-per-group")));
+        make_dragonfly(parse_int(params, "routers-per-group", spec)));
   if (kind == "fattree") {
-    const auto parts = split(params, 'x');
-    TOPOMAP_REQUIRE(parts.size() == 2, "fattree spec is fattree:<k>x<L>");
-    return std::make_shared<FatTree>(parse_int(parts[0], "arity"),
-                                     parse_int(parts[1], "levels"));
+    const auto parts = split_fields(params, 'x');
+    TOPOMAP_REQUIRE(parts.size() == 2,
+                    "fattree spec is fattree:<k>x<L>, got " + spec);
+    return std::make_shared<FatTree>(parse_int(parts[0], "arity", spec),
+                                     parse_int(parts[1], "levels", spec));
   }
   throw precondition_error("unknown topology kind: " + kind);
 }

@@ -5,25 +5,11 @@
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/split.hpp"
 
 namespace topomap::topo {
 
 namespace {
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t end = s.find(sep, start);
-    if (end == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
 
 /// Strict integer parse: the whole token must be one base-10 integer.
 int parse_int(const std::string& token, const std::string& what) {
@@ -60,7 +46,7 @@ std::pair<int, int> norm_link(int a, int b) {
 /// Split one "target[@epoch]" restore entry; epoch 0 when absent.
 std::pair<std::string, int> parse_timed(const std::string& entry,
                                         const std::string& what) {
-  const auto at = split(entry, '@');
+  const auto at = split_fields(entry, '@');
   TOPOMAP_REQUIRE(at.size() <= 2,
                   what + ": more than one '@' in '" + entry + "'");
   int epoch = 0;
@@ -116,8 +102,8 @@ FaultSpec parse_fault_spec(const std::string& fail_links,
 
   std::set<std::pair<int, int>> seen_links;
   if (!fail_links.empty()) {
-    for (const std::string& pair : split(fail_links, ',')) {
-      const auto ends = split(pair, ':');
+    for (const std::string& pair : split_fields(fail_links, ',')) {
+      const auto ends = split_fields(pair, ':');
       TOPOMAP_REQUIRE(ends.size() == 2,
                       "--fail-link entries must look like a:b, got '" + pair +
                           "'");
@@ -131,7 +117,7 @@ FaultSpec parse_fault_spec(const std::string& fail_links,
 
   if (!fail_nodes.empty()) {
     std::set<int> seen_nodes;
-    for (const std::string& node : split(fail_nodes, ',')) {
+    for (const std::string& node : split_fields(fail_nodes, ',')) {
       const int p = parse_int(node, "--fail-node");
       TOPOMAP_REQUIRE(seen_nodes.insert(p).second,
                       "--fail-node lists processor " + node + " twice");
@@ -141,8 +127,8 @@ FaultSpec parse_fault_spec(const std::string& fail_links,
 
   if (!degrade_links.empty()) {
     std::set<std::pair<int, int>> seen_degrades;
-    for (const std::string& entry : split(degrade_links, ',')) {
-      const auto fields = split(entry, ':');
+    for (const std::string& entry : split_fields(degrade_links, ',')) {
+      const auto fields = split_fields(entry, ':');
       TOPOMAP_REQUIRE(fields.size() == 3,
                       "--degrade-link entries must look like a:b:health, "
                       "got '" + entry + "'");
@@ -166,7 +152,7 @@ FaultSpec parse_fault_spec(const std::string& fail_links,
 
   if (!restore_nodes.empty()) {
     std::set<std::pair<int, int>> seen;  // (processor, epoch)
-    for (const std::string& entry : split(restore_nodes, ',')) {
+    for (const std::string& entry : split_fields(restore_nodes, ',')) {
       const auto [target, epoch] = parse_timed(entry, "--restore-node");
       NodeRestoreSpec r;
       r.p = parse_int(target, "--restore-node");
@@ -185,9 +171,9 @@ FaultSpec parse_fault_spec(const std::string& fail_links,
 
   if (!restore_links.empty()) {
     std::set<std::pair<std::pair<int, int>, int>> seen;  // (link, epoch)
-    for (const std::string& entry : split(restore_links, ',')) {
+    for (const std::string& entry : split_fields(restore_links, ',')) {
       const auto [target, epoch] = parse_timed(entry, "--restore-link");
-      const auto ends = split(target, ':');
+      const auto ends = split_fields(target, ':');
       TOPOMAP_REQUIRE(ends.size() == 2,
                       "--restore-link entries must look like a:b[@epoch], "
                       "got '" + entry + "'");

@@ -1,6 +1,8 @@
 // Task-graph factory: spec parsing, file round-trips, error diagnosis.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "graph/builders.hpp"
@@ -51,6 +53,43 @@ TEST(GraphFactory, RejectsMalformedSpecs) {
   EXPECT_THROW(make_task_graph("stencil2d:axb", rng), precondition_error);
   EXPECT_THROW(make_task_graph("file:/does/not/exist", rng),
                precondition_error);
+}
+
+// A stray or trailing separator is an empty field the field's parser
+// rejects, and a field past the kind's last is rejected too, naming the
+// whole spec; neither vanishes into a smaller spec.
+TEST(GraphFactory, RejectsEmptyAndExtraFieldsNamingTheSpec) {
+  Rng rng(1);
+  for (const std::string spec :
+       {"stencil2d:4x4x", "stencil2d:4x4:", "stencil2d:4xx4", "stencil2d:x4x4",
+        "stencil3d:2x2x2x", "ring:5:", "er:30:0.2:", "md:3x3x3:",
+        "stencil2d:4x4:512:9", "er:30:0.2:5:1", "complete:4:8:"}) {
+    try {
+      (void)make_task_graph(spec, rng);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(make_task_graph("stencil2d:4x4:512", rng).num_vertices(), 16);
+}
+
+// A file spec's path is everything after "file:", colons included, so a
+// trailing field is part of the path, never dropped.
+TEST(GraphFactory, FileSpecPathKeepsItsColons) {
+  Rng rng(5);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "topomap_file_spec:a.graph")
+          .string();
+  {
+    std::ofstream out(path);
+    write_task_graph(out, ring(6, 8.0));
+  }
+  EXPECT_EQ(make_task_graph("file:" + path, rng).num_vertices(), 6);
+  EXPECT_THROW(make_task_graph("file:" + path + ":junk", rng),
+               precondition_error);
+  std::filesystem::remove(path);
 }
 
 TEST(GraphFactory, FileRoundTrip) {

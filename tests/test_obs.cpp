@@ -748,9 +748,9 @@ TEST_F(ObsTest, ExplainRouteHopsArePinnedAtAnyThreadCount) {
 }
 
 // RefineTopoLB's work counts on the served map shape (perfbench
-// served-mix), pinned like TopoLB's.  TopoLB's mapping there is already
-// swap-optimal, so one sweep visits all 256 * 255 / 2 pairs; the swap
-// bound skips all but the 768 pairs one link apart.
+// served-mix), pinned like TopoLB's.  TopoLB's mapping there is a perfect
+// embedding (every edge one hop), so one sweep visits all 256 * 255 / 2
+// pairs and the tight-pair rule skips every one: no delta is computed.
 TEST_F(ObsTest, RefineWorkCountersArePinnedAtAnyThreadCount) {
   ops::Params p;
   p.tasks = "stencil2d:16x16";
@@ -763,8 +763,8 @@ TEST_F(ObsTest, RefineWorkCountersArePinnedAtAnyThreadCount) {
     (void)ops::run_map(p, ops::make_machine);
     Registry& reg = Registry::instance();
     EXPECT_EQ(reg.counter("refine/swap_attempts"), 32640u) << threads;
-    EXPECT_EQ(reg.counter("refine/delta_evals"), 768u) << threads;
-    EXPECT_EQ(reg.counter("refine/pairs_skipped"), 31872u) << threads;
+    EXPECT_EQ(reg.counter("refine/delta_evals"), 0u) << threads;
+    EXPECT_EQ(reg.counter("refine/pairs_skipped"), 32640u) << threads;
   }
 }
 

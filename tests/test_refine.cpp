@@ -5,19 +5,25 @@
 // and after swaps moved it incrementally; its C entries must stay upper
 // bounds of the exact C.  The metric the bound's argument rests on is
 // checked on every plane as well: symmetry and the triangle inequality,
-// kUnreachable entries of a partitioned machine included.  Finally the
-// refiner must reproduce a plain all-pairs first-improvement sweep byte
-// for byte, at 1 and 4 threads.
+// kUnreachable entries of a partitioned machine included.  The tight-pair
+// rule (core/detail/tight_tasks.hpp) is checked the same way: one hop is
+// the least distance of every plane, incremental tightness matches a
+// recount, and every pair of tight tasks has a computed delta >= 0.
+// Finally the refiner must reproduce a plain all-pairs first-improvement
+// sweep byte for byte, from random starts and from perfect embeddings a
+// few swaps away, at 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/detail/swap_bound.hpp"
+#include "core/detail/tight_tasks.hpp"
 #include "core/distance_provider.hpp"
 #include "core/refine_topo_lb.hpp"
 #include "core/swap_kernel.hpp"
@@ -36,6 +42,7 @@ namespace {
 using core::Mapping;
 using core::detail::CachedDistance;
 using core::detail::SwapBound;
+using core::detail::TightTasks;
 using graph::TaskGraph;
 
 struct Machine {
@@ -118,6 +125,36 @@ TaskGraph random_graph(int n, const Weights& w, Rng& rng) {
 Mapping random_mapping(int n, Rng& rng) {
   const std::vector<int> perm = rng.permutation(n);
   return Mapping(perm.begin(), perm.end());
+}
+
+/// A perfect embedding's task graph: the machine's own links, one task per
+/// processor, so under the identity mapping every edge spans one link.  On
+/// torus:4x4x4 it is a periodic 3-D stencil, on mesh:8x6 a 2-D one.  A fat
+/// tree has no processor links (two leaves are at least two hops apart);
+/// there it is a random graph.
+TaskGraph link_graph(const Machine& mc, const Weights& w, Rng& rng) {
+  const int n = mc.topo->size();
+  if (mc.name.rfind("fattree", 0) == 0) return random_graph(n, w, rng);
+  TaskGraph::Builder b("links");
+  b.add_vertices(n);
+  for (int p = 0; p < n; ++p)
+    for (const int q : mc.topo->neighbors(p)) {
+      if (q < p) continue;
+      const double bytes = rng.uniform_double(w.lo, w.hi);
+      b.add_edge(p, q, w.integral ? std::floor(bytes) : bytes);
+    }
+  return std::move(b).build();
+}
+
+/// The identity mapping after `swaps` random exchanges, so tasks one hop
+/// from all their partners (tight) and tasks that are not (loose) mix.
+Mapping perturbed_identity(int n, int swaps, Rng& rng) {
+  Mapping m(static_cast<std::size_t>(n));
+  for (int t = 0; t < n; ++t) m[static_cast<std::size_t>(t)] = t;
+  for (int s = 0; s < swaps; ++s)
+    std::swap(m[rng.uniform(static_cast<std::uint64_t>(n))],
+              m[rng.uniform(static_cast<std::uint64_t>(n))]);
+  return m;
 }
 
 TEST(RefineBound, PlanesAreMetrics) {
@@ -212,6 +249,89 @@ TEST(RefineBound, SkippedPairsNeverImprove) {
   }
 }
 
+TEST(RefineTight, OneHopIsTheLeastDistance) {
+  for (const Machine& mc : machines()) {
+    const topo::DistanceCache plane(*mc.topo);
+    const int h = plane.scale();
+    EXPECT_EQ(h, mc.name.rfind("soft", 0) == 0
+                     ? topo::FaultOverlay::kHealthCostOne
+                     : 1)
+        << mc.name;
+    for (int x = 0; x < plane.size(); ++x)
+      for (int y = 0; y < plane.size(); ++y)
+        if (x != y) {
+          ASSERT_GE(plane.distance(x, y), h) << mc.name;
+        }
+  }
+}
+
+/// Checks TightTasks against a recount under m, and every pair it calls
+/// tight (the pairs the sweep skips) against the sweep's delta.  Returns the number of tight tasks
+/// with at least one edge (a task without edges is trivially tight).
+template <class D>
+int check_tight(const TaskGraph& g, const CachedDistance<D>& dist,
+                const Mapping& m, int one_hop, const TightTasks& tight,
+                const std::string& what) {
+  const int n = g.num_vertices();
+  std::vector<int> tight_tasks;
+  int connected = 0;
+  for (int t = 0; t < n; ++t) {
+    bool is_tight = true;
+    for (const graph::Edge& e : g.edges_of(t))
+      is_tight = is_tight && dist(m[static_cast<std::size_t>(t)],
+                                  m[static_cast<std::size_t>(e.neighbor)]) ==
+                                 one_hop;
+    EXPECT_EQ(tight.tight(t), is_tight) << what << ": task " << t;
+    if (!tight.tight(t)) continue;
+    tight_tasks.push_back(t);
+    if (g.degree(t) > 0) ++connected;
+  }
+  for (std::size_t i = 0; i < tight_tasks.size(); ++i)
+    for (std::size_t j = i + 1; j < tight_tasks.size(); ++j)
+      EXPECT_GE(core::detail::swap_delta_dist(g, dist, m, tight_tasks[i],
+                                              tight_tasks[j]),
+                0.0)
+          << what << ": tight pair (" << tight_tasks[i] << ","
+          << tight_tasks[j] << ")";
+  return connected;
+}
+
+TEST(RefineTight, TightPairsNeverImprove) {
+  Rng rng(31);
+  for (const Machine& mc : machines()) {
+    const topo::DistanceCache plane(*mc.topo);
+    const bool fat_tree = mc.name.rfind("fattree", 0) == 0;
+    plane.visit([&](auto tag) {
+      const CachedDistance<decltype(tag)> dist{plane};
+      const int n = plane.size();
+      for (const Weights& w : kWeights) {
+        const std::string what = mc.name + ", " + w.name + " weights";
+        const TaskGraph g = link_graph(mc, w, rng);
+        Mapping m = perturbed_identity(n, n / 8, rng);
+        TightTasks tight(g, dist, m, plane.scale());
+        int tight_count = check_tight(g, dist, m, plane.scale(), tight,
+                                      what + " (fresh)");
+        // Incremental updates after swaps, improving or not.
+        for (int s = 0; s < 6; ++s) {
+          const int a = static_cast<int>(rng.uniform(n));
+          const int b = static_cast<int>(rng.uniform(n));
+          if (a == b) continue;
+          std::swap(m[static_cast<std::size_t>(a)],
+                    m[static_cast<std::size_t>(b)]);
+          tight.swapped(g, dist, m, a, b);
+          tight_count += check_tight(g, dist, m, plane.scale(), tight,
+                                     what + " (moved)");
+        }
+        if (fat_tree) {
+          EXPECT_EQ(tight_count, 0) << what;
+        } else {
+          EXPECT_GT(tight_count, 0) << what << ": no task was ever tight";
+        }
+      }
+    });
+  }
+}
+
 /// The plain sequential first-improvement sweep the refiner must match.
 template <class D>
 Mapping reference_refine(const TaskGraph& g, const CachedDistance<D>& dist,
@@ -237,18 +357,27 @@ TEST(RefineBound, RefinerMatchesAllPairsSweep) {
     const topo::DistanceCache plane(*mc.topo);
     const int n = plane.size();
     for (const Weights& w : kWeights) {
-      const TaskGraph g = random_graph(n, w, rng);
-      const Mapping start = random_mapping(n, rng);
-      const Mapping expected = plane.visit([&](auto tag) {
-        return reference_refine(g, CachedDistance<decltype(tag)>{plane}, start,
-                                8);
-      });
-      for (const int threads : {1, 4}) {
-        support::set_num_threads(threads);
-        const core::RefineResult r =
-            core::refine_mapping(g, *mc.topo, start, 8, &plane);
-        EXPECT_EQ(r.mapping, expected)
-            << mc.name << ", " << w.name << " weights, threads " << threads;
+      // A random start, where few tasks are tight, and a perfect embedding
+      // a few swaps away, where most are.
+      const TaskGraph random_g = random_graph(n, w, rng);
+      const Mapping random_start = random_mapping(n, rng);
+      const TaskGraph embedded_g = link_graph(mc, w, rng);
+      const Mapping embedded_start = perturbed_identity(n, 4, rng);
+      for (const auto& [g, start, kind] :
+           {std::tuple{&random_g, &random_start, "random start"},
+            std::tuple{&embedded_g, &embedded_start, "perturbed embedding"}}) {
+        const Mapping expected = plane.visit([&](auto tag) {
+          return reference_refine(*g, CachedDistance<decltype(tag)>{plane},
+                                  *start, 8);
+        });
+        for (const int threads : {1, 4}) {
+          support::set_num_threads(threads);
+          const core::RefineResult r =
+              core::refine_mapping(*g, *mc.topo, *start, 8, &plane);
+          EXPECT_EQ(r.mapping, expected)
+              << mc.name << ", " << w.name << " weights, " << kind
+              << ", threads " << threads;
+        }
       }
     }
   }

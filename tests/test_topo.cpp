@@ -173,6 +173,22 @@ TEST(Factory, ParsesAllKinds) {
   EXPECT_THROW(make_topology("torus:axb"), precondition_error);
 }
 
+// A stray or trailing separator is an empty field the extent parser
+// rejects, naming the whole spec; it never vanishes into a smaller machine.
+TEST(Factory, RejectsEmptyFieldsNamingTheSpec) {
+  for (const std::string spec : {"torus:4x4x", "mesh:4x", "torus:x4",
+                                 "mesh:4xx4", "torus:", "hybrid:4wx4ox",
+                                 "fattree:2x4x"}) {
+    try {
+      (void)make_topology(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Factory, BalancedDims) {
   EXPECT_EQ(balanced_dims(64, 3), (std::vector<int>{4, 4, 4}));
   EXPECT_EQ(balanced_dims(64, 2), (std::vector<int>{8, 8}));
